@@ -23,12 +23,14 @@ from .model import (
     DEFAULT_C,
     LinearModel,
     PUModel,
+    Vocabulary,
     compute_class_weights,
     featurize,
     fit_vocabulary,
     load_model,
     predict,
     save_model,
+    tokenize,
     train_logreg,
     train_pu,
 )
@@ -113,8 +115,12 @@ def _parse_ratios(raw) -> tuple[float, float, float]:
 
 def _select_sentences(
     samples: list[ParagraphSample], split: str, field: str | None = None
-) -> tuple[list[str], list[int]]:
-    texts: list[str] = []
+) -> tuple[list[list[str]], list[int]]:
+    """Token lists and 0/1 labels of the sentences in ``split`` ("all" for
+    every split) and ``field`` (None for every field), in dataset order. The
+    one place the model commands tokenize; equal tokens share one string."""
+    shared: dict[str, str] = {}
+    docs: list[list[str]] = []
     labels: list[int] = []
     for sample in samples:
         if split != "all" and sample.split != split:
@@ -122,9 +128,17 @@ def _select_sentences(
         if field is not None and sample.mag_field != field:
             continue
         for sentence in sample.sentences:
-            texts.append(sentence.text)
+            docs.append([shared.setdefault(token, token) for token in tokenize(sentence.text)])
             labels.append(1 if sentence.label == LABEL_CITE_WORTHY else 0)
-    return texts, labels
+    return docs, labels
+
+
+def _score(
+    model: LinearModel, vocab: Vocabulary, docs: list[list[str]], golds: list[int]
+) -> metrics.PRF:
+    """Featurize ``docs`` under ``vocab``, predict, and score against ``golds``."""
+    predictions = predict(model, featurize(docs, vocab))
+    return metrics.precision_recall_f1(list(predictions), golds, positive_class=1)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -252,23 +266,21 @@ def cmd_train(args: argparse.Namespace) -> int:
         max_features = int(max_features)
 
     samples = read_dataset(dataset_path)
-    texts, labels = _select_sentences(samples, split)
-    if not texts:
+    docs, labels = _select_sentences(samples, split)
+    if not docs:
         raise ValueError(f"dataset has no sentences in split {split!r}")
 
-    vocab = fit_vocabulary(texts, min_df=min_df, max_features=max_features)
-    features = [featurize(t, vocab) for t in texts]
+    vocab = fit_vocabulary(docs, min_df=min_df, max_features=max_features)
+    X = featurize(docs, vocab)
     if use_pu:
-        model: LinearModel | PUModel = train_pu(
-            features, labels, seed=seed, C=c_value, n_features=len(vocab))
+        model: LinearModel | PUModel = train_pu(X, labels, seed=seed, C=c_value)
         print(f"labeling-frequency estimate: {model.c_estimate:.4f}")
     else:
         class_weights = compute_class_weights(labels)
-        model = train_logreg(features, labels, class_weights, C=c_value, seed=seed,
-                             n_features=len(vocab))
+        model = train_logreg(X, labels, class_weights, C=c_value)
         print(f"class weights: ({class_weights[0]:.4f}, {class_weights[1]:.4f})")
     save_model(model_path, model, vocab)
-    print(f"trained on {len(texts)} sentences (split={split}); model saved to {model_path}")
+    print(f"trained on {len(docs)} sentences (split={split}); model saved to {model_path}")
     return 0
 
 
@@ -287,12 +299,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if vocab is None:
         raise ValueError(f"{model_path} carries no vocabulary; cannot featurize text")
     samples = read_dataset(dataset_path)
-    texts, golds = _select_sentences(samples, split, field)
-    if not texts:
+    docs, golds = _select_sentences(samples, split, field)
+    if not docs:
         raise ValueError(f"no sentences selected (split={split!r}, field={field!r})")
-    predictions = predict(_scoring_model(model), [featurize(t, vocab) for t in texts])
-    result = metrics.precision_recall_f1(list(predictions), golds, positive_class=1)
-    print(result.render_text())
+    print(_score(_scoring_model(model), vocab, docs, golds).render_text())
     return 0
 
 
@@ -301,7 +311,6 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     dataset_path = _require_file(_resolve(args, config, "input", required=True), "dataset")
     distances_path = _require_file(
         _resolve(args, config, "distances", required=True), "distance matrix")
-    seed = int(_resolve(args, config, "seed", required=True))
     c_value = float(_resolve(args, config, "c_value", default=DEFAULT_C))
     min_df = int(_resolve(args, config, "min_df", default=1))
     fields_arg = _resolve(args, config, "fields", default=None)
@@ -314,26 +323,32 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         fields = sorted({train for train, _ in distances})
     samples = read_dataset(dataset_path)
 
+    # Tokenize each field once; every vocabulary below reuses these lists.
+    # In-domain cells score the held-out test split, out-of-domain cells the
+    # entire other field.
+    selected = {}
+    for field in fields:
+        docs, labels = selected[field, "all"] = _select_sentences(samples, "all", field)
+        splits = [s.split for s in samples if s.mag_field == field for _ in s.sentences]
+        for split in (SPLIT_TRAIN, SPLIT_TEST):
+            rows = [i for i, s in enumerate(splits) if s == split]
+            selected[field, split] = [docs[i] for i in rows], [labels[i] for i in rows]
+
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:
-        texts, labels = _select_sentences(samples, SPLIT_TRAIN, train_field)
-        if not texts:
+        docs, labels = selected[train_field, SPLIT_TRAIN]
+        if not docs:
             raise ValueError(f"field {train_field!r} has no train sentences")
-        vocab = fit_vocabulary(texts, min_df=min_df)
-        features = [featurize(t, vocab) for t in texts]
-        class_weights = compute_class_weights(labels)
-        model = train_logreg(features, labels, class_weights, C=c_value, seed=seed,
-                             n_features=len(vocab))
+        vocab = fit_vocabulary(docs, min_df=min_df)
+        model = train_logreg(featurize(docs, vocab), labels, compute_class_weights(labels),
+                             C=c_value)
         for test_field in fields:
-            # In-domain uses the held-out test split; out-of-domain uses the
-            # entire other field.
             split = SPLIT_TEST if test_field == train_field else "all"
-            eval_texts, eval_golds = _select_sentences(samples, split, test_field)
-            if not eval_texts:
+            eval_docs, eval_golds = selected[test_field, split]
+            if not eval_docs:
                 raise ValueError(f"field {test_field!r} has no sentences for split {split!r}")
-            predictions = predict(model, [featurize(t, vocab) for t in eval_texts])
-            prf = metrics.precision_recall_f1(list(predictions), eval_golds, positive_class=1)
-            f1_by_pair[(train_field, test_field)] = 100.0 * prf.f1
+            f1_by_pair[train_field, test_field] = 100.0 * _score(
+                model, vocab, eval_docs, eval_golds).f1
 
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
     print(grid.render_text())
@@ -429,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--distances", help="labeled distance-matrix file")
     p.add_argument("--fields", help="comma-separated field subset")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="ignored: the grid has no random choices")
     p.add_argument("--c-value", dest="c_value", type=float)
     p.add_argument("--min-df", dest="min_df", type=int)
     p.add_argument("--output", help="write the grid as JSON here")

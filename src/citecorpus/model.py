@@ -1,10 +1,14 @@
 """TF-IDF features, class-weighted logistic regression, and PU learning.
 
+One feature path: callers ``tokenize`` each sentence once; ``fit_vocabulary``
+counts document frequencies over those token lists and ``featurize`` turns
+them into a CSR matrix, one TF-IDF row per document. Training and prediction
+take that matrix, or any array scipy converts to one.
+
 Training is deterministic: full-batch gradient descent with backtracking line
-search from a zero initialization, so identical seeds and inputs give
-bitwise-identical parameters. numpy/scipy provide the array and sparse
-primitives; the loss, gradient, optimizer, and the positive-unlabeled scheme
-are implemented here.
+search from a zero initialization, so identical inputs give bitwise-identical
+parameters. numpy/scipy provide the array and sparse primitives; the loss,
+gradient, optimizer, and the positive-unlabeled scheme are implemented here.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 DEFAULT_C = 0.1151
+_NUMBER = (int, float)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -46,18 +51,10 @@ class Vocabulary:
         return len(self.terms)
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Sorted (index, weight) pairs; indices strictly increasing."""
-
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
-
-
 def fit_vocabulary(
-    corpus: Iterable[str], min_df: int = 1, max_features: int | None = None
+    docs: Iterable[Sequence[str]], min_df: int = 1, max_features: int | None = None
 ) -> Vocabulary:
-    """Build a vocabulary from document frequencies.
+    """Build a vocabulary from the document frequencies of tokenized documents.
 
     Terms with df < min_df are dropped; with ``max_features`` set, the most
     frequent terms are kept, ties broken lexicographically. Retained terms
@@ -65,9 +62,9 @@ def fit_vocabulary(
     """
     df: Counter[str] = Counter()
     total_docs = 0
-    for doc in corpus:
+    for tokens in docs:
         total_docs += 1
-        df.update(set(tokenize(doc)))
+        df.update(set(tokens))
     if total_docs == 0:
         raise TrainingError("cannot fit a vocabulary on an empty corpus")
 
@@ -85,29 +82,30 @@ def fit_vocabulary(
     )
 
 
-def featurize(sentence: str, vocab: Vocabulary) -> SparseVector:
-    """L2-normalized smooth TF-IDF vector; out-of-vocabulary tokens ignored.
+def featurize(docs: Iterable[Sequence[str]], vocab: Vocabulary) -> sp.csr_matrix:
+    """One L2-normalized smooth TF-IDF row per tokenized document.
 
-    weight(t) = tf(t) * (ln((1 + N) / (1 + df(t))) + 1), then the vector is
-    scaled to unit L2 norm. A sentence with no in-vocabulary term yields the
-    zero vector.
+    weight(t) = tf(t) * (ln((1 + N) / (1 + df(t))) + 1), then each row is
+    scaled to unit L2 norm, summed over its terms in index order.
+    Out-of-vocabulary tokens are ignored; a document with no in-vocabulary
+    term gives an empty row. The matrix is (n_docs, len(vocab)).
     """
-    counts = Counter(tokenize(sentence))
-    pairs = []
-    for term, tf in counts.items():
-        entry = vocab.terms.get(term)
-        if entry is None:
-            continue
-        index, df = entry
-        idf = math.log((1 + vocab.total_docs) / (1 + df)) + 1.0
-        pairs.append((index, tf * idf))
-    if not pairs:
-        return SparseVector(indices=(), weights=())
-    pairs.sort()
-    norm = math.sqrt(sum(w * w for _, w in pairs))
-    return SparseVector(
-        indices=tuple(i for i, _ in pairs),
-        weights=tuple(w / norm for _, w in pairs),
+    idf = {term: (index, math.log((1 + vocab.total_docs) / (1 + df)) + 1.0)
+           for term, (index, df) in vocab.terms.items()}
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for tokens in docs:
+        row = sorted((entry[0], tf * entry[1]) for term, tf in Counter(tokens).items()
+                     if (entry := idf.get(term)) is not None)
+        norm = math.sqrt(sum(w * w for _, w in row))
+        indices.extend(i for i, _ in row)
+        data.extend(w / norm for _, w in row)
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32),
+         np.asarray(indptr, dtype=np.int32)),
+        shape=(len(indptr) - 1, len(vocab)),
     )
 
 
@@ -119,36 +117,6 @@ def compute_class_weights(labels: Sequence[int]) -> tuple[float, float]:
     if n_pos == 0 or n_neg == 0:
         raise TrainingError("both classes must be present to compute class weights")
     return n / (2.0 * n_pos), n / (2.0 * n_neg)
-
-
-def stack_features(
-    features: Sequence[SparseVector] | np.ndarray | sp.spmatrix,
-    n_features: int | None = None,
-) -> sp.csr_matrix:
-    """Assemble a CSR matrix from SparseVectors or an array."""
-    if sp.issparse(features):
-        return features.tocsr()
-    if isinstance(features, np.ndarray):
-        return sp.csr_matrix(np.atleast_2d(features).astype(float))
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    width = 0
-    for vec in features:
-        indices.extend(vec.indices)
-        data.extend(vec.weights)
-        indptr.append(len(indices))
-        if vec.indices:
-            width = max(width, vec.indices[-1] + 1)
-    if n_features is None:
-        n_features = width
-    elif width > n_features:
-        raise ValueError(f"feature index {width - 1} exceeds n_features={n_features}")
-    return sp.csr_matrix(
-        (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32),
-         np.asarray(indptr, dtype=np.int32)),
-        shape=(len(indptr) - 1, n_features),
-    )
 
 
 @dataclass(eq=False)
@@ -195,28 +163,24 @@ def loss_and_gradient(
 
 
 def train_logreg(
-    features: Sequence[SparseVector] | np.ndarray | sp.spmatrix,
+    X: np.ndarray | sp.spmatrix,
     labels: Sequence[int],
     class_weights: tuple[float, float],
     C: float = DEFAULT_C,
-    seed: int = 0,
     max_epochs: int = 500,
     tol: float = 1e-6,
     sample_weights: Sequence[float] | None = None,
-    n_features: int | None = None,
 ) -> LinearModel:
     """Fit weighted logistic regression by deterministic gradient descent.
 
     Minimizes the class-weighted negative log-likelihood with an L2 penalty
     of ||w||^2 / (2C), using full-batch descent with Armijo backtracking from
     a zero start. Stops when the largest gradient component drops below
-    ``tol`` or after ``max_epochs``. The ``seed`` is accepted for interface
-    uniformity; the procedure has no random choices.
+    ``tol`` or after ``max_epochs``. The procedure has no random choices.
     """
-    del seed
     if C <= 0:
         raise ValueError("C must be positive")
-    X = stack_features(features, n_features=n_features)
+    X = sp.csr_matrix(X, dtype=float)
     y = np.asarray(labels, dtype=float)
     if y.shape[0] != X.shape[0]:
         raise ValueError(f"{X.shape[0]} feature rows but {y.shape[0]} labels")
@@ -256,35 +220,29 @@ def train_logreg(
                        C=float(C), n_features=X.shape[1])
 
 
-def predict_proba(
-    model: LinearModel,
-    features: Sequence[SparseVector] | np.ndarray | sp.spmatrix,
-) -> np.ndarray:
+def predict_proba(model: LinearModel, X: np.ndarray | sp.spmatrix) -> np.ndarray:
     """Positive-class probabilities, one per feature row."""
-    X = stack_features(features, n_features=model.n_features)
+    X = sp.csr_matrix(X, dtype=float)
     if X.shape[1] != model.n_features:
         raise ValueError(f"model expects {model.n_features} features, got {X.shape[1]}")
     return expit(X @ model.weights + model.bias)
 
 
 def predict(
-    model: LinearModel,
-    features: Sequence[SparseVector] | np.ndarray | sp.spmatrix,
-    threshold: float = 0.5,
+    model: LinearModel, X: np.ndarray | sp.spmatrix, threshold: float = 0.5
 ) -> np.ndarray:
     """Binary labels: positive iff probability >= threshold."""
-    return (predict_proba(model, features) >= threshold).astype(int)
+    return (predict_proba(model, X) >= threshold).astype(int)
 
 
 def train_pu(
-    features: Sequence[SparseVector] | np.ndarray | sp.spmatrix,
+    X: np.ndarray | sp.spmatrix,
     observed_labels: Sequence[int],
     seed: int,
     C: float = DEFAULT_C,
     max_epochs: int = 500,
     tol: float = 1e-6,
     holdout_fraction: float = 0.2,
-    n_features: int | None = None,
 ) -> PUModel:
     """Two-stage positive-unlabeled training.
 
@@ -297,7 +255,7 @@ def train_pu(
     unlabeled sample duplicated: once as positive with weight q(x), once as
     negative with weight 1-q(x).
     """
-    X = stack_features(features, n_features=n_features)
+    X = sp.csr_matrix(X, dtype=float)
     s = np.asarray(observed_labels, dtype=int)
     if s.shape[0] != X.shape[0]:
         raise ValueError(f"{X.shape[0]} feature rows but {s.shape[0]} labels")
@@ -320,7 +278,7 @@ def train_pu(
     # Stage one stays unweighted: the hold-out estimate needs calibrated
     # probabilities.
     labeling = train_logreg(X[train_mask], s_train, class_weights=(1.0, 1.0),
-                            C=C, seed=seed, max_epochs=max_epochs, tol=tol)
+                            C=C, max_epochs=max_epochs, tol=tol)
     c_estimate = float(predict_proba(labeling, X[holdout]).mean())
     if c_estimate <= 0.0:
         raise TrainingError("labeling-frequency estimate is zero")
@@ -334,7 +292,7 @@ def train_pu(
     y_final = np.concatenate([
         np.ones(pos_idx.size), np.ones(unl_idx.size), np.zeros(unl_idx.size)])
     weights_final = np.concatenate([np.ones(pos_idx.size), q, 1.0 - q])
-    final = train_logreg(X_final, y_final, class_weights=(1.0, 1.0), C=C, seed=seed,
+    final = train_logreg(X_final, y_final, class_weights=(1.0, 1.0), C=C,
                          max_epochs=max_epochs, tol=tol, sample_weights=weights_final)
     return PUModel(labeling_model=labeling, c_estimate=c_estimate, final_model=final)
 
@@ -349,14 +307,43 @@ def _linear_to_record(model: LinearModel) -> dict:
     }
 
 
-def _linear_from_record(record: dict) -> LinearModel:
+def _is(value: object, kind: type | tuple[type, ...]) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _pull(record: object, key: str, kind: type | tuple[type, ...], items=None):
+    """``record[key]``: a ``kind``, holding only ``items`` when given. A bool
+    is never a number here."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not _is(value, kind) or (items is not None and not all(_is(x, items) for x in value)):
+        raise ValueError(f"key {key!r} is missing or mistyped")
+    return value
+
+
+def _linear_from_record(record: object) -> LinearModel:
+    weights = _pull(record, "weights", list, _NUMBER)
+    n_features = _pull(record, "n_features", int)
+    if len(weights) != n_features:
+        raise ValueError(f"{len(weights)} weights but n_features={n_features}")
+    w_pos, w_neg = _pull(record, "class_weights", list, _NUMBER)
     return LinearModel(
-        weights=np.asarray(record["weights"], dtype=float),
-        bias=float(record["bias"]),
-        class_weights=(float(record["class_weights"][0]), float(record["class_weights"][1])),
-        C=float(record["C"]),
-        n_features=int(record["n_features"]),
+        weights=np.asarray(weights, dtype=float),
+        bias=float(_pull(record, "bias", _NUMBER)),
+        class_weights=(float(w_pos), float(w_neg)),
+        C=float(_pull(record, "C", _NUMBER)),
+        n_features=n_features,
     )
+
+
+def _vocabulary_from_record(record: object) -> Vocabulary:
+    raw = _pull(record, "terms", dict)
+    terms = {}
+    for term in raw:
+        index, df = _pull(raw, term, list, int)
+        terms[term] = (index, df)
+    if sorted(index for index, _ in terms.values()) != list(range(len(terms))):
+        raise ValueError(f"vocabulary indices are not exactly 0..{len(terms) - 1}")
+    return Vocabulary(terms=terms, total_docs=_pull(record, "total_docs", int))
 
 
 def save_model(
@@ -385,26 +372,32 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
-    if version != 1:
-        raise ValueError(f"{path}: unsupported model format version {version!r}")
-    vocab = None
-    if "vocabulary" in payload:
-        raw = payload["vocabulary"]
-        vocab = Vocabulary(
-            terms={term: (int(pair[0]), int(pair[1])) for term, pair in raw["terms"].items()},
-            total_docs=int(raw["total_docs"]),
-        )
-    if payload["kind"] == "pu":
-        model: LinearModel | PUModel = PUModel(
-            labeling_model=_linear_from_record(payload["labeling_model"]),
-            c_estimate=float(payload["c_estimate"]),
-            final_model=_linear_from_record(payload["final_model"]),
-        )
-    elif payload["kind"] == "linear":
-        model = _linear_from_record(payload["model"])
-    else:
-        raise ValueError(f"{path}: unknown model kind {payload['kind']!r}")
+    """Read a model container; raise ValueError naming the file when a key is
+    missing or mistyped, or when weights, n_features and vocabulary disagree."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        version = _pull(payload, "format_version", int)
+        if version != 1:
+            raise ValueError(f"unsupported model format version {version!r}")
+        kind = _pull(payload, "kind", str)
+        if kind == "pu":
+            model: LinearModel | PUModel = PUModel(
+                labeling_model=_linear_from_record(_pull(payload, "labeling_model", dict)),
+                c_estimate=float(_pull(payload, "c_estimate", _NUMBER)),
+                final_model=_linear_from_record(_pull(payload, "final_model", dict)),
+            )
+            widths = {model.labeling_model.n_features, model.final_model.n_features}
+        elif kind == "linear":
+            model = _linear_from_record(_pull(payload, "model", dict))
+            widths = {model.n_features}
+        else:
+            raise ValueError(f"unknown model kind {kind!r}")
+        vocab = None
+        if "vocabulary" in payload:
+            vocab = _vocabulary_from_record(_pull(payload, "vocabulary", dict))
+            if widths != {len(vocab)}:
+                raise ValueError(f"n_features is not the vocabulary size {len(vocab)}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return model, vocab

@@ -146,7 +146,6 @@ class ParagraphSample:
 @dataclass(frozen=True)
 class RejectionReason:
     code: str
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -181,10 +180,7 @@ def assign_field(mag_fields: Iterable[str]) -> str | RejectionReason:
     hits = sorted(set(mag_fields) & set(MAG_FIELDS))
     if len(hits) == 1:
         return hits[0]
-    return RejectionReason(
-        AMBIGUOUS_FIELD,
-        f"expected exactly one in-scope category, found {len(hits)}: {hits}",
-    )
+    return RejectionReason(AMBIGUOUS_FIELD)
 
 
 def _validate_spans(paragraph: Paragraph, paper_id: str) -> None:
@@ -232,7 +228,7 @@ def process_paragraph(
     _validate_spans(paragraph, paper_id)
     sentences = split_sentences(paragraph.text)
     if not sentences:
-        return RejectionReason(MALFORMED_SENTENCE, "paragraph has no sentences")
+        return RejectionReason(MALFORMED_SENTENCE)
 
     spans_by_sentence: list[list[tuple[int, int]]] = [[] for _ in sentences]
     for span in paragraph.cite_spans:
@@ -242,10 +238,7 @@ def process_paragraph(
                 owner = idx
                 break
         if owner is None:
-            return RejectionReason(
-                BAD_FORMAT,
-                f"cite span ({span.start}, {span.end}) does not lie within a single sentence",
-            )
+            return RejectionReason(BAD_FORMAT)
         spans_by_sentence[owner].append((span.start - sentences[owner].start,
                                          span.end - sentences[owner].start))
 
@@ -253,26 +246,19 @@ def process_paragraph(
     for sent, rel_spans in zip(sentences, spans_by_sentence):
         for region in _uncovered_regions(sent.text, rel_spans):
             if find_numeric_citations(region) or find_author_year_citations(region):
-                return RejectionReason(
-                    MISSED_CITATION,
-                    f"citation-format text outside any provided span in: {sent.text!r}",
-                )
+                return RejectionReason(MISSED_CITATION)
         for rel_start, rel_end in rel_spans:
             span_text = sent.text[rel_start:rel_end]
             if not matches_citation_format(span_text):
-                return RejectionReason(
-                    BAD_FORMAT, f"cite span text {span_text!r} matches neither citation format"
-                )
+                return RejectionReason(BAD_FORMAT)
             if not citation_at_sentence_end(sent.text, rel_start, rel_end):
-                return RejectionReason(
-                    NOT_AT_END, f"cite span {span_text!r} is not at the end of: {sent.text!r}"
-                )
+                return RejectionReason(NOT_AT_END)
         cleaned = remove_citation_spans(sent.text, rel_spans)
         cleaned = strip_hanging_punctuation(cleaned)
         if has_hanging_citation_marker(cleaned):
-            return RejectionReason(HANGING_MARKER, f"hanging citation marker in: {cleaned!r}")
+            return RejectionReason(HANGING_MARKER)
         if not is_well_formed(cleaned):
-            return RejectionReason(MALFORMED_SENTENCE, f"not well-formed: {cleaned!r}")
+            return RejectionReason(MALFORMED_SENTENCE)
         label = LABEL_CITE_WORTHY if rel_spans else LABEL_NON_CITE_WORTHY
         labeled.append(LabeledSentence(text=cleaned, label=label,
                                        removed_span_count=len(rel_spans)))
@@ -322,7 +308,7 @@ def build_baseline_variant(
         labeled.append(LabeledSentence(text=text, label=label, removed_span_count=count))
 
     if not labeled:
-        return RejectionReason(MALFORMED_SENTENCE, "paragraph has no nonempty sentences")
+        return RejectionReason(MALFORMED_SENTENCE)
     return ParagraphSample(
         paper_id=paper_id,
         section_title=paragraph.section_title.strip().lower(),
@@ -341,9 +327,7 @@ def process_paper(
     rejections: list[RejectionRecord] = []
     for idx, paragraph in enumerate(paper.paragraphs):
         if not allowed_section(paragraph.section_title):
-            rejections.append(RejectionRecord(
-                paper.paper_id, idx,
-                RejectionReason(BAD_SECTION, f"section {paragraph.section_title!r}")))
+            rejections.append(RejectionRecord(paper.paper_id, idx, RejectionReason(BAD_SECTION)))
             continue
         if isinstance(field_result, RejectionReason):
             rejections.append(RejectionRecord(paper.paper_id, idx, field_result))

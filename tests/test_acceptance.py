@@ -11,6 +11,7 @@ import unicodedata
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from citecorpus import textproc
 from citecorpus.cli import main
@@ -25,7 +26,7 @@ from citecorpus.model import (
     loss_and_gradient,
     predict,
     save_model,
-    stack_features,
+    tokenize,
     train_logreg,
     train_pu,
 )
@@ -346,7 +347,7 @@ class TestCriterion7ModelCorrectness:
         rng = np.random.default_rng(707)
         for _ in range(20):
             n, d = rng.integers(4, 12), rng.integers(2, 8)
-            X = stack_features(rng.normal(size=(int(n), int(d))))
+            X = sp.csr_matrix(rng.normal(size=(int(n), int(d))))
             y = rng.integers(0, 2, size=int(n)).astype(float)
             weight = rng.uniform(0.2, 2.5, size=int(n))
             w = rng.normal(size=int(d))
@@ -366,15 +367,15 @@ class TestCriterion7ModelCorrectness:
             assert abs((up - dn) / (2 * h) - grad_b) / max(1.0, abs(grad_b)) < 1e-5
 
         X, y = gaussian_blobs(42, n_pos=300, n_neg=700, sep=4.0)
-        model = train_logreg(X, y, compute_class_weights(list(y)), C=1.0, seed=0)
+        model = train_logreg(X, y, compute_class_weights(list(y)), C=1.0)
         prf = precision_recall_f1(list(predict(model, X)), list(y), 1)
         assert prf.f1 >= 0.95
 
         recall_gaps = []
         for seed in range(5):
             X, y = imbalanced_blobs(2000 + seed, n=10000)
-            weighted = train_logreg(X, y, compute_class_weights(list(y)), C=1.0, seed=seed)
-            unweighted = train_logreg(X, y, (1.0, 1.0), C=1.0, seed=seed)
+            weighted = train_logreg(X, y, compute_class_weights(list(y)), C=1.0)
+            unweighted = train_logreg(X, y, (1.0, 1.0), C=1.0)
             r_weighted = recall_of(predict(weighted, X), y)
             r_unweighted = recall_of(predict(unweighted, X), y)
             assert r_weighted > r_unweighted, (seed, r_weighted, r_unweighted)
@@ -392,7 +393,7 @@ class TestCriterion8PULearning:
         wins = 0
         for seed in range(5):
             X, y, s = pu_blobs(3000 + seed, hidden_fraction=hidden_fraction)
-            plain = train_logreg(X, s, (1.0, 1.0), C=50.0, seed=seed)
+            plain = train_logreg(X, s, (1.0, 1.0), C=50.0)
             pu = train_pu(X, s, seed=seed, C=50.0)
             if recall_of(predict(pu.final_model, X), y) > recall_of(predict(plain, X), y):
                 wins += 1
@@ -412,13 +413,12 @@ class TestCriterion9RoundTrips:
         write_dataset(samples, path)
         assert read_dataset(path) == samples
 
-        texts = [sentence.text for s in samples for sentence in s.sentences]
+        docs = [tokenize(sentence.text) for s in samples for sentence in s.sentences]
         labels = [1 if sentence.label == LABEL_CITE_WORTHY else 0
                   for s in samples for sentence in s.sentences]
-        vocab = fit_vocabulary(texts)
-        features = [featurize(t, vocab) for t in texts]
-        model = train_logreg(features, labels, compute_class_weights(labels),
-                             C=0.1151, seed=3, n_features=len(vocab))
+        vocab = fit_vocabulary(docs)
+        model = train_logreg(featurize(docs, vocab), labels, compute_class_weights(labels),
+                             C=0.1151)
         model_path = tmp_path / "model.json"
         save_model(model_path, model, vocab)
         loaded, loaded_vocab = load_model(model_path)

@@ -240,6 +240,77 @@ class TestTrainEval:
         assert 0.0 < payload["c_estimate"] <= 1.0
 
 
+def _drop_last_term(payload):
+    terms = payload["vocabulary"]["terms"]
+    del terms[max(terms, key=lambda term: terms[term][0])]
+
+
+def _out_of_range_index(payload):
+    terms = payload["vocabulary"]["terms"]
+    terms[next(iter(terms))][0] = len(terms)
+
+
+MALFORMED_MODELS = {
+    "missing-key": lambda payload: payload.clear() or payload.update(format_version=1),
+    "mistyped-key": lambda payload: payload["model"].update(bias="0.5"),
+    "weights-vs-n_features": lambda payload: payload["model"]["weights"].append(0.0),
+    "vocabulary-indices": _out_of_range_index,
+    "n_features-vs-vocabulary": _drop_last_term,
+}
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    def test_eval_exits_1_naming_the_file(self, case, trained, tmp_path, capsys):
+        out, model_path = trained
+        payload = json.loads(model_path.read_text())
+        MALFORMED_MODELS[case](payload)
+        bad = tmp_path / f"{case}.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")])
+        assert rc == 1
+        assert str(bad) in capsys.readouterr().err
+
+
+class TestTokenizeOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import citecorpus.cli
+        from citecorpus.model import tokenize
+        texts = []
+
+        def counting(text):
+            texts.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(citecorpus.cli, "tokenize", counting)
+        return texts
+
+    def test_train_tokenizes_each_selected_sentence_once(self, trained, tmp_path, calls):
+        out, _ = trained
+        assert main(["train", "--input", str(out / "dataset.jsonl"),
+                     "--output", str(tmp_path / "m.json"), "--seed", "4"]) == 0
+        train = [sent.text for sample in read_dataset(out / "dataset.jsonl")
+                 if sample.split == "train" for sent in sample.sentences]
+        assert len(calls) == len(train)
+        assert sorted(calls) == sorted(train)
+
+    def test_cross_domain_tokenizes_each_sentence_once(self, trained, tmp_path, calls):
+        out, _ = trained
+        fields = ["Biology", "Chemistry"]
+        dist_path = tmp_path / "dist.tsv"
+        write_distance_matrix({(a, b): float(a != b) for a in fields for b in fields},
+                              fields, dist_path)
+        assert main(["cross-domain", "--input", str(out / "dataset.jsonl"),
+                     "--distances", str(dist_path)]) == 0
+        everything = [sent.text for sample in read_dataset(out / "dataset.jsonl")
+                      for sent in sample.sentences]
+        assert {sample.mag_field for sample in read_dataset(out / "dataset.jsonl")} \
+            == set(fields)
+        assert len(calls) == len(everything)
+        assert sorted(calls) == sorted(everything)
+
+
 class TestCrossDomain:
     def test_two_field_grid(self, trained, tmp_path, capsys):
         out, _ = trained
@@ -265,7 +336,7 @@ class TestCrossDomain:
         # trained on the field's train split and scored on its test split.
         from citecorpus.metrics import precision_recall_f1
         from citecorpus.model import (compute_class_weights, featurize,
-                                      fit_vocabulary, predict, train_logreg)
+                                      fit_vocabulary, predict, tokenize, train_logreg)
 
         out, _ = trained
         fields = ["Biology", "Chemistry"]
@@ -284,17 +355,16 @@ class TestCrossDomain:
             for s in samples:
                 if s.mag_field == field and s.split == split:
                     for sent in s.sentences:
-                        texts.append(sent.text)
+                        texts.append(tokenize(sent.text))
                         labels.append(1 if sent.label == "cite-worthy" else 0)
             return texts, labels
 
         texts, labels = sentences("train", "Biology")
         vocab = fit_vocabulary(texts, min_df=1)
-        model = train_logreg([featurize(t, vocab) for t in texts], labels,
-                             compute_class_weights(labels), C=0.1151, seed=2,
-                             n_features=len(vocab))
+        model = train_logreg(featurize(texts, vocab), labels,
+                             compute_class_weights(labels), C=0.1151)
         test_texts, test_labels = sentences("test", "Biology")
-        preds = predict(model, [featurize(t, vocab) for t in test_texts])
+        preds = predict(model, featurize(test_texts, vocab))
         expected = 100.0 * precision_recall_f1(list(preds), test_labels, 1).f1
         assert grid["f1"]["Biology"]["Biology"] == pytest.approx(expected, abs=1e-9)
 

@@ -1,14 +1,16 @@
 """Unit tests for TF-IDF features, logistic regression, and PU learning."""
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from citecorpus.model import (
     LinearModel,
     PUModel,
-    SparseVector,
     TrainingError,
     compute_class_weights,
     featurize,
@@ -18,12 +20,21 @@ from citecorpus.model import (
     predict,
     predict_proba,
     save_model,
-    stack_features,
     tokenize,
     train_logreg,
     train_pu,
 )
 from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of
+
+
+def docs(*texts):
+    return [tokenize(t) for t in texts]
+
+
+def row(X, i):
+    """(indices, weights) of row ``i`` of a CSR matrix, as tuples."""
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    return tuple(X.indices[lo:hi].tolist()), tuple(X.data[lo:hi].tolist())
 
 
 class TestTokenize:
@@ -38,60 +49,90 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_hand_counted_document_frequencies(self):
-        vocab = fit_vocabulary(["A a b.", "a c."], min_df=1)
+        vocab = fit_vocabulary(docs("A a b.", "a c."), min_df=1)
         assert vocab.total_docs == 2
         assert {t: df for t, (_, df) in vocab.terms.items()} == {"a": 2, "b": 1, "c": 1}
         assert {t: i for t, (i, _) in vocab.terms.items()} == {"a": 0, "b": 1, "c": 2}
 
     def test_min_df_over_filtering_is_an_error(self):
         with pytest.raises(TrainingError):
-            fit_vocabulary(["a b", "c d"], min_df=3)
+            fit_vocabulary(docs("a b", "c d"), min_df=3)
 
     def test_empty_corpus_is_an_error(self):
         with pytest.raises(TrainingError):
             fit_vocabulary([])
 
     def test_deterministic_index_assignment(self):
-        corpus = ["gamma beta alpha", "beta alpha", "alpha"]
+        corpus = docs("gamma beta alpha", "beta alpha", "alpha")
         first = fit_vocabulary(corpus)
         second = fit_vocabulary(corpus)
         assert first == second
 
     def test_max_features_lexicographic_tie_break(self):
-        vocab = fit_vocabulary(["b a", "b a", "c d"], min_df=1, max_features=3)
+        vocab = fit_vocabulary(docs("b a", "b a", "c d"), min_df=1, max_features=3)
         # a and b share df=2; c and d share df=1 and tie-break keeps 'c'.
         assert set(vocab.terms) == {"a", "b", "c"}
 
 
 class TestFeaturize:
     def test_all_oov_gives_zero_vector(self):
-        vocab = fit_vocabulary(["alpha beta"])
-        assert featurize("gamma delta", vocab) == SparseVector((), ())
+        vocab = fit_vocabulary(docs("alpha beta"))
+        X = featurize(docs("gamma delta"), vocab)
+        assert X.shape == (1, len(vocab))
+        assert row(X, 0) == ((), ())
 
     def test_single_term_gives_unit_vector(self):
-        vocab = fit_vocabulary(["alpha beta", "beta"])
-        vec = featurize("alpha", vocab)
-        assert vec.indices == (0,)
-        assert vec.weights == (1.0,)
+        vocab = fit_vocabulary(docs("alpha beta", "beta"))
+        assert row(featurize(docs("alpha"), vocab), 0) == ((0,), (1.0,))
 
     def test_two_document_fixture_matches_hand_computation(self):
         # N=2, df(a)=2, df(b)=df(c)=1; idf(a)=ln(3/3)+1=1,
         # idf(b)=idf(c)=ln(3/2)+1=1.4054651081081644; vectors L2-normalized.
-        vocab = fit_vocabulary(["A a b.", "a c."], min_df=1)
-        doc1 = featurize("A a b.", vocab)
-        assert doc1.indices == (0, 1)
-        assert doc1.weights[0] == pytest.approx(0.8181802073667197, rel=1e-12)
-        assert doc1.weights[1] == pytest.approx(0.5749618667993135, rel=1e-12)
-        doc2 = featurize("a c.", vocab)
-        assert doc2.indices == (0, 2)
-        assert doc2.weights[0] == pytest.approx(0.5797386715376657, rel=1e-12)
-        assert doc2.weights[1] == pytest.approx(0.8148024746671689, rel=1e-12)
+        vocab = fit_vocabulary(docs("A a b.", "a c."), min_df=1)
+        X = featurize(docs("A a b.", "a c."), vocab)
+        assert X.shape == (2, 3)
+        indices, weights = row(X, 0)
+        assert indices == (0, 1)
+        assert weights[0] == pytest.approx(0.8181802073667197, rel=1e-12)
+        assert weights[1] == pytest.approx(0.5749618667993135, rel=1e-12)
+        indices, weights = row(X, 1)
+        assert indices == (0, 2)
+        assert weights[0] == pytest.approx(0.5797386715376657, rel=1e-12)
+        assert weights[1] == pytest.approx(0.8148024746671689, rel=1e-12)
 
     def test_unit_norm_whenever_in_vocabulary(self):
-        vocab = fit_vocabulary(["alpha beta gamma", "beta gamma", "gamma"])
-        for text in ["alpha beta", "gamma gamma beta", "alpha alpha alpha"]:
-            vec = featurize(text, vocab)
-            assert math.isclose(sum(w * w for w in vec.weights), 1.0, rel_tol=1e-12)
+        vocab = fit_vocabulary(docs("alpha beta gamma", "beta gamma", "gamma"))
+        X = featurize(docs("alpha beta", "gamma gamma beta", "alpha alpha alpha"), vocab)
+        for i in range(X.shape[0]):
+            assert math.isclose(sum(w * w for w in row(X, i)[1]), 1.0, rel_tol=1e-12)
+
+    def test_oov_document_between_others_gives_empty_row(self):
+        vocab = fit_vocabulary(docs("A a b.", "a c."), min_df=1)
+        batch = docs("a b b", "zeta eta", "c a c")
+        X = featurize(batch, vocab)
+        assert X.shape == (3, len(vocab))
+        assert row(X, 1) == ((), ())
+        assert row(X, 0) == row(featurize(batch[:1], vocab), 0)
+        assert row(X, 2) == row(featurize(batch[2:], vocab), 0)
+
+    def test_bitwise_equal_to_per_document_reference(self):
+        # The per-sentence formula featurize had before it built CSR
+        # directly; the saved models stay byte-identical only if it agrees
+        # to the last bit, norm summed in index order included.
+        rng = random.Random(5)
+        words = [f"w{i}" for i in range(40)]
+        corpus = [[rng.choice(words) for _ in range(rng.randint(0, 12))] for _ in range(200)]
+        vocab = fit_vocabulary(corpus[:120], min_df=2)
+        X = featurize(corpus, vocab)
+        for i, tokens in enumerate(corpus):
+            pairs = []
+            for term, tf in Counter(tokens).items():
+                if term in vocab.terms:
+                    index, df = vocab.terms[term]
+                    pairs.append((index, tf * (math.log((1 + vocab.total_docs) / (1 + df)) + 1.0)))
+            pairs.sort()
+            norm = math.sqrt(sum(w * w for _, w in pairs))
+            assert row(X, i) == (tuple(j for j, _ in pairs), tuple(w / norm for _, w in pairs))
 
 
 class TestClassWeights:
@@ -120,7 +161,7 @@ class TestLossAndGradient:
         rng = np.random.default_rng(99)
         for _ in range(10):
             n, d = 8, 5
-            X = stack_features(rng.normal(size=(n, d)))
+            X = sp.csr_matrix(rng.normal(size=(n, d)))
             y = rng.integers(0, 2, size=n).astype(float)
             weight = rng.uniform(0.2, 2.0, size=n)
             w = rng.normal(size=d)
@@ -144,15 +185,15 @@ class TestTrainLogreg:
     def test_two_point_separable_toy(self):
         X = np.array([[1.0], [-1.0]])
         y = [1, 0]
-        model = train_logreg(X, y, (1.0, 1.0), C=10.0, seed=0)
+        model = train_logreg(X, y, (1.0, 1.0), C=10.0)
         assert list(predict(model, X)) == [1, 0]
 
     def test_regularization_limit_majority_by_class_weight(self):
         X, y = gaussian_blobs(5, n_pos=30, n_neg=70, sep=2.0)
-        tiny = train_logreg(X, y, (1.0, 1.0), C=1e-8, seed=0)
+        tiny = train_logreg(X, y, (1.0, 1.0), C=1e-8)
         assert np.max(np.abs(tiny.weights)) < 1e-4
         assert list(predict(tiny, X)) == [0] * len(y)  # plain majority: negative
-        boosted = train_logreg(X, y, (10.0, 1.0), C=1e-8, seed=0)
+        boosted = train_logreg(X, y, (10.0, 1.0), C=1e-8)
         assert list(predict(boosted, X)) == [1] * len(y)  # weighted majority flips
 
     def test_label_length_mismatch(self):
@@ -169,14 +210,14 @@ class TestTrainLogreg:
         X, y = gaussian_blobs(21, n_pos=150, n_neg=350, sep=1.2)
         recalls = []
         for w_pos in (0.5, 1.0, 2.0, 4.0, 8.0):
-            model = train_logreg(X, y, (w_pos, 1.0), C=1.0, seed=3)
+            model = train_logreg(X, y, (w_pos, 1.0), C=1.0)
             recalls.append(recall_of(predict(model, X), y))
         assert all(b >= a for a, b in zip(recalls, recalls[1:])), recalls
 
     def test_bitwise_determinism(self):
         X, y = gaussian_blobs(8, n_pos=60, n_neg=90, sep=1.5)
-        a = train_logreg(X, y, (1.3, 0.8), C=0.5, seed=11)
-        b = train_logreg(X, y, (1.3, 0.8), C=0.5, seed=11)
+        a = train_logreg(X, y, (1.3, 0.8), C=0.5)
+        b = train_logreg(X, y, (1.3, 0.8), C=0.5)
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
@@ -208,7 +249,7 @@ class TestPredict:
         model = LinearModel(weights=np.zeros(2), bias=0.0, class_weights=(1, 1),
                             C=1.0, n_features=2)
         with pytest.raises(ValueError):
-            predict_proba(model, [SparseVector((4,), (1.0,))])
+            predict_proba(model, np.zeros((1, 5)))
 
 
 class TestTrainPU:
@@ -221,7 +262,7 @@ class TestTrainPU:
 
     def test_hidden_positives_recovered(self):
         X, y, s = pu_blobs(3000)
-        plain = train_logreg(X, s, (1.0, 1.0), C=50.0, seed=0)
+        plain = train_logreg(X, s, (1.0, 1.0), C=50.0)
         pu = train_pu(X, s, seed=0, C=50.0)
         assert recall_of(predict(pu.final_model, X), y) > recall_of(predict(plain, X), y)
         assert abs(pu.c_estimate - 0.7) <= 0.1
@@ -257,11 +298,9 @@ class TestTrainPU:
 
 class TestSerialization:
     def test_linear_round_trip_bitwise(self, tmp_path):
-        corpus = ["alpha beta gamma", "beta gamma", "alpha delta"]
+        corpus = docs("alpha beta gamma", "beta gamma", "alpha delta")
         vocab = fit_vocabulary(corpus)
-        features = [featurize(t, vocab) for t in corpus]
-        model = train_logreg(features, [1, 0, 1], (1.2, 0.9), C=0.1151, seed=4,
-                             n_features=len(vocab))
+        model = train_logreg(featurize(corpus, vocab), [1, 0, 1], (1.2, 0.9), C=0.1151)
         path = tmp_path / "model.json"
         save_model(path, model, vocab)
         loaded, loaded_vocab = load_model(path)
@@ -294,6 +333,6 @@ class TestSerialization:
 class TestImbalancedWeighting:
     def test_weighted_recall_beats_unweighted(self):
         X, y = imbalanced_blobs(2000, n=4000)
-        weighted = train_logreg(X, y, compute_class_weights(list(y)), C=1.0, seed=0)
-        unweighted = train_logreg(X, y, (1.0, 1.0), C=1.0, seed=0)
+        weighted = train_logreg(X, y, compute_class_weights(list(y)), C=1.0)
+        unweighted = train_logreg(X, y, (1.0, 1.0), C=1.0)
         assert recall_of(predict(weighted, X), y) > recall_of(predict(unweighted, X), y)
