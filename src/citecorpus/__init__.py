@@ -7,3 +7,7 @@ evaluation tooling on top of it.
 """
 
 __version__ = "0.1.0"
+
+# Inverse L2 regularization strength of the logistic-regression baseline; it
+# lives here so the CLI can show it without importing the model's numpy/scipy.
+DEFAULT_C = 0.1151

@@ -16,24 +16,10 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, audit, metrics, textproc
+from . import DEFAULT_C, __version__, audit, metrics, textproc
 from .ingest import Diagnostic, paper_eligible, read_corpus_path
-from .model import (
-    DEFAULT_C,
-    LinearModel,
-    PUModel,
-    Vocabulary,
-    compute_class_weights,
-    featurize,
-    fit_vocabulary,
-    load_model,
-    predict,
-    save_model,
-    tokenize,
-    train_logreg,
-    train_pu,
-)
 from .pipeline import (
     LABEL_CITE_WORTHY,
     PERMISSIBLE_SECTION_TITLES,
@@ -48,6 +34,10 @@ from .pipeline import (
     write_dataset,
     write_rejections,
 )
+from .textproc import tokenize
+
+if TYPE_CHECKING:
+    from .model import LinearModel, PUModel, Vocabulary
 
 logger = logging.getLogger("citecorpus")
 
@@ -137,6 +127,8 @@ def _score(
     model: LinearModel, vocab: Vocabulary, docs: list[list[str]], golds: list[int]
 ) -> metrics.PRF:
     """Featurize ``docs`` under ``vocab``, predict, and score against ``golds``."""
+    from .model import featurize, predict
+
     predictions = predict(model, featurize(docs, vocab))
     return metrics.precision_recall_f1(list(predictions), golds, positive_class=1)
 
@@ -252,7 +244,22 @@ def cmd_audit_score(args: argparse.Namespace) -> int:
     return 0
 
 
+def _warn_unconverged(name: str, model: LinearModel) -> None:
+    if not model.converged:
+        logger.warning("%s did not converge in %d iterations (max|grad| %.3g)",
+                       name, model.iterations, model.grad_max)
+
+
+def _report_fit(name: str, model: LinearModel) -> None:
+    state = "converged" if model.converged else "not converged"
+    print(f"{name}: {model.iterations} iterations, max|grad| {model.grad_max:.3g}, {state}")
+    _warn_unconverged(name, model)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
+    from .model import (compute_class_weights, featurize, fit_vocabulary, save_model,
+                        train_logreg, train_pu)
+
     config = _load_config(args.config)
     dataset_path = _require_file(_resolve(args, config, "input", required=True), "dataset")
     model_path = Path(_resolve(args, config, "output", required=True))
@@ -265,8 +272,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if max_features is not None:
         max_features = int(max_features)
 
-    samples = read_dataset(dataset_path)
-    docs, labels = _select_sentences(samples, split)
+    # Only the token lists are kept, so the parsed samples are freed before
+    # the fit, when the process holds the most memory.
+    docs, labels = _select_sentences(read_dataset(dataset_path), split)
     if not docs:
         raise ValueError(f"dataset has no sentences in split {split!r}")
 
@@ -275,20 +283,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     if use_pu:
         model: LinearModel | PUModel = train_pu(X, labels, seed=seed, C=c_value)
         print(f"labeling-frequency estimate: {model.c_estimate:.4f}")
+        _report_fit("labeling fit", model.labeling_model)
+        _report_fit("final fit", model.final_model)
     else:
         class_weights = compute_class_weights(labels)
         model = train_logreg(X, labels, class_weights, C=c_value)
         print(f"class weights: ({class_weights[0]:.4f}, {class_weights[1]:.4f})")
+        _report_fit("fit", model)
     save_model(model_path, model, vocab)
     print(f"trained on {len(docs)} sentences (split={split}); model saved to {model_path}")
     return 0
 
 
 def _scoring_model(model: LinearModel | PUModel) -> LinearModel:
+    from .model import PUModel
+
     return model.final_model if isinstance(model, PUModel) else model
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .model import load_model
+
     config = _load_config(args.config)
     model_path = _require_file(_resolve(args, config, "model", required=True), "model file")
     dataset_path = _require_file(_resolve(args, config, "input", required=True), "dataset")
@@ -307,6 +322,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_cross_domain(args: argparse.Namespace) -> int:
+    from .model import compute_class_weights, featurize, fit_vocabulary, train_logreg
+
     config = _load_config(args.config)
     dataset_path = _require_file(_resolve(args, config, "input", required=True), "dataset")
     distances_path = _require_file(
@@ -342,6 +359,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         vocab = fit_vocabulary(docs, min_df=min_df)
         model = train_logreg(featurize(docs, vocab), labels, compute_class_weights(labels),
                              C=c_value)
+        _warn_unconverged(f"fit on {train_field}", model)
         for test_field in fields:
             split = SPLIT_TEST if test_field == train_field else "all"
             eval_docs, eval_golds = selected[test_field, split]

@@ -1,4 +1,5 @@
-"""Sentence tokenization, citation-pattern matching, and sentence cleaning.
+"""Sentence tokenization, citation-pattern matching, sentence cleaning, and
+the word tokenizer shared by dataset statistics and the model features.
 
 All operations here are pure functions over immutable inputs and are safe for
 unrestricted parallel use. Character offsets are Unicode scalar values
@@ -67,6 +68,8 @@ _ABBREVIATION_SET = frozenset(ABBREVIATIONS)
 _INITIALS_RE = re.compile(r"(?:[A-Za-z]\.)+$")
 
 _SUFFIX_AFTER_SPAN_RE = re.compile(r"\s*[.!?]\s*")
+
+_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 @dataclass(frozen=True)
@@ -239,3 +242,8 @@ def is_well_formed(sentence_text: str) -> bool:
         and _is_upper(sentence_text[0])
         and sentence_text[-1] in _TERMINALS
     )
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase word tokens split on non-alphanumeric boundaries."""
+    return _TOKEN_RE.findall(text.lower())

@@ -1,9 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citecorpus
 from citecorpus.cli import main
 from citecorpus.metrics import write_distance_matrix
 from citecorpus.model import LinearModel, Vocabulary, save_model
@@ -238,6 +243,40 @@ class TestTrainEval:
         payload = json.loads(model_path.read_text())
         assert payload["kind"] == "pu"
         assert 0.0 < payload["c_estimate"] <= 1.0
+
+    def test_train_reports_each_fit(self, trained, tmp_path, capsys):
+        out, model_path = trained
+        payload = json.loads(model_path.read_text())["model"]
+        assert payload["converged"] is True
+        assert 0 < payload["iterations"] < 200
+        assert main(["train", "--input", str(out / "dataset.jsonl"), "--output",
+                     str(tmp_path / "pu.json"), "--seed", "4", "--pu"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if " iterations, max|grad| " in line] == [
+            "labeling fit", "final fit"]
+        assert all(line.endswith(", converged") for line in lines if "fit:" in line)
+
+    def test_train_warns_when_a_fit_stops_early(self, trained, tmp_path, monkeypatch,
+                                                capsys, caplog):
+        out, _ = trained
+        monkeypatch.setattr(citecorpus.model, "_MAX_ITERATIONS", 2)
+        assert main(["train", "--input", str(out / "dataset.jsonl"), "--output",
+                     str(tmp_path / "m.json"), "--seed", "4"]) == 0
+        assert "fit: 2 iterations" in capsys.readouterr().out
+        assert "fit did not converge in 2 iterations" in caplog.text
+        assert json.loads((tmp_path / "m.json").read_text())["model"]["converged"] is False
+
+
+def test_cli_import_loads_no_numpy():
+    # Build-side commands never touch the model; importing the CLI must not
+    # pay for numpy/scipy.
+    src = str(Path(citecorpus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")])))
+    code = "import sys, citecorpus.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def _drop_last_term(payload):

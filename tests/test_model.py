@@ -1,5 +1,6 @@
 """Unit tests for TF-IDF features, logistic regression, and PU learning."""
 
+import json
 import math
 import random
 from collections import Counter
@@ -200,11 +201,14 @@ class TestTrainLogreg:
         with pytest.raises(ValueError):
             train_logreg(np.zeros((3, 2)), [1, 0], (1.0, 1.0))
 
-    def test_nan_inputs_reported_with_epoch(self):
+    def test_non_finite_inputs_rejected_before_fitting(self):
         X = np.array([[1.0], [-1.0]])
         with pytest.raises(TrainingError) as exc:
             train_logreg(X, [1, 0], (1.0, 1.0), sample_weights=[float("nan"), 1.0])
-        assert "epoch" in str(exc.value)
+        assert str(exc.value) == "sample weight of row 0 is not finite"
+        with pytest.raises(TrainingError) as exc:
+            train_logreg(np.array([[1.0], [float("inf")]]), [1, 0], (1.0, 1.0))
+        assert str(exc.value) == "feature value in row 1 is not finite"
 
     def test_monotone_class_weight_effect_on_recall(self):
         X, y = gaussian_blobs(21, n_pos=150, n_neg=350, sep=1.2)
@@ -224,6 +228,36 @@ class TestTrainLogreg:
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
             train_logreg(np.zeros((2, 1)), [0, 1], (1.0, 1.0), C=0.0)
+
+    def test_reaches_the_newton_optimum(self):
+        # Weakly regularized, with class and sample weights: 500 epochs of
+        # gradient descent stop ~1e-6 above this optimum. The oracle is a
+        # plain Newton iteration on the exact Hessian of the same objective.
+        rng = np.random.default_rng(12)
+        n, d, C = 60, 4, 1000.0
+        X = rng.normal(size=(n, d))
+        y = (X @ np.array([1.5, -2.0, 0.5, 1.0]) + 0.3
+             + rng.normal(scale=0.8, size=n) > 0).astype(float)
+        extra = rng.uniform(0.5, 2.0, size=n)
+        weight = np.where(y == 1.0, 1.7, 0.6) * extra
+        A = np.hstack([X, np.ones((n, 1))])
+        penalty = np.append(np.full(d, 1.0 / C), 0.0)
+        v = np.zeros(d + 1)
+        for _ in range(50):
+            p = 1.0 / (1.0 + np.exp(-(A @ v)))
+            grad = A.T @ (weight * (p - y)) + penalty * v
+            hessian = A.T @ (A * (weight * p * (1.0 - p))[:, None]) + np.diag(penalty)
+            v -= np.linalg.solve(hessian, grad)
+        assert np.max(np.abs(grad)) < 1e-10
+        optimum = loss_and_gradient(v[:-1], v[-1], sp.csr_matrix(X), y, weight, C)[0]
+
+        model = train_logreg(X, y, (1.7, 0.6), C=C, sample_weights=extra)
+        reached, grad_w, grad_b = loss_and_gradient(model.weights, model.bias, sp.csr_matrix(X),
+                                                    y, weight, C)
+        assert (reached - optimum) / abs(optimum) <= 1e-10
+        assert model.converged is True
+        assert 0 < model.iterations < 100
+        assert model.grad_max == pytest.approx(max(np.max(np.abs(grad_w)), abs(grad_b)))
 
 
 class TestPredict:
@@ -322,6 +356,49 @@ class TestSerialization:
         assert loaded.c_estimate == model.c_estimate
         assert np.array_equal(loaded.final_model.weights, model.final_model.weights)
         assert np.array_equal(loaded.labeling_model.weights, model.labeling_model.weights)
+
+    def test_fit_report_round_trips_and_is_optional(self, tmp_path):
+        X, y = gaussian_blobs(8, n_pos=60, n_neg=90, sep=1.5)
+        model = train_logreg(X, y, (1.3, 0.8), C=0.5)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        loaded, _ = load_model(path)
+        assert (loaded.iterations, loaded.grad_max, loaded.converged) == (
+            model.iterations, model.grad_max, True)
+        payload = json.loads(path.read_text())
+        for key in ("iterations", "grad_max", "converged"):
+            del payload["model"][key]
+        path.write_text(json.dumps(payload))
+        loaded, _ = load_model(path)
+        assert (loaded.iterations, loaded.grad_max, loaded.converged) == (None, None, None)
+        assert np.array_equal(loaded.weights, model.weights)
+
+    @pytest.mark.parametrize("key,value", [("iterations", 3.5), ("iterations", True),
+                                           ("grad_max", "small"), ("converged", 1)])
+    def test_mistyped_fit_report_rejected(self, tmp_path, key, value):
+        model = train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["model"][key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=key):
+            load_model(path)
+
+    def test_failed_write_leaves_old_file_intact(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_model(path, train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0))
+        before = path.read_bytes()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write('{"format_version": 1, "ki')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(path, train_logreg(np.array([[2.0], [-1.0]]), [1, 0], (1.0, 1.0)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
