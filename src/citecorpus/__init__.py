@@ -6,8 +6,34 @@ an external source, and provides TF-IDF / logistic-regression baselines plus
 evaluation tooling on top of it.
 """
 
+from __future__ import annotations
+
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, TextIO
+
 __version__ = "0.1.0"
 
 # Inverse L2 regularization strength of the logistic-regression baseline; it
 # lives here so the CLI can show it without importing the model's numpy/scipy.
 DEFAULT_C = 0.1151
+
+
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for text writing so that it never holds a partial file.
+
+    Writes go to a temporary file beside ``path``, which replaces ``path``
+    when the block completes; on any failure the temporary file is removed
+    and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

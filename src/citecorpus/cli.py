@@ -18,8 +18,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_C, __version__, audit, metrics, textproc
-from .ingest import Diagnostic, paper_eligible, read_corpus_path
+from . import DEFAULT_C, __version__, atomic_write, audit, metrics, textproc
 from .pipeline import (
     LABEL_CITE_WORTHY,
     PERMISSIBLE_SECTION_TITLES,
@@ -143,33 +142,25 @@ def cmd_build(args: argparse.Namespace) -> int:
     quota = int(_resolve(args, config, "quota", default=1000))
     ratios = _parse_ratios(_resolve(args, config, "ratios", default="0.8,0.1,0.1"))
     workers = int(_resolve(args, config, "workers", default=1))
+    if workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {workers}")
     baseline = bool(_resolve(args, config, "baseline", default=False))
 
     input_paths = [_require_file(p, "input corpus") for p in inputs]
     output_dir.mkdir(parents=True, exist_ok=True)
+    # The manifest is written last and marks a complete build, so an earlier
+    # build's manifest goes before anything else is replaced.
+    (output_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
 
-    diagnostics: list[Diagnostic] = []
-    papers_total = 0
-    papers_eligible = 0
+    collected = collect_samples(input_paths, baseline=baseline, workers=workers)
+    for diag in collected.diagnostics:
+        logger.warning("malformed input %s, line %d: %s", diag.source, diag.line, diag.message)
 
-    def eligible_papers():
-        nonlocal papers_total, papers_eligible
-        for path in input_paths:
-            for paper in read_corpus_path(path, on_malformed=diagnostics.append):
-                papers_total += 1
-                if paper_eligible(paper):
-                    papers_eligible += 1
-                    yield paper
-
-    samples, rejections = collect_samples(eligible_papers(), baseline=baseline, workers=workers)
-    for diag in diagnostics:
-        logger.warning("malformed input line %d: %s", diag.line, diag.message)
-
-    selected = balanced_sample(samples, quota, seed)
+    selected = balanced_sample(collected.samples, quota, seed)
     selected = split_dataset(selected, ratios, seed)
 
     write_dataset(selected, output_dir / DATASET_FILENAME)
-    write_rejections(rejections, output_dir / REJECTIONS_FILENAME)
+    write_rejections(collected.rejections, output_dir / REJECTIONS_FILENAME)
 
     manifest = {
         "format_version": 1,
@@ -180,11 +171,11 @@ def cmd_build(args: argparse.Namespace) -> int:
         "ratios": list(ratios),
         "inputs": [str(p) for p in inputs],
         "counts": {
-            "malformed_lines": len(diagnostics),
-            "papers_total": papers_total,
-            "papers_eligible": papers_eligible,
-            "paragraphs_accepted": len(samples),
-            "paragraphs_rejected": len(rejections),
+            "malformed_lines": len(collected.diagnostics),
+            "papers_total": collected.papers_total,
+            "papers_eligible": collected.papers_eligible,
+            "paragraphs_accepted": len(collected.samples),
+            "paragraphs_rejected": len(collected.rejections),
             "paragraphs_selected": len(selected),
             "sentences_selected": sum(s.sentence_count() for s in selected),
         },
@@ -195,7 +186,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "section_titles": _sha256("\n".join(PERMISSIBLE_SECTION_TITLES)),
         },
     }
-    with open(output_dir / MANIFEST_FILENAME, "w", encoding="utf-8") as fh:
+    with atomic_write(output_dir / MANIFEST_FILENAME) as fh:
         json.dump(manifest, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -15,9 +15,11 @@ Input files are newline-delimited records, one JSON object per line:
     }
 
 See the README for the mapping of these fields onto the S2ORC 20200705v1
-release. ``read_corpus`` is single-consumer sequential and keeps only one
-record in memory at a time; the records it yields are immutable and safe to
-hand to parallel workers.
+release. ``parse_line`` turns one input line into a record or exactly one
+diagnostic; ``read_corpus`` streams records through it one line at a time,
+and ``line_batches`` hands ``build`` raw lines in batches, so that the
+workers decoding and parsing them hold only their own batch. Records are
+immutable and safe to share with parallel workers.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import io
 import json
 import logging
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -63,10 +66,13 @@ class PaperRecord:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One malformed input line, reported on the diagnostics channel."""
+    """One malformed input line, reported on the diagnostics channel.
+
+    ``source`` names the input file when the reader knows it."""
 
     line: int
     message: str
+    source: str = ""
 
 
 class MalformedRecordError(ValueError):
@@ -139,6 +145,22 @@ def parse_record(raw: object, source_line: int = 0) -> PaperRecord:
     )
 
 
+def parse_line(line: str, lineno: int, source: str = "") -> PaperRecord | Diagnostic:
+    """Decode and parse one corpus line: a record, or the one diagnostic
+    that explains why the line is skipped (blank, bad JSON, schema)."""
+    stripped = line.strip()
+    if not stripped:
+        return Diagnostic(lineno, "blank line", source)
+    try:
+        raw = json.loads(stripped)
+    except json.JSONDecodeError as exc:
+        return Diagnostic(lineno, f"invalid JSON: {exc.msg}", source)
+    try:
+        return parse_record(raw, source_line=lineno)
+    except MalformedRecordError as exc:
+        return Diagnostic(lineno, str(exc), source)
+
+
 def read_corpus(
     stream: BinaryIO | Iterable[str],
     on_malformed: Callable[[Diagnostic], None] | None = None,
@@ -159,19 +181,11 @@ def read_corpus(
         lines = stream
 
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            _emit(on_malformed, Diagnostic(lineno, "blank line"))
-            continue
-        try:
-            raw = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            _emit(on_malformed, Diagnostic(lineno, f"invalid JSON: {exc.msg}"))
-            continue
-        try:
-            yield parse_record(raw, source_line=lineno)
-        except MalformedRecordError as exc:
-            _emit(on_malformed, Diagnostic(lineno, str(exc)))
+        item = parse_line(line, lineno)
+        if isinstance(item, Diagnostic):
+            _emit(on_malformed, item)
+        else:
+            yield item
 
 
 def read_corpus_path(
@@ -181,6 +195,21 @@ def read_corpus_path(
     """``read_corpus`` over a file path."""
     with open(path, "rb") as fh:
         yield from read_corpus(fh, on_malformed=on_malformed)
+
+
+def line_batches(
+    paths: Iterable[str | Path], size: int
+) -> Iterator[tuple[str, int, list[str]]]:
+    """Decoded corpus lines in batches of up to ``size``, each tagged with its
+    file name and the 1-based number of its first line. Decoding matches
+    ``read_corpus``: UTF-8 with universal newlines, and an undecodable byte
+    stream raises UnicodeDecodeError."""
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = 1
+            while lines := list(islice(fh, size)):
+                yield str(path), first, lines
+                first += len(lines)
 
 
 def _emit(on_malformed: Callable[[Diagnostic], None] | None, diag: Diagnostic) -> None:

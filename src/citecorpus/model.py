@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from . import DEFAULT_C
+from . import DEFAULT_C, atomic_write
 from .textproc import tokenize  # noqa: F401  (re-exported: model.tokenize)
 
 _NUMBER = (int, float)
@@ -364,8 +363,8 @@ def save_model(
 ) -> None:
     """Write a versioned model container; float round-trips are exact.
 
-    The JSON goes to a temporary file beside ``path`` that then replaces
-    ``path``, so an interrupted write never leaves a truncated model file.
+    The JSON goes through ``atomic_write``, so an interrupted write never
+    leaves a truncated model file.
     """
     payload: dict = {"format_version": 1}
     if isinstance(model, PUModel):
@@ -381,16 +380,9 @@ def save_model(
             "total_docs": vocab.total_docs,
             "terms": {term: [index, df] for term, (index, df) in vocab.terms.items()},
         }
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+        fh.write("\n")
 
 
 def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary | None]:

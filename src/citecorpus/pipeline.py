@@ -5,10 +5,13 @@ otherwise the whole paragraph is rejected with a reason code. Accepted
 paragraphs keep their full ordered sentence context, each sentence carrying a
 binary cite-worthiness label.
 
-``process_paragraph`` and ``build_baseline_variant`` are pure; the collector
-may fan papers out to a worker pool and merges results in canonical
-(paper_id, paragraph index) order so builds are deterministic for any worker
-count.
+``process_paragraph`` and ``build_baseline_variant`` are pure. The collector
+reads the corpus as batches of raw lines; one batch function decodes,
+parses, checks eligibility and processes each line of a batch, in-process at
+one worker or on a worker pool that holds at most two batches per worker in
+flight. Results are merged in batch order, so diagnostics stay in line
+order, and sorted into canonical (paper_id, paragraph index) order, so builds
+are deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -16,17 +19,18 @@ from __future__ import annotations
 import json
 import logging
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from collections import deque
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import ExitStack
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .ingest import PaperRecord, Paragraph
+from . import atomic_write
+from .ingest import Diagnostic, PaperRecord, Paragraph, line_batches, paper_eligible, parse_line
 from .textproc import (
     citation_at_sentence_end,
-    find_author_year_citations,
-    find_numeric_citations,
     has_hanging_citation_marker,
     is_well_formed,
     matches_citation_format,
@@ -159,11 +163,18 @@ class RejectionRecord:
 
 class SpanConsistencyError(ValueError):
     """Cite-span offsets disagree with the paragraph text; a data error,
-    not a paragraph rejection."""
+    not a paragraph rejection. ``where`` names the input file and line when
+    known. Its arguments are its ``args``, so it pickles across the pool."""
 
-    def __init__(self, paper_id: str, message: str):
-        super().__init__(f"paper {paper_id!r}: {message}")
+    def __init__(self, paper_id: str, message: str, where: str = ""):
+        super().__init__(paper_id, message, where)
         self.paper_id = paper_id
+        self.message = message
+        self.where = where
+
+    def __str__(self) -> str:
+        prefix = f"{self.where}: " if self.where else ""
+        return f"{prefix}paper {self.paper_id!r}: {self.message}"
 
 
 class DatasetFormatError(ValueError):
@@ -245,7 +256,7 @@ def process_paragraph(
     labeled: list[LabeledSentence] = []
     for sent, rel_spans in zip(sentences, spans_by_sentence):
         for region in _uncovered_regions(sent.text, rel_spans):
-            if find_numeric_citations(region) or find_author_year_citations(region):
+            if matches_citation_format(region):
                 return RejectionReason(MISSED_CITATION)
         for rel_start, rel_end in rel_spans:
             span_text = sent.text[rel_start:rel_end]
@@ -346,30 +357,93 @@ def _canonical_key(sample: ParagraphSample) -> tuple[str, int]:
     return (sample.paper_id, sample.paragraph_index)
 
 
-def collect_samples(
-    papers: Iterable[PaperRecord], baseline: bool = False, workers: int = 1
-) -> tuple[list[ParagraphSample], list[RejectionRecord]]:
-    """Process eligible papers, optionally on a worker pool.
+@dataclass
+class Collected:
+    """What the collector gathers from a corpus, or from one batch of it."""
 
-    Results are merged in canonical (paper_id, paragraph index) order, so the
-    output is identical for any worker count.
+    samples: list[ParagraphSample] = field(default_factory=list)
+    rejections: list[RejectionRecord] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+    papers_total: int = 0
+    papers_eligible: int = 0
+
+    def add(self, other: Collected) -> None:
+        self.samples.extend(other.samples)
+        self.rejections.extend(other.rejections)
+        self.diagnostics.extend(other.diagnostics)
+        self.papers_total += other.papers_total
+        self.papers_eligible += other.papers_eligible
+
+
+# Corpus lines per batch, and batches in flight per pool worker.
+BATCH_LINES = 64
+_BATCHES_PER_WORKER = 2
+
+
+def process_lines(batch: tuple[str, int, list[str]], baseline: bool = False) -> Collected:
+    """Decode, parse, check eligibility of and process one batch of corpus
+    lines, as tagged by ``ingest.line_batches``; the work of one pool task.
+
+    Every line yields a record or exactly one diagnostic. A span error is
+    raised naming the input file and line.
     """
-    samples: list[ParagraphSample] = []
-    rejections: list[RejectionRecord] = []
-    worker = partial(process_paper, baseline=baseline)
-    if workers <= 1:
-        results: Iterator = map(worker, papers)
-        for paper_samples, paper_rejections in results:
-            samples.extend(paper_samples)
-            rejections.extend(paper_rejections)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for paper_samples, paper_rejections in pool.map(worker, papers, chunksize=8):
-                samples.extend(paper_samples)
-                rejections.extend(paper_rejections)
-    samples.sort(key=_canonical_key)
-    rejections.sort(key=lambda r: (r.paper_id, r.paragraph_index))
-    return samples, rejections
+    source, first_line, lines = batch
+    part = Collected()
+    for lineno, line in enumerate(lines, start=first_line):
+        paper = parse_line(line, lineno, source)
+        if isinstance(paper, Diagnostic):
+            part.diagnostics.append(paper)
+            continue
+        part.papers_total += 1
+        if not paper_eligible(paper):
+            continue
+        part.papers_eligible += 1
+        try:
+            samples, rejections = process_paper(paper, baseline)
+        except SpanConsistencyError as exc:
+            raise SpanConsistencyError(exc.paper_id, exc.message,
+                                       f"{source}, line {lineno}") from None
+        part.samples.extend(samples)
+        part.rejections.extend(rejections)
+    return part
+
+
+def _bounded_map(pool: Executor, fn: Callable, items: Iterable, limit: int) -> Iterator:
+    """``pool.map`` that draws from ``items`` only while fewer than ``limit``
+    tasks are in flight. (``Executor.map`` submits every item up front.)"""
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) >= limit:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def collect_samples(
+    paths: Iterable[str | Path], baseline: bool = False, workers: int = 1
+) -> Collected:
+    """Read, parse and process every line of the corpus files: in this
+    process at one worker, otherwise on a pool of ``workers`` processes.
+
+    Diagnostics come out in input order and samples and rejections in
+    canonical (paper_id, paragraph index) order, so the result is identical
+    for any worker count.
+    """
+    work = partial(process_lines, baseline=baseline)
+    batches = line_batches(paths, BATCH_LINES)
+    collected = Collected()
+    with ExitStack() as stack:
+        if workers == 1:
+            parts: Iterator[Collected] = map(work, batches)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            parts = _bounded_map(pool, work, batches, _BATCHES_PER_WORKER * workers)
+        for part in parts:
+            collected.add(part)
+    collected.samples.sort(key=_canonical_key)
+    collected.rejections.sort(key=lambda r: (r.paper_id, r.paragraph_index))
+    return collected
 
 
 def balanced_sample(
@@ -500,8 +574,9 @@ def _record_to_sample(record: object, where: str) -> ParagraphSample:
 
 
 def write_dataset(samples: Iterable[ParagraphSample], path: str | Path) -> None:
-    """Write samples as newline-delimited records, deterministically."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write samples as newline-delimited records, deterministically and
+    atomically (see ``atomic_write``)."""
+    with atomic_write(path) as fh:
         for sample in samples:
             fh.write(json.dumps(_sample_to_record(sample), ensure_ascii=False, sort_keys=True))
             fh.write("\n")
@@ -525,8 +600,8 @@ def read_dataset(path: str | Path) -> list[ParagraphSample]:
 
 def write_rejections(rejections: Iterable[RejectionRecord], path: str | Path) -> None:
     """Write the sidecar rejection log: one {paper_id, paragraph_index, code}
-    record per rejected paragraph."""
-    with open(path, "w", encoding="utf-8") as fh:
+    record per rejected paragraph, atomically (see ``atomic_write``)."""
+    with atomic_write(path) as fh:
         for rec in rejections:
             fh.write(json.dumps(
                 {"paper_id": rec.paper_id, "paragraph_index": rec.paragraph_index,

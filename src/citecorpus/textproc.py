@@ -34,6 +34,9 @@ _HANGING_RE = re.compile(HANGING_CITATION_PATTERN)
 
 _TERMINALS = ".!?"
 
+# The only characters the splitter acts on: brackets and terminal marks.
+_MARK_RE = re.compile(r"[()\[\].!?]")
+
 # Tokens (text up to and including a period) that never end a sentence.
 ABBREVIATIONS = (
     "al.",
@@ -132,13 +135,16 @@ def split_sentences(paragraph_text: str) -> list[SentenceSpan]:
     """
     boundaries: list[int] = []
     depth = 0
-    for i, ch in enumerate(paragraph_text):
+    for mark in _MARK_RE.finditer(paragraph_text):
+        ch = mark.group()
         if ch in "([":
             depth += 1
         elif ch in ")]":
             depth = max(0, depth - 1)
-        elif ch in _TERMINALS and depth == 0 and _is_sentence_boundary(paragraph_text, i):
-            boundaries.append(i + 1)
+        elif depth == 0:
+            i = mark.start()
+            if _is_sentence_boundary(paragraph_text, i):
+                boundaries.append(i + 1)
 
     spans: list[SentenceSpan] = []
     seg_start = 0

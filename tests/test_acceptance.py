@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 from citecorpus import textproc
 from citecorpus.cli import main
-from citecorpus.ingest import paper_eligible
 from citecorpus.metrics import cluster_purity, pearson, population_std, precision_recall_f1
 from citecorpus.model import (
     PUModel,
@@ -38,7 +37,7 @@ from citecorpus.pipeline import (
     split_dataset,
     write_dataset,
 )
-from corpusgen import FIELDS, make_corpus_file, make_papers, parse_papers
+from corpusgen import FIELDS, make_corpus_file
 from refregex import RefRegex
 from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of
 
@@ -228,10 +227,9 @@ class TestCriterion2ResidueFree:
 
 class TestCriterion3DifferentialAudit:
     def test_baseline_retains_markers_main_does_not(self, adversarial_corpus):
-        _, _, records = adversarial_corpus
-        papers = [p for p in parse_papers(records) if paper_eligible(p)]
-        main_samples, _ = collect_samples(papers, baseline=False)
-        base_samples, _ = collect_samples(papers, baseline=True)
+        _, path, _ = adversarial_corpus
+        main_samples = collect_samples([path], baseline=False).samples
+        base_samples = collect_samples([path], baseline=True).samples
 
         ref_hanging = RefRegex(GOLDEN_HANGING)
         ref_numeric = RefRegex(GOLDEN_NUMERIC)
@@ -281,10 +279,11 @@ class TestCriterion4Determinism:
 
 
 class TestCriterion5SplitAndBalance:
-    def test_exact_balance_and_split_shares(self):
-        papers = parse_papers(make_papers(n_papers=600, seed=555, adversarial_rate=0.0,
-                                          paragraphs_per_paper=(2, 4)))
-        samples, _ = collect_samples(papers)
+    def test_exact_balance_and_split_shares(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        make_corpus_file(path, n_papers=600, seed=555, adversarial_rate=0.0,
+                         paragraphs_per_paper=(2, 4))
+        samples = collect_samples([path]).samples
         quota = 50
         per_field = {f: sum(1 for s in samples if s.mag_field == f) for f in FIELDS}
         assert min(per_field.values()) >= quota, "fixture must have ample supply"
@@ -405,8 +404,9 @@ class TestCriterion8PULearning:
 
 class TestCriterion9RoundTrips:
     def test_dataset_and_model_round_trips(self, tmp_path):
-        papers = parse_papers(make_papers(n_papers=40, seed=909, adversarial_rate=0.1))
-        samples, _ = collect_samples(papers)
+        corpus = tmp_path / "corpus.jsonl"
+        make_corpus_file(corpus, n_papers=40, seed=909, adversarial_rate=0.1)
+        samples = collect_samples([corpus]).samples
         samples = balanced_sample(samples, 5, seed=1)
         split_dataset(samples, (0.8, 0.1, 0.1), seed=1)
         path = tmp_path / "dataset.jsonl"

@@ -12,8 +12,9 @@ import citecorpus
 from citecorpus.cli import main
 from citecorpus.metrics import write_distance_matrix
 from citecorpus.model import LinearModel, Vocabulary, save_model
+from citecorpus import pipeline
 from citecorpus.pipeline import read_dataset
-from corpusgen import make_corpus_file
+from corpusgen import make_corpus_file, write_corpus
 
 import numpy as np
 
@@ -141,6 +142,88 @@ class TestBuild:
         fields = {json.loads(line)["mag_field_of_study"]
                   for line in (out / "dataset.jsonl").read_text().splitlines()}
         assert {"Biology", "Chemistry", "Physics"} <= fields
+
+    def test_malformed_line_warnings_name_the_file(self, tmp_path, caplog):
+        first = tmp_path / "one.jsonl"
+        second = tmp_path / "two.jsonl"
+        build_fixture_corpus(first, n_papers=3)
+        build_fixture_corpus(second, n_papers=3, id_prefix="extra")
+        lines = first.read_text().splitlines(keepends=True)
+        first.write_text(lines[0] + "\n" + "".join(lines[1:]))
+        with open(second, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        out = tmp_path / "out"
+        assert main(["build", "--input", str(first), "--input", str(second),
+                     "--output", str(out), "--seed", "2", "--quota", "4"]) == 0
+        assert f"malformed input {first}, line 2: blank line" in caplog.text
+        assert f"malformed input {second}, line 4: invalid JSON" in caplog.text
+        assert json.loads((out / "manifest.json").read_text())["counts"]["malformed_lines"] == 2
+
+    def test_span_error_names_file_and_line_at_any_worker_count(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        records = build_fixture_corpus(corpus, n_papers=8)
+        records[5]["mag_field_of_study"] = ["Biology"]
+        records[5]["body_text"][0]["section"] = "Introduction"
+        records[5]["body_text"][0]["cite_spans"].append({"start": 0, "end": 10**6, "ref_id": "x"})
+        write_corpus(records, corpus)
+        errors = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["build", "--input", str(corpus), "--output", str(out),
+                         "--seed", "7", "--workers", workers]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not (out / "manifest.json").exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(
+            f"error: {corpus}, line 6: paper 'paper-00005': cite span (0, 1000000) out of bounds")
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_workers_below_one_is_a_usage_error(self, value, via, tmp_path, capsys,
+                                                monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        out = tmp_path / "out"
+        argv = ["build", "--input", str(corpus), "--output", str(out), "--seed", "7"]
+        if via == "flag":
+            argv += ["--workers", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"workers": value}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert f"--workers must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_manifest_and_no_temp_file(self, tmp_path, monkeypatch,
+                                                              capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        out = tmp_path / "out"
+        argv = ["build", "--input", str(corpus), "--output", str(out), "--seed", "7",
+                "--quota", "2"]
+        assert main(argv) == 0
+        assert (out / "manifest.json").exists()
+        dataset = (out / "dataset.jsonl").read_bytes()
+
+        real = pipeline._sample_to_record
+        written = []
+
+        def fail_on_second_record(sample):
+            written.append(sample)
+            if len(written) == 2:
+                raise OSError("disk full")
+            return real(sample)
+
+        monkeypatch.setattr(pipeline, "_sample_to_record", fail_on_second_record)
+        assert main(argv) == 1
+        assert "error: disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.jsonl", "rejections.jsonl"]
+        assert (out / "dataset.jsonl").read_bytes() == dataset
 
 
 class TestStats:

@@ -1,11 +1,19 @@
 """Unit tests for the paragraph pipeline, balancing, splitting, and IO."""
 
 import json
+import pickle
 import random
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from citecorpus.ingest import CiteSpan, Paragraph
+from citecorpus import pipeline
+from citecorpus.ingest import CiteSpan, Diagnostic, Paragraph, parse_line, read_corpus
 from citecorpus.pipeline import (
     AMBIGUOUS_FIELD,
     BAD_FORMAT,
@@ -25,6 +33,7 @@ from citecorpus.pipeline import (
     ParagraphSample,
     RejectionReason,
     SpanConsistencyError,
+    _bounded_map,
     allowed_section,
     assign_field,
     balanced_sample,
@@ -35,7 +44,7 @@ from citecorpus.pipeline import (
     split_dataset,
     write_dataset,
 )
-from corpusgen import make_papers, parse_papers
+from corpusgen import make_corpus_file, make_papers, write_corpus
 
 
 def paragraph_with_citation(cite=" [2]", section="Introduction"):
@@ -361,25 +370,116 @@ class TestDatasetIO:
 
 
 class TestCollectSamples:
-    def test_canonical_order_and_rejections(self):
-        papers = parse_papers(make_papers(n_papers=30, seed=42, adversarial_rate=0.4))
-        samples, rejections = collect_samples(papers, workers=1)
-        keys = [(s.paper_id, s.paragraph_index) for s in samples]
+    def test_canonical_order_and_rejections(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        make_corpus_file(path, n_papers=30, seed=42, adversarial_rate=0.4)
+        collected = collect_samples([path], workers=1)
+        keys = [(s.paper_id, s.paragraph_index) for s in collected.samples]
         assert keys == sorted(keys)
-        assert rejections, "adversarial corpus should produce rejections"
-        rkeys = [(r.paper_id, r.paragraph_index) for r in rejections]
+        assert collected.rejections, "adversarial corpus should produce rejections"
+        rkeys = [(r.paper_id, r.paragraph_index) for r in collected.rejections]
         assert rkeys == sorted(rkeys)
 
-    def test_worker_count_does_not_change_results(self):
-        records = make_papers(n_papers=20, seed=7, adversarial_rate=0.3)
-        serial_s, serial_r = collect_samples(parse_papers(records), workers=1)
-        pooled_s, pooled_r = collect_samples(parse_papers(records), workers=4)
-        assert serial_s == pooled_s
-        assert serial_r == pooled_r
+    def test_worker_count_does_not_change_results(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        make_corpus_file(path, n_papers=20, seed=7, adversarial_rate=0.3)
+        serial = collect_samples([path], workers=1)
+        pooled = collect_samples([path], workers=4)
+        assert serial.samples == pooled.samples
+        assert serial.rejections == pooled.rejections
 
-    def test_bad_section_and_ambiguous_field_codes(self):
-        papers = parse_papers(make_papers(n_papers=40, seed=11, adversarial_rate=0.5))
-        _, rejections = collect_samples(papers)
-        codes = {r.reason.code for r in rejections}
+    def test_bad_section_and_ambiguous_field_codes(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        make_corpus_file(path, n_papers=40, seed=11, adversarial_rate=0.5)
+        codes = {r.reason.code for r in collect_samples([path]).rejections}
         assert BAD_SECTION in codes
         assert AMBIGUOUS_FIELD in codes
+
+    def test_span_error_survives_the_pool_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        records = make_papers(n_papers=6, seed=5)
+        records[3]["body_text"][0]["cite_spans"] = [{"start": 5, "end": 10_000, "ref_id": "b"}]
+        write_corpus(records, path)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(SpanConsistencyError) as exc:
+                collect_samples([path], workers=workers)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{path}, line 4: paper 'paper-00003': cite span (5, 10000)")
+
+
+    def test_pool_holds_at_most_the_limit_in_flight(self):
+        drawn = []
+
+        def items():
+            for i in range(50):
+                drawn.append(i)
+                yield i
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for consumed, result in enumerate(_bounded_map(pool, lambda i: i * i, items(), 4),
+                                              start=1):
+                assert result == (consumed - 1) ** 2
+                assert len(drawn) - consumed < 4
+        assert consumed == 50
+
+
+class TestSpanConsistencyError:
+    def test_pickle_round_trip(self):
+        error = SpanConsistencyError("p-1", "cite span (1, 2) overlaps", "corpus.jsonl, line 3")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is SpanConsistencyError
+        assert (copy.paper_id, copy.message, copy.where) == ("p-1", "cite span (1, 2) overlaps",
+                                                            "corpus.jsonl, line 3")
+        assert str(copy) == str(error) == \
+            "corpus.jsonl, line 3: paper 'p-1': cite span (1, 2) overlaps"
+
+
+# Lines that are not records: blank, invalid JSON, and schema violations.
+_VALID_LINES = [json.dumps(r) for r in make_papers(n_papers=12, seed=21, adversarial_rate=0.5,
+                                                  ineligible_rate=0.3)]
+_BROKEN_LINES = st.one_of(
+    st.sampled_from(["", "   ", "\t", "{", "not json", "[1, 2", '{"paper_id": "x"']),
+    # Any text without a line break (or a surrogate, which UTF-8 cannot hold).
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+            max_size=20),
+    st.builds(lambda line, key, value: json.dumps({**json.loads(line), key: value}),
+              st.sampled_from(_VALID_LINES),
+              st.sampled_from(["paper_id", "body_text", "has_tables_figures",
+                               "inbound_citations", "mag_field_of_study", "abstract"]),
+              st.sampled_from([None, "", 3, True, [1], {"a": 1}])).filter(
+        lambda line: isinstance(parse_line(line, 1), Diagnostic)),
+)
+_CORPUS_LINES = st.lists(
+    st.one_of(st.sampled_from(_VALID_LINES).map(lambda line: (True, line)),
+              _BROKEN_LINES.map(lambda line: (False, line))),
+    max_size=30)
+
+
+class TestLineAccounting:
+    """Every corpus line yields a record or exactly one diagnostic, and the
+    pool changes nothing."""
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(_CORPUS_LINES)
+    def test_records_plus_diagnostics_equal_lines(self, tagged):
+        lines = [line for _, line in tagged]
+        broken = [n for n, (valid, _) in enumerate(tagged, start=1) if not valid]
+        diagnostics = []
+        records = list(read_corpus([line + "\n" for line in lines],
+                                   on_malformed=diagnostics.append))
+        assert len(records) + len(diagnostics) == len(lines)
+        assert [d.line for d in diagnostics] == broken
+
+        # Batches of three lines, so that results of many batches are merged.
+        with tempfile.TemporaryDirectory() as tmp, patch.object(pipeline, "BATCH_LINES", 3):
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            serial = collect_samples([path], workers=1)
+            pooled = collect_samples([path], workers=2)
+            assert serial.papers_total + len(serial.diagnostics) == len(lines)
+            assert [d.line for d in serial.diagnostics] == broken
+            assert {d.source for d in serial.diagnostics} <= {str(path)}
+            assert serial == pooled

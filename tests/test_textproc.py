@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citecorpus.textproc import (
     AUTHOR_YEAR_CITATION_PATTERN,
@@ -18,6 +20,8 @@ from citecorpus.textproc import (
     split_sentences,
     strip_hanging_punctuation,
 )
+from corpusgen import make_papers
+from refsplit import split_sentences as ref_split_sentences
 
 # Golden transcriptions; the embedded constants must stay byte-identical.
 GOLDEN_NUMERIC = r"\[([0-9]+\s*[,-;]*\s*)*[0-9]+\s*\]"
@@ -115,6 +119,41 @@ class TestSplitSentences:
                 assert span.start >= cursor
                 cursor = span.end
             assert paragraph[cursor:].strip() == ""
+
+
+def spans_of(spans):
+    return [(s.text, s.start, s.end) for s in spans]
+
+
+# Text rich in what the splitter acts on: terminal marks, brackets, mixed
+# whitespace (NBSP included), ASCII and non-ASCII uppercase, abbreviations
+# and initials.
+_SPLITTER_PIECES = st.one_of(
+    st.sampled_from([". ", "? ", "! ", ".\n", ".\u00a0", ". \t", "(", ")", "[", "]", " ",
+                     "Word", "word", "Élan", "Σigma", "ωmega", "e.g.", "Fig.", "fig.", "J.",
+                     "U.S.", "al.", "etc.", "vs.", "i.e.", "3.5", "[12]", "(2001)", "...",
+                     "?!"]),
+    st.text(alphabet="aZxQ.!?()[] \n\t\u00a0,;ÉΣéσ1", min_size=1, max_size=4),
+)
+_SPLITTER_TEXT = st.lists(_SPLITTER_PIECES, max_size=30).map("".join)
+
+
+class TestSplitterOracle:
+    """The production splitter against the verbatim reference in refsplit.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_SPLITTER_TEXT)
+    def test_equal_spans_on_generated_text(self, paragraph):
+        assert spans_of(split_sentences(paragraph)) == spans_of(ref_split_sentences(paragraph))
+
+    def test_equal_spans_on_every_corpusgen_paragraph(self):
+        records = make_papers(n_papers=300, seed=77, adversarial_rate=0.5,
+                              paragraphs_per_paper=(1, 4))
+        paragraphs = [p["text"] for r in records for p in r["body_text"]]
+        assert len(paragraphs) >= 600
+        for paragraph in paragraphs:
+            assert spans_of(split_sentences(paragraph)) == \
+                spans_of(ref_split_sentences(paragraph)), paragraph
 
 
 class TestFindCitations:
