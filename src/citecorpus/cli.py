@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -71,11 +72,28 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _resolve(args: argparse.Namespace, config: dict, name: str, default=None, required=False):
-    """Flag value if given, else config value, else default."""
+_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+
+def _resolve(args: argparse.Namespace, config: dict, name: str, kind: type | None = None,
+             default=None, required=False):
+    """Flag value if given, else config value, else default; a null config
+    value counts as absent. A config value goes through ``kind``: ``int()``
+    or ``float()``, or it must already be a bool or a str. A value that does
+    not is a usage error naming the file and the key."""
     value = getattr(args, name, None)
     if value is None:
-        value = config.get(name, default)
+        value = config.get(name)
+        if value is not None and kind is not None:
+            try:
+                if kind in (bool, str) and not isinstance(value, kind):
+                    raise TypeError
+                value = kind(value)
+            except (TypeError, ValueError):
+                raise UsageError(f"config file {args.config}: key {name!r} must be "
+                                 f"{_KINDS[kind]}, got {value!r}") from None
+    if value is None:
+        value = default
     if required and value is None:
         flag = "--" + name.replace("_", "-")
         raise UsageError(f"{flag} is required (flag or config file)")
@@ -90,13 +108,10 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _parse_ratios(raw) -> tuple[float, float, float]:
-    if isinstance(raw, (list, tuple)):
-        parts = [float(x) for x in raw]
-    else:
-        try:
-            parts = [float(x) for x in str(raw).split(",")]
-        except ValueError as exc:
-            raise UsageError(f"--ratios must be three comma-separated numbers, got {raw!r}") from exc
+    try:
+        parts = [float(x) for x in (raw if isinstance(raw, list) else str(raw).split(","))]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--ratios must be three comma-separated numbers, got {raw!r}") from exc
     if len(parts) != 3:
         raise UsageError(f"--ratios must name three values, got {raw!r}")
     return parts[0], parts[1], parts[2]
@@ -137,14 +152,17 @@ def cmd_build(args: argparse.Namespace) -> int:
     inputs = _resolve(args, config, "input", required=True)
     if isinstance(inputs, str):
         inputs = [inputs]
-    output_dir = Path(_resolve(args, config, "output", required=True))
-    seed = int(_resolve(args, config, "seed", required=True))
-    quota = int(_resolve(args, config, "quota", default=1000))
+    if not (isinstance(inputs, list) and all(isinstance(p, str) for p in inputs)):
+        raise UsageError(f"config file {args.config}: key 'input' must be a string "
+                         f"or a list of strings, got {inputs!r}")
+    output_dir = Path(_resolve(args, config, "output", str, required=True))
+    seed = _resolve(args, config, "seed", int, required=True)
+    quota = _resolve(args, config, "quota", int, default=1000)
     ratios = _parse_ratios(_resolve(args, config, "ratios", default="0.8,0.1,0.1"))
-    workers = int(_resolve(args, config, "workers", default=1))
+    workers = _resolve(args, config, "workers", int, default=1)
     if workers < 1:
         raise UsageError(f"--workers must be at least 1, got {workers}")
-    baseline = bool(_resolve(args, config, "baseline", default=False))
+    baseline = _resolve(args, config, "baseline", bool, default=False)
 
     input_paths = [_require_file(p, "input corpus") for p in inputs]
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -198,7 +216,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     path = _require_file(args.input, "dataset")
     report = metrics.dataset_stats(read_dataset(path))
     if args.json:
-        print(json.dumps(report.to_record(), ensure_ascii=False, sort_keys=True, indent=2))
+        print(json.dumps(asdict(report), ensure_ascii=False, sort_keys=True, indent=2))
     else:
         print(report.render_text())
     return 0
@@ -206,12 +224,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_audit_export(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    main_path = _require_file(_resolve(args, config, "input", required=True), "dataset")
+    main_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
     baseline_path = _require_file(
-        _resolve(args, config, "baseline_input", required=True), "baseline dataset")
-    n_per_class = int(_resolve(args, config, "n_per_class", default=500))
-    seed = int(_resolve(args, config, "seed", required=True))
-    output_dir = Path(_resolve(args, config, "output", required=True))
+        _resolve(args, config, "baseline_input", str, required=True), "baseline dataset")
+    n_per_class = _resolve(args, config, "n_per_class", int, default=500)
+    seed = _resolve(args, config, "seed", int, required=True)
+    output_dir = Path(_resolve(args, config, "output", str, required=True))
     output_dir.mkdir(parents=True, exist_ok=True)
 
     items = audit.sample_for_audit(
@@ -252,16 +270,14 @@ def cmd_train(args: argparse.Namespace) -> int:
                         train_logreg, train_pu)
 
     config = _load_config(args.config)
-    dataset_path = _require_file(_resolve(args, config, "input", required=True), "dataset")
-    model_path = Path(_resolve(args, config, "output", required=True))
-    seed = int(_resolve(args, config, "seed", required=True))
-    c_value = float(_resolve(args, config, "c_value", default=DEFAULT_C))
-    use_pu = bool(_resolve(args, config, "pu", default=False))
-    split = _resolve(args, config, "split", default=SPLIT_TRAIN)
-    min_df = int(_resolve(args, config, "min_df", default=1))
-    max_features = _resolve(args, config, "max_features", default=None)
-    if max_features is not None:
-        max_features = int(max_features)
+    dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
+    model_path = Path(_resolve(args, config, "output", str, required=True))
+    seed = _resolve(args, config, "seed", int, required=True)
+    c_value = _resolve(args, config, "c_value", float, default=DEFAULT_C)
+    use_pu = _resolve(args, config, "pu", bool, default=False)
+    split = _resolve(args, config, "split", str, default=SPLIT_TRAIN)
+    min_df = _resolve(args, config, "min_df", int, default=1)
+    max_features = _resolve(args, config, "max_features", int)
 
     # Only the token lists are kept, so the parsed samples are freed before
     # the fit, when the process holds the most memory.
@@ -296,10 +312,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from .model import load_model
 
     config = _load_config(args.config)
-    model_path = _require_file(_resolve(args, config, "model", required=True), "model file")
-    dataset_path = _require_file(_resolve(args, config, "input", required=True), "dataset")
-    split = _resolve(args, config, "split", default=SPLIT_TEST)
-    field = _resolve(args, config, "field", default=None)
+    model_path = _require_file(_resolve(args, config, "model", str, required=True), "model file")
+    dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
+    split = _resolve(args, config, "split", str, default=SPLIT_TEST)
+    field = _resolve(args, config, "field", str)
 
     model, vocab = load_model(model_path)
     if vocab is None:
@@ -316,13 +332,13 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     from .model import compute_class_weights, featurize, fit_vocabulary, train_logreg
 
     config = _load_config(args.config)
-    dataset_path = _require_file(_resolve(args, config, "input", required=True), "dataset")
+    dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
     distances_path = _require_file(
-        _resolve(args, config, "distances", required=True), "distance matrix")
-    c_value = float(_resolve(args, config, "c_value", default=DEFAULT_C))
-    min_df = int(_resolve(args, config, "min_df", default=1))
-    fields_arg = _resolve(args, config, "fields", default=None)
-    output = _resolve(args, config, "output", default=None)
+        _resolve(args, config, "distances", str, required=True), "distance matrix")
+    c_value = _resolve(args, config, "c_value", float, default=DEFAULT_C)
+    min_df = _resolve(args, config, "min_df", int, default=1)
+    fields_arg = _resolve(args, config, "fields", str)
+    output = _resolve(args, config, "output", str)
 
     distances = metrics.read_distance_matrix(distances_path)
     if fields_arg:

@@ -16,23 +16,26 @@ Input files are newline-delimited records, one JSON object per line:
 
 See the README for the mapping of these fields onto the S2ORC 20200705v1
 release. ``parse_line`` turns one input line into a record or exactly one
-diagnostic; ``read_corpus`` streams records through it one line at a time,
-and ``line_batches`` hands ``build`` raw lines in batches, so that the
-workers decoding and parsing them hold only their own batch. Records are
-immutable and safe to share with parallel workers.
+diagnostic; ``read_corpus`` streams records through it one line at a time
+from a binary stream, and ``line_batches`` hands ``build`` raw lines in
+batches, so that the workers decoding and parsing them hold only their own
+batch. Both decode UTF-8 with ``surrogateescape``, so that an undecodable
+byte reaches ``parse_line``, which raises naming its file and line. Records
+are immutable and safe to share with parallel workers.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import logging
+import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-logger = logging.getLogger(__name__)
+# What ``surrogateescape`` decodes an undecodable byte to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,6 @@ class PaperRecord:
     has_inbound_citations: bool
     mag_fields: frozenset[str]
     paragraphs: tuple[Paragraph, ...]
-    source_line: int = 0
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def _parse_paragraph(raw: object) -> Paragraph:
     return Paragraph(section_title=raw["section"], text=raw["text"], cite_spans=spans)
 
 
-def parse_record(raw: object, source_line: int = 0) -> PaperRecord:
+def parse_record(raw: object) -> PaperRecord:
     """Build a PaperRecord from one decoded input object.
 
     Raises MalformedRecordError when the object does not follow the input
@@ -141,13 +143,19 @@ def parse_record(raw: object, source_line: int = 0) -> PaperRecord:
         has_inbound_citations=inbound >= 1,
         mag_fields=frozenset(fields),
         paragraphs=tuple(_parse_paragraph(p) for p in body),
-        source_line=source_line,
     )
 
 
 def parse_line(line: str, lineno: int, source: str = "") -> PaperRecord | Diagnostic:
     """Decode and parse one corpus line: a record, or the one diagnostic
-    that explains why the line is skipped (blank, bad JSON, schema)."""
+    that explains why the line is skipped (blank, bad JSON, schema).
+
+    Raises ValueError naming the file and line when the line holds a byte
+    that is not UTF-8, as decoded with ``surrogateescape``.
+    """
+    if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
+        where = f"{source}, line {lineno}" if source else f"line {lineno}"
+        raise ValueError(f"{where}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8")
     stripped = line.strip()
     if not stripped:
         return Diagnostic(lineno, "blank line", source)
@@ -156,41 +164,35 @@ def parse_line(line: str, lineno: int, source: str = "") -> PaperRecord | Diagno
     except json.JSONDecodeError as exc:
         return Diagnostic(lineno, f"invalid JSON: {exc.msg}", source)
     try:
-        return parse_record(raw, source_line=lineno)
+        return parse_record(raw)
     except MalformedRecordError as exc:
         return Diagnostic(lineno, str(exc), source)
 
 
 def read_corpus(
-    stream: BinaryIO | Iterable[str],
-    on_malformed: Callable[[Diagnostic], None] | None = None,
+    stream: BinaryIO, on_malformed: Callable[[Diagnostic], None]
 ) -> Iterator[PaperRecord]:
-    """Stream PaperRecords from a newline-delimited corpus.
+    """Stream PaperRecords from a binary newline-delimited corpus, and close
+    the stream when done.
 
-    ``stream`` may be a binary file object or an iterable of decoded lines.
     Malformed lines (bad JSON, schema violations, blank lines) are reported
     through ``on_malformed`` with their 1-based line number and skipped; an
-    undecodable byte stream raises UnicodeDecodeError. Every input line is
-    accounted for: it yields a record or produces exactly one diagnostic.
+    undecodable byte raises ValueError naming the line (and the file, when
+    the stream has a name). Every input line is accounted for: it yields a
+    record or produces exactly one diagnostic.
     """
-    if isinstance(stream, io.TextIOBase):
-        lines: Iterable[str] = stream
-    elif hasattr(stream, "read"):
-        lines = io.TextIOWrapper(stream, encoding="utf-8")
-    else:
-        lines = stream
-
-    for lineno, line in enumerate(lines, start=1):
-        item = parse_line(line, lineno)
-        if isinstance(item, Diagnostic):
-            _emit(on_malformed, item)
-        else:
-            yield item
+    source = str(getattr(stream, "name", ""))
+    with io.TextIOWrapper(stream, encoding="utf-8", errors="surrogateescape") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            item = parse_line(line, lineno, source)
+            if isinstance(item, Diagnostic):
+                on_malformed(item)
+            else:
+                yield item
 
 
 def read_corpus_path(
-    path: str | Path,
-    on_malformed: Callable[[Diagnostic], None] | None = None,
+    path: str | Path, on_malformed: Callable[[Diagnostic], None]
 ) -> Iterator[PaperRecord]:
     """``read_corpus`` over a file path."""
     with open(path, "rb") as fh:
@@ -202,21 +204,13 @@ def line_batches(
 ) -> Iterator[tuple[str, int, list[str]]]:
     """Decoded corpus lines in batches of up to ``size``, each tagged with its
     file name and the 1-based number of its first line. Decoding matches
-    ``read_corpus``: UTF-8 with universal newlines, and an undecodable byte
-    stream raises UnicodeDecodeError."""
+    ``read_corpus``: UTF-8 with universal newlines and ``surrogateescape``."""
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             first = 1
             while lines := list(islice(fh, size)):
                 yield str(path), first, lines
                 first += len(lines)
-
-
-def _emit(on_malformed: Callable[[Diagnostic], None] | None, diag: Diagnostic) -> None:
-    if on_malformed is not None:
-        on_malformed(diag)
-    else:
-        logger.warning("line %d: %s", diag.line, diag.message)
 
 
 def paper_eligible(paper: PaperRecord) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -67,23 +67,6 @@ class StatsReport:
     median_char_length: int
     field_sentences: dict[str, int]
     empty: bool = False
-
-    def to_record(self) -> dict:
-        return {
-            "total_sentences": self.total_sentences,
-            "total_tokens": self.total_tokens,
-            "split_sentences": dict(self.split_sentences),
-            "cite_worthy": self.cite_worthy,
-            "cite_worthy_pct": self.cite_worthy_pct,
-            "non_cite_worthy": self.non_cite_worthy,
-            "non_cite_worthy_pct": self.non_cite_worthy_pct,
-            "min_char_length": self.min_char_length,
-            "max_char_length": self.max_char_length,
-            "mean_char_length": self.mean_char_length,
-            "median_char_length": self.median_char_length,
-            "field_sentences": dict(self.field_sentences),
-            "empty": self.empty,
-        }
 
     def render_text(self) -> str:
         rows = [
@@ -202,10 +185,6 @@ class DomainGrid:
     sigma: dict[str, float] = field(default_factory=dict)
     rho: dict[str, float] = field(default_factory=dict)
 
-    def to_record(self) -> dict:
-        return {"fields": list(self.fields), "f1": {k: dict(v) for k, v in self.f1.items()},
-                "sigma": dict(self.sigma), "rho": dict(self.rho)}
-
     def render_text(self) -> str:
         width = max(6, *(len(f) for f in self.fields)) + 2
         header = f"{'Train/Test':<12}" + "".join(f"{f:>{width}}" for f in self.fields)
@@ -228,7 +207,7 @@ def population_std(values: Sequence[float]) -> float:
 def domain_grid(
     f1_by_pair: Mapping[tuple[str, str], float],
     distances: Mapping[tuple[str, str], float],
-    fields: Sequence[str] | None = None,
+    fields: Sequence[str],
 ) -> DomainGrid:
     """Aggregate per-(train, test) F1 results into a DomainGrid.
 
@@ -237,8 +216,6 @@ def domain_grid(
     distance column. Missing grid or distance entries are an error listing
     the absent pairs.
     """
-    if fields is None:
-        fields = sorted({tr for tr, _ in f1_by_pair} | {te for _, te in f1_by_pair})
     fields = list(fields)
     missing = [(tr, te) for tr in fields for te in fields if (tr, te) not in f1_by_pair]
     if missing:
@@ -265,15 +242,16 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
     distances in header order.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(lineno, line.rstrip("\n"))
+                 for lineno, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty distance matrix")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     test_fields = [cell.strip() for cell in header[1:]]
     if not test_fields:
         raise ValueError(f"{path}: header names no fields")
     distances: dict[tuple[str, str], float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(test_fields) + 1:
             raise ValueError(
@@ -299,4 +277,4 @@ def write_distance_matrix(
 
 
 def grid_to_json(grid: DomainGrid) -> str:
-    return json.dumps(grid.to_record(), ensure_ascii=False, sort_keys=True, indent=2)
+    return json.dumps(asdict(grid), ensure_ascii=False, sort_keys=True, indent=2)

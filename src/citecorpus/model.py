@@ -12,7 +12,8 @@ meaning at any dataset size. The optimizer has no random choices, so
 identical inputs give bitwise-identical parameters. Every fitted model
 records its iteration count, the largest gradient component of the unscaled
 objective at the end, and whether L-BFGS-B reported convergence. The loss,
-gradient and the positive-unlabeled scheme are implemented here.
+gradient and the positive-unlabeled scheme are implemented here; the
+positive-unlabeled fit trains on soft targets, one row per sample.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from . import DEFAULT_C, atomic_write
-from .textproc import tokenize  # noqa: F401  (re-exported: model.tokenize)
 
 _NUMBER = (int, float)
 
@@ -37,6 +37,9 @@ _NUMBER = (int, float)
 _MAX_ITERATIONS = 1000
 _FTOL = 1e-13
 _GTOL = 1e-10
+
+# Share of the labeled positives that PU training holds out to estimate c.
+_PU_HOLDOUT_FRACTION = 0.2
 
 
 class TrainingError(RuntimeError):
@@ -157,8 +160,8 @@ def loss_and_gradient(
     sample_weight: np.ndarray,
     C: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Class/sample-weighted negative log-likelihood with L2 penalty
-    ||w||^2 / (2C), and its analytic gradient."""
+    """Sample-weighted negative log-likelihood with L2 penalty ||w||^2 / (2C),
+    and its analytic gradient. Targets ``y`` may be soft, in [0, 1]."""
     z = X @ weights + bias
     # -log sigma(z) = logaddexp(0, -z); numerically stable on both tails.
     nll = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
@@ -171,17 +174,18 @@ def loss_and_gradient(
 
 def train_logreg(
     X: np.ndarray | sp.spmatrix,
-    labels: Sequence[int],
+    labels: Sequence[float],
     class_weights: tuple[float, float],
     C: float = DEFAULT_C,
-    sample_weights: Sequence[float] | None = None,
 ) -> LinearModel:
     """Fit weighted logistic regression with L-BFGS-B.
 
     Minimizes the class-weighted negative log-likelihood with an L2 penalty
     of ||w||^2 / (2C), scaled by 1/N, from a zero start over ``[w, b]``.
-    Raises TrainingError before optimizing when a feature value or a sample
-    weight is not finite. The procedure has no random choices.
+    Labels may be soft targets in [0, 1], used with class weights (1, 1):
+    a row with target q costs q * L1 + (1 - q) * L0. Raises TrainingError
+    before optimizing when a feature value is not finite. The procedure has
+    no random choices.
     """
     # Imported here: it costs ~0.2 s, which commands that never fit skip.
     from scipy.optimize import minimize
@@ -195,18 +199,10 @@ def train_logreg(
         raise ValueError(f"{X.shape[0]} feature rows but {n} labels")
     w_pos, w_neg = class_weights
     weight = np.where(y == 1.0, w_pos, w_neg)
-    if sample_weights is not None:
-        extra = np.asarray(sample_weights, dtype=float)
-        if extra.shape[0] != n:
-            raise ValueError("sample_weights length does not match labels")
-        weight = weight * extra
     bad = np.flatnonzero(~np.isfinite(X.data))
     if bad.size:
         row = int(np.searchsorted(X.indptr, bad[0], side="right")) - 1
         raise TrainingError(f"feature value in row {row} is not finite")
-    bad = np.flatnonzero(~np.isfinite(weight))
-    if bad.size:
-        raise TrainingError(f"sample weight of row {int(bad[0])} is not finite")
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
         loss, grad_w, grad_b = loss_and_gradient(v[:-1], float(v[-1]), X, y, weight, C)
@@ -229,11 +225,9 @@ def predict_proba(model: LinearModel, X: np.ndarray | sp.spmatrix) -> np.ndarray
     return expit(X @ model.weights + model.bias)
 
 
-def predict(
-    model: LinearModel, X: np.ndarray | sp.spmatrix, threshold: float = 0.5
-) -> np.ndarray:
-    """Binary labels: positive iff probability >= threshold."""
-    return (predict_proba(model, X) >= threshold).astype(int)
+def predict(model: LinearModel, X: np.ndarray | sp.spmatrix) -> np.ndarray:
+    """Binary labels: positive iff probability >= 0.5."""
+    return (predict_proba(model, X) >= 0.5).astype(int)
 
 
 def train_pu(
@@ -241,7 +235,6 @@ def train_pu(
     observed_labels: Sequence[int],
     seed: int,
     C: float = DEFAULT_C,
-    holdout_fraction: float = 0.2,
 ) -> PUModel:
     """Two-stage positive-unlabeled training.
 
@@ -250,9 +243,11 @@ def train_pu(
     of the labeled positives; the mean predicted probability over that slice
     estimates how often a true positive is labeled. Stage two weighs each
     unlabeled sample by q(x) = ((1-c)/c) * g(x)/(1-g(x)), clipped to [0, 1],
-    and trains the final model with positives at weight one and every
-    unlabeled sample duplicated: once as positive with weight q(x), once as
-    negative with weight 1-q(x).
+    and trains the final model on every sample once, with class weights
+    (1, 1): target 1 for labeled positives, soft target q(x) for unlabeled
+    ones. Under log loss that is Elkan and Noto's duplication of each
+    unlabeled sample (a positive at weight q(x), a negative at 1-q(x)),
+    term by term.
     """
     X = sp.csr_matrix(X, dtype=float)
     s = np.asarray(observed_labels, dtype=int)
@@ -266,7 +261,7 @@ def train_pu(
         raise TrainingError("no unlabeled samples")
 
     rng = np.random.default_rng(seed)
-    n_hold = max(1, int(round(holdout_fraction * pos_idx.size)))
+    n_hold = max(1, int(round(_PU_HOLDOUT_FRACTION * pos_idx.size)))
     holdout = np.sort(rng.choice(pos_idx, size=n_hold, replace=False))
     train_mask = np.ones(s.shape[0], dtype=bool)
     train_mask[holdout] = False
@@ -286,12 +281,9 @@ def train_pu(
     g = np.clip(g, 1e-12, 1.0 - 1e-12)
     q = np.clip((1.0 - c_estimate) / c_estimate * g / (1.0 - g), 0.0, 1.0)
 
-    X_final = sp.vstack([X[pos_idx], X[unl_idx], X[unl_idx]]).tocsr()
-    y_final = np.concatenate([
-        np.ones(pos_idx.size), np.ones(unl_idx.size), np.zeros(unl_idx.size)])
-    weights_final = np.concatenate([np.ones(pos_idx.size), q, 1.0 - q])
-    final = train_logreg(X_final, y_final, class_weights=(1.0, 1.0), C=C,
-                         sample_weights=weights_final)
+    targets = np.ones(s.shape[0])
+    targets[unl_idx] = q
+    final = train_logreg(X, targets, class_weights=(1.0, 1.0), C=C)
     return PUModel(labeling_model=labeling, c_estimate=c_estimate, final_model=final)
 
 

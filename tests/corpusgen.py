@@ -204,7 +204,7 @@ def make_papers(
 
 
 def parse_papers(records: list[dict]) -> list[PaperRecord]:
-    return [parse_record(r, source_line=i + 1) for i, r in enumerate(records)]
+    return [parse_record(r) for r in records]
 
 
 def write_corpus(records: list[dict], path: str | Path) -> None:

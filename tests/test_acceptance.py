@@ -25,7 +25,6 @@ from citecorpus.model import (
     loss_and_gradient,
     predict,
     save_model,
-    tokenize,
     train_logreg,
     train_pu,
 )
@@ -413,7 +412,7 @@ class TestCriterion9RoundTrips:
         write_dataset(samples, path)
         assert read_dataset(path) == samples
 
-        docs = [tokenize(sentence.text) for s in samples for sentence in s.sentences]
+        docs = [textproc.tokenize(sentence.text) for s in samples for sentence in s.sentences]
         labels = [1 if sentence.label == LABEL_CITE_WORTHY else 0
                   for s in samples for sentence in s.sentences]
         vocab = fit_vocabulary(docs)

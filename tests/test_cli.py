@@ -177,6 +177,56 @@ class TestBuild:
         assert errors[0].startswith(
             f"error: {corpus}, line 6: paper 'paper-00005': cite span (0, 1000000) out of bounds")
 
+    def test_undecodable_byte_names_file_and_line_at_any_worker_count(self, tmp_path,
+                                                                      capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus, n_papers=6)
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3].replace(b"paper-", b"paper\xff", 1)
+        corpus.write_bytes(b"".join(lines))
+        errors = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["build", "--input", str(corpus), "--output", str(out),
+                         "--seed", "7", "--workers", workers]) == 1
+            errors.append(capsys.readouterr().err)
+            assert not (out / "manifest.json").exists()
+        assert errors[0] == errors[1] == f"error: {corpus}, line 4: byte 0xff is not valid UTF-8\n"
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("quota", [1], "an integer"),
+        ("workers", "two", "an integer"),
+        ("baseline", "false", "true or false"),
+        ("output", 5, "a string"),
+    ], ids=["quota-list", "workers-word", "baseline-string", "output-number"])
+    def test_mistyped_config_value_is_a_usage_error(self, key, value, kind, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(corpus), "output": str(tmp_path / "out"),
+                                      "seed": 7, key: value}))
+        assert main(["build", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: key {key!r} must be {kind}, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_input_must_name_files(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": [3], "output": str(tmp_path / "out"),
+                                      "seed": 7}))
+        assert main(["build", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (f"error: config file {config}: key 'input' must "
+                                           f"be a string or a list of strings, got [3]\n")
+
+    def test_config_strings_still_convert_to_numbers(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(corpus), "output": str(tmp_path / "out"),
+                                      "seed": "7", "quota": "2", "workers": "1"}))
+        assert main(["build", "--config", str(config)]) == 0
+        assert (tmp_path / "out" / "dataset.jsonl").read_text() == GOLDEN_DATASET
+
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_workers_below_one_is_a_usage_error(self, value, via, tmp_path, capsys,
@@ -327,6 +377,16 @@ class TestTrainEval:
         assert payload["kind"] == "pu"
         assert 0.0 < payload["c_estimate"] <= 1.0
 
+    def test_train_pu_config_value_must_be_a_bool(self, trained, tmp_path, capsys):
+        out, _ = trained
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(out / "dataset.jsonl"), "seed": 4,
+                                      "output": str(tmp_path / "m.json"), "pu": "false"}))
+        assert main(["train", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: key 'pu' must be true or false, got 'false'\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_train_reports_each_fit(self, trained, tmp_path, capsys):
         out, model_path = trained
         payload = json.loads(model_path.read_text())["model"]
@@ -398,7 +458,7 @@ class TestTokenizeOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         import citecorpus.cli
-        from citecorpus.model import tokenize
+        from citecorpus.textproc import tokenize
         texts = []
 
         def counting(text):
@@ -458,7 +518,8 @@ class TestCrossDomain:
         # trained on the field's train split and scored on its test split.
         from citecorpus.metrics import precision_recall_f1
         from citecorpus.model import (compute_class_weights, featurize,
-                                      fit_vocabulary, predict, tokenize, train_logreg)
+                                      fit_vocabulary, predict, train_logreg)
+        from citecorpus.textproc import tokenize
 
         out, _ = trained
         fields = ["Biology", "Chemistry"]

@@ -38,16 +38,22 @@ def as_stream(records):
     return io.BytesIO(b"".join(json.dumps(r).encode("utf-8") + b"\n" for r in records))
 
 
+def read_one(record):
+    """The record read from a one-line corpus holding ``record``."""
+    diagnostics = []
+    papers = list(read_corpus(as_stream([record]), on_malformed=diagnostics.append))
+    assert diagnostics == []
+    return papers[0]
+
+
 class TestReadCorpus:
     def test_empty_stream(self):
-        assert list(read_corpus(io.BytesIO(b""))) == []
+        assert list(read_corpus(io.BytesIO(b""), on_malformed=pytest.fail)) == []
 
     def test_single_record_round_trip(self):
-        papers = list(read_corpus(as_stream([full_record("abc123")])))
-        assert len(papers) == 1
-        assert papers[0].paper_id == "abc123"
-        assert papers[0].source_line == 1
-        assert papers[0].paragraphs[0].section_title == "Introduction"
+        paper = read_one(full_record("abc123"))
+        assert paper.paper_id == "abc123"
+        assert paper.paragraphs[0].section_title == "Introduction"
 
     def test_truncated_middle_line(self, tmp_path):
         # Three records with line 2 truncated: two records plus one diagnostic.
@@ -60,9 +66,9 @@ class TestReadCorpus:
         diagnostics = []
         papers = list(read_corpus_path(path, on_malformed=diagnostics.append))
         assert [p.paper_id for p in papers] == ["p1", "p3"]
-        assert [p.source_line for p in papers] == [1, 3]
         assert len(diagnostics) == 1
         assert diagnostics[0].line == 2
+        assert diagnostics[0].source == str(path)
 
     def test_lossless_over_lines(self):
         lines = [
@@ -74,15 +80,23 @@ class TestReadCorpus:
             json.dumps([1, 2, 3]),  # not an object
         ]
         diagnostics: list[Diagnostic] = []
-        papers = list(read_corpus([l + "\n" for l in lines],
-                                  on_malformed=diagnostics.append))
+        stream = io.BytesIO("".join(l + "\n" for l in lines).encode("utf-8"))
+        papers = list(read_corpus(stream, on_malformed=diagnostics.append))
         assert len(papers) + len(diagnostics) == len(lines)
         assert [d.line for d in diagnostics] == [2, 3, 4, 6]
 
     def test_undecodable_stream_is_fatal(self):
         stream = io.BytesIO(b'{"paper_id": "\xff\xfe"}\n')
-        with pytest.raises(UnicodeDecodeError):
-            list(read_corpus(stream))
+        with pytest.raises(ValueError, match=r"^line 1: byte 0xff is not valid UTF-8$"):
+            list(read_corpus(stream, on_malformed=pytest.fail))
+
+    def test_undecodable_line_names_the_file(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        good = json.dumps(full_record("p1")).encode("utf-8")
+        path.write_bytes(good + b"\n" + good.replace(b"p1", b"p\xc3\xa9\xe9") + b"\n")
+        with pytest.raises(ValueError) as exc:
+            list(read_corpus_path(path, on_malformed=pytest.fail))
+        assert str(exc.value) == f"{path}, line 2: byte 0xe9 is not valid UTF-8"
 
     def test_cite_spans_are_sorted_on_parse(self):
         record = full_record(body_text=[{
@@ -93,7 +107,7 @@ class TestReadCorpus:
                 {"start": 0, "end": 5, "ref_id": "b0"},
             ],
         }])
-        paper = next(read_corpus(as_stream([record])))
+        paper = read_one(record)
         assert [s.start for s in paper.paragraphs[0].cite_spans] == [0, 10]
 
     def test_bad_span_types_are_malformed(self):
@@ -107,40 +121,28 @@ class TestReadCorpus:
         assert papers == []
         assert len(diagnostics) == 1
 
-    def test_default_channel_logs_instead_of_raising(self, caplog):
-        with caplog.at_level("WARNING"):
-            papers = list(read_corpus(["garbage\n"]))
-        assert papers == []
-        assert "invalid JSON" in caplog.text
-
-    def test_accepts_text_mode_file_object(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        path.write_text(json.dumps(full_record("t1")) + "\n", encoding="utf-8")
-        with open(path, "r", encoding="utf-8") as fh:
-            papers = list(read_corpus(fh))
-        assert [p.paper_id for p in papers] == ["t1"]
 
 
 class TestPaperEligible:
     def test_all_signals_present(self):
-        paper = next(read_corpus(as_stream([full_record()])))
+        paper = read_one(full_record())
         assert paper_eligible(paper) is True
 
     def test_missing_venue_only(self):
-        paper = next(read_corpus(as_stream([full_record(venue=None)])))
+        paper = read_one(full_record(venue=None))
         assert paper_eligible(paper) is False
 
     def test_empty_paragraphs(self):
-        paper = next(read_corpus(as_stream([full_record(body_text=[])])))
+        paper = read_one(full_record(body_text=[]))
         assert paper_eligible(paper) is False
 
     def test_zero_inbound_citations(self):
-        paper = next(read_corpus(as_stream([full_record(inbound_citations=0)])))
+        paper = read_one(full_record(inbound_citations=0))
         assert paper_eligible(paper) is False
 
     def test_pure_conjunction_property(self):
         # Flipping any single required signal flips a true verdict to false.
-        base = next(read_corpus(as_stream([full_record()])))
+        base = read_one(full_record())
         assert paper_eligible(base)
         flips = dict(
             has_abstract=False,
@@ -158,7 +160,7 @@ class TestPaperEligible:
 
 class TestDomainTypes:
     def test_records_are_immutable(self):
-        paper = next(read_corpus(as_stream([full_record()])))
+        paper = read_one(full_record())
         with pytest.raises(dataclasses.FrozenInstanceError):
             paper.paper_id = "other"
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -244,3 +244,10 @@ class TestDistanceMatrixIO:
         path.write_text("\tA\tB\nA\t0.0\n")
         with pytest.raises(ValueError, match="expected 3 cells"):
             read_distance_matrix(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "dist.tsv"
+        path.write_text("\tA\tB\n\nA\t0\t1\nB\t1\tx\n")
+        with pytest.raises(ValueError) as exc:
+            read_distance_matrix(path)
+        assert str(exc.value) == f"{path}, line 4: bad number 'x'"

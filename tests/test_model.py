@@ -21,10 +21,10 @@ from citecorpus.model import (
     predict,
     predict_proba,
     save_model,
-    tokenize,
     train_logreg,
     train_pu,
 )
+from citecorpus.textproc import tokenize
 from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of
 
 
@@ -202,10 +202,6 @@ class TestTrainLogreg:
             train_logreg(np.zeros((3, 2)), [1, 0], (1.0, 1.0))
 
     def test_non_finite_inputs_rejected_before_fitting(self):
-        X = np.array([[1.0], [-1.0]])
-        with pytest.raises(TrainingError) as exc:
-            train_logreg(X, [1, 0], (1.0, 1.0), sample_weights=[float("nan"), 1.0])
-        assert str(exc.value) == "sample weight of row 0 is not finite"
         with pytest.raises(TrainingError) as exc:
             train_logreg(np.array([[1.0], [float("inf")]]), [1, 0], (1.0, 1.0))
         assert str(exc.value) == "feature value in row 1 is not finite"
@@ -230,16 +226,14 @@ class TestTrainLogreg:
             train_logreg(np.zeros((2, 1)), [0, 1], (1.0, 1.0), C=0.0)
 
     def test_reaches_the_newton_optimum(self):
-        # Weakly regularized, with class and sample weights: 500 epochs of
-        # gradient descent stop ~1e-6 above this optimum. The oracle is a
-        # plain Newton iteration on the exact Hessian of the same objective.
+        # Weakly regularized, with class weights. The oracle is a plain
+        # Newton iteration on the exact Hessian of the same objective.
         rng = np.random.default_rng(12)
         n, d, C = 60, 4, 1000.0
         X = rng.normal(size=(n, d))
         y = (X @ np.array([1.5, -2.0, 0.5, 1.0]) + 0.3
              + rng.normal(scale=0.8, size=n) > 0).astype(float)
-        extra = rng.uniform(0.5, 2.0, size=n)
-        weight = np.where(y == 1.0, 1.7, 0.6) * extra
+        weight = np.where(y == 1.0, 1.7, 0.6)
         A = np.hstack([X, np.ones((n, 1))])
         penalty = np.append(np.full(d, 1.0 / C), 0.0)
         v = np.zeros(d + 1)
@@ -251,7 +245,7 @@ class TestTrainLogreg:
         assert np.max(np.abs(grad)) < 1e-10
         optimum = loss_and_gradient(v[:-1], v[-1], sp.csr_matrix(X), y, weight, C)[0]
 
-        model = train_logreg(X, y, (1.7, 0.6), C=C, sample_weights=extra)
+        model = train_logreg(X, y, (1.7, 0.6), C=C)
         reached, grad_w, grad_b = loss_and_gradient(model.weights, model.bias, sp.csr_matrix(X),
                                                     y, weight, C)
         assert (reached - optimum) / abs(optimum) <= 1e-10
@@ -309,6 +303,33 @@ class TestTrainPU:
         w1 = pu.labeling_model.weights / np.linalg.norm(pu.labeling_model.weights)
         w2 = pu.final_model.weights / np.linalg.norm(pu.final_model.weights)
         assert float(np.dot(w1, w2)) > 0.99
+
+    def test_soft_targets_fit_the_duplicated_row_objective(self):
+        # Elkan and Noto count each unlabeled sample twice: as a positive at
+        # weight q, as a negative at weight 1 - q. That objective, built here
+        # over the stacked rows, is the oracle for the one-row soft-target fit.
+        X, _, s = pu_blobs(3003)
+        C = 50.0
+        pu = train_pu(X, s, seed=4, C=C)
+        pos, unl = np.flatnonzero(s == 1), np.flatnonzero(s == 0)
+        g = np.clip(predict_proba(pu.labeling_model, X[unl]), 1e-12, 1.0 - 1e-12)
+        q = np.clip((1.0 - pu.c_estimate) / pu.c_estimate * g / (1.0 - g), 0.0, 1.0)
+        assert np.count_nonzero((q > 0.05) & (q < 0.95)) >= 20  # soft, not 0/1 targets
+
+        stacked = sp.csr_matrix(np.vstack([X[pos], X[unl], X[unl]]))
+        y = np.concatenate([np.ones(pos.size), np.ones(unl.size), np.zeros(unl.size)])
+        weight = np.concatenate([np.ones(pos.size), q, 1.0 - q])
+        final = pu.final_model
+        oracle, grad_w, grad_b = loss_and_gradient(final.weights, final.bias, stacked,
+                                                   y, weight, C)
+        targets = np.ones(len(s))
+        targets[unl] = q
+        soft = loss_and_gradient(final.weights, final.bias, sp.csr_matrix(X), targets,
+                                 np.ones(len(s)), C)[0]
+        assert abs(soft - oracle) <= 1e-12 * abs(oracle)
+        # L-BFGS-B stops at gtol 1e-10 on the objective scaled by 1/N.
+        assert final.converged is True
+        assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-10 * len(s)
 
     def test_q_weights_bounded(self):
         X, y, s = pu_blobs(3001)

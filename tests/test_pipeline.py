@@ -1,5 +1,6 @@
 """Unit tests for the paragraph pipeline, balancing, splitting, and IO."""
 
+import io
 import json
 import pickle
 import random
@@ -468,8 +469,8 @@ class TestLineAccounting:
         lines = [line for _, line in tagged]
         broken = [n for n, (valid, _) in enumerate(tagged, start=1) if not valid]
         diagnostics = []
-        records = list(read_corpus([line + "\n" for line in lines],
-                                   on_malformed=diagnostics.append))
+        stream = io.BytesIO("".join(line + "\n" for line in lines).encode("utf-8"))
+        records = list(read_corpus(stream, on_malformed=diagnostics.append))
         assert len(records) + len(diagnostics) == len(lines)
         assert [d.line for d in diagnostics] == broken
 
