@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .ingest import invalid_utf8
 from .pipeline import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, ParagraphSample
 
 METHOD_MAIN = "ours"
@@ -137,8 +138,10 @@ def sample_for_audit(
 
 def _read_key(key_path: str | Path) -> dict[str, str]:
     methods: dict[str, str] = {}
-    with open(key_path, "r", encoding="utf-8") as fh:
+    with open(key_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if problem := invalid_utf8(line):
+                raise AuditError(f"{key_path}, line {lineno}: {problem}")
             if not line.strip():
                 continue
             try:
@@ -161,11 +164,15 @@ def score_audit(sheet_path: str | Path, key_path: str | Path) -> AuditResult:
     counts: dict[str, list[int]] = {}
     problems: list[str] = []
     seen = 0
-    with open(sheet_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != list(SHEET_COLUMNS):
-            raise AuditError(f"{sheet_path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
+    with open(sheet_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if problem := invalid_utf8(line):
+                raise AuditError(f"{sheet_path}, line {lineno}: {problem}")
+            if lineno == 1:
+                header = line.rstrip("\n").split("\t")
+                if header != list(SHEET_COLUMNS):
+                    raise AuditError(f"{sheet_path}: unexpected header {header!r}")
+                continue
             if not line.strip():
                 continue
             cells = line.rstrip("\n").split("\t")

@@ -37,7 +37,7 @@ from .pipeline import (
 from .textproc import tokenize
 
 if TYPE_CHECKING:
-    from .model import LinearModel, PUModel, Vocabulary
+    from .model import LinearModel, PUModel, TokenCounts
 
 logger = logging.getLogger("citecorpus")
 
@@ -118,33 +118,37 @@ def _parse_ratios(raw) -> tuple[float, float, float]:
 
 
 def _select_sentences(
-    samples: list[ParagraphSample], split: str, field: str | None = None
-) -> tuple[list[list[str]], list[int]]:
-    """Token lists and 0/1 labels of the sentences in ``split`` ("all" for
-    every split) and ``field`` (None for every field), in dataset order. The
-    one place the model commands tokenize; equal tokens share one string."""
-    shared: dict[str, str] = {}
-    docs: list[list[str]] = []
+    samples: list[ParagraphSample], split: str, fields: set[str] | None = None
+) -> tuple[TokenCounts, list[int], list[tuple[str, str]]]:
+    """Token counts, 0/1 labels and (field, split) of the sentences in
+    ``split`` ("all" for every split) whose field is in ``fields`` (None for
+    every field), in dataset order. The one place the model commands
+    tokenize; the token lists go straight into the count matrix."""
+    from .model import count_tokens
+
     labels: list[int] = []
-    for sample in samples:
-        if split != "all" and sample.split != split:
-            continue
-        if field is not None and sample.mag_field != field:
-            continue
-        for sentence in sample.sentences:
-            docs.append([shared.setdefault(token, token) for token in tokenize(sentence.text)])
-            labels.append(1 if sentence.label == LABEL_CITE_WORTHY else 0)
-    return docs, labels
+    origins: list[tuple[str, str]] = []
+
+    def token_lists():
+        for sample in samples:
+            if split != "all" and sample.split != split:
+                continue
+            if fields is not None and sample.mag_field not in fields:
+                continue
+            origin = (sample.mag_field, sample.split)
+            for sentence in sample.sentences:
+                labels.append(1 if sentence.label == LABEL_CITE_WORTHY else 0)
+                origins.append(origin)
+                yield tokenize(sentence.text)
+
+    return count_tokens(token_lists()), labels, origins
 
 
-def _score(
-    model: LinearModel, vocab: Vocabulary, docs: list[list[str]], golds: list[int]
-) -> metrics.PRF:
-    """Featurize ``docs`` under ``vocab``, predict, and score against ``golds``."""
-    from .model import featurize, predict
+def _score(model: LinearModel, X, golds: list[int]) -> metrics.PRF:
+    """Predict the rows of ``X`` and score them against ``golds``."""
+    from .model import predict
 
-    predictions = predict(model, featurize(docs, vocab))
-    return metrics.precision_recall_f1(list(predictions), golds, positive_class=1)
+    return metrics.precision_recall_f1(list(predict(model, X)), golds, positive_class=1)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -279,14 +283,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     min_df = _resolve(args, config, "min_df", int, default=1)
     max_features = _resolve(args, config, "max_features", int)
 
-    # Only the token lists are kept, so the parsed samples are freed before
-    # the fit, when the process holds the most memory.
-    docs, labels = _select_sentences(read_dataset(dataset_path), split)
-    if not docs:
+    # The parsed samples are freed once counted, and the counts once
+    # featurized: the fit is when the process holds the most memory.
+    counts, labels, _ = _select_sentences(read_dataset(dataset_path), split)
+    if not labels:
         raise ValueError(f"dataset has no sentences in split {split!r}")
 
-    vocab = fit_vocabulary(docs, min_df=min_df, max_features=max_features)
-    X = featurize(docs, vocab)
+    vocab = fit_vocabulary(counts, min_df=min_df, max_features=max_features)
+    X = featurize(counts, vocab)
+    del counts
     if use_pu:
         model: LinearModel | PUModel = train_pu(X, labels, seed=seed, C=c_value)
         print(f"labeling-frequency estimate: {model.c_estimate:.4f}")
@@ -298,7 +303,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"class weights: ({class_weights[0]:.4f}, {class_weights[1]:.4f})")
         _report_fit("fit", model)
     save_model(model_path, model, vocab)
-    print(f"trained on {len(docs)} sentences (split={split}); model saved to {model_path}")
+    print(f"trained on {len(labels)} sentences (split={split}); model saved to {model_path}")
     return 0
 
 
@@ -309,7 +314,7 @@ def _scoring_model(model: LinearModel | PUModel) -> LinearModel:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .model import load_model
+    from .model import featurize, load_model
 
     config = _load_config(args.config)
     model_path = _require_file(_resolve(args, config, "model", str, required=True), "model file")
@@ -320,11 +325,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model, vocab = load_model(model_path)
     if vocab is None:
         raise ValueError(f"{model_path} carries no vocabulary; cannot featurize text")
-    samples = read_dataset(dataset_path)
-    docs, golds = _select_sentences(samples, split, field)
-    if not docs:
+    counts, golds, _ = _select_sentences(read_dataset(dataset_path), split,
+                                         None if field is None else {field})
+    if not golds:
         raise ValueError(f"no sentences selected (split={split!r}, field={field!r})")
-    print(_score(_scoring_model(model), vocab, docs, golds).render_text())
+    print(_score(_scoring_model(model), featurize(counts, vocab), golds).render_text())
     return 0
 
 
@@ -345,35 +350,40 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         fields = [f.strip() for f in str(fields_arg).split(",") if f.strip()]
     else:
         fields = sorted({train for train, _ in distances})
-    samples = read_dataset(dataset_path)
-
-    # Tokenize each field once; every vocabulary below reuses these lists.
+    # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
-    selected = {}
-    for field in fields:
-        docs, labels = selected[field, "all"] = _select_sentences(samples, "all", field)
-        splits = [s.split for s in samples if s.mag_field == field for _ in s.sentences]
-        for split in (SPLIT_TRAIN, SPLIT_TEST):
-            rows = [i for i, s in enumerate(splits) if s == split]
-            selected[field, split] = [docs[i] for i in rows], [labels[i] for i in rows]
+    counts, labels, origins = _select_sentences(read_dataset(dataset_path), "all", set(fields))
+    import numpy as np  # after .model, which sets the BLAS thread count
+
+    labels = np.asarray(labels)
+    row_field = np.array([field for field, _ in origins])
+    row_split = np.array([split for _, split in origins])
+
+    def rows(field: str, split: str) -> np.ndarray:
+        in_field = row_field == field
+        return np.flatnonzero(in_field if split == "all" else in_field & (row_split == split))
 
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:
-        docs, labels = selected[train_field, SPLIT_TRAIN]
-        if not docs:
+        train_rows = rows(train_field, SPLIT_TRAIN)
+        if not train_rows.size:
             raise ValueError(f"field {train_field!r} has no train sentences")
-        vocab = fit_vocabulary(docs, min_df=min_df)
-        model = train_logreg(featurize(docs, vocab), labels, compute_class_weights(labels),
-                             C=c_value)
+        train_labels = labels[train_rows].tolist()
+        vocab = fit_vocabulary(counts.rows(train_rows), min_df=min_df)
+        # Rows are featurized independently, so one pass over every sentence
+        # serves the fit and all of its test cells.
+        X = featurize(counts, vocab)
+        model = train_logreg(X[train_rows], train_labels,
+                             compute_class_weights(train_labels), C=c_value)
         _warn_unconverged(f"fit on {train_field}", model)
         for test_field in fields:
             split = SPLIT_TEST if test_field == train_field else "all"
-            eval_docs, eval_golds = selected[test_field, split]
-            if not eval_docs:
+            eval_rows = rows(test_field, split)
+            if not eval_rows.size:
                 raise ValueError(f"field {test_field!r} has no sentences for split {split!r}")
             f1_by_pair[train_field, test_field] = 100.0 * _score(
-                model, vocab, eval_docs, eval_golds).f1
+                model, X[eval_rows], labels[eval_rows].tolist()).f1
 
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
     print(grid.render_text())

@@ -38,6 +38,14 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
+def invalid_utf8(line: str) -> str | None:
+    """Why ``line``, decoded with ``surrogateescape``, is not UTF-8 (its
+    first undecodable byte), or None when it is."""
+    if line.isascii() or not (bad := _ESCAPED_BYTE.search(line)):
+        return None
+    return f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8"
+
+
 @dataclass(frozen=True)
 class CiteSpan:
     """A span of citation text inside a paragraph (offsets in scalar values)."""
@@ -153,9 +161,9 @@ def parse_line(line: str, lineno: int, source: str = "") -> PaperRecord | Diagno
     Raises ValueError naming the file and line when the line holds a byte
     that is not UTF-8, as decoded with ``surrogateescape``.
     """
-    if not line.isascii() and (bad := _ESCAPED_BYTE.search(line)):
+    if problem := invalid_utf8(line):
         where = f"{source}, line {lineno}" if source else f"line {lineno}"
-        raise ValueError(f"{where}: byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8")
+        raise ValueError(f"{where}: {problem}")
     stripped = line.strip()
     if not stripped:
         return Diagnostic(lineno, "blank line", source)

@@ -1,18 +1,27 @@
 """TF-IDF features, class-weighted logistic regression, and PU learning.
 
-One feature path: callers ``tokenize`` each sentence once; ``fit_vocabulary``
-counts document frequencies over those token lists and ``featurize`` turns
-them into a CSR matrix, one TF-IDF row per document. Training and prediction
-take that matrix, or any array scipy converts to one.
+One feature path. Callers ``tokenize`` each sentence once and hand the token
+lists to ``count_tokens``, which builds one CSR count matrix over global term
+ids, assigned in sorted term order. ``fit_vocabulary`` takes its document
+frequencies from the column counts of the rows it is given, and
+``featurize`` maps columns to vocabulary indices, drops the rest, scales by
+idf and normalizes each row, all as array arithmetic. A vocabulary's indices
+are in term order too, so the map keeps column order. Training and
+prediction take the resulting matrix, or any array scipy converts to one.
 
 Training minimizes the class-weighted log loss plus ||w||^2 / (2C) with
 scipy's L-BFGS-B from a zero start. The objective is scaled by 1/N, which
 leaves the minimizer where it is and gives the stopping tolerances the same
 meaning at any dataset size. The optimizer has no random choices, so
-identical inputs give bitwise-identical parameters. Every fitted model
-records its iteration count, the largest gradient component of the unscaled
-objective at the end, and whether L-BFGS-B reported convergence. The loss,
-gradient and the positive-unlabeled scheme are implemented here; the
+identical inputs give bitwise-identical parameters on any machine with the
+same numpy and scipy, as long as BLAS runs on one thread: a threaded BLAS
+splits dot products by thread count, and the weights then move in the last
+bits with the number of cores.
+This module therefore sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads,
+unless the environment already sets it. Every fitted model records its
+iteration count, the largest gradient component of the unscaled objective
+at the end, and whether L-BFGS-B reported convergence. The loss, gradient
+and the positive-unlabeled scheme are implemented here; the
 positive-unlabeled fit trains on soft targets, one row per sample.
 """
 
@@ -20,16 +29,24 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+import os
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
-
 from . import DEFAULT_C, atomic_write
+
+# A threaded BLAS sums dot products in per-thread chunks, so fitted weights
+# (and the model files) would depend on the host's core count. The fits here
+# are small enough that one thread is also faster. This takes effect only if
+# numpy has not been imported yet, which holds for the CLI.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+from scipy.special import expit  # noqa: E402
 
 _NUMBER = (int, float)
 
@@ -46,6 +63,44 @@ class TrainingError(RuntimeError):
     pass
 
 
+@dataclass(frozen=True, eq=False)
+class TokenCounts:
+    """How often each term occurs in each document: ``matrix[d, j]`` counts
+    ``terms[j]`` in document d. ``terms`` is sorted, so column order is term
+    order, and each row's columns are sorted."""
+
+    terms: list[str]
+    matrix: sp.csr_matrix
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def rows(self, index) -> TokenCounts:
+        """The documents at ``index`` (an index array or a slice), in that order."""
+        return TokenCounts(self.terms, self.matrix[index])
+
+
+def count_tokens(docs: Iterable[Sequence[str]]) -> TokenCounts:
+    """Count the terms of each tokenized document into one CSR row."""
+    # Looking up a new term gives it the next id.
+    first_seen: defaultdict[str, int] = defaultdict()
+    first_seen.default_factory = first_seen.__len__
+    ids = array("i")
+    indptr = array("q", [0])
+    for tokens in docs:
+        ids.extend(map(first_seen.__getitem__, tokens))
+        indptr.append(len(ids))
+    terms = sorted(first_seen)
+    rank = np.empty(len(terms), dtype=np.int32)
+    rank[[first_seen[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
+    matrix = sp.csr_matrix(
+        (np.ones(len(ids), dtype=np.int32), rank[np.frombuffer(ids, dtype=np.int32)],
+         np.frombuffer(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, len(terms)))
+    matrix.sum_duplicates()
+    return TokenCounts(terms, matrix)
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Term -> (dense index, document frequency) plus the corpus size."""
@@ -58,61 +113,75 @@ class Vocabulary:
 
 
 def fit_vocabulary(
-    docs: Iterable[Sequence[str]], min_df: int = 1, max_features: int | None = None
+    counts: TokenCounts, min_df: int = 1, max_features: int | None = None
 ) -> Vocabulary:
-    """Build a vocabulary from the document frequencies of tokenized documents.
+    """Build a vocabulary from the document frequencies of ``counts``' rows.
 
     Terms with df < min_df are dropped; with ``max_features`` set, the most
     frequent terms are kept, ties broken lexicographically. Retained terms
     get dense indices in lexicographic order.
     """
-    df: Counter[str] = Counter()
-    total_docs = 0
-    for tokens in docs:
-        total_docs += 1
-        df.update(set(tokens))
+    total_docs = len(counts)
     if total_docs == 0:
         raise TrainingError("cannot fit a vocabulary on an empty corpus")
-
-    kept = [(term, count) for term, count in df.items() if count >= min_df]
+    df = np.bincount(counts.matrix.indices, minlength=len(counts.terms))
+    # Terms absent from these rows have df 0 and never count as seen.
+    kept = np.flatnonzero(df >= max(min_df, 1))
     if max_features is not None:
-        kept.sort(key=lambda item: (-item[1], item[0]))
-        kept = kept[:max_features]
-    if not kept:
+        # A stable sort on -df leaves ties in column order, which is term order.
+        kept = np.sort(kept[np.argsort(-df[kept], kind="stable")][:max_features])
+    if not kept.size:
         raise TrainingError(
             f"vocabulary is empty (min_df={min_df} over {total_docs} documents)")
-    kept.sort(key=lambda item: item[0])
     return Vocabulary(
-        terms={term: (index, count) for index, (term, count) in enumerate(kept)},
+        terms={counts.terms[column]: (index, int(df[column]))
+               for index, column in enumerate(kept.tolist())},
         total_docs=total_docs,
     )
 
 
-def featurize(docs: Iterable[Sequence[str]], vocab: Vocabulary) -> sp.csr_matrix:
-    """One L2-normalized smooth TF-IDF row per tokenized document.
+def featurize(counts: TokenCounts, vocab: Vocabulary) -> sp.csr_matrix:
+    """One L2-normalized smooth TF-IDF row per row of ``counts``.
 
     weight(t) = tf(t) * (ln((1 + N) / (1 + df(t))) + 1), then each row is
-    scaled to unit L2 norm, summed over its terms in index order.
-    Out-of-vocabulary tokens are ignored; a document with no in-vocabulary
-    term gives an empty row. The matrix is (n_docs, len(vocab)).
+    scaled to unit L2 norm, its squares added one after another in index
+    order. Out-of-vocabulary terms are ignored; a document with no
+    in-vocabulary term gives an empty row. The matrix is (n_docs, len(vocab)).
     """
-    idf = {term: (index, math.log((1 + vocab.total_docs) / (1 + df)) + 1.0)
-           for term, (index, df) in vocab.terms.items()}
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for tokens in docs:
-        row = sorted((entry[0], tf * entry[1]) for term, tf in Counter(tokens).items()
-                     if (entry := idf.get(term)) is not None)
-        norm = math.sqrt(sum(w * w for _, w in row))
-        indices.extend(i for i, _ in row)
-        data.extend(w / norm for _, w in row)
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.asarray(data, dtype=float), np.asarray(indices, dtype=np.int32),
-         np.asarray(indptr, dtype=np.int32)),
-        shape=(len(indptr) - 1, len(vocab)),
-    )
+    column_of = dict(zip(counts.terms, range(len(counts.terms))))
+    index_of_column = np.full(len(counts.terms), -1, dtype=np.int32)
+    idf = np.empty(len(vocab))
+    for term, (index, df) in vocab.terms.items():
+        idf[index] = math.log((1 + vocab.total_docs) / (1 + df)) + 1.0
+        column = column_of.get(term)
+        if column is not None:
+            index_of_column[column] = index
+
+    # Both orders are term order, so the kept entries stay sorted per row.
+    mapped = index_of_column[counts.matrix.indices]
+    kept = mapped >= 0
+    indices = mapped[kept]
+    weights = counts.matrix.data[kept] * idf[indices]
+    kept_before = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(kept, out=kept_before[1:])
+    indptr = kept_before[counts.matrix.indptr]
+    lengths = np.diff(indptr)
+
+    # The squares are added position by position, longest rows first, so
+    # each row's sum is the sequential one; pairwise summation (np.add.reduceat,
+    # np.sum) rounds differently and would change the model files.
+    squares = weights * weights
+    order = np.argsort(-lengths, kind="stable")
+    starts = indptr[:-1][order]
+    # active[p]: how many rows are longer than p, a prefix of ``order``.
+    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), "left")
+    sums = np.zeros(len(order))
+    for position, n_active in enumerate(active.tolist()):
+        sums[:n_active] += squares[starts[:n_active] + position]
+    norms = np.empty_like(sums)
+    norms[order] = np.sqrt(sums)
+    weights /= np.repeat(norms, lengths)
+    return sp.csr_matrix((weights, indices, indptr), shape=(len(counts), len(vocab)))
 
 
 def compute_class_weights(labels: Sequence[int]) -> tuple[float, float]:

@@ -19,6 +19,7 @@ from citecorpus.metrics import cluster_purity, pearson, population_std, precisio
 from citecorpus.model import (
     PUModel,
     compute_class_weights,
+    count_tokens,
     featurize,
     fit_vocabulary,
     load_model,
@@ -412,7 +413,8 @@ class TestCriterion9RoundTrips:
         write_dataset(samples, path)
         assert read_dataset(path) == samples
 
-        docs = [textproc.tokenize(sentence.text) for s in samples for sentence in s.sentences]
+        docs = count_tokens(textproc.tokenize(sentence.text)
+                            for s in samples for sentence in s.sentences)
         labels = [1 if sentence.label == LABEL_CITE_WORTHY else 0
                   for s in samples for sentence in s.sentences]
         vocab = fit_vocabulary(docs)

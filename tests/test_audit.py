@@ -183,6 +183,18 @@ class TestScoreAudit:
         with pytest.raises(AuditError, match="key lists"):
             score_audit(sheet, key)
 
+    @pytest.mark.parametrize("which, lineno", [("sheet", 1), ("sheet", 3), ("key", 3)])
+    def test_undecodable_byte_names_file_and_line(self, exported, which, lineno):
+        _, sheet, key = exported
+        annotate(sheet, lambda item_id, text: ("1", "1"))
+        path = sheet if which == "sheet" else key
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = lines[lineno - 1][:4] + b"\xfe" + lines[lineno - 1][4:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(AuditError) as exc:
+            score_audit(sheet, key)
+        assert str(exc.value) == f"{path}, line {lineno}: byte 0xfe is not valid UTF-8"
+
     def test_render_text_has_both_methods(self, exported):
         _, sheet, key = exported
         annotate(sheet, lambda item_id, text: ("1", "0"))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ from citecorpus.cli import main
 from citecorpus.metrics import write_distance_matrix
 from citecorpus.model import LinearModel, Vocabulary, save_model
 from citecorpus import pipeline
-from citecorpus.pipeline import read_dataset
+from citecorpus.pipeline import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LabeledSentence,
+                                 ParagraphSample, read_dataset, write_dataset)
 from corpusgen import make_corpus_file, write_corpus
 
 import numpy as np
@@ -410,15 +412,70 @@ class TestTrainEval:
         assert json.loads((tmp_path / "m.json").read_text())["model"]["converged"] is False
 
 
-def test_cli_import_loads_no_numpy():
-    # Build-side commands never touch the model; importing the CLI must not
-    # pay for numpy/scipy.
+class TestUndecodableDataset:
+    @pytest.mark.parametrize("command", ["stats", "train", "eval"])
+    def test_exits_1_naming_file_and_line(self, command, trained, tmp_path, capsys):
+        out, model_path = trained
+        lines = (out / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+        bad = tmp_path / "dataset.jsonl"
+        bad.write_bytes(b"".join(lines[:3]) + b'{"paper_id": "\xff"}\n' + b"".join(lines[3:]))
+        argv = {"stats": ["stats", "--input", str(bad)],
+                "train": ["train", "--input", str(bad), "--output", str(tmp_path / "m.json"),
+                          "--seed", "4"],
+                "eval": ["eval", "--model", str(model_path), "--input", str(bad)]}[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}, line 4: byte 0xff is not valid UTF-8\n")
+
+
+def _subprocess_env(**overrides):
+    """This process's environment with ``src`` on PYTHONPATH; an override
+    of None removes the variable."""
     src = str(Path(citecorpus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
         "PYTHONPATH")])))
+    for name, value in overrides.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    return env
+
+
+def test_model_file_does_not_depend_on_blas_threads(tmp_path):
+    # A threaded BLAS splits dot products by thread count once vectors pass
+    # its threading threshold (10k for OpenBLAS), so the vocabulary here is
+    # larger than that. Without the one-thread pin the two files differ on
+    # any machine with two or more cores.
+    rng = random.Random(17)
+    words = [f"term{i}" for i in range(40000)]
+    samples = [
+        ParagraphSample(
+            paper_id=f"p{i}", section_title="results", mag_field="Biology", split="train",
+            sentences=tuple(LabeledSentence(f"{' '.join(rng.choices(words, k=14))} {cue}.",
+                                            label, spans)
+                            for cue, label, spans in (("reported", LABEL_CITE_WORTHY, 1),
+                                                      ("observed", LABEL_NON_CITE_WORTHY, 0))))
+        for i in range(1200)]
+    dataset = tmp_path / "dataset.jsonl"
+    write_dataset(samples, dataset)
+    files = []
+    for threads in (None, "1"):
+        model_path = tmp_path / f"model-{threads}.json"
+        subprocess.run([sys.executable, "-m", "citecorpus", "train", "--input", str(dataset),
+                        "--output", str(model_path), "--seed", "1"],
+                       env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True, timeout=120)
+        files.append(model_path.read_bytes())
+    assert len(json.loads(files[0])["vocabulary"]["terms"]) > 10000
+    assert files[0] == files[1]
+
+
+def test_cli_import_loads_no_numpy():
+    # Build-side commands never touch the model; importing the CLI must not
+    # pay for numpy/scipy.
     code = "import sys, citecorpus.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True)
+                            env=_subprocess_env(), check=True)
     assert result.stdout.strip() == "[]"
 
 
@@ -517,7 +574,7 @@ class TestCrossDomain:
         # Hand-check the orchestration: the diagonal must equal a model
         # trained on the field's train split and scored on its test split.
         from citecorpus.metrics import precision_recall_f1
-        from citecorpus.model import (compute_class_weights, featurize,
+        from citecorpus.model import (compute_class_weights, count_tokens, featurize,
                                       fit_vocabulary, predict, train_logreg)
         from citecorpus.textproc import tokenize
 
@@ -540,7 +597,7 @@ class TestCrossDomain:
                     for sent in s.sentences:
                         texts.append(tokenize(sent.text))
                         labels.append(1 if sent.label == "cite-worthy" else 0)
-            return texts, labels
+            return count_tokens(texts), labels
 
         texts, labels = sentences("train", "Biology")
         vocab = fit_vocabulary(texts, min_df=1)

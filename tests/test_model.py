@@ -8,12 +8,15 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citecorpus.model import (
     LinearModel,
     PUModel,
     TrainingError,
     compute_class_weights,
+    count_tokens,
     featurize,
     fit_vocabulary,
     load_model,
@@ -29,13 +32,48 @@ from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of
 
 
 def docs(*texts):
-    return [tokenize(t) for t in texts]
+    return count_tokens(tokenize(t) for t in texts)
 
 
 def row(X, i):
     """(indices, weights) of row ``i`` of a CSR matrix, as tuples."""
     lo, hi = X.indptr[i], X.indptr[i + 1]
     return tuple(X.indices[lo:hi].tolist()), tuple(X.data[lo:hi].tolist())
+
+
+def reference_row(tokens, vocab):
+    """The per-document TF-IDF formula the model files are defined by:
+    tf * idf per in-vocabulary term in index order, divided by the square
+    root of the squares added left to right. (Python 3.11's ``sum`` adds
+    that way; from 3.12 ``sum`` compensates, so the loop is spelled out.)"""
+    pairs = []
+    for term, tf in Counter(tokens).items():
+        if term in vocab.terms:
+            index, df = vocab.terms[term]
+            pairs.append((index, tf * (math.log((1 + vocab.total_docs) / (1 + df)) + 1.0)))
+    pairs.sort()
+    squares = 0.0
+    for _, w in pairs:
+        squares += w * w
+    norm = math.sqrt(squares)
+    return tuple(j for j, _ in pairs), tuple(w / norm for _, w in pairs)
+
+
+def reference_vocabulary(corpus, min_df, max_features):
+    """Term -> (index, df) by counting each document's distinct tokens."""
+    df = Counter()
+    for tokens in corpus:
+        df.update(set(tokens))
+    kept = [(term, count) for term, count in df.items() if count >= min_df]
+    if max_features is not None:
+        kept.sort(key=lambda item: (-item[1], item[0]))
+        kept = kept[:max_features]
+    return {term: (index, count) for index, (term, count) in enumerate(sorted(kept))}
+
+
+_TERMS = [f"t{i:02d}" for i in range(80)]
+_TOKEN_LISTS = st.lists(st.lists(st.sampled_from(_TERMS + ["oov", "zz"]), max_size=150),
+                        max_size=12)
 
 
 class TestTokenize:
@@ -61,7 +99,7 @@ class TestVocabulary:
 
     def test_empty_corpus_is_an_error(self):
         with pytest.raises(TrainingError):
-            fit_vocabulary([])
+            fit_vocabulary(count_tokens([]))
 
     def test_deterministic_index_assignment(self):
         corpus = docs("gamma beta alpha", "beta alpha", "alpha")
@@ -73,6 +111,27 @@ class TestVocabulary:
         vocab = fit_vocabulary(docs("b a", "b a", "c d"), min_df=1, max_features=3)
         # a and b share df=2; c and d share df=1 and tie-break keeps 'c'.
         assert set(vocab.terms) == {"a", "b", "c"}
+
+    def test_rows_subset_counts_only_its_documents(self):
+        counts = docs("a b", "a c", "d")
+        vocab = fit_vocabulary(counts.rows(np.array([0, 1])))
+        assert vocab.total_docs == 2
+        assert vocab.terms == {"a": (0, 2), "b": (1, 1), "c": (2, 1)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=6), min_size=1,
+                    max_size=15),
+           st.integers(0, 4), st.none() | st.integers(1, 8))
+    def test_matches_counter_oracle(self, corpus, min_df, max_features):
+        # A small alphabet makes tied frequencies common.
+        expected = reference_vocabulary(corpus, min_df, max_features)
+        if not expected:
+            with pytest.raises(TrainingError):
+                fit_vocabulary(count_tokens(corpus), min_df, max_features)
+            return
+        vocab = fit_vocabulary(count_tokens(corpus), min_df, max_features)
+        assert vocab.terms == expected
+        assert vocab.total_docs == len(corpus)
 
 
 class TestFeaturize:
@@ -113,27 +172,41 @@ class TestFeaturize:
         X = featurize(batch, vocab)
         assert X.shape == (3, len(vocab))
         assert row(X, 1) == ((), ())
-        assert row(X, 0) == row(featurize(batch[:1], vocab), 0)
-        assert row(X, 2) == row(featurize(batch[2:], vocab), 0)
+        assert row(X, 0) == row(featurize(docs("a b b"), vocab), 0)
+        assert row(X, 2) == row(featurize(docs("c a c"), vocab), 0)
 
     def test_bitwise_equal_to_per_document_reference(self):
-        # The per-sentence formula featurize had before it built CSR
-        # directly; the saved models stay byte-identical only if it agrees
-        # to the last bit, norm summed in index order included.
+        # The saved models stay byte-identical only if featurize agrees with
+        # the per-document formula to the last bit, norm summed in index
+        # order included. Rows of 64 and more distinct terms are where a
+        # pairwise or blocked sum (np.sum, np.add.reduceat) rounds otherwise.
         rng = random.Random(5)
         words = [f"w{i}" for i in range(40)]
         corpus = [[rng.choice(words) for _ in range(rng.randint(0, 12))] for _ in range(200)]
-        vocab = fit_vocabulary(corpus[:120], min_df=2)
-        X = featurize(corpus, vocab)
+        many = [f"v{i:03d}" for i in range(300)]
+        corpus += [rng.sample(many, rng.randint(64, 250)) * rng.randint(1, 3)
+                   + rng.choices(words, k=rng.randint(0, 30)) for _ in range(60)]
+        rng.shuffle(corpus)
+        counts = count_tokens(corpus)
+        vocab = fit_vocabulary(counts.rows(slice(0, 160)), min_df=2)
+        X = featurize(counts, vocab)
+        long_rows = [tokens for tokens in corpus
+                     if len({t for t in tokens if t in vocab.terms}) >= 64]
+        assert len(long_rows) >= 30
         for i, tokens in enumerate(corpus):
-            pairs = []
-            for term, tf in Counter(tokens).items():
-                if term in vocab.terms:
-                    index, df = vocab.terms[term]
-                    pairs.append((index, tf * (math.log((1 + vocab.total_docs) / (1 + df)) + 1.0)))
-            pairs.sort()
-            norm = math.sqrt(sum(w * w for _, w in pairs))
-            assert row(X, i) == (tuple(j for j, _ in pairs), tuple(w / norm for _, w in pairs))
+            assert row(X, i) == reference_row(tokens, vocab)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_TOKEN_LISTS, _TOKEN_LISTS)
+    def test_property_equal_to_per_document_reference(self, fitted, scored):
+        # Scored documents may be empty, all out of vocabulary, repeat a
+        # token many times or run to 150 tokens.
+        scored = scored + [[], ["oov"] * 5, [_TERMS[0]] * 40, _TERMS * 2]
+        vocab = fit_vocabulary(count_tokens(fitted + [_TERMS[::7]]))
+        X = featurize(count_tokens(scored), vocab)
+        assert X.shape == (len(scored), len(vocab))
+        for i, tokens in enumerate(scored):
+            assert row(X, i) == reference_row(tokens, vocab)
 
 
 class TestClassWeights:
