@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import atomic_write
 from .ingest import invalid_utf8
 from .pipeline import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, ParagraphSample
 
@@ -124,15 +125,14 @@ def sample_for_audit(
                                    sentence=text, prev=prev, next=nxt))
     rng.shuffle(items)
 
-    with open(sheet_path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(SHEET_COLUMNS) + "\n")
+    # Neither file replaces its old version unless both were written whole.
+    with atomic_write(sheet_path) as sheet, atomic_write(key_path) as key:
+        sheet.write("\t".join(SHEET_COLUMNS) + "\n")
         for item in items:
-            fh.write("\t".join((item.item_id, _clean_cell(item.sentence),
-                                _clean_cell(item.prev), _clean_cell(item.next), "", "")) + "\n")
-    with open(key_path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps({"item_id": item.item_id, "method": item.method,
-                                 "gold_label": item.gold_label}, sort_keys=True) + "\n")
+            sheet.write("\t".join((item.item_id, _clean_cell(item.sentence),
+                                   _clean_cell(item.prev), _clean_cell(item.next), "", "")) + "\n")
+            key.write(json.dumps({"item_id": item.item_id, "method": item.method,
+                                  "gold_label": item.gold_label}, sort_keys=True) + "\n")
     return items
 
 

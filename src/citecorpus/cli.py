@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_C, __version__, atomic_write, audit, metrics, textproc
+from .ingest import invalid_utf8
 from .pipeline import (
     LABEL_CITE_WORTHY,
     PERMISSIBLE_SECTION_TITLES,
@@ -62,11 +63,14 @@ def _load_config(path: str | None) -> dict:
     config_path = Path(path)
     if not config_path.exists():
         raise UsageError(f"config file not found: {path}")
-    with open(config_path, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc.msg}") from exc
+    text = config_path.read_text(encoding="utf-8", errors="surrogateescape")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if problem := invalid_utf8(line):
+            raise UsageError(f"config file {path}, line {lineno}: {problem}")
+    try:
+        config = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} must hold an object")
     return config
@@ -347,9 +351,11 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
 
     distances = metrics.read_distance_matrix(distances_path)
     if fields_arg:
-        fields = [f.strip() for f in str(fields_arg).split(",") if f.strip()]
+        fields = list(dict.fromkeys(f.strip() for f in str(fields_arg).split(",") if f.strip()))
     else:
         fields = sorted({train for train, _ in distances})
+    if len(fields) < 2:
+        raise ValueError(f"the cross-domain grid needs two or more fields, got {fields}")
     # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
@@ -388,7 +394,8 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
     print(grid.render_text())
     if output:
-        Path(output).write_text(metrics.grid_to_json(grid) + "\n", encoding="utf-8")
+        with atomic_write(output) as fh:
+            fh.write(metrics.grid_to_json(grid) + "\n")
         print(f"grid written to {output}")
     return 0
 

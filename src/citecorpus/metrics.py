@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .textproc import tokenize
+from .ingest import invalid_utf8
 from .pipeline import LABEL_CITE_WORTHY, SPLIT_UNASSIGNED, SPLITS, ParagraphSample
 
 
@@ -241,9 +242,13 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
     field names, each following line is a train field name followed by its
     distances in header order.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(lineno, line.rstrip("\n"))
-                 for lineno, line in enumerate(fh, start=1) if line.strip()]
+    lines = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if problem := invalid_utf8(line):
+                raise ValueError(f"{path}, line {lineno}: {problem}")
+            if line.strip():
+                lines.append((lineno, line.rstrip("\n")))
     if not lines:
         raise ValueError(f"{path}: empty distance matrix")
     header = lines[0][1].split("\t")

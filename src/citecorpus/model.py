@@ -3,11 +3,10 @@
 One feature path. Callers ``tokenize`` each sentence once and hand the token
 lists to ``count_tokens``, which builds one CSR count matrix over global term
 ids, assigned in sorted term order. ``fit_vocabulary`` takes its document
-frequencies from the column counts of the rows it is given, and
-``featurize`` maps columns to vocabulary indices, drops the rest, scales by
-idf and normalizes each row, all as array arithmetic. A vocabulary's indices
-are in term order too, so the map keeps column order. Training and
-prediction take the resulting matrix, or any array scipy converts to one.
+frequencies from the column counts of the rows it is given. ``featurize``
+multiplies the counts by a column map holding each vocabulary term's idf and
+takes the row norms with a CSR matvec. Training and prediction take the
+resulting matrix, or any array scipy converts to one.
 
 Training minimizes the class-weighted log loss plus ||w||^2 / (2C) with
 scipy's L-BFGS-B from a zero start. The objective is scaled by 1/N, which
@@ -144,44 +143,31 @@ def featurize(counts: TokenCounts, vocab: Vocabulary) -> sp.csr_matrix:
     """One L2-normalized smooth TF-IDF row per row of ``counts``.
 
     weight(t) = tf(t) * (ln((1 + N) / (1 + df(t))) + 1), then each row is
-    scaled to unit L2 norm, its squares added one after another in index
+    divided by its L2 norm, its squares added one after another in index
     order. Out-of-vocabulary terms are ignored; a document with no
-    in-vocabulary term gives an empty row. The matrix is (n_docs, len(vocab)).
+    in-vocabulary term gives an empty row. The matrix is (n_docs, len(vocab)),
+    each row sorted by index.
     """
+    # idf(term) at (column of term, index of term): one index per column, so
+    # each entry of the product is the single product tf * idf.
     column_of = dict(zip(counts.terms, range(len(counts.terms))))
-    index_of_column = np.full(len(counts.terms), -1, dtype=np.int32)
-    idf = np.empty(len(vocab))
+    columns, indices, idf = [], [], []
     for term, (index, df) in vocab.terms.items():
-        idf[index] = math.log((1 + vocab.total_docs) / (1 + df)) + 1.0
         column = column_of.get(term)
         if column is not None:
-            index_of_column[column] = index
+            columns.append(column)
+            indices.append(index)
+            idf.append(math.log((1 + vocab.total_docs) / (1 + df)) + 1.0)
+    scale = sp.csr_matrix((idf, (columns, indices)), shape=(len(counts.terms), len(vocab)))
+    X = counts.matrix @ scale
+    X.sort_indices()
 
-    # Both orders are term order, so the kept entries stay sorted per row.
-    mapped = index_of_column[counts.matrix.indices]
-    kept = mapped >= 0
-    indices = mapped[kept]
-    weights = counts.matrix.data[kept] * idf[indices]
-    kept_before = np.zeros(kept.size + 1, dtype=np.int32)
-    np.cumsum(kept, out=kept_before[1:])
-    indptr = kept_before[counts.matrix.indptr]
-    lengths = np.diff(indptr)
-
-    # The squares are added position by position, longest rows first, so
-    # each row's sum is the sequential one; pairwise summation (np.add.reduceat,
-    # np.sum) rounds differently and would change the model files.
-    squares = weights * weights
-    order = np.argsort(-lengths, kind="stable")
-    starts = indptr[:-1][order]
-    # active[p]: how many rows are longer than p, a prefix of ``order``.
-    active = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)), "left")
-    sums = np.zeros(len(order))
-    for position, n_active in enumerate(active.tolist()):
-        sums[:n_active] += squares[starts[:n_active] + position]
-    norms = np.empty_like(sums)
-    norms[order] = np.sqrt(sums)
-    weights /= np.repeat(norms, lengths)
-    return sp.csr_matrix((weights, indices, indptr), shape=(len(counts), len(vocab)))
+    # scipy's CSR matvec adds each row's products left to right, the sequential
+    # sum the model files depend on; pairwise sums (X.sum(axis=1),
+    # np.add.reduceat) round differently.
+    norms = np.sqrt(X.multiply(X) @ np.ones(X.shape[1]))
+    X.data /= np.repeat(norms, np.diff(X.indptr))
+    return X
 
 
 def compute_class_weights(labels: Sequence[int]) -> tuple[float, float]:

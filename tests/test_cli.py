@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import citecorpus
+from citecorpus import audit, cli
 from citecorpus.cli import main
 from citecorpus.metrics import write_distance_matrix
 from citecorpus.model import LinearModel, Vocabulary, save_model
@@ -219,6 +220,15 @@ class TestBuild:
         assert main(["build", "--config", str(config)]) == 2
         assert capsys.readouterr().err == (f"error: config file {config}: key 'input' must "
                                            f"be a string or a list of strings, got [3]\n")
+
+    def test_undecodable_config_is_a_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"quota": 2,\n "seed": "\xff7"}')
+        assert main(["build", "--config", str(config), "--input", str(tmp_path / "c.jsonl"),
+                     "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {config}, line 2: byte 0xff is not valid UTF-8\n")
+        assert not (tmp_path / "out").exists()
 
     def test_config_strings_still_convert_to_numbers(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -609,6 +619,41 @@ class TestCrossDomain:
         assert grid["f1"]["Biology"]["Biology"] == pytest.approx(expected, abs=1e-9)
 
 
+    def test_undecodable_distance_matrix_names_file_and_line(self, trained, tmp_path,
+                                                             capsys):
+        out, _ = trained
+        fields = ["Biology", "Chemistry"]
+        dist_path = tmp_path / "dist.tsv"
+        write_distance_matrix({(a, b): 1.0 for a in fields for b in fields}, fields, dist_path)
+        lines = dist_path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"Chemistry", b"Chemistr\xff")
+        dist_path.write_bytes(b"".join(lines))
+        assert main(["cross-domain", "--input", str(out / "dataset.jsonl"),
+                     "--distances", str(dist_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dist_path}, line 3: byte 0xff is not valid UTF-8\n")
+
+    @pytest.mark.parametrize("matrix_fields, flag", [
+        (["Biology", "Chemistry"], ["--fields", "Biology"]),
+        (["Biology", "Chemistry"], ["--fields", "Biology, Biology"]),
+        (["Biology"], []),
+    ], ids=["fields-flag", "repeated-field", "one-field-matrix"])
+    def test_one_field_fails_before_reading_the_dataset(self, matrix_fields, flag, trained,
+                                                        tmp_path, monkeypatch, capsys):
+        def no_read(path):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "read_dataset", no_read)
+        out, _ = trained
+        dist_path = tmp_path / "dist.tsv"
+        write_distance_matrix({(a, b): 0.0 for a in matrix_fields for b in matrix_fields},
+                              matrix_fields, dist_path)
+        assert main(["cross-domain", "--input", str(out / "dataset.jsonl"),
+                     "--distances", str(dist_path)] + flag) == 1
+        assert capsys.readouterr().err == (
+            "error: the cross-domain grid needs two or more fields, got ['Biology']\n")
+
+
 class TestAuditCommands:
     def test_export_and_score_round_trip(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -652,6 +697,36 @@ class TestAuditCommands:
                    "--output", str(tmp_path / "audit")])
         assert rc == 1
         assert "stratum" in capsys.readouterr().err
+
+
+    def test_failed_write_leaves_old_sheet_and_key_and_no_temp_file(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus, n_papers=40)
+        main_out = tmp_path / "main"
+        assert main(["build", "--input", str(corpus), "--output", str(main_out),
+                     "--seed", "9", "--quota", "20"]) == 0
+        audit_dir = tmp_path / "audit"
+        argv = ["audit-export", "--input", str(main_out / "dataset.jsonl"),
+                "--baseline-input", str(main_out / "dataset.jsonl"),
+                "--n-per-class", "2", "--output", str(audit_dir), "--seed"]
+        assert main(argv + ["1"]) == 0
+        old = {p.name: p.read_bytes() for p in audit_dir.iterdir()}
+        assert sorted(old) == ["key.jsonl", "sheet.tsv"]
+
+        real = audit._clean_cell
+        cleaned = []
+
+        def fail_midway(text):
+            cleaned.append(text)
+            if len(cleaned) == 7:
+                raise OSError("disk full")
+            return real(text)
+
+        monkeypatch.setattr(audit, "_clean_cell", fail_midway)
+        assert main(argv + ["2"]) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert {p.name: p.read_bytes() for p in audit_dir.iterdir()} == old
 
 
 class TestDumpRules:

@@ -15,6 +15,7 @@ from citecorpus.model import (
     LinearModel,
     PUModel,
     TrainingError,
+    Vocabulary,
     compute_class_weights,
     count_tokens,
     featurize,
@@ -193,6 +194,25 @@ class TestFeaturize:
         long_rows = [tokens for tokens in corpus
                      if len({t for t in tokens if t in vocab.terms}) >= 64]
         assert len(long_rows) >= 30
+        for i, tokens in enumerate(corpus):
+            assert row(X, i) == reference_row(tokens, vocab)
+
+    def test_vocabulary_indices_out_of_term_order(self):
+        # load_model accepts any permutation of 0..n-1 as vocabulary indices.
+        # Rows still come out sorted by index, and their norms add the
+        # squares in index order, as the per-document formula does.
+        rng = random.Random(11)
+        many = [f"v{i:03d}" for i in range(200)]
+        corpus = [rng.sample(many, rng.randint(0, 150)) * rng.randint(1, 2) for _ in range(40)]
+        counts = count_tokens(corpus)
+        fitted = fit_vocabulary(counts)
+        permuted = list(range(len(fitted)))
+        rng.shuffle(permuted)
+        vocab = Vocabulary(
+            terms={term: (permuted[index], df) for term, (index, df) in fitted.terms.items()},
+            total_docs=fitted.total_docs)
+        X = featurize(counts, vocab)
+        assert X.has_sorted_indices
         for i, tokens in enumerate(corpus):
             assert row(X, i) == reference_row(tokens, vocab)
 
