@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import atomic_write
-from .ingest import invalid_utf8
+from .ingest import read_lines
 from .pipeline import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, ParagraphSample
 
 METHOD_MAIN = "ours"
@@ -138,17 +138,17 @@ def sample_for_audit(
 
 def _read_key(key_path: str | Path) -> dict[str, str]:
     methods: dict[str, str] = {}
-    with open(key_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if problem := invalid_utf8(line):
-                raise AuditError(f"{key_path}, line {lineno}: {problem}")
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                methods[record["item_id"]] = record["method"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise AuditError(f"{key_path}, line {lineno}: bad key record") from exc
+    for lineno, line in read_lines(key_path, AuditError):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            record = None
+        if not (isinstance(record, dict) and isinstance(record.get("item_id"), str)
+                and record.get("method") in (METHOD_MAIN, METHOD_BASELINE)):
+            raise AuditError(f"{key_path}, line {lineno}: bad key record")
+        methods[record["item_id"]] = record["method"]
     return methods
 
 
@@ -164,35 +164,32 @@ def score_audit(sheet_path: str | Path, key_path: str | Path) -> AuditResult:
     counts: dict[str, list[int]] = {}
     problems: list[str] = []
     seen = 0
-    with open(sheet_path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if problem := invalid_utf8(line):
-                raise AuditError(f"{sheet_path}, line {lineno}: {problem}")
-            if lineno == 1:
-                header = line.rstrip("\n").split("\t")
-                if header != list(SHEET_COLUMNS):
-                    raise AuditError(f"{sheet_path}: unexpected header {header!r}")
-                continue
-            if not line.strip():
-                continue
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != len(SHEET_COLUMNS):
-                problems.append(f"line {lineno}: expected {len(SHEET_COLUMNS)} columns")
-                continue
-            item_id, _, _, _, extraction_ok, markers_removed = cells
-            if item_id not in methods:
-                problems.append(f"line {lineno}: unknown item_id {item_id!r}")
-                continue
-            if extraction_ok not in ("0", "1") or markers_removed not in ("0", "1"):
-                problems.append(
-                    f"line {lineno}: annotations must be 0 or 1, "
-                    f"got ({extraction_ok!r}, {markers_removed!r})")
-                continue
-            seen += 1
-            tally = counts.setdefault(methods[item_id], [0, 0, 0])
-            tally[0] += 1
-            tally[1] += int(extraction_ok)
-            tally[2] += int(markers_removed)
+    for lineno, line in read_lines(sheet_path, AuditError):
+        if lineno == 1:
+            header = line.rstrip("\n").split("\t")
+            if header != list(SHEET_COLUMNS):
+                raise AuditError(f"{sheet_path}: unexpected header {header!r}")
+            continue
+        if not line.strip():
+            continue
+        cells = line.rstrip("\n").split("\t")
+        if len(cells) != len(SHEET_COLUMNS):
+            problems.append(f"line {lineno}: expected {len(SHEET_COLUMNS)} columns")
+            continue
+        item_id, _, _, _, extraction_ok, markers_removed = cells
+        if item_id not in methods:
+            problems.append(f"line {lineno}: unknown item_id {item_id!r}")
+            continue
+        if extraction_ok not in ("0", "1") or markers_removed not in ("0", "1"):
+            problems.append(
+                f"line {lineno}: annotations must be 0 or 1, "
+                f"got ({extraction_ok!r}, {markers_removed!r})")
+            continue
+        seen += 1
+        tally = counts.setdefault(methods[item_id], [0, 0, 0])
+        tally[0] += 1
+        tally[1] += int(extraction_ok)
+        tally[2] += int(markers_removed)
     if problems:
         raise AuditError(f"{sheet_path}: " + "; ".join(problems))
     if seen != len(methods):

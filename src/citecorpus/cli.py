@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import DEFAULT_C, __version__, atomic_write, audit, metrics, textproc
-from .ingest import invalid_utf8
+from .ingest import read_lines
 from .pipeline import (
     LABEL_CITE_WORTHY,
     PERMISSIBLE_SECTION_TITLES,
@@ -63,10 +63,10 @@ def _load_config(path: str | None) -> dict:
     config_path = Path(path)
     if not config_path.exists():
         raise UsageError(f"config file not found: {path}")
-    text = config_path.read_text(encoding="utf-8", errors="surrogateescape")
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if problem := invalid_utf8(line):
-            raise UsageError(f"config file {path}, line {lineno}: {problem}")
+    try:
+        text = "".join(line for _, line in read_lines(path))
+    except ValueError as exc:
+        raise UsageError(f"config file {exc}") from exc
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -75,6 +75,8 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file {path} must hold an object")
     return config
 
+
+SPLIT_CHOICES = (*SPLITS, "all")
 
 _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
@@ -102,6 +104,15 @@ def _resolve(args: argparse.Namespace, config: dict, name: str, kind: type | Non
         flag = "--" + name.replace("_", "-")
         raise UsageError(f"{flag} is required (flag or config file)")
     return value
+
+
+def _resolve_split(args: argparse.Namespace, config: dict, default: str) -> str:
+    """``_resolve`` for ``split``; argparse checks the flag, this the config."""
+    split = _resolve(args, config, "split", str, default=default)
+    if split not in SPLIT_CHOICES:
+        raise UsageError(f"config file {args.config}: key 'split' must be one of "
+                         f"{', '.join(SPLIT_CHOICES)}, got {split!r}")
+    return split
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -283,7 +294,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve(args, config, "seed", int, required=True)
     c_value = _resolve(args, config, "c_value", float, default=DEFAULT_C)
     use_pu = _resolve(args, config, "pu", bool, default=False)
-    split = _resolve(args, config, "split", str, default=SPLIT_TRAIN)
+    split = _resolve_split(args, config, SPLIT_TRAIN)
     min_df = _resolve(args, config, "min_df", int, default=1)
     max_features = _resolve(args, config, "max_features", int)
 
@@ -323,7 +334,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     model_path = _require_file(_resolve(args, config, "model", str, required=True), "model file")
     dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
-    split = _resolve(args, config, "split", str, default=SPLIT_TEST)
+    split = _resolve_split(args, config, SPLIT_TEST)
     field = _resolve(args, config, "field", str)
 
     model, vocab = load_model(model_path)
@@ -356,6 +367,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         fields = sorted({train for train, _ in distances})
     if len(fields) < 2:
         raise ValueError(f"the cross-domain grid needs two or more fields, got {fields}")
+    metrics.require_pairs(distances, fields, "distance matrix")
     # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
@@ -368,13 +380,18 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
 
     def rows(field: str, split: str) -> np.ndarray:
         in_field = row_field == field
-        return np.flatnonzero(in_field if split == "all" else in_field & (row_split == split))
+        found = np.flatnonzero(in_field if split == "all" else in_field & (row_split == split))
+        if not found.size:
+            raise ValueError(f"field {field!r} has no train sentences" if split == SPLIT_TRAIN
+                             else f"field {field!r} has no sentences for split {split!r}")
+        return found
 
+    # Every field's rows, checked before the first fit.
+    selected = {(field, split): rows(field, split)
+                for field in fields for split in ("all", SPLIT_TRAIN, SPLIT_TEST)}
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:
-        train_rows = rows(train_field, SPLIT_TRAIN)
-        if not train_rows.size:
-            raise ValueError(f"field {train_field!r} has no train sentences")
+        train_rows = selected[train_field, SPLIT_TRAIN]
         train_labels = labels[train_rows].tolist()
         vocab = fit_vocabulary(counts.rows(train_rows), min_df=min_df)
         # Rows are featurized independently, so one pass over every sentence
@@ -384,10 +401,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
                              compute_class_weights(train_labels), C=c_value)
         _warn_unconverged(f"fit on {train_field}", model)
         for test_field in fields:
-            split = SPLIT_TEST if test_field == train_field else "all"
-            eval_rows = rows(test_field, split)
-            if not eval_rows.size:
-                raise ValueError(f"field {test_field!r} has no sentences for split {split!r}")
+            eval_rows = selected[test_field, SPLIT_TEST if test_field == train_field else "all"]
             f1_by_pair[train_field, test_field] = 100.0 * _score(
                 model, X[eval_rows], labels[eval_rows].tolist()).f1
 
@@ -468,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"inverse regularization strength (default {DEFAULT_C})")
     p.add_argument("--pu", action="store_true", default=None,
                    help="positive-unlabeled training")
-    p.add_argument("--split", choices=(*SPLITS, "all"))
+    p.add_argument("--split", choices=SPLIT_CHOICES)
     p.add_argument("--min-df", dest="min_df", type=int)
     p.add_argument("--max-features", dest="max_features", type=int)
     p.add_argument("--config")
@@ -477,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a model on a dataset")
     p.add_argument("--model")
     p.add_argument("--input")
-    p.add_argument("--split", choices=(*SPLITS, "all"))
+    p.add_argument("--split", choices=SPLIT_CHOICES)
     p.add_argument("--field", help="restrict to one subject field")
     p.add_argument("--config")
     p.set_defaults(func=cmd_eval)

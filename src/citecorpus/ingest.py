@@ -22,6 +22,14 @@ batches, so that the workers decoding and parsing them hold only their own
 batch. Both decode UTF-8 with ``surrogateescape``, so that an undecodable
 byte reaches ``parse_line``, which raises naming its file and line. Records
 are immutable and safe to share with parallel workers.
+
+Every other text file the tool reads back (the dataset, the audit sheet and
+key, the distance matrix, the config and the model file) goes through
+``read_lines``, which decodes the same way and raises at the first
+undecodable byte, naming the file and line. The corpus path keeps its own
+check in ``parse_line`` instead: the workers run it, so the parent only
+hands out raw lines; ``read_corpus`` takes a stream, not a path; and the
+benchmark's corpus generator checks its output through ``read_corpus``.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
-def invalid_utf8(line: str) -> str | None:
+def _invalid_utf8(line: str) -> str | None:
     """Why ``line``, decoded with ``surrogateescape``, is not UTF-8 (its
     first undecodable byte), or None when it is."""
     if line.isascii() or not (bad := _ESCAPED_BYTE.search(line)):
@@ -161,7 +169,7 @@ def parse_line(line: str, lineno: int, source: str = "") -> PaperRecord | Diagno
     Raises ValueError naming the file and line when the line holds a byte
     that is not UTF-8, as decoded with ``surrogateescape``.
     """
-    if problem := invalid_utf8(line):
+    if problem := _invalid_utf8(line):
         where = f"{source}, line {lineno}" if source else f"line {lineno}"
         raise ValueError(f"{where}: {problem}")
     stripped = line.strip()
@@ -205,6 +213,19 @@ def read_corpus_path(
     """``read_corpus`` over a file path."""
     with open(path, "rb") as fh:
         yield from read_corpus(fh, on_malformed=on_malformed)
+
+
+def read_lines(
+    path: str | Path, error: type[Exception] = ValueError
+) -> Iterator[tuple[int, str]]:
+    """The lines of the text file ``path`` with their 1-based numbers,
+    decoded as UTF-8 with universal newlines. At the first byte that is not
+    UTF-8 it raises ``error`` naming the file and the line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if problem := _invalid_utf8(line):
+                raise error(f"{path}, line {lineno}: {problem}")
+            yield lineno, line
 
 
 def line_batches(

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .textproc import tokenize
-from .ingest import invalid_utf8
+from .ingest import read_lines
 from .pipeline import LABEL_CITE_WORTHY, SPLIT_UNASSIGNED, SPLITS, ParagraphSample
 
 
@@ -205,6 +205,16 @@ def population_std(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
 
 
+def require_pairs(
+    table: Mapping[tuple[str, str], float], fields: Sequence[str], what: str
+) -> None:
+    """Raise ValueError listing the (train, test) pairs of ``fields`` that
+    ``table``, the ``what`` of the grid, lacks."""
+    missing = [(tr, te) for tr in fields for te in fields if (tr, te) not in table]
+    if missing:
+        raise ValueError(f"incomplete {what}; missing pairs: {missing}")
+
+
 def domain_grid(
     f1_by_pair: Mapping[tuple[str, str], float],
     distances: Mapping[tuple[str, str], float],
@@ -218,12 +228,8 @@ def domain_grid(
     the absent pairs.
     """
     fields = list(fields)
-    missing = [(tr, te) for tr in fields for te in fields if (tr, te) not in f1_by_pair]
-    if missing:
-        raise ValueError(f"incomplete F1 grid; missing pairs: {missing}")
-    missing = [(tr, te) for tr in fields for te in fields if (tr, te) not in distances]
-    if missing:
-        raise ValueError(f"incomplete distance matrix; missing pairs: {missing}")
+    require_pairs(f1_by_pair, fields, "F1 grid")
+    require_pairs(distances, fields, "distance matrix")
 
     grid = DomainGrid(fields=fields)
     for train in fields:
@@ -242,13 +248,7 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
     field names, each following line is a train field name followed by its
     distances in header order.
     """
-    lines = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if problem := invalid_utf8(line):
-                raise ValueError(f"{path}, line {lineno}: {problem}")
-            if line.strip():
-                lines.append((lineno, line.rstrip("\n")))
+    lines = [(lineno, line.rstrip("\n")) for lineno, line in read_lines(path) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty distance matrix")
     header = lines[0][1].split("\t")

@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import DEFAULT_C, atomic_write
+from .ingest import read_lines
 
 # A threaded BLAS sums dot products in per-thread chunks, so fitted weights
 # (and the model files) would depend on the host's core count. The fits here
@@ -434,10 +435,11 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary | None]:
     """Read a model container; raise ValueError naming the file when a key is
-    missing or mistyped, or when weights, n_features and vocabulary disagree."""
+    missing or mistyped, or when weights, n_features and vocabulary disagree,
+    and naming the line too when a byte is not UTF-8."""
+    text = "".join(line for _, line in read_lines(path))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
         version = _pull(payload, "format_version", int)
         if version != 1:
             raise ValueError(f"unsupported model format version {version!r}")

@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from . import atomic_write
-from .ingest import (Diagnostic, PaperRecord, Paragraph, invalid_utf8, line_batches,
-                     paper_eligible, parse_line)
+from .ingest import (Diagnostic, PaperRecord, Paragraph, line_batches,
+                     paper_eligible, parse_line, read_lines)
 from .textproc import (
     citation_at_sentence_end,
     has_hanging_citation_marker,
@@ -587,18 +587,15 @@ def read_dataset(path: str | Path) -> list[ParagraphSample]:
     """Read a dataset file back; raises DatasetFormatError naming the bad line,
     an undecodable byte included."""
     samples = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            where = f"{path}, line {lineno}"
-            if problem := invalid_utf8(line):
-                raise DatasetFormatError(f"{where}: {problem}")
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
-            samples.append(_record_to_sample(record, where))
+    for lineno, line in read_lines(path, DatasetFormatError):
+        if not line.strip():
+            continue
+        where = f"{path}, line {lineno}"
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
+        samples.append(_record_to_sample(record, where))
     return samples
 
 

@@ -399,6 +399,19 @@ class TestTrainEval:
             f"error: config file {config}: key 'pu' must be true or false, got 'false'\n")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_config_split_must_be_a_split_choice(self, command, trained, tmp_path, capsys):
+        out, model_path = trained
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(out / "dataset.jsonl"), "split": "bogus",
+                                      "seed": 4, "output": str(tmp_path / "m.json"),
+                                      "model": str(model_path)}))
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: key 'split' must be one of train, dev, test, all, "
+            f"got 'bogus'\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_train_reports_each_fit(self, trained, tmp_path, capsys):
         out, model_path = trained
         payload = json.loads(model_path.read_text())["model"]
@@ -519,6 +532,13 @@ class TestMalformedModelFile:
         rc = main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")])
         assert rc == 1
         assert str(bad) in capsys.readouterr().err
+
+    def test_undecodable_byte_names_file_and_line(self, trained, tmp_path, capsys):
+        out, _ = trained
+        bad = tmp_path / "m.json"
+        bad.write_bytes(b'{"format_version": 1, "kind": "\xff"}\n')
+        assert main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}, line 1: byte 0xff is not valid UTF-8\n"
 
 
 class TestTokenizeOnce:
@@ -653,6 +673,42 @@ class TestCrossDomain:
         assert capsys.readouterr().err == (
             "error: the cross-domain grid needs two or more fields, got ['Biology']\n")
 
+    @pytest.mark.parametrize("case", ["missing-matrix-row", "field-not-in-dataset",
+                                      "field-without-test-rows"])
+    def test_inputs_checked_before_the_first_fit(self, case, trained, tmp_path, monkeypatch,
+                                                 capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(citecorpus.model, "train_logreg", no_fit)
+        out, _ = trained
+        dataset_path = out / "dataset.jsonl"
+        fields = ["Biology", "Chemistry"]
+        rows = fields
+        if case == "missing-matrix-row":
+            rows = ["Biology"]
+            expected = ("incomplete distance matrix; missing pairs: "
+                        "[('Chemistry', 'Biology'), ('Chemistry', 'Chemistry')]")
+        elif case == "field-not-in-dataset":
+            fields = rows = fields + ["Nosuch"]
+            expected = "field 'Nosuch' has no sentences for split 'all'"
+        else:
+            samples = read_dataset(dataset_path)
+            for sample in samples:
+                if sample.mag_field == "Chemistry" and sample.split == "test":
+                    sample.split = "dev"
+            dataset_path = tmp_path / "dataset.jsonl"
+            write_dataset(samples, dataset_path)
+            expected = "field 'Chemistry' has no sentences for split 'test'"
+        dist_path = tmp_path / "dist.tsv"
+        with open(dist_path, "w", encoding="utf-8") as fh:
+            fh.write("\t" + "\t".join(fields) + "\n")
+            for train in rows:
+                fh.write("\t".join([train] + ["1.0"] * len(fields)) + "\n")
+        assert main(["cross-domain", "--input", str(dataset_path), "--distances",
+                     str(dist_path), "--fields", ",".join(fields)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
 
 class TestAuditCommands:
     def test_export_and_score_round_trip(self, tmp_path, capsys):
@@ -698,6 +754,20 @@ class TestAuditCommands:
         assert rc == 1
         assert "stratum" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("record", [
+        {"item_id": "a1", "method": ["ours"], "gold_label": "cite-worthy"},
+        {"item_id": "a1", "method": 5, "gold_label": "cite-worthy"},
+        {"item_id": 5, "method": "ours", "gold_label": "cite-worthy"},
+    ], ids=["method-list", "method-number", "item_id-number"])
+    def test_mistyped_key_record_names_file_and_line(self, record, tmp_path, capsys):
+        sheet = tmp_path / "sheet.tsv"
+        sheet.write_text("\t".join(audit.SHEET_COLUMNS) + "\n")
+        key = tmp_path / "key.jsonl"
+        good = {"item_id": "a0", "method": "baseline", "gold_label": "cite-worthy"}
+        key.write_text("".join(json.dumps(r) + "\n" for r in (good, record, good)))
+        assert main(["audit-score", "--sheet", str(sheet), "--key", str(key)]) == 1
+        assert capsys.readouterr().err == f"error: {key}, line 2: bad key record\n"
 
     def test_failed_write_leaves_old_sheet_and_key_and_no_temp_file(self, tmp_path,
                                                                     monkeypatch, capsys):

@@ -13,6 +13,7 @@ from citecorpus.ingest import (
     paper_eligible,
     read_corpus,
     read_corpus_path,
+    read_lines,
 )
 
 
@@ -121,6 +122,25 @@ class TestReadCorpus:
         assert papers == []
         assert len(diagnostics) == 1
 
+
+class TestReadLines:
+    def test_numbers_lines_from_one_with_universal_newlines(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes("α\r\nb\rc\n\nd".encode("utf-8"))
+        assert list(read_lines(path)) == [(1, "α\n"), (2, "b\n"), (3, "c\n"), (4, "\n"),
+                                          (5, "d")]
+
+    def test_first_undecodable_byte_raises_the_given_error(self, tmp_path):
+        class Custom(ValueError):
+            pass
+
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"ok\nbad \xc3\n\xff\n")
+        lines = read_lines(path, Custom)
+        assert next(lines) == (1, "ok\n")
+        with pytest.raises(Custom) as exc:
+            next(lines)
+        assert str(exc.value) == f"{path}, line 2: byte 0xc3 is not valid UTF-8"
 
 
 class TestPaperEligible:
