@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -57,7 +58,10 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args: argparse.Namespace) -> dict:
+    """The object in the ``--config`` file, or {} without one. A key that
+    names no option of the command is a usage error."""
+    path = args.config
     if path is None:
         return {}
     config_path = Path(path)
@@ -73,6 +77,11 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} must hold an object")
+    options = vars(args).keys() - {"command", "func", "config"}
+    for key in config:
+        if key not in options:
+            raise UsageError(f"config file {path}: key {key!r} is not an option of "
+                             f"{args.command} ({', '.join(sorted(options))})")
     return config
 
 
@@ -82,11 +91,12 @@ _KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a s
 
 
 def _resolve(args: argparse.Namespace, config: dict, name: str, kind: type | None = None,
-             default=None, required=False):
+             default=None, required=False, minimum: int | None = None):
     """Flag value if given, else config value, else default; a null config
     value counts as absent. A config value goes through ``kind``: ``int()``
     or ``float()``, or it must already be a bool or a str. A value that does
-    not is a usage error naming the file and the key."""
+    not is a usage error naming the file and the key, and so is a number
+    below ``minimum``."""
     value = getattr(args, name, None)
     if value is None:
         value = config.get(name)
@@ -100,9 +110,11 @@ def _resolve(args: argparse.Namespace, config: dict, name: str, kind: type | Non
                                  f"{_KINDS[kind]}, got {value!r}") from None
     if value is None:
         value = default
+    flag = "--" + name.replace("_", "-")
     if required and value is None:
-        flag = "--" + name.replace("_", "-")
         raise UsageError(f"{flag} is required (flag or config file)")
+    if minimum is not None and value is not None and value < minimum:
+        raise UsageError(f"{flag} must be at least {minimum}, got {value}")
     return value
 
 
@@ -113,6 +125,14 @@ def _resolve_split(args: argparse.Namespace, config: dict, default: str) -> str:
         raise UsageError(f"config file {args.config}: key 'split' must be one of "
                          f"{', '.join(SPLIT_CHOICES)}, got {split!r}")
     return split
+
+
+def _resolve_c(args: argparse.Namespace, config: dict) -> float:
+    """``_resolve`` for ``c_value``, which must be finite and above 0."""
+    c_value = _resolve(args, config, "c_value", float, default=DEFAULT_C)
+    if not (math.isfinite(c_value) and c_value > 0):
+        raise UsageError(f"--c-value must be finite and greater than 0, got {c_value}")
+    return c_value
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -167,7 +187,7 @@ def _score(model: LinearModel, X, golds: list[int]) -> metrics.PRF:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     inputs = _resolve(args, config, "input", required=True)
     if isinstance(inputs, str):
         inputs = [inputs]
@@ -176,11 +196,9 @@ def cmd_build(args: argparse.Namespace) -> int:
                          f"or a list of strings, got {inputs!r}")
     output_dir = Path(_resolve(args, config, "output", str, required=True))
     seed = _resolve(args, config, "seed", int, required=True)
-    quota = _resolve(args, config, "quota", int, default=1000)
+    quota = _resolve(args, config, "quota", int, default=1000, minimum=0)
     ratios = _parse_ratios(_resolve(args, config, "ratios", default="0.8,0.1,0.1"))
-    workers = _resolve(args, config, "workers", int, default=1)
-    if workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {workers}")
+    workers = _resolve(args, config, "workers", int, default=1, minimum=1)
     baseline = _resolve(args, config, "baseline", bool, default=False)
 
     input_paths = [_require_file(p, "input corpus") for p in inputs]
@@ -242,11 +260,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_audit_export(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     main_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
     baseline_path = _require_file(
         _resolve(args, config, "baseline_input", str, required=True), "baseline dataset")
-    n_per_class = _resolve(args, config, "n_per_class", int, default=500)
+    n_per_class = _resolve(args, config, "n_per_class", int, default=500, minimum=0)
     seed = _resolve(args, config, "seed", int, required=True)
     output_dir = Path(_resolve(args, config, "output", str, required=True))
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -288,15 +306,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .model import (compute_class_weights, featurize, fit_vocabulary, save_model,
                         train_logreg, train_pu)
 
-    config = _load_config(args.config)
+    config = _load_config(args)
     dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
     model_path = Path(_resolve(args, config, "output", str, required=True))
     seed = _resolve(args, config, "seed", int, required=True)
-    c_value = _resolve(args, config, "c_value", float, default=DEFAULT_C)
+    c_value = _resolve_c(args, config)
     use_pu = _resolve(args, config, "pu", bool, default=False)
     split = _resolve_split(args, config, SPLIT_TRAIN)
     min_df = _resolve(args, config, "min_df", int, default=1)
-    max_features = _resolve(args, config, "max_features", int)
+    max_features = _resolve(args, config, "max_features", int, minimum=1)
 
     # The parsed samples are freed once counted, and the counts once
     # featurized: the fit is when the process holds the most memory.
@@ -331,7 +349,7 @@ def _scoring_model(model: LinearModel | PUModel) -> LinearModel:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .model import featurize, load_model
 
-    config = _load_config(args.config)
+    config = _load_config(args)
     model_path = _require_file(_resolve(args, config, "model", str, required=True), "model file")
     dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
     split = _resolve_split(args, config, SPLIT_TEST)
@@ -351,11 +369,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_cross_domain(args: argparse.Namespace) -> int:
     from .model import compute_class_weights, featurize, fit_vocabulary, train_logreg
 
-    config = _load_config(args.config)
+    config = _load_config(args)
     dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
     distances_path = _require_file(
         _resolve(args, config, "distances", str, required=True), "distance matrix")
-    c_value = _resolve(args, config, "c_value", float, default=DEFAULT_C)
+    c_value = _resolve_c(args, config)
     min_df = _resolve(args, config, "min_df", int, default=1)
     fields_arg = _resolve(args, config, "fields", str)
     output = _resolve(args, config, "output", str)

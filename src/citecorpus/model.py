@@ -365,12 +365,21 @@ def _is(value: object, kind: type | tuple[type, ...]) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
+def _finite(number: int | float) -> bool:
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _pull(record: object, key: str, kind: type | tuple[type, ...], items=None):
     """``record[key]``: a ``kind``, holding only ``items`` when given. A bool
-    is never a number here."""
+    is never a number here, and a number must be finite."""
     value = record.get(key) if isinstance(record, dict) else None
     if not _is(value, kind) or (items is not None and not all(_is(x, items) for x in value)):
         raise ValueError(f"key {key!r} is missing or mistyped")
+    if _NUMBER in (kind, items) and not all(map(_finite, value if items else [value])):
+        raise ValueError(f"key {key!r} holds a number that is not finite")
     return value
 
 
@@ -409,7 +418,8 @@ def save_model(
     model: LinearModel | PUModel,
     vocab: Vocabulary | None = None,
 ) -> None:
-    """Write a versioned model container; float round-trips are exact.
+    """Write a versioned model container; float round-trips are exact, and a
+    number that is not finite is a ValueError.
 
     The JSON goes through ``atomic_write``, so an interrupted write never
     leaves a truncated model file.
@@ -429,14 +439,15 @@ def save_model(
             "terms": {term: [index, df] for term, (index, df) in vocab.terms.items()},
         }
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True)
+        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary | None]:
     """Read a model container; raise ValueError naming the file when a key is
-    missing or mistyped, or when weights, n_features and vocabulary disagree,
-    and naming the line too when a byte is not UTF-8."""
+    missing, mistyped or holds a number that is not finite, or when weights,
+    n_features and vocabulary disagree, and naming the line too when a byte
+    is not UTF-8."""
     text = "".join(line for _, line in read_lines(path))
     try:
         payload = json.loads(text)

@@ -5,7 +5,9 @@ otherwise the whole paragraph is rejected with a reason code. Accepted
 paragraphs keep their full ordered sentence context, each sentence carrying a
 binary cite-worthiness label.
 
-``process_paragraph`` and ``build_baseline_variant`` are pure. The collector
+``process_paper`` decides each paragraph's fate in one place: section, field
+and cite-span checks, then one labeler, ``process_paragraph`` or the naive
+``build_baseline_variant``, each a pure function of the paragraph. The collector
 reads the corpus as batches of raw lines; one batch function decodes,
 parses, checks eligibility and processes each line of a batch, in-process at
 one worker or on a worker pool that holds at most two batches per worker in
@@ -221,23 +223,18 @@ def _uncovered_regions(text: str, spans: list[tuple[int, int]]) -> list[str]:
     return regions
 
 
-def process_paragraph(
-    paragraph: Paragraph,
-    paper_id: str = "",
-    mag_field: str = "",
-    paragraph_index: int = 0,
-) -> ParagraphSample | RejectionReason:
-    """Run the full per-paragraph extraction procedure.
+def process_paragraph(paragraph: Paragraph) -> tuple[LabeledSentence, ...] | RejectionReason:
+    """Run the full per-paragraph extraction procedure on cite spans that
+    ``process_paper`` has already checked with ``_validate_spans``.
 
     For every sentence, in order: locate the provided cite spans; scan the
     span-free regions with both citation-format patterns (a hit means a
     citation the upstream extractor missed); require each provided span to
     match a citation format and to sit at the sentence end; remove the spans
     and strip hanging punctuation; reject on a hanging citation marker or an
-    ill-formed result. Only if all sentences pass is a sample returned, each
-    sentence labelled by whether a citation span was removed from it.
+    ill-formed result. Only if all sentences pass are they returned, each
+    labelled by whether a citation span was removed from it.
     """
-    _validate_spans(paragraph, paper_id)
     sentences = split_sentences(paragraph.text)
     if not sentences:
         return RejectionReason(MALFORMED_SENTENCE)
@@ -274,33 +271,19 @@ def process_paragraph(
         label = LABEL_CITE_WORTHY if rel_spans else LABEL_NON_CITE_WORTHY
         labeled.append(LabeledSentence(text=cleaned, label=label,
                                        removed_span_count=len(rel_spans)))
-
-    return ParagraphSample(
-        paper_id=paper_id,
-        section_title=paragraph.section_title.strip().lower(),
-        mag_field=mag_field,
-        sentences=tuple(labeled),
-        paragraph_index=paragraph_index,
-    )
+    return tuple(labeled)
 
 
-def build_baseline_variant(
-    paragraph: Paragraph,
-    paper_id: str = "",
-    mag_field: str = "",
-    paragraph_index: int = 0,
-) -> ParagraphSample | RejectionReason:
-    """Naive variant: delete the provided cite spans verbatim, nothing else.
+def build_baseline_variant(paragraph: Paragraph) -> tuple[LabeledSentence, ...] | RejectionReason:
+    """Naive variant: delete the provided cite spans verbatim, nothing else;
+    ``process_paper`` has already checked them with ``_validate_spans``.
 
     No regex scans, no hanging-punctuation stripping, no well-formedness
     gate; sentences are labelled by span presence and kept as long as they
     are nonempty. Used only for audit comparison against the main pipeline.
     """
-    _validate_spans(paragraph, paper_id)
-    sentences = split_sentences(paragraph.text)
-
     labeled: list[LabeledSentence] = []
-    for sent in sentences:
+    for sent in split_sentences(paragraph.text):
         pieces = []
         cursor = 0
         count = 0
@@ -318,39 +301,31 @@ def build_baseline_variant(
             continue
         label = LABEL_CITE_WORTHY if count else LABEL_NON_CITE_WORTHY
         labeled.append(LabeledSentence(text=text, label=label, removed_span_count=count))
-
-    if not labeled:
-        return RejectionReason(MALFORMED_SENTENCE)
-    return ParagraphSample(
-        paper_id=paper_id,
-        section_title=paragraph.section_title.strip().lower(),
-        mag_field=mag_field,
-        sentences=tuple(labeled),
-        paragraph_index=paragraph_index,
-    )
+    return tuple(labeled) if labeled else RejectionReason(MALFORMED_SENTENCE)
 
 
 def process_paper(
     paper: PaperRecord, baseline: bool = False
 ) -> tuple[list[ParagraphSample], list[RejectionRecord]]:
-    """Apply section, field, and paragraph checks to one eligible paper."""
+    """Turn each paragraph of an eligible paper into a sample or a rejection;
+    a cite span that disagrees with its text raises ``SpanConsistencyError``."""
     field_result = assign_field(paper.mag_fields)
+    label = build_baseline_variant if baseline else process_paragraph
     samples: list[ParagraphSample] = []
     rejections: list[RejectionRecord] = []
     for idx, paragraph in enumerate(paper.paragraphs):
         if not allowed_section(paragraph.section_title):
-            rejections.append(RejectionRecord(paper.paper_id, idx, RejectionReason(BAD_SECTION)))
-            continue
-        if isinstance(field_result, RejectionReason):
-            rejections.append(RejectionRecord(paper.paper_id, idx, field_result))
-            continue
-        convert = build_baseline_variant if baseline else process_paragraph
-        result = convert(paragraph, paper_id=paper.paper_id,
-                         mag_field=field_result, paragraph_index=idx)
+            result: tuple[LabeledSentence, ...] | RejectionReason = RejectionReason(BAD_SECTION)
+        elif isinstance(field_result, RejectionReason):
+            result = field_result
+        else:
+            _validate_spans(paragraph, paper.paper_id)
+            result = label(paragraph)
         if isinstance(result, RejectionReason):
             rejections.append(RejectionRecord(paper.paper_id, idx, result))
         else:
-            samples.append(result)
+            title = paragraph.section_title.strip().lower()
+            samples.append(ParagraphSample(paper.paper_id, title, field_result, result, idx))
     return samples, rejections
 
 

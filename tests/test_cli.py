@@ -261,6 +261,18 @@ class TestBuild:
         assert f"--workers must be at least 1, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mistyped_config_key_is_a_usage_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(corpus), "output": str(tmp_path / "out"),
+                                      "seed": 7, "qouta": 2}))
+        assert main(["build", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config file {config}: key 'qouta' is not an option of build "
+            f"(baseline, input, output, quota, ratios, seed, workers)\n")
+        assert not (tmp_path / "out").exists()
+
     def test_failed_write_leaves_no_manifest_and_no_temp_file(self, tmp_path, monkeypatch,
                                                               capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -403,9 +415,11 @@ class TestTrainEval:
     def test_config_split_must_be_a_split_choice(self, command, trained, tmp_path, capsys):
         out, model_path = trained
         config = tmp_path / "config.json"
+        # Each command gets only its own options: any other key is a usage error.
+        own = {"train": {"seed": 4, "output": str(tmp_path / "m.json")},
+               "eval": {"model": str(model_path)}}[command]
         config.write_text(json.dumps({"input": str(out / "dataset.jsonl"), "split": "bogus",
-                                      "seed": 4, "output": str(tmp_path / "m.json"),
-                                      "model": str(model_path)}))
+                                      **own}))
         assert main([command, "--config", str(config)]) == 2
         assert capsys.readouterr().err == (
             f"error: config file {config}: key 'split' must be one of train, dev, test, all, "
@@ -532,6 +546,16 @@ class TestMalformedModelFile:
         rc = main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")])
         assert rc == 1
         assert str(bad) in capsys.readouterr().err
+
+    def test_non_finite_bias_names_file_and_key(self, trained, tmp_path, capsys):
+        out, model_path = trained
+        payload = json.loads(model_path.read_text())
+        payload["model"]["bias"] = float("nan")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: key 'bias' holds a number that is not finite\n")
 
     def test_undecodable_byte_names_file_and_line(self, trained, tmp_path, capsys):
         out, _ = trained
@@ -797,6 +821,64 @@ class TestAuditCommands:
         assert main(argv + ["2"]) == 1
         assert capsys.readouterr().err == "error: disk full\n"
         assert {p.name: p.read_bytes() for p in audit_dir.iterdir()} == old
+
+
+@pytest.mark.parametrize("command", ["build", "audit-export", "train", "eval",
+                                     "cross-domain"])
+def test_config_key_of_another_command_is_a_usage_error(command, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    key = "distances" if command == "build" else "workers"
+    config.write_text(json.dumps({key: "x"}))
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config}: key {key!r} is not an option of "
+                          f"{command} (")
+
+
+# (command, option, value, message); every value is out of range.
+OUT_OF_RANGE = [
+    ("build", "quota", -1, "--quota must be at least 0, got -1"),
+    ("audit-export", "n_per_class", -1, "--n-per-class must be at least 0, got -1"),
+    ("train", "max_features", -1, "--max-features must be at least 1, got -1"),
+    ("train", "max_features", 0, "--max-features must be at least 1, got 0"),
+    ("train", "c_value", float("nan"), "--c-value must be finite and greater than 0, got nan"),
+    ("train", "c_value", float("inf"), "--c-value must be finite and greater than 0, got inf"),
+    ("train", "c_value", 0.0, "--c-value must be finite and greater than 0, got 0.0"),
+    ("cross-domain", "c_value", -1.0,
+     "--c-value must be finite and greater than 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, option, value, message", OUT_OF_RANGE,
+                         ids=[f"{c}-{o}-{v}" for c, o, v, _ in OUT_OF_RANGE])
+def test_out_of_range_number_is_a_usage_error_before_any_input_is_read(
+        command, option, value, message, via, tmp_path, capsys, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for module, name in [(cli, "collect_samples"), (cli, "read_dataset"),
+                         (cli.metrics, "read_distance_matrix")]:
+        monkeypatch.setattr(module, name, no_read)
+    data = tmp_path / "data.jsonl"
+    data.write_text("")
+    out = tmp_path / "out"
+    argv = {
+        "build": ["--input", str(data), "--output", str(out), "--seed", "1"],
+        "audit-export": ["--input", str(data), "--baseline-input", str(data),
+                         "--output", str(out), "--seed", "1"],
+        "train": ["--input", str(data), "--output", str(out), "--seed", "1"],
+        "cross-domain": ["--input", str(data), "--distances", str(data)],
+    }[command]
+    if via == "flag":
+        argv += ["--" + option.replace("_", "-"), str(value)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({option: value}))
+        argv += ["--config", str(config)]
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestDumpRules:

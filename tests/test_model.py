@@ -514,6 +514,31 @@ class TestSerialization:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e999", "int-beyond-float"])
+    @pytest.mark.parametrize("key", ["bias", "weights", "C", "grad_max"])
+    def test_non_finite_number_rejected_naming_the_key(self, tmp_path, key, token):
+        model = train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        payload = json.loads(path.read_text())
+        payload["model"][key] = ["__value__"] if key == "weights" else "__value__"
+        path.write_text(json.dumps(payload).replace('"__value__"', token))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: key {key!r} holds a number that is not finite"
+
+    def test_non_finite_number_is_not_written(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0))
+        before = path.read_bytes()
+        model = LinearModel(weights=[0.5], bias=float("nan"), class_weights=(1.0, 1.0),
+                            C=1.0, n_features=1)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(path, model)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 99, "kind": "linear"}')

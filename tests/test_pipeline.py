@@ -4,17 +4,19 @@ import io
 import json
 import pickle
 import random
+import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from citecorpus import pipeline
-from citecorpus.ingest import CiteSpan, Diagnostic, Paragraph, parse_line, read_corpus
+from citecorpus.ingest import (CiteSpan, Diagnostic, PaperRecord, Paragraph, parse_line,
+                               read_corpus)
 from citecorpus.pipeline import (
     AMBIGUOUS_FIELD,
     BAD_FORMAT,
@@ -35,11 +37,13 @@ from citecorpus.pipeline import (
     RejectionReason,
     SpanConsistencyError,
     _bounded_map,
+    _validate_spans,
     allowed_section,
     assign_field,
     balanced_sample,
     build_baseline_variant,
     collect_samples,
+    process_paper,
     process_paragraph,
     read_dataset,
     split_dataset,
@@ -93,33 +97,29 @@ class TestAssignField:
 
 class TestProcessParagraph:
     def test_citation_final_paragraph_accepted(self):
-        sample = process_paragraph(paragraph_with_citation(),
-                                   paper_id="p", mag_field="Biology", paragraph_index=4)
-        assert isinstance(sample, ParagraphSample)
-        assert [s.label for s in sample.sentences] == [LABEL_CITE_WORTHY,
-                                                       LABEL_NON_CITE_WORTHY]
-        assert sample.sentences[0].text.endswith("surface.")
-        assert sample.sentences[0].removed_span_count == 1
-        assert sample.section_title == "introduction"
-        assert sample.paragraph_index == 4
+        sentences = process_paragraph(paragraph_with_citation())
+        assert isinstance(sentences, tuple)
+        assert [s.label for s in sentences] == [LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY]
+        assert sentences[0].text.endswith("surface.")
+        assert sentences[0].removed_span_count == 1
 
     def test_mid_sentence_span_rejected(self):
         text = "In [1], we extend the analysis to all cohorts over time."
         paragraph = Paragraph("Methods", text, (CiteSpan(3, 6, "b0"),))
-        result = process_paragraph(paragraph, paper_id="p")
+        result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == NOT_AT_END
 
     def test_missed_author_year_citation_rejected(self):
         text = ("Prior work found the same effect (Smith, 1999). "
                 "It holds here too across cohorts.")
-        result = process_paragraph(Paragraph("Results", text, ()), paper_id="p")
+        result = process_paragraph(Paragraph("Results", text, ()))
         assert isinstance(result, RejectionReason)
         assert result.code == MISSED_CITATION
 
     def test_missed_numeric_citation_rejected(self):
         text = "Several studies [4] agree on the magnitude of the effect."
-        result = process_paragraph(Paragraph("Results", text, ()), paper_id="p")
+        result = process_paragraph(Paragraph("Results", text, ()))
         assert isinstance(result, RejectionReason)
         assert result.code == MISSED_CITATION
 
@@ -127,7 +127,7 @@ class TestProcessParagraph:
         base = "The full derivation appears in the online appendix"
         text = f"{base} below. Another sentence keeps the paragraph going."
         paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + 6, "b0"),))
-        result = process_paragraph(paragraph, paper_id="p")
+        result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == BAD_FORMAT
 
@@ -136,18 +136,18 @@ class TestProcessParagraph:
         cite = " (Smith, 2000)"
         text = f"{base}{cite}."
         paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + len(cite), "b0"),))
-        result = process_paragraph(paragraph, paper_id="p")
+        result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == HANGING_MARKER
 
     def test_ill_formed_sentence_rejected(self):
         text = "lowercase opening that is plenty long to pass the length bar."
-        result = process_paragraph(Paragraph("Results", text, ()), paper_id="p")
+        result = process_paragraph(Paragraph("Results", text, ()))
         assert isinstance(result, RejectionReason)
         assert result.code == MALFORMED_SENTENCE
 
     def test_empty_paragraph_rejected(self):
-        result = process_paragraph(Paragraph("Results", "   ", ()), paper_id="p")
+        result = process_paragraph(Paragraph("Results", "   ", ()))
         assert isinstance(result, RejectionReason)
         assert result.code == MALFORMED_SENTENCE
 
@@ -155,28 +155,15 @@ class TestProcessParagraph:
         text = "We show results [1]. Here the next sentence continues onward."
         # Span crosses the sentence boundary after "[1]."
         paragraph = Paragraph("Results", text, (CiteSpan(16, 25, "b0"),))
-        result = process_paragraph(paragraph, paper_id="p")
+        result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == BAD_FORMAT
-
-    def test_out_of_bounds_span_is_an_error_not_a_rejection(self):
-        paragraph = Paragraph("Results", "Short text.", (CiteSpan(5, 99, "b0"),))
-        with pytest.raises(SpanConsistencyError) as exc:
-            process_paragraph(paragraph, paper_id="paper-7")
-        assert "paper-7" in str(exc.value)
-
-    def test_overlapping_spans_are_an_error(self):
-        text = "Alpha beta gamma delta epsilon zeta."
-        paragraph = Paragraph("Results", text,
-                              (CiteSpan(0, 10, "a"), CiteSpan(5, 12, "b")))
-        with pytest.raises(SpanConsistencyError):
-            process_paragraph(paragraph, paper_id="p")
 
     def test_all_or_nothing(self):
         # One offending sentence rejects the whole paragraph; nothing partial.
         good = "The first finding holds across every cohort."
         bad = "Tiny."
-        result = process_paragraph(Paragraph("Results", f"{good} {bad}", ()), paper_id="p")
+        result = process_paragraph(Paragraph("Results", f"{good} {bad}", ()))
         assert isinstance(result, RejectionReason)
         assert result.code == MALFORMED_SENTENCE
 
@@ -187,35 +174,137 @@ class TestBaselineVariant:
         cite = " (Smith, 2000)"
         text = f"{base}{cite}."
         paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + len(cite), "b0"),))
-        sample = build_baseline_variant(paragraph, paper_id="p", mag_field="Biology")
-        assert isinstance(sample, ParagraphSample)
-        assert sample.sentences[0].text == "Shown by the work of."
-        assert sample.sentences[0].label == LABEL_CITE_WORTHY
+        sentences = build_baseline_variant(paragraph)
+        assert isinstance(sentences, tuple)
+        assert sentences[0].text == "Shown by the work of."
+        assert sentences[0].label == LABEL_CITE_WORTHY
         # The main pipeline rejects the same paragraph.
-        main = process_paragraph(paragraph, paper_id="p", mag_field="Biology")
+        main = process_paragraph(paragraph)
         assert isinstance(main, RejectionReason)
 
     def test_clean_citation_final_sentence_matches_main_pipeline(self):
         paragraph = paragraph_with_citation()
-        main = process_paragraph(paragraph, paper_id="p", mag_field="Biology")
-        base = build_baseline_variant(paragraph, paper_id="p", mag_field="Biology")
-        assert [s.text for s in main.sentences] == [s.text for s in base.sentences]
-        assert [s.label for s in main.sentences] == [s.label for s in base.sentences]
+        main = process_paragraph(paragraph)
+        base = build_baseline_variant(paragraph)
+        assert [s.text for s in main] == [s.text for s in base]
+        assert [s.label for s in main] == [s.label for s in base]
 
     def test_mid_sentence_span_removed_not_rejected(self):
         text = "In [1], we extend the analysis to all cohorts over time."
         paragraph = Paragraph("Methods", text, (CiteSpan(3, 6, "b0"),))
-        sample = build_baseline_variant(paragraph, paper_id="p", mag_field="Biology")
-        assert isinstance(sample, ParagraphSample)
-        assert sample.sentences[0].text == "In , we extend the analysis to all cohorts over time."
-        assert isinstance(process_paragraph(paragraph, paper_id="p"), RejectionReason)
+        sentences = build_baseline_variant(paragraph)
+        assert isinstance(sentences, tuple)
+        assert sentences[0].text == "In , we extend the analysis to all cohorts over time."
+        assert isinstance(process_paragraph(paragraph), RejectionReason)
 
     def test_no_checks_beyond_nonempty(self):
         text = "tiny."  # ill-formed for the main pipeline
-        sample = build_baseline_variant(Paragraph("Methods", text, ()),
-                                        paper_id="p", mag_field="Biology")
-        assert isinstance(sample, ParagraphSample)
-        assert sample.sentences[0].label == LABEL_NON_CITE_WORTHY
+        sentences = build_baseline_variant(Paragraph("Methods", text, ()))
+        assert isinstance(sentences, tuple)
+        assert sentences[0].label == LABEL_NON_CITE_WORTHY
+
+
+def make_paper(*paragraphs, paper_id="p", fields=("Biology",)):
+    return PaperRecord(paper_id, True, True, True, True, True, frozenset(fields),
+                       tuple(paragraphs))
+
+
+def spans_pass_the_check(paragraph):
+    try:
+        _validate_spans(paragraph, "p")
+    except SpanConsistencyError:
+        return False
+    return True
+
+
+# Paragraph text rich in sentence marks, brackets and both citation formats.
+_TEXT_PIECES = ["The result holds", " across cohorts", " here", ".", "!", "?", " (", ")",
+                "[", "]", " [3]", " (1999)", " (Smith, 1999)", " et al.", " Fig.", " e.g.",
+                " ", "  ", "\n", "A", " b", "Results", ". The", " The measured effect holds."]
+_SECTIONS = ["Introduction", " Results ", "Acknowledgements"]
+_FIELDS = [("Biology",), ("Biology", "Chemistry"), ("History",)]
+
+
+@st.composite
+def _paragraphs(draw):
+    """Paragraphs whose spans sit on the citations in the text, or in order
+    anywhere in it (both pass the span check, the latter often straddling a
+    sentence boundary), or anywhere at all: out of bounds, overlapping, empty."""
+    text = draw(st.lists(st.sampled_from(_TEXT_PIECES), max_size=24).map("".join))
+    citations = [(m.start(), m.end()) for m in re.finditer(r" (\[3\]|\(1999\))", text)]
+    anywhere = st.integers(-2, len(text) + 2)
+    spans = draw(st.one_of(
+        st.lists(st.sampled_from(citations), unique=True).map(sorted) if citations
+        else st.just([]),
+        st.lists(st.integers(0, len(text)), unique=True, max_size=6).map(
+            lambda cuts: list(zip(*[iter(sorted(cuts))] * 2))),
+        st.lists(st.tuples(anywhere, anywhere), max_size=4)))
+    return Paragraph(draw(st.sampled_from(_SECTIONS)), text,
+                     tuple(CiteSpan(start, end, "b") for start, end in spans))
+
+
+_PAPERS = st.builds(lambda paragraphs, fields: make_paper(*paragraphs, fields=fields),
+                    st.lists(_paragraphs(), min_size=1, max_size=4),
+                    st.sampled_from(_FIELDS))
+
+
+class TestProcessPaper:
+    def test_sample_carries_provenance(self):
+        skipped = [Paragraph("Acknowledgements", "We thank the funding agency.", ())] * 4
+        paragraph = paragraph_with_citation(section="  Introduction ")
+        samples, rejections = process_paper(make_paper(*skipped, paragraph))
+        assert [r.paragraph_index for r in rejections] == [0, 1, 2, 3]
+        [sample] = samples
+        assert sample.section_title == "introduction"
+        assert sample.mag_field == "Biology"
+        assert sample.paragraph_index == 4
+        assert sample.sentences == process_paragraph(paragraph)
+
+    def test_out_of_bounds_span_is_an_error_not_a_rejection(self):
+        paragraph = Paragraph("Results", "Short text.", (CiteSpan(5, 99, "b0"),))
+        for baseline in (False, True):
+            with pytest.raises(SpanConsistencyError) as exc:
+                process_paper(make_paper(paragraph, paper_id="paper-7"), baseline)
+            assert "paper-7" in str(exc.value)
+
+    def test_overlapping_spans_are_an_error(self):
+        text = "Alpha beta gamma delta epsilon zeta."
+        paragraph = Paragraph("Results", text,
+                              (CiteSpan(0, 10, "a"), CiteSpan(5, 12, "b")))
+        for baseline in (False, True):
+            with pytest.raises(SpanConsistencyError):
+                process_paper(make_paper(paragraph), baseline)
+
+    def test_span_check_follows_the_section_and_field_checks(self):
+        bad_span = (CiteSpan(5, 99, "b0"),)
+        paper = make_paper(Paragraph("Acknowledgements", "Short text.", bad_span))
+        assert process_paper(paper)[1][0].reason.code == BAD_SECTION
+        paper = make_paper(Paragraph("Results", "Short text.", bad_span), fields=("History",))
+        assert process_paper(paper)[1][0].reason.code == AMBIGUOUS_FIELD
+
+    @settings(max_examples=300, deadline=None)
+    @given(_PAPERS, st.booleans())
+    def test_every_paragraph_is_a_sample_a_rejection_or_a_span_error(self, paper, baseline):
+        checked = [p for p in paper.paragraphs if allowed_section(p.section_title)]
+        span_error = isinstance(assign_field(paper.mag_fields), str) and \
+            not all(map(spans_pass_the_check, checked))
+        try:
+            samples, rejections = process_paper(paper, baseline)
+        except SpanConsistencyError:
+            assert span_error
+            return
+        assert not span_error
+        indexes = [s.paragraph_index for s in samples] + [r.paragraph_index for r in rejections]
+        assert sorted(indexes) == list(range(len(paper.paragraphs)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_paragraphs())
+    def test_labelers_raise_nothing_on_checked_spans(self, paragraph):
+        assume(spans_pass_the_check(paragraph))
+        for label in (process_paragraph, build_baseline_variant):
+            result = label(paragraph)
+            if not isinstance(result, RejectionReason):
+                assert result and all(isinstance(s, LabeledSentence) for s in result)
 
 
 def make_sample(paper_id, field, n_sentences=2, index=0, section="introduction"):
