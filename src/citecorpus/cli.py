@@ -31,6 +31,7 @@ from .pipeline import (
     ParagraphSample,
     balanced_sample,
     collect_samples,
+    ratios_are_valid,
     read_dataset,
     split_dataset,
     write_dataset,
@@ -77,62 +78,111 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise UsageError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} must hold an object")
-    options = vars(args).keys() - {"command", "func", "config"}
     for key in config:
-        if key not in options:
+        if key not in args.options:
             raise UsageError(f"config file {path}: key {key!r} is not an option of "
-                             f"{args.command} ({', '.join(sorted(options))})")
+                             f"{args.command} ({', '.join(sorted(args.options))})")
     return config
 
 
 SPLIT_CHOICES = (*SPLITS, "all")
 
-_KINDS = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
+
+def _integer(value) -> int:
+    """``int()``, except that a bool, a fraction or a non-finite number is
+    not an integer."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError
+    return int(value)
 
 
-def _resolve(args: argparse.Namespace, config: dict, name: str, kind: type | None = None,
-             default=None, required=False, minimum: int | None = None):
-    """Flag value if given, else config value, else default; a null config
-    value counts as absent. A config value goes through ``kind``: ``int()``
-    or ``float()``, or it must already be a bool or a str. A value that does
-    not is a usage error naming the file and the key, and so is a number
-    below ``minimum``."""
-    value = getattr(args, name, None)
-    if value is None:
-        value = config.get(name)
-        if value is not None and kind is not None:
-            try:
-                if kind in (bool, str) and not isinstance(value, kind):
-                    raise TypeError
-                value = kind(value)
-            except (TypeError, ValueError):
-                raise UsageError(f"config file {args.config}: key {name!r} must be "
-                                 f"{_KINDS[kind]}, got {value!r}") from None
-    if value is None:
-        value = default
-    flag = "--" + name.replace("_", "-")
-    if required and value is None:
-        raise UsageError(f"{flag} is required (flag or config file)")
-    if minimum is not None and value is not None and value < minimum:
-        raise UsageError(f"{flag} must be at least {minimum}, got {value}")
-    return value
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError
+    return float(value)
 
 
-def _resolve_split(args: argparse.Namespace, config: dict, default: str) -> str:
-    """``_resolve`` for ``split``; argparse checks the flag, this the config."""
-    split = _resolve(args, config, "split", str, default=default)
-    if split not in SPLIT_CHOICES:
-        raise UsageError(f"config file {args.config}: key 'split' must be one of "
-                         f"{', '.join(SPLIT_CHOICES)}, got {split!r}")
-    return split
+def _accept(test):
+    """A converter that passes a value for which ``test`` holds."""
+    def convert(value):
+        if not test(value):
+            raise ValueError
+        return value
+    return convert
 
 
-def _resolve_c(args: argparse.Namespace, config: dict) -> float:
-    """``_resolve`` for ``c_value``, which must be finite and above 0."""
-    c_value = _resolve(args, config, "c_value", float, default=DEFAULT_C)
-    if not (math.isfinite(c_value) and c_value > 0):
-        raise UsageError(f"--c-value must be finite and greater than 0, got {c_value}")
-    return c_value
+def _ratios(value) -> tuple[float, ...]:
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, list) or len(parts) != 3:
+        raise ValueError
+    return tuple(_number(part) for part in parts)
+
+
+# Option kinds: (description, converter). A converter takes a flag string or
+# a config value alike and raises TypeError, ValueError or OverflowError on
+# a value that is not of its kind.
+INTEGER = ("an integer", _integer)
+NUMBER = ("a number", _number)
+SWITCH = ("true or false", _accept(lambda value: isinstance(value, bool)))
+TEXT = ("a string", _accept(lambda value: isinstance(value, str)))
+PATHS = ("a string or a list of strings", lambda value: [value] if isinstance(value, str) else
+         _accept(lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v))(value))
+SPLIT = (f"one of {', '.join(SPLIT_CHOICES)}", _accept(lambda value: value in SPLIT_CHOICES))
+RATIOS = ("three comma-separated numbers", _ratios)
+
+# Range checks: (description, predicate on the converted value).
+POSITIVE = ("finite and greater than 0", lambda value: math.isfinite(value) and value > 0)
+SHARES = ("three finite, non-negative numbers that sum to 1", ratios_are_valid)
+
+
+def _at_least(minimum: int) -> tuple:
+    return f"at least {minimum}", lambda value: value >= minimum
+
+
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """A subcommand whose options ``_option`` declares and a config file may supply."""
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(func=func, options={})
+    parser.add_argument("--config", help="JSON file supplying flags; flags override it")
+    return parser
+
+
+def _option(parser: argparse.ArgumentParser, name: str, kind: tuple, default=None,
+            required: bool = False, check: tuple | None = None, help: str | None = None):
+    """Declare option ``name``: its flag, and the kind, default, requirement
+    and range check that ``_resolve_options`` applies to it."""
+    parser.get_default("options")[name] = (kind, default, required, check)
+    if default is not None and kind is not SWITCH:
+        help = f"{help} (default {default})" if help else f"default {default}"
+    parser.add_argument("--" + name.replace("_", "-"), default=None, help=help,
+                        action={SWITCH: "store_true", PATHS: "append"}.get(kind, "store"))
+
+
+def _resolve_options(args: argparse.Namespace) -> None:
+    """Set each declared option to its flag value, else its config value (a
+    null counts as absent), else its default. Flag strings and config values
+    go through the same kind converter and range check. A value not of the
+    kind is a usage error naming the flag, or the file and key; a value out
+    of range names the flag."""
+    config = _load_config(args)
+    for name, (kind, default, required, check) in args.options.items():
+        flag = "--" + name.replace("_", "-")
+        value, source = getattr(args, name), flag
+        if value is None and config.get(name) is not None:
+            value, source = config[name], f"config file {args.config}: key {name!r}"
+        if value is None:
+            value = default
+        if value is None:
+            if required:
+                raise UsageError(f"{flag} is required (flag or config file)")
+            continue
+        try:
+            converted = kind[1](value)
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"{source} must be {kind[0]}, got {value!r}") from None
+        if check is not None and not check[1](converted):
+            raise UsageError(f"{flag} must be {check[0]}, got {value}")
+        setattr(args, name, converted)
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -140,16 +190,6 @@ def _require_file(path: str, what: str) -> Path:
     if not p.is_file():
         raise UsageError(f"{what} not found: {path}")
     return p
-
-
-def _parse_ratios(raw) -> tuple[float, float, float]:
-    try:
-        parts = [float(x) for x in (raw if isinstance(raw, list) else str(raw).split(","))]
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--ratios must be three comma-separated numbers, got {raw!r}") from exc
-    if len(parts) != 3:
-        raise UsageError(f"--ratios must name three values, got {raw!r}")
-    return parts[0], parts[1], parts[2]
 
 
 def _select_sentences(
@@ -187,32 +227,19 @@ def _score(model: LinearModel, X, golds: list[int]) -> metrics.PRF:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    inputs = _resolve(args, config, "input", required=True)
-    if isinstance(inputs, str):
-        inputs = [inputs]
-    if not (isinstance(inputs, list) and all(isinstance(p, str) for p in inputs)):
-        raise UsageError(f"config file {args.config}: key 'input' must be a string "
-                         f"or a list of strings, got {inputs!r}")
-    output_dir = Path(_resolve(args, config, "output", str, required=True))
-    seed = _resolve(args, config, "seed", int, required=True)
-    quota = _resolve(args, config, "quota", int, default=1000, minimum=0)
-    ratios = _parse_ratios(_resolve(args, config, "ratios", default="0.8,0.1,0.1"))
-    workers = _resolve(args, config, "workers", int, default=1, minimum=1)
-    baseline = _resolve(args, config, "baseline", bool, default=False)
-
-    input_paths = [_require_file(p, "input corpus") for p in inputs]
+    input_paths = [_require_file(p, "input corpus") for p in args.input]
+    output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)
     # The manifest is written last and marks a complete build, so an earlier
     # build's manifest goes before anything else is replaced.
     (output_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
 
-    collected = collect_samples(input_paths, baseline=baseline, workers=workers)
+    collected = collect_samples(input_paths, baseline=args.baseline, workers=args.workers)
     for diag in collected.diagnostics:
         logger.warning("malformed input %s, line %d: %s", diag.source, diag.line, diag.message)
 
-    selected = balanced_sample(collected.samples, quota, seed)
-    selected = split_dataset(selected, ratios, seed)
+    selected = balanced_sample(collected.samples, args.quota, args.seed)
+    selected = split_dataset(selected, args.ratios, args.seed)
 
     write_dataset(selected, output_dir / DATASET_FILENAME)
     write_rejections(collected.rejections, output_dir / REJECTIONS_FILENAME)
@@ -220,11 +247,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     manifest = {
         "format_version": 1,
         "tool_version": __version__,
-        "baseline": baseline,
-        "seed": seed,
-        "quota": quota,
-        "ratios": list(ratios),
-        "inputs": [str(p) for p in inputs],
+        "baseline": args.baseline,
+        "seed": args.seed,
+        "quota": args.quota,
+        "ratios": list(args.ratios),
+        "inputs": args.input,
         "counts": {
             "malformed_lines": len(collected.diagnostics),
             "papers_total": collected.papers_total,
@@ -260,20 +287,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_audit_export(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    main_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
-    baseline_path = _require_file(
-        _resolve(args, config, "baseline_input", str, required=True), "baseline dataset")
-    n_per_class = _resolve(args, config, "n_per_class", int, default=500, minimum=0)
-    seed = _resolve(args, config, "seed", int, required=True)
-    output_dir = Path(_resolve(args, config, "output", str, required=True))
+    main_path = _require_file(args.input, "dataset")
+    baseline_path = _require_file(args.baseline_input, "baseline dataset")
+    output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)
 
     items = audit.sample_for_audit(
         read_dataset(main_path),
         read_dataset(baseline_path),
-        n_per_class=n_per_class,
-        seed=seed,
+        n_per_class=args.n_per_class,
+        seed=args.seed,
         sheet_path=output_dir / SHEET_FILENAME,
         key_path=output_dir / KEY_FILENAME,
     )
@@ -306,33 +329,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .model import (compute_class_weights, featurize, fit_vocabulary, save_model,
                         train_logreg, train_pu)
 
-    config = _load_config(args)
-    dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
-    model_path = Path(_resolve(args, config, "output", str, required=True))
-    seed = _resolve(args, config, "seed", int, required=True)
-    c_value = _resolve_c(args, config)
-    use_pu = _resolve(args, config, "pu", bool, default=False)
-    split = _resolve_split(args, config, SPLIT_TRAIN)
-    min_df = _resolve(args, config, "min_df", int, default=1)
-    max_features = _resolve(args, config, "max_features", int, minimum=1)
-
+    dataset_path = _require_file(args.input, "dataset")
+    model_path, split = Path(args.output), args.split
     # The parsed samples are freed once counted, and the counts once
     # featurized: the fit is when the process holds the most memory.
     counts, labels, _ = _select_sentences(read_dataset(dataset_path), split)
     if not labels:
         raise ValueError(f"dataset has no sentences in split {split!r}")
 
-    vocab = fit_vocabulary(counts, min_df=min_df, max_features=max_features)
+    vocab = fit_vocabulary(counts, min_df=args.min_df, max_features=args.max_features)
     X = featurize(counts, vocab)
     del counts
-    if use_pu:
-        model: LinearModel | PUModel = train_pu(X, labels, seed=seed, C=c_value)
+    if args.pu:
+        model: LinearModel | PUModel = train_pu(X, labels, seed=args.seed, C=args.c_value)
         print(f"labeling-frequency estimate: {model.c_estimate:.4f}")
         _report_fit("labeling fit", model.labeling_model)
         _report_fit("final fit", model.final_model)
     else:
         class_weights = compute_class_weights(labels)
-        model = train_logreg(X, labels, class_weights, C=c_value)
+        model = train_logreg(X, labels, class_weights, C=args.c_value)
         print(f"class weights: ({class_weights[0]:.4f}, {class_weights[1]:.4f})")
         _report_fit("fit", model)
     save_model(model_path, model, vocab)
@@ -349,11 +364,9 @@ def _scoring_model(model: LinearModel | PUModel) -> LinearModel:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .model import featurize, load_model
 
-    config = _load_config(args)
-    model_path = _require_file(_resolve(args, config, "model", str, required=True), "model file")
-    dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
-    split = _resolve_split(args, config, SPLIT_TEST)
-    field = _resolve(args, config, "field", str)
+    model_path = _require_file(args.model, "model file")
+    dataset_path = _require_file(args.input, "dataset")
+    split, field = args.split, args.field
 
     model, vocab = load_model(model_path)
     if vocab is None:
@@ -369,18 +382,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_cross_domain(args: argparse.Namespace) -> int:
     from .model import compute_class_weights, featurize, fit_vocabulary, train_logreg
 
-    config = _load_config(args)
-    dataset_path = _require_file(_resolve(args, config, "input", str, required=True), "dataset")
-    distances_path = _require_file(
-        _resolve(args, config, "distances", str, required=True), "distance matrix")
-    c_value = _resolve_c(args, config)
-    min_df = _resolve(args, config, "min_df", int, default=1)
-    fields_arg = _resolve(args, config, "fields", str)
-    output = _resolve(args, config, "output", str)
+    dataset_path = _require_file(args.input, "dataset")
+    distances_path = _require_file(args.distances, "distance matrix")
 
     distances = metrics.read_distance_matrix(distances_path)
-    if fields_arg:
-        fields = list(dict.fromkeys(f.strip() for f in str(fields_arg).split(",") if f.strip()))
+    if args.fields:
+        fields = list(dict.fromkeys(f.strip() for f in args.fields.split(",") if f.strip()))
     else:
         fields = sorted({train for train, _ in distances})
     if len(fields) < 2:
@@ -411,12 +418,12 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     for train_field in fields:
         train_rows = selected[train_field, SPLIT_TRAIN]
         train_labels = labels[train_rows].tolist()
-        vocab = fit_vocabulary(counts.rows(train_rows), min_df=min_df)
+        vocab = fit_vocabulary(counts.rows(train_rows), min_df=args.min_df)
         # Rows are featurized independently, so one pass over every sentence
         # serves the fit and all of its test cells.
         X = featurize(counts, vocab)
         model = train_logreg(X[train_rows], train_labels,
-                             compute_class_weights(train_labels), C=c_value)
+                             compute_class_weights(train_labels), C=args.c_value)
         _warn_unconverged(f"fit on {train_field}", model)
         for test_field in fields:
             eval_rows = selected[test_field, SPLIT_TEST if test_field == train_field else "all"]
@@ -425,10 +432,10 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
 
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
     print(grid.render_text())
-    if output:
-        with atomic_write(output) as fh:
+    if args.output:
+        with atomic_write(args.output) as fh:
             fh.write(metrics.grid_to_json(grid) + "\n")
-        print(f"grid written to {output}")
+        print(f"grid written to {args.output}")
     return 0
 
 
@@ -460,70 +467,60 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="run the full extraction pipeline")
-    p.add_argument("--input", action="append", help="corpus file (repeatable)")
-    p.add_argument("--output", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--quota", type=int, help="paragraphs per field (default 1000)")
-    p.add_argument("--ratios", help="train,dev,test sentence shares (default 0.8,0.1,0.1)")
-    p.add_argument("--workers", type=int, help="parallel paper workers (default 1)")
-    p.add_argument("--baseline", action="store_true", default=None,
-                   help="naive span-removal variant (audit comparison only)")
-    p.add_argument("--config", help="JSON file supplying flags; flags override it")
-    p.set_defaults(func=cmd_build)
+    p = _command(sub, "build", cmd_build, "run the full extraction pipeline")
+    _option(p, "input", PATHS, required=True, help="corpus file (repeatable)")
+    _option(p, "output", TEXT, required=True, help="output directory")
+    _option(p, "seed", INTEGER, required=True)
+    _option(p, "quota", INTEGER, 1000, check=_at_least(0), help="paragraphs per field")
+    _option(p, "ratios", RATIOS, "0.8,0.1,0.1", check=SHARES,
+            help="train,dev,test sentence shares")
+    _option(p, "workers", INTEGER, 1, check=_at_least(1), help="parallel paper workers")
+    _option(p, "baseline", SWITCH, False,
+            help="naive span-removal variant (audit comparison only)")
 
     p = sub.add_parser("stats", help="print dataset statistics")
     p.add_argument("--input", required=True)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("audit-export", help="export a blinded annotation sheet")
-    p.add_argument("--input", help="main-pipeline dataset")
-    p.add_argument("--baseline-input", dest="baseline_input", help="baseline dataset")
-    p.add_argument("--n-per-class", dest="n_per_class", type=int,
-                   help="sentences per (method, class) stratum (default 500)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output", help="output directory")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_audit_export)
+    p = _command(sub, "audit-export", cmd_audit_export, "export a blinded annotation sheet")
+    _option(p, "input", TEXT, required=True, help="main-pipeline dataset")
+    _option(p, "baseline_input", TEXT, required=True, help="baseline dataset")
+    _option(p, "n_per_class", INTEGER, 500, check=_at_least(0),
+            help="sentences per (method, class) stratum")
+    _option(p, "seed", INTEGER, required=True)
+    _option(p, "output", TEXT, required=True, help="output directory")
 
     p = sub.add_parser("audit-score", help="score an annotated sheet")
     p.add_argument("--sheet", required=True)
     p.add_argument("--key", required=True)
     p.set_defaults(func=cmd_audit_score)
 
-    p = sub.add_parser("train", help="train a classifier on a dataset")
-    p.add_argument("--input", help="dataset file")
-    p.add_argument("--output", help="model file to write")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--c-value", dest="c_value", type=float,
-                   help=f"inverse regularization strength (default {DEFAULT_C})")
-    p.add_argument("--pu", action="store_true", default=None,
-                   help="positive-unlabeled training")
-    p.add_argument("--split", choices=SPLIT_CHOICES)
-    p.add_argument("--min-df", dest="min_df", type=int)
-    p.add_argument("--max-features", dest="max_features", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_train)
+    p = _command(sub, "train", cmd_train, "train a classifier on a dataset")
+    _option(p, "input", TEXT, required=True, help="dataset file")
+    _option(p, "output", TEXT, required=True, help="model file to write")
+    _option(p, "seed", INTEGER, required=True)
+    _option(p, "c_value", NUMBER, DEFAULT_C, check=POSITIVE,
+            help="inverse regularization strength")
+    _option(p, "pu", SWITCH, False, help="positive-unlabeled training")
+    _option(p, "split", SPLIT, SPLIT_TRAIN, help="train, dev, test or all")
+    _option(p, "min_df", INTEGER, 1, check=_at_least(1))
+    _option(p, "max_features", INTEGER, check=_at_least(1))
 
-    p = sub.add_parser("eval", help="evaluate a model on a dataset")
-    p.add_argument("--model")
-    p.add_argument("--input")
-    p.add_argument("--split", choices=SPLIT_CHOICES)
-    p.add_argument("--field", help="restrict to one subject field")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_eval)
+    p = _command(sub, "eval", cmd_eval, "evaluate a model on a dataset")
+    _option(p, "model", TEXT, required=True)
+    _option(p, "input", TEXT, required=True)
+    _option(p, "split", SPLIT, SPLIT_TEST, help="train, dev, test or all")
+    _option(p, "field", TEXT, help="restrict to one subject field")
 
-    p = sub.add_parser("cross-domain", help="train/test grid across fields")
-    p.add_argument("--input")
-    p.add_argument("--distances", help="labeled distance-matrix file")
-    p.add_argument("--fields", help="comma-separated field subset")
-    p.add_argument("--seed", type=int, help="ignored: the grid has no random choices")
-    p.add_argument("--c-value", dest="c_value", type=float)
-    p.add_argument("--min-df", dest="min_df", type=int)
-    p.add_argument("--output", help="write the grid as JSON here")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_cross_domain)
+    p = _command(sub, "cross-domain", cmd_cross_domain, "train/test grid across fields")
+    _option(p, "input", TEXT, required=True)
+    _option(p, "distances", TEXT, required=True, help="labeled distance-matrix file")
+    _option(p, "fields", TEXT, help="comma-separated field subset")
+    _option(p, "seed", INTEGER, help="ignored: the grid has no random choices")
+    _option(p, "c_value", NUMBER, DEFAULT_C, check=POSITIVE)
+    _option(p, "min_df", INTEGER, 1, check=_at_least(1))
+    _option(p, "output", TEXT, help="write the grid as JSON here")
 
     p = sub.add_parser("dump-rules", help="print the embedded rules verbatim")
     p.set_defaults(func=cmd_dump_rules)
@@ -533,9 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "options" in args:
+            _resolve_options(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -419,7 +419,7 @@ def save_model(
     vocab: Vocabulary | None = None,
 ) -> None:
     """Write a versioned model container; float round-trips are exact, and a
-    number that is not finite is a ValueError.
+    number that is not finite is a ValueError naming the file.
 
     The JSON goes through ``atomic_write``, so an interrupted write never
     leaves a truncated model file.
@@ -439,7 +439,10 @@ def save_model(
             "terms": {term: [index, df] for term, (index, df) in vocab.terms.items()},
         }
     with atomic_write(path) as fh:
-        json.dump(payload, fh, ensure_ascii=False, sort_keys=True, allow_nan=False)
+        try:
+            json.dump(payload, fh, ensure_ascii=False, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: a number is not finite ({exc})") from exc
         fh.write("\n")
 
 

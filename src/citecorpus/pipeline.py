@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor
@@ -27,7 +28,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import atomic_write
 from .ingest import (Diagnostic, PaperRecord, Paragraph, line_batches,
@@ -452,6 +453,12 @@ def balanced_sample(
     return chosen
 
 
+def ratios_are_valid(ratios: Sequence[float]) -> bool:
+    """Three finite, non-negative split shares that sum to 1 (within 1e-9)."""
+    return (len(ratios) == 3 and all(math.isfinite(r) and r >= 0 for r in ratios)
+            and abs(sum(ratios) - 1.0) <= 1e-9)
+
+
 def split_dataset(
     samples: list[ParagraphSample],
     ratios: tuple[float, float, float],
@@ -463,10 +470,9 @@ def split_dataset(
     assignment targets the requested sentence-count shares; a stratum with
     fewer than three paragraphs goes entirely to train, with a warning.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError(f"ratios must be three non-negative numbers, got {ratios!r}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")
+    if not ratios_are_valid(ratios):
+        raise ValueError(f"ratios must be three finite, non-negative numbers that sum to 1, "
+                         f"got {ratios!r}")
 
     by_field: dict[str, list[ParagraphSample]] = {}
     for sample in samples:

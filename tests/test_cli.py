@@ -1,13 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import citecorpus
 from citecorpus import audit, cli
@@ -201,7 +206,12 @@ class TestBuild:
         ("workers", "two", "an integer"),
         ("baseline", "false", "true or false"),
         ("output", 5, "a string"),
-    ], ids=["quota-list", "workers-word", "baseline-string", "output-number"])
+        ("quota", True, "an integer"),
+        ("quota", 2.9, "an integer"),
+        ("seed", False, "an integer"),
+        ("workers", float("inf"), "an integer"),
+    ], ids=["quota-list", "workers-word", "baseline-string", "output-number", "quota-bool",
+            "quota-fraction", "seed-bool", "workers-infinite"])
     def test_mistyped_config_value_is_a_usage_error(self, key, value, kind, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         build_fixture_corpus(corpus)
@@ -846,6 +856,11 @@ OUT_OF_RANGE = [
     ("train", "c_value", 0.0, "--c-value must be finite and greater than 0, got 0.0"),
     ("cross-domain", "c_value", -1.0,
      "--c-value must be finite and greater than 0, got -1.0"),
+    ("train", "min_df", 0, "--min-df must be at least 1, got 0"),
+    ("cross-domain", "min_df", -3, "--min-df must be at least 1, got -3"),
+    *[("build", "ratios", ratios,
+       f"--ratios must be three finite, non-negative numbers that sum to 1, got {ratios}")
+      for ratios in ["0.5,0.4,0.2", "nan,0.5,0.5", "0.6,-0.2,0.6"]],
 ]
 
 
@@ -879,6 +894,66 @@ def test_out_of_range_number_is_a_usage_error_before_any_input_is_read(
     assert main([command, *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+CONFIG_COMMANDS = ["build", "audit-export", "train", "eval", "cross-domain"]
+# The options each fuzz run gives by flag, as names in the run's working
+# directory; "bad" holds one malformed line. The fuzzed key is left to the
+# config file.
+FUZZ_FLAGS = {
+    "build": {"input": "bad", "output": "out", "seed": "1"},
+    "audit-export": {"input": "bad", "baseline_input": "bad", "output": "out", "seed": "1"},
+    "train": {"input": "bad", "output": "model.json", "seed": "1"},
+    "eval": {"model": "bad", "input": "bad"},
+    "cross-domain": {"input": "bad", "distances": "bad"},
+}
+FUZZ_KEYS = [(command, key) for command in CONFIG_COMMANDS
+             for key in sorted(cli.build_parser().parse_args([command]).options)]
+EDGE_VALUES = [True, False, 2.5, float("inf"), float("-inf"), float("nan"), -1, 10**30, [1],
+               {"a": 1}, "x", ""]
+# Drawn strings use no "/" or ".", so a path drawn for an output stays in the
+# run's directory; the letters spell "nan", "inf", "train", "test" and "all".
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text("0123456789-,aefilnrstx", max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6)
+
+
+def _no_pool(*args, **kwargs):
+    raise RuntimeError("no worker pool in this test")
+
+
+def run_with_config(command, key, value, workdir):
+    """Exit code of ``command`` with ``{key: value}`` as its config file, run
+    in ``workdir`` without a worker pool."""
+    (workdir / "bad").write_text("not json\n")
+    (workdir / "config.json").write_text(json.dumps({key: value}))
+    argv = [command, "--config", "config.json"]
+    for name, flag_value in FUZZ_FLAGS[command].items():
+        if name != key:
+            argv += ["--" + name.replace("_", "-"), flag_value]
+    with contextlib.chdir(workdir), patch.object(pipeline, "ProcessPoolExecutor", _no_pool):
+        return main(argv)
+
+
+class TestConfigFuzz:
+    """No config value ends a command with a traceback: every run exits 0, 1
+    or 2."""
+
+    @pytest.mark.parametrize("command, key, value", [
+        (command, key, value) for command, key in FUZZ_KEYS for value in EDGE_VALUES],
+        ids=[f"{command}-{key}-{value!r}" for command, key in FUZZ_KEYS
+             for value in EDGE_VALUES])
+    def test_edge_values(self, command, key, value, tmp_path):
+        assert run_with_config(command, key, value, tmp_path) in (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(FUZZ_KEYS), _JSON_VALUES)
+    def test_drawn_values(self, command_key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert run_with_config(*command_key, value, Path(tmp)) in (0, 1, 2)
 
 
 class TestDumpRules:

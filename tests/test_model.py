@@ -534,8 +534,9 @@ class TestSerialization:
         before = path.read_bytes()
         model = LinearModel(weights=[0.5], bias=float("nan"), class_weights=(1.0, 1.0),
                             C=1.0, n_features=1)
-        with pytest.raises(ValueError, match="not JSON compliant"):
+        with pytest.raises(ValueError, match="not JSON compliant") as exc:
             save_model(path, model)
+        assert str(exc.value).startswith(f"{path}: ")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
