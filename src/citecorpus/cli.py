@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -40,7 +41,7 @@ from .pipeline import (
 from .textproc import tokenize
 
 if TYPE_CHECKING:
-    from .model import LinearModel, PUModel, TokenCounts
+    from .model import LinearModel, PUModel, SentenceTable
 
 logger = logging.getLogger("citecorpus")
 
@@ -130,9 +131,15 @@ PATHS = ("a string or a list of strings", lambda value: [value] if isinstance(va
 SPLIT = (f"one of {', '.join(SPLIT_CHOICES)}", _accept(lambda value: value in SPLIT_CHOICES))
 RATIOS = ("three comma-separated numbers", _ratios)
 
+# The ceiling on --workers, so that a mistyped value cannot start thousands of
+# processes at once: one process per core, but never below the 8 that the
+# acceptance tests run on any host.
+MAX_WORKERS = max(8, os.cpu_count() or 1)
+
 # Range checks: (description, predicate on the converted value).
 POSITIVE = ("finite and greater than 0", lambda value: math.isfinite(value) and value > 0)
 SHARES = ("three finite, non-negative numbers that sum to 1", ratios_are_valid)
+WORKERS = (f"from 1 to {MAX_WORKERS}", lambda value: 1 <= value <= MAX_WORKERS)
 
 
 def _at_least(minimum: int) -> tuple:
@@ -194,32 +201,27 @@ def _require_file(path: str, what: str) -> Path:
 
 def _select_sentences(
     samples: list[ParagraphSample], split: str, fields: set[str] | None = None
-) -> tuple[TokenCounts, list[int], list[tuple[str, str]]]:
-    """Token counts, 0/1 labels and (field, split) of the sentences in
-    ``split`` ("all" for every split) whose field is in ``fields`` (None for
-    every field), in dataset order. The one place the model commands
-    tokenize; the token lists go straight into the count matrix."""
-    from .model import count_tokens
+) -> SentenceTable:
+    """The sentences in ``split`` ("all" for every split) whose field is in
+    ``fields`` (None for every field), in dataset order. The one place the
+    model commands tokenize; the token lists go straight into the count
+    matrix."""
+    from .model import SentenceTable, count_tokens
+    import numpy as np  # after .model, which sets the BLAS thread count
 
-    labels: list[int] = []
-    origins: list[tuple[str, str]] = []
-
-    def token_lists():
-        for sample in samples:
-            if split != "all" and sample.split != split:
-                continue
-            if fields is not None and sample.mag_field not in fields:
-                continue
-            origin = (sample.mag_field, sample.split)
-            for sentence in sample.sentences:
-                labels.append(1 if sentence.label == LABEL_CITE_WORTHY else 0)
-                origins.append(origin)
-                yield tokenize(sentence.text)
-
-    return count_tokens(token_lists()), labels, origins
+    chosen = [sample for sample in samples
+              if (split == "all" or sample.split == split)
+              and (fields is None or sample.mag_field in fields)]
+    sentences = [sentence for sample in chosen for sentence in sample.sentences]
+    groups: dict[tuple[str, str], int] = {}
+    group = [groups.setdefault((sample.mag_field, sample.split), len(groups)) for sample in chosen]
+    return SentenceTable(
+        count_tokens(tokenize(sentence.text) for sentence in sentences),
+        np.array([sentence.label == LABEL_CITE_WORTHY for sentence in sentences], dtype=int),
+        np.repeat(group, [len(sample.sentences) for sample in chosen]), groups)
 
 
-def _score(model: LinearModel, X, golds: list[int]) -> metrics.PRF:
+def _score(model: LinearModel, X, golds) -> metrics.PRF:
     """Predict the rows of ``X`` and score them against ``golds``."""
     from .model import predict
 
@@ -333,13 +335,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_path, split = Path(args.output), args.split
     # The parsed samples are freed once counted, and the counts once
     # featurized: the fit is when the process holds the most memory.
-    counts, labels, _ = _select_sentences(read_dataset(dataset_path), split)
-    if not labels:
-        raise ValueError(f"dataset has no sentences in split {split!r}")
-
-    vocab = fit_vocabulary(counts, min_df=args.min_df, max_features=args.max_features)
-    X = featurize(counts, vocab)
-    del counts
+    table = _select_sentences(read_dataset(dataset_path), split)
+    labels = table.label[table.rows(split=split)]
+    vocab = fit_vocabulary(table.counts, min_df=args.min_df, max_features=args.max_features)
+    X = featurize(table.counts, vocab)
+    del table
     if args.pu:
         model: LinearModel | PUModel = train_pu(X, labels, seed=args.seed, C=args.c_value)
         print(f"labeling-frequency estimate: {model.c_estimate:.4f}")
@@ -371,11 +371,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model, vocab = load_model(model_path)
     if vocab is None:
         raise ValueError(f"{model_path} carries no vocabulary; cannot featurize text")
-    counts, golds, _ = _select_sentences(read_dataset(dataset_path), split,
-                                         None if field is None else {field})
-    if not golds:
-        raise ValueError(f"no sentences selected (split={split!r}, field={field!r})")
-    print(_score(_scoring_model(model), featurize(counts, vocab), golds).render_text())
+    table = _select_sentences(read_dataset(dataset_path), split,
+                              None if field is None else {field})
+    golds = table.label[table.rows(field, split)]
+    print(_score(_scoring_model(model), featurize(table.counts, vocab), golds).render_text())
     return 0
 
 
@@ -396,39 +395,29 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
-    counts, labels, origins = _select_sentences(read_dataset(dataset_path), "all", set(fields))
-    import numpy as np  # after .model, which sets the BLAS thread count
-
-    labels = np.asarray(labels)
-    row_field = np.array([field for field, _ in origins])
-    row_split = np.array([split for _, split in origins])
-
-    def rows(field: str, split: str) -> np.ndarray:
-        in_field = row_field == field
-        found = np.flatnonzero(in_field if split == "all" else in_field & (row_split == split))
-        if not found.size:
-            raise ValueError(f"field {field!r} has no train sentences" if split == SPLIT_TRAIN
-                             else f"field {field!r} has no sentences for split {split!r}")
-        return found
-
-    # Every field's rows, checked before the first fit.
-    selected = {(field, split): rows(field, split)
+    table = _select_sentences(read_dataset(dataset_path), "all", set(fields))
+    # Every field's rows and distance column, checked before the first fit.
+    selected = {(field, split): table.rows(field, split)
                 for field in fields for split in ("all", SPLIT_TRAIN, SPLIT_TEST)}
+    for test_field in fields:
+        if len({distances[train_field, test_field] for train_field in fields}) == 1:
+            raise ValueError(f"{distances_path}: every distance to test field {test_field!r} "
+                             "is the same, so its rho is undefined")
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:
         train_rows = selected[train_field, SPLIT_TRAIN]
-        train_labels = labels[train_rows].tolist()
-        vocab = fit_vocabulary(counts.rows(train_rows), min_df=args.min_df)
+        train_labels = table.label[train_rows]
+        vocab = fit_vocabulary(table.counts.rows(train_rows), min_df=args.min_df)
         # Rows are featurized independently, so one pass over every sentence
         # serves the fit and all of its test cells.
-        X = featurize(counts, vocab)
+        X = featurize(table.counts, vocab)
         model = train_logreg(X[train_rows], train_labels,
                              compute_class_weights(train_labels), C=args.c_value)
         _warn_unconverged(f"fit on {train_field}", model)
         for test_field in fields:
             eval_rows = selected[test_field, SPLIT_TEST if test_field == train_field else "all"]
             f1_by_pair[train_field, test_field] = 100.0 * _score(
-                model, X[eval_rows], labels[eval_rows].tolist()).f1
+                model, X[eval_rows], table.label[eval_rows]).f1
 
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
     print(grid.render_text())
@@ -474,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "quota", INTEGER, 1000, check=_at_least(0), help="paragraphs per field")
     _option(p, "ratios", RATIOS, "0.8,0.1,0.1", check=SHARES,
             help="train,dev,test sentence shares")
-    _option(p, "workers", INTEGER, 1, check=_at_least(1), help="parallel paper workers")
+    _option(p, "workers", INTEGER, 1, check=WORKERS,
+            help=f"parallel paper workers, at most {MAX_WORKERS}")
     _option(p, "baseline", SWITCH, False,
             help="naive span-removal variant (audit comparison only)")
 

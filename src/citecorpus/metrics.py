@@ -246,7 +246,8 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
 
     Format: tab-separated; first line is an empty cell followed by the test
     field names, each following line is a train field name followed by its
-    distances in header order.
+    distances in header order. A cell that is not a finite number is a
+    ValueError naming the file and line.
     """
     lines = [(lineno, line.rstrip("\n")) for lineno, line in read_lines(path) if line.strip()]
     if not lines:
@@ -264,9 +265,12 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
         train = cells[0].strip()
         for test_name, cell in zip(test_fields, cells[1:]):
             try:
-                distances[(train, test_name)] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: bad number {cell!r}") from exc
+            if not math.isfinite(value):
+                raise ValueError(f"{path}, line {lineno}: {cell!r} is not a finite number")
+            distances[(train, test_name)] = value
     return distances
 
 
@@ -282,4 +286,6 @@ def write_distance_matrix(
 
 
 def grid_to_json(grid: DomainGrid) -> str:
-    return json.dumps(asdict(grid), ensure_ascii=False, sort_keys=True, indent=2)
+    """The grid as JSON; a ValueError when a number is not finite."""
+    return json.dumps(asdict(grid), ensure_ascii=False, sort_keys=True, indent=2,
+                      allow_nan=False)

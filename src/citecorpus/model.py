@@ -101,6 +101,28 @@ def count_tokens(docs: Iterable[Sequence[str]]) -> TokenCounts:
     return TokenCounts(terms, matrix)
 
 
+@dataclass(frozen=True, eq=False)
+class SentenceTable:
+    """One row per sentence, in dataset order: its token counts, 0/1 ``label``
+    and ``group``, the code ``groups`` gives its paragraph's (field, split)."""
+
+    counts: TokenCounts
+    label: np.ndarray
+    group: np.ndarray
+    groups: dict[tuple[str, str], int]
+
+    def rows(self, field: str | None = None, split: str = "all") -> np.ndarray:
+        """The indices of the rows in ``field`` (None for every field) and
+        ``split`` ("all" for every split); a ValueError when there are none."""
+        wanted = [code for (name, part), code in self.groups.items()
+                  if field in (None, name) and split in ("all", part)]
+        found = np.flatnonzero(np.isin(self.group, wanted))
+        if not found.size:
+            where = "dataset" if field is None else f"field {field!r}"
+            raise ValueError(f"{where} has no sentences for split {split!r}")
+        return found
+
+
 @dataclass(frozen=True)
 class Vocabulary:
     """Term -> (dense index, document frequency) plus the corpus size."""
@@ -403,14 +425,22 @@ def _linear_from_record(record: object) -> LinearModel:
 
 
 def _vocabulary_from_record(record: object) -> Vocabulary:
+    """The vocabulary, with ``total_docs`` at least 1 and each term's
+    document frequency in 1..total_docs, which keeps every idf finite."""
     raw = _pull(record, "terms", dict)
+    total_docs = _pull(record, "total_docs", int)
+    if total_docs < 1:
+        raise ValueError(f"key 'total_docs' must be at least 1, got {total_docs}")
     terms = {}
     for term in raw:
         index, df = _pull(raw, term, list, int)
+        if not 1 <= df <= total_docs:
+            raise ValueError(
+                f"key {term!r}: document frequency {df} is not in 1..{total_docs}")
         terms[term] = (index, df)
     if sorted(index for index, _ in terms.values()) != list(range(len(terms))):
         raise ValueError(f"vocabulary indices are not exactly 0..{len(terms) - 1}")
-    return Vocabulary(terms=terms, total_docs=_pull(record, "total_docs", int))
+    return Vocabulary(terms=terms, total_docs=total_docs)
 
 
 def save_model(
@@ -448,9 +478,9 @@ def save_model(
 
 def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary | None]:
     """Read a model container; raise ValueError naming the file when a key is
-    missing, mistyped or holds a number that is not finite, or when weights,
-    n_features and vocabulary disagree, and naming the line too when a byte
-    is not UTF-8."""
+    missing, mistyped, holds a number that is not finite or a vocabulary
+    count out of range, or when weights, n_features and vocabulary disagree,
+    and naming the line too when a byte is not UTF-8."""
     text = "".join(line for _, line in read_lines(path))
     try:
         payload = json.loads(text)

@@ -268,8 +268,42 @@ class TestBuild:
             config.write_text(json.dumps({"workers": value}))
             argv += ["--config", str(config)]
         assert main(argv) == 2
-        assert f"--workers must be at least 1, got {value}" in capsys.readouterr().err
+        assert (f"--workers must be from 1 to {cli.MAX_WORKERS}, got {value}"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+    def test_workers_ceiling_allows_eight_and_every_usable_core(self, capsys):
+        assert cli.MAX_WORKERS >= max(8, len(os.sched_getaffinity(0)))
+        with pytest.raises(SystemExit):
+            main(["build", "--help"])
+        assert f"at most {cli.MAX_WORKERS} " in " ".join(capsys.readouterr().out.split())
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("value", ["ceiling", "ceiling+1", "10**30"])
+    def test_workers_above_the_ceiling_is_a_usage_error(self, value, via, tmp_path, capsys):
+        # The stub pool raises instead of starting processes: a value within
+        # the ceiling reaches it and exits 1, one above is refused with 2.
+        number = {"ceiling": cli.MAX_WORKERS, "ceiling+1": cli.MAX_WORKERS + 1,
+                  "10**30": 10**30}[value]
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        out = tmp_path / "out"
+        argv = ["build", "--input", str(corpus), "--output", str(out), "--seed", "7"]
+        if via == "flag":
+            argv += ["--workers", str(number)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"workers": number}))
+            argv += ["--config", str(config)]
+        with patch.object(pipeline, "ProcessPoolExecutor", _no_pool):
+            code = main(argv)
+        err = capsys.readouterr().err
+        if number == cli.MAX_WORKERS:
+            assert (code, err) == (1, "error: no worker pool in this test\n")
+        else:
+            assert (code, err) == (
+                2, f"error: --workers must be from 1 to {cli.MAX_WORKERS}, got {number}\n")
+        assert not (out / "dataset.jsonl").exists()
 
     def test_mistyped_config_key_is_a_usage_error(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -567,6 +601,27 @@ class TestMalformedModelFile:
         assert capsys.readouterr().err == (
             f"error: {bad}: key 'bias' holds a number that is not finite\n")
 
+    @pytest.mark.parametrize("case", ["df-negative", "df-zero", "df-above-total_docs",
+                                      "total_docs-zero", "total_docs-negative"])
+    def test_vocabulary_count_out_of_range_names_file_and_key(self, case, trained, tmp_path,
+                                                              capsys):
+        out, model_path = trained
+        payload = json.loads(model_path.read_text())
+        vocabulary = payload["vocabulary"]
+        term = next(iter(vocabulary["terms"]))
+        total = vocabulary["total_docs"]
+        df = {"df-negative": -1, "df-zero": 0, "df-above-total_docs": total + 1}.get(case)
+        if df is not None:
+            vocabulary["terms"][term][1] = df
+            message = f"key {term!r}: document frequency {df} is not in 1..{total}"
+        else:
+            vocabulary["total_docs"] = {"total_docs-zero": 0, "total_docs-negative": -3}[case]
+            message = f"key 'total_docs' must be at least 1, got {vocabulary['total_docs']}"
+        bad = tmp_path / f"{case}.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
     def test_undecodable_byte_names_file_and_line(self, trained, tmp_path, capsys):
         out, _ = trained
         bad = tmp_path / "m.json"
@@ -612,6 +667,52 @@ class TestTokenizeOnce:
             == set(fields)
         assert len(calls) == len(everything)
         assert sorted(calls) == sorted(everything)
+
+
+# Field names in and outside MAG_FIELDS, the empty name and a NUL included.
+_TABLE_FIELDS = ["Biology", "Chemistry", "Nosuch", "", "Bio\x00"]
+_TABLE_SPLITS = [*pipeline.SPLITS, pipeline.SPLIT_UNASSIGNED]
+_TABLE_SAMPLES = st.lists(st.builds(
+    lambda field, split, sentences: ParagraphSample(
+        paper_id="p", section_title="introduction", mag_field=field, split=split,
+        sentences=tuple(LabeledSentence(text, LABEL_CITE_WORTHY if cited else
+                                        LABEL_NON_CITE_WORTHY, int(cited))
+                        for text, cited in sentences)),
+    st.sampled_from(_TABLE_FIELDS), st.sampled_from(_TABLE_SPLITS),
+    st.lists(st.tuples(st.text("ab .", max_size=12), st.booleans()), min_size=1,
+             max_size=4)), max_size=8)
+
+
+class TestSentenceTable:
+    @settings(max_examples=200, deadline=None)
+    @given(_TABLE_SAMPLES, st.sampled_from(["all", *_TABLE_SPLITS]),
+           st.none() | st.sets(st.sampled_from(_TABLE_FIELDS + ["Physics"])))
+    def test_rows_and_labels_match_a_per_sentence_loop(self, samples, split, fields):
+        from citecorpus.model import count_tokens
+        from citecorpus.textproc import tokenize
+
+        table = cli._select_sentences(samples, split, fields)
+        chosen = [(sample.mag_field, sample.split, sentence) for sample in samples
+                  for sentence in sample.sentences
+                  if split in ("all", sample.split)
+                  and (fields is None or sample.mag_field in fields)]
+        expected = count_tokens(tokenize(sentence.text) for _, _, sentence in chosen)
+        assert table.counts.terms == expected.terms
+        assert (table.counts.matrix != expected.matrix).nnz == 0
+        for field in [None, *_TABLE_FIELDS, "Physics"]:
+            for part in ["all", *_TABLE_SPLITS]:
+                rows = [i for i, (name, in_split, _) in enumerate(chosen)
+                        if field in (None, name) and part in ("all", in_split)]
+                if not rows:
+                    where = "dataset" if field is None else f"field {field!r}"
+                    with pytest.raises(ValueError) as exc:
+                        table.rows(field, part)
+                    assert str(exc.value) == f"{where} has no sentences for split {part!r}"
+                    continue
+                found = table.rows(field, part)
+                assert found.tolist() == rows
+                assert table.label[found].tolist() == [
+                    int(chosen[i][2].label == LABEL_CITE_WORTHY) for i in rows]
 
 
 class TestCrossDomain:
@@ -687,6 +788,17 @@ class TestCrossDomain:
         assert capsys.readouterr().err == (
             f"error: {dist_path}, line 3: byte 0xff is not valid UTF-8\n")
 
+    def test_non_finite_distance_names_file_and_line(self, trained, tmp_path, capsys):
+        out, _ = trained
+        dist_path = tmp_path / "dist.tsv"
+        dist_path.write_text("\tBiology\tChemistry\nBiology\t0\t1\nChemistry\tnan\t0\n")
+        grid_path = tmp_path / "grid.json"
+        assert main(["cross-domain", "--input", str(out / "dataset.jsonl"), "--distances",
+                     str(dist_path), "--output", str(grid_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dist_path}, line 3: 'nan' is not a finite number\n")
+        assert not grid_path.exists()
+
     @pytest.mark.parametrize("matrix_fields, flag", [
         (["Biology", "Chemistry"], ["--fields", "Biology"]),
         (["Biology", "Chemistry"], ["--fields", "Biology, Biology"]),
@@ -708,7 +820,8 @@ class TestCrossDomain:
             "error: the cross-domain grid needs two or more fields, got ['Biology']\n")
 
     @pytest.mark.parametrize("case", ["missing-matrix-row", "field-not-in-dataset",
-                                      "field-without-test-rows"])
+                                      "field-without-test-rows", "field-without-train-rows",
+                                      "constant-distance-column"])
     def test_inputs_checked_before_the_first_fit(self, case, trained, tmp_path, monkeypatch,
                                                  capsys):
         def no_fit(*args, **kwargs):
@@ -726,14 +839,19 @@ class TestCrossDomain:
         elif case == "field-not-in-dataset":
             fields = rows = fields + ["Nosuch"]
             expected = "field 'Nosuch' has no sentences for split 'all'"
+        elif case == "constant-distance-column":
+            # Every column below is constant; the row checks come first.
+            expected = (f"{tmp_path / 'dist.tsv'}: every distance to test field 'Biology' "
+                        "is the same, so its rho is undefined")
         else:
+            emptied = "test" if case == "field-without-test-rows" else "train"
             samples = read_dataset(dataset_path)
             for sample in samples:
-                if sample.mag_field == "Chemistry" and sample.split == "test":
+                if sample.mag_field == "Chemistry" and sample.split == emptied:
                     sample.split = "dev"
             dataset_path = tmp_path / "dataset.jsonl"
             write_dataset(samples, dataset_path)
-            expected = "field 'Chemistry' has no sentences for split 'test'"
+            expected = f"field 'Chemistry' has no sentences for split {emptied!r}"
         dist_path = tmp_path / "dist.tsv"
         with open(dist_path, "w", encoding="utf-8") as fh:
             fh.write("\t" + "\t".join(fields) + "\n")

@@ -7,8 +7,10 @@ import pytest
 from citecorpus.metrics import (
     PRF,
     cluster_purity,
+    DomainGrid,
     dataset_stats,
     domain_grid,
+    grid_to_json,
     pearson,
     population_std,
     precision_recall_f1,
@@ -251,3 +253,18 @@ class TestDistanceMatrixIO:
         with pytest.raises(ValueError) as exc:
             read_distance_matrix(path)
         assert str(exc.value) == f"{path}, line 4: bad number 'x'"
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_named(self, tmp_path, cell):
+        path = tmp_path / "dist.tsv"
+        path.write_text(f"\tA\tB\nA\t0\t1\nB\t{cell}\t0\n")
+        with pytest.raises(ValueError) as exc:
+            read_distance_matrix(path)
+        assert str(exc.value) == f"{path}, line 3: {cell!r} is not a finite number"
+
+
+def test_grid_json_refuses_a_number_that_is_not_finite():
+    grid = DomainGrid(fields=["A"], f1={"A": {"A": 50.0}}, sigma={"A": 0.0},
+                      rho={"A": float("nan")})
+    with pytest.raises(ValueError):
+        grid_to_json(grid)
