@@ -8,10 +8,11 @@ evaluation tooling on top of it.
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 __version__ = "0.1.0"
 
@@ -37,3 +38,21 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def to_json(value: object, indent: int | None = None) -> str:
+    """The one JSON encoding of every output: keys sorted, text not escaped
+    to ASCII, and a number that is not finite a ValueError."""
+    return json.dumps(value, ensure_ascii=False, sort_keys=True, indent=indent, allow_nan=False)
+
+
+def write_json(path: str | Path, values: Iterable[object], indent: int | None = None) -> None:
+    """Write each value as ``to_json`` and a newline through ``atomic_write``;
+    a number that is not finite is a ValueError naming the file."""
+    with atomic_write(path) as fh:
+        for value in values:
+            try:
+                text = to_json(value, indent)
+            except ValueError as exc:
+                raise ValueError(f"{path}: a number is not finite ({exc})") from exc
+            fh.write(text + "\n")

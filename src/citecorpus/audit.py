@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import atomic_write
+from . import atomic_write, write_json
 from .ingest import read_lines
 from .pipeline import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, ParagraphSample
 
@@ -126,13 +126,13 @@ def sample_for_audit(
     rng.shuffle(items)
 
     # Neither file replaces its old version unless both were written whole.
-    with atomic_write(sheet_path) as sheet, atomic_write(key_path) as key:
+    with atomic_write(sheet_path) as sheet:
         sheet.write("\t".join(SHEET_COLUMNS) + "\n")
         for item in items:
             sheet.write("\t".join((item.item_id, _clean_cell(item.sentence),
                                    _clean_cell(item.prev), _clean_cell(item.next), "", "")) + "\n")
-            key.write(json.dumps({"item_id": item.item_id, "method": item.method,
-                                  "gold_label": item.gold_label}, sort_keys=True) + "\n")
+        write_json(key_path, ({"item_id": item.item_id, "method": item.method,
+                               "gold_label": item.gold_label} for item in items))
     return items
 
 

@@ -21,7 +21,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_C, __version__, atomic_write, audit, metrics, textproc
+from . import DEFAULT_C, __version__, audit, metrics, textproc, to_json, write_json
 from .ingest import read_lines
 from .pipeline import (
     LABEL_CITE_WORTHY,
@@ -270,9 +270,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "section_titles": _sha256("\n".join(PERMISSIBLE_SECTION_TITLES)),
         },
     }
-    with atomic_write(output_dir / MANIFEST_FILENAME) as fh:
-        json.dump(manifest, fh, ensure_ascii=False, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(output_dir / MANIFEST_FILENAME, [manifest], indent=2)
 
     print(metrics.dataset_stats(selected).render_text())
     return 0
@@ -282,7 +280,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     path = _require_file(args.input, "dataset")
     report = metrics.dataset_stats(read_dataset(path))
     if args.json:
-        print(json.dumps(asdict(report), ensure_ascii=False, sort_keys=True, indent=2))
+        print(to_json(asdict(report), indent=2))
     else:
         print(report.render_text())
     return 0
@@ -400,9 +398,14 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     selected = {(field, split): table.rows(field, split)
                 for field in fields for split in ("all", SPLIT_TRAIN, SPLIT_TEST)}
     for test_field in fields:
-        if len({distances[train_field, test_field] for train_field in fields}) == 1:
+        column = [distances[train_field, test_field] for train_field in fields]
+        if len(set(column)) == 1:
             raise ValueError(f"{distances_path}: every distance to test field {test_field!r} "
                              "is the same, so its rho is undefined")
+        if not 0.0 < metrics._centered(column)[1] < math.inf:
+            raise ValueError(f"{distances_path}: the squared deviations of the distances to "
+                             f"test field {test_field!r} leave the float range, so its rho "
+                             "is undefined")
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:
         train_rows = selected[train_field, SPLIT_TRAIN]
@@ -422,8 +425,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
     print(grid.render_text())
     if args.output:
-        with atomic_write(args.output) as fh:
-            fh.write(metrics.grid_to_json(grid) + "\n")
+        write_json(args.output, [asdict(grid)], indent=2)
         print(f"grid written to {args.output}")
     return 0
 

@@ -7,13 +7,13 @@ renderers multiply where the conventional presentation is x100.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import atomic_write
 from .textproc import tokenize
 from .ingest import read_lines
 from .pipeline import LABEL_CITE_WORTHY, SPLIT_UNASSIGNED, SPLITS, ParagraphSample
@@ -155,21 +155,29 @@ def cluster_purity(assignments: Sequence, gold_domains: Sequence) -> float:
     return 100.0 * majority / len(assignments)
 
 
+def _centered(values: Sequence[float]) -> tuple[list[float], float]:
+    """Each value's deviation from the mean, and the sum of their squares,
+    which is 0 or not finite when the squares underflow or overflow."""
+    mean = sum(values) / len(values)
+    deviations = [v - mean for v in values]
+    return deviations, sum(d * d for d in deviations)
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient."""
+    """Sample Pearson correlation coefficient; a ValueError when it is
+    undefined, or when the variances leave the float range."""
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} xs vs {len(ys)} ys")
     if len(xs) < 2:
         raise ValueError("need at least two points")
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    var_x = sum(d * d for d in dx)
-    var_y = sum(d * d for d in dy)
+    dx, var_x = _centered(xs)
+    dy, var_y = _centered(ys)
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("correlation undefined: an argument has zero variance")
-    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
+    product = var_x * var_y
+    if not 0.0 < product < math.inf:
+        raise ValueError("correlation undefined: the variances leave the float range")
+    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(product)
 
 
 @dataclass
@@ -278,14 +286,8 @@ def write_distance_matrix(
     distances: Mapping[tuple[str, str], float], fields: Sequence[str], path: str | Path
 ) -> None:
     """Inverse of read_distance_matrix, mainly for fixtures and round-trips."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("\t" + "\t".join(fields) + "\n")
         for train in fields:
             row = [train] + [repr(distances[(train, test)]) for test in fields]
             fh.write("\t".join(row) + "\n")
-
-
-def grid_to_json(grid: DomainGrid) -> str:
-    """The grid as JSON; a ValueError when a number is not finite."""
-    return json.dumps(asdict(grid), ensure_ascii=False, sort_keys=True, indent=2,
-                      allow_nan=False)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import DEFAULT_C, atomic_write
+from . import DEFAULT_C, write_json
 from .ingest import read_lines
 
 # A threaded BLAS sums dot products in per-thread chunks, so fitted weights
@@ -405,12 +405,20 @@ def _pull(record: object, key: str, kind: type | tuple[type, ...], items=None):
     return value
 
 
+def _pull_pair(record: object, key: str, items: type | tuple[type, ...], what: str) -> list:
+    """``_pull(record, key, list, items)``, holding exactly two ``what``."""
+    pair = _pull(record, key, list, items)
+    if len(pair) != 2:
+        raise ValueError(f"key {key!r} must hold two {what}")
+    return pair
+
+
 def _linear_from_record(record: object) -> LinearModel:
     weights = _pull(record, "weights", list, _NUMBER)
     n_features = _pull(record, "n_features", int)
     if len(weights) != n_features:
         raise ValueError(f"{len(weights)} weights but n_features={n_features}")
-    w_pos, w_neg = _pull(record, "class_weights", list, _NUMBER)
+    w_pos, w_neg = _pull_pair(record, "class_weights", _NUMBER, "numbers")
     # The fit report is optional: files written before it existed lack it.
     report = {key: _pull(record, key, kind) for key, kind in _FIT_REPORT.items()
               if key in record}
@@ -433,7 +441,7 @@ def _vocabulary_from_record(record: object) -> Vocabulary:
         raise ValueError(f"key 'total_docs' must be at least 1, got {total_docs}")
     terms = {}
     for term in raw:
-        index, df = _pull(raw, term, list, int)
+        index, df = _pull_pair(raw, term, int, "integers")
         if not 1 <= df <= total_docs:
             raise ValueError(
                 f"key {term!r}: document frequency {df} is not in 1..{total_docs}")
@@ -451,7 +459,7 @@ def save_model(
     """Write a versioned model container; float round-trips are exact, and a
     number that is not finite is a ValueError naming the file.
 
-    The JSON goes through ``atomic_write``, so an interrupted write never
+    The JSON goes through ``write_json``, so an interrupted write never
     leaves a truncated model file.
     """
     payload: dict = {"format_version": 1}
@@ -468,12 +476,7 @@ def save_model(
             "total_docs": vocab.total_docs,
             "terms": {term: [index, df] for term, (index, df) in vocab.terms.items()},
         }
-    with atomic_write(path) as fh:
-        try:
-            json.dump(payload, fh, ensure_ascii=False, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
-            raise ValueError(f"{path}: a number is not finite ({exc})") from exc
-        fh.write("\n")
+    write_json(path, [payload])
 
 
 def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary | None]:

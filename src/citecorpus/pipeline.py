@@ -30,7 +30,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import atomic_write
+from . import write_json
 from .ingest import (Diagnostic, PaperRecord, Paragraph, line_batches,
                      paper_eligible, parse_line, read_lines)
 from .textproc import (
@@ -557,11 +557,8 @@ def _record_to_sample(record: object, where: str) -> ParagraphSample:
 
 def write_dataset(samples: Iterable[ParagraphSample], path: str | Path) -> None:
     """Write samples as newline-delimited records, deterministically and
-    atomically (see ``atomic_write``)."""
-    with atomic_write(path) as fh:
-        for sample in samples:
-            fh.write(json.dumps(_sample_to_record(sample), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    atomically (see ``write_json``)."""
+    write_json(path, map(_sample_to_record, samples))
 
 
 def read_dataset(path: str | Path) -> list[ParagraphSample]:
@@ -582,11 +579,6 @@ def read_dataset(path: str | Path) -> list[ParagraphSample]:
 
 def write_rejections(rejections: Iterable[RejectionRecord], path: str | Path) -> None:
     """Write the sidecar rejection log: one {paper_id, paragraph_index, code}
-    record per rejected paragraph, atomically (see ``atomic_write``)."""
-    with atomic_write(path) as fh:
-        for rec in rejections:
-            fh.write(json.dumps(
-                {"paper_id": rec.paper_id, "paragraph_index": rec.paragraph_index,
-                 "code": rec.reason.code},
-                ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    record per rejected paragraph, atomically (see ``write_json``)."""
+    write_json(path, ({"paper_id": rec.paper_id, "paragraph_index": rec.paragraph_index,
+                       "code": rec.reason.code} for rec in rejections))

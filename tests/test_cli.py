@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -23,6 +24,7 @@ from citecorpus import pipeline
 from citecorpus.pipeline import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LabeledSentence,
                                  ParagraphSample, read_dataset, write_dataset)
 from corpusgen import make_corpus_file, write_corpus
+from faults import disk_full_on
 
 import numpy as np
 
@@ -570,12 +572,20 @@ def _out_of_range_index(payload):
     terms[next(iter(terms))][0] = len(terms)
 
 
+def _first_term(payload):
+    return payload["vocabulary"]["terms"][next(iter(payload["vocabulary"]["terms"]))]
+
+
 MALFORMED_MODELS = {
     "missing-key": lambda payload: payload.clear() or payload.update(format_version=1),
     "mistyped-key": lambda payload: payload["model"].update(bias="0.5"),
     "weights-vs-n_features": lambda payload: payload["model"]["weights"].append(0.0),
     "vocabulary-indices": _out_of_range_index,
     "n_features-vs-vocabulary": _drop_last_term,
+    "class_weights-of-three": lambda payload: payload["model"]["class_weights"].append(1.0),
+    "class_weights-of-one": lambda payload: payload["model"]["class_weights"].pop(),
+    "vocabulary-entry-of-three": lambda payload: _first_term(payload).append(1),
+    "vocabulary-entry-of-one": lambda payload: _first_term(payload).pop(),
 }
 
 
@@ -590,6 +600,21 @@ class TestMalformedModelFile:
         rc = main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")])
         assert rc == 1
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["class_weights-of-three", "class_weights-of-one",
+                                      "vocabulary-entry-of-three", "vocabulary-entry-of-one"])
+    def test_pair_of_the_wrong_length_names_the_key(self, case, trained, tmp_path, capsys):
+        out, model_path = trained
+        payload = json.loads(model_path.read_text())
+        MALFORMED_MODELS[case](payload)
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(payload))
+        if case.startswith("class_weights"):
+            message = "key 'class_weights' must hold two numbers"
+        else:
+            message = f"key {next(iter(payload['vocabulary']['terms']))!r} must hold two integers"
+        assert main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_non_finite_bias_names_file_and_key(self, trained, tmp_path, capsys):
         out, model_path = trained
@@ -821,7 +846,8 @@ class TestCrossDomain:
 
     @pytest.mark.parametrize("case", ["missing-matrix-row", "field-not-in-dataset",
                                       "field-without-test-rows", "field-without-train-rows",
-                                      "constant-distance-column"])
+                                      "constant-distance-column", "distances-1e308",
+                                      "distances-1e200", "distances-1e-200"])
     def test_inputs_checked_before_the_first_fit(self, case, trained, tmp_path, monkeypatch,
                                                  capsys):
         def no_fit(*args, **kwargs):
@@ -832,6 +858,7 @@ class TestCrossDomain:
         dataset_path = out / "dataset.jsonl"
         fields = ["Biology", "Chemistry"]
         rows = fields
+        cells = {}
         if case == "missing-matrix-row":
             rows = ["Biology"]
             expected = ("incomplete distance matrix; missing pairs: "
@@ -843,6 +870,13 @@ class TestCrossDomain:
             # Every column below is constant; the row checks come first.
             expected = (f"{tmp_path / 'dist.tsv'}: every distance to test field 'Biology' "
                         "is the same, so its rho is undefined")
+        elif case.startswith("distances-"):
+            # Biology's two distances are +x and -x: their squares overflow
+            # to inf or underflow to 0.
+            x = case.removeprefix("distances-")
+            cells = {("Biology", "Biology"): x, ("Chemistry", "Biology"): "-" + x}
+            expected = (f"{tmp_path / 'dist.tsv'}: the squared deviations of the distances "
+                        "to test field 'Biology' leave the float range, so its rho is undefined")
         else:
             emptied = "test" if case == "field-without-test-rows" else "train"
             samples = read_dataset(dataset_path)
@@ -856,7 +890,8 @@ class TestCrossDomain:
         with open(dist_path, "w", encoding="utf-8") as fh:
             fh.write("\t" + "\t".join(fields) + "\n")
             for train in rows:
-                fh.write("\t".join([train] + ["1.0"] * len(fields)) + "\n")
+                fh.write("\t".join([train] + [cells.get((train, test), "1.0")
+                                              for test in fields]) + "\n")
         assert main(["cross-domain", "--input", str(dataset_path), "--distances",
                      str(dist_path), "--fields", ",".join(fields)]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
@@ -949,6 +984,95 @@ class TestAuditCommands:
         assert main(argv + ["2"]) == 1
         assert capsys.readouterr().err == "error: disk full\n"
         assert {p.name: p.read_bytes() for p in audit_dir.iterdir()} == old
+
+
+def _nan_in_dataset(monkeypatch):
+    real = pipeline._sample_to_record
+    monkeypatch.setattr(pipeline, "_sample_to_record",
+                        lambda sample: {**real(sample), "paragraph_index": math.nan})
+
+
+def _nan_in_model(monkeypatch):
+    real = citecorpus.model.train_logreg
+
+    def fit(*args, **kwargs):
+        model = real(*args, **kwargs)
+        model.bias = math.nan
+        return model
+
+    monkeypatch.setattr(citecorpus.model, "train_logreg", fit)
+
+
+def _nan_in_grid(monkeypatch):
+    real = citecorpus.metrics.domain_grid
+
+    def grid(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.rho["Biology"] = math.nan
+        return result
+
+    monkeypatch.setattr(citecorpus.metrics, "domain_grid", grid)
+
+
+def _build(source, out):
+    return ["build", "--input", str(source.parent / "corpus.jsonl"), "--output", str(out),
+            "--seed", "3", "--quota", "5"]
+
+
+# Each writer: the file it writes into ``out``, the command that writes it
+# from the ``trained`` fixture's build directory ``source``, and a patch that
+# puts a NaN into one of the values it writes.
+WRITERS = {
+    "dataset": ("dataset.jsonl", _build, _nan_in_dataset),
+    "manifest": ("manifest.json", _build,
+                 lambda monkeypatch: monkeypatch.setattr(cli, "__version__", math.nan)),
+    "model": ("model.json",
+              lambda source, out: ["train", "--input", str(source / "dataset.jsonl"),
+                                   "--output", str(out / "model.json"), "--seed", "1"],
+              _nan_in_model),
+    "grid": ("grid.json",
+             lambda source, out: ["cross-domain", "--input", str(source / "dataset.jsonl"),
+                                  "--distances", str(out.parent / "dist.tsv"),
+                                  "--output", str(out / "grid.json")],
+             _nan_in_grid),
+    "audit-key": ("key.jsonl",
+                  lambda source, out: ["audit-export", "--input", str(source / "dataset.jsonl"),
+                                       "--baseline-input", str(source / "dataset.jsonl"),
+                                       "--n-per-class", "2", "--seed", "1",
+                                       "--output", str(out)],
+                  lambda monkeypatch: monkeypatch.setattr(audit, "METHOD_MAIN", math.nan)),
+}
+
+
+@pytest.mark.parametrize("fault", ["disk-full", "nan"])
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file(writer, fault, trained, tmp_path, monkeypatch,
+                                         capsys):
+    name, command, poison = WRITERS[writer]
+    fields = ["Biology", "Chemistry"]
+    write_distance_matrix({(a, b): float(a != b) for a in fields for b in fields}, fields,
+                          tmp_path / "dist.tsv")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = command(trained[0], out)
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert name in before
+    if argv[0] == "build":
+        # A build removes its old manifest first: only a complete build has one.
+        del before["manifest.json"]
+    capsys.readouterr()
+    if fault == "nan":
+        poison(monkeypatch)
+    else:
+        monkeypatch.setattr(citecorpus, "open", disk_full_on(name), raising=False)
+    assert main(argv) == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    err = capsys.readouterr().err
+    if fault == "nan":
+        assert err.startswith(f"error: {out / name}: a number is not finite (")
+    else:
+        assert err == "error: [Errno 28] No space left on device\n"
 
 
 @pytest.mark.parametrize("command", ["build", "audit-export", "train", "eval",

@@ -1,16 +1,18 @@
 """Unit tests for evaluation metrics, statistics, and the domain grid."""
 
+import math
 import random
+from dataclasses import asdict
 
 import pytest
 
+from citecorpus import write_json
 from citecorpus.metrics import (
     PRF,
     cluster_purity,
     DomainGrid,
     dataset_stats,
     domain_grid,
-    grid_to_json,
     pearson,
     population_std,
     precision_recall_f1,
@@ -177,6 +179,27 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson([1], [2])
 
+    @pytest.mark.parametrize("ys", [[1e308, -1e308], [1e200, -1e200], [9e153, -9e153],
+                                    [1e-200, -1e-200]],
+                             ids=["1e308", "1e200", "product-overflows", "1e-200"])
+    def test_variances_beyond_the_float_range_are_an_error(self, ys):
+        # Each pair has rho = -1; in floating point the squares overflow or
+        # underflow, and the quotient used to come out 0.0.
+        with pytest.raises(ValueError, match="correlation undefined"):
+            pearson([0.0, 100.0], ys)
+
+    def test_bits_match_the_two_pass_formula(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            xs = [rng.uniform(0, 100) for _ in range(n)]
+            ys = [rng.choice([rng.uniform(-1, 1), rng.uniform(-1e6, 1e6)]) for _ in range(n)]
+            dx = [x - sum(xs) / n for x in xs]
+            dy = [y - sum(ys) / n for y in ys]
+            expected = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(
+                sum(d * d for d in dx) * sum(d * d for d in dy))
+            assert pearson(xs, ys) == expected
+
 
 class TestDomainGrid:
     FIELDS = ["A", "B", "C"]
@@ -263,8 +286,11 @@ class TestDistanceMatrixIO:
         assert str(exc.value) == f"{path}, line 3: {cell!r} is not a finite number"
 
 
-def test_grid_json_refuses_a_number_that_is_not_finite():
+def test_grid_json_refuses_a_number_that_is_not_finite(tmp_path):
     grid = DomainGrid(fields=["A"], f1={"A": {"A": 50.0}}, sigma={"A": 0.0},
                       rho={"A": float("nan")})
-    with pytest.raises(ValueError):
-        grid_to_json(grid)
+    path = tmp_path / "grid.json"
+    with pytest.raises(ValueError) as exc:
+        write_json(path, [asdict(grid)], indent=2)
+    assert str(exc.value).startswith(f"{path}: a number is not finite")
+    assert list(tmp_path.iterdir()) == []

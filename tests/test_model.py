@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import citecorpus
 from citecorpus.model import (
     LinearModel,
     PUModel,
@@ -29,6 +30,7 @@ from citecorpus.model import (
     train_pu,
 )
 from citecorpus.textproc import tokenize
+from faults import disk_full_on
 from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of
 
 
@@ -503,13 +505,8 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(path, train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0))
         before = path.read_bytes()
-
-        def failing_dump(obj, fh, **kwargs):
-            fh.write('{"format_version": 1, "ki')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(json, "dump", failing_dump)
-        with pytest.raises(OSError, match="disk full"):
+        monkeypatch.setattr(citecorpus, "open", disk_full_on("model.json"), raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
             save_model(path, train_logreg(np.array([[2.0], [-1.0]]), [1, 0], (1.0, 1.0)))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
