@@ -27,7 +27,8 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
     Writes go to a temporary file beside ``path``, which replaces ``path``
     when the block completes; on any failure the temporary file is removed
-    and ``path`` is left as it was.
+    and ``path`` is left as it was. An OSError with an error number but no
+    file name, such as a full disk, is given ``path`` as its file name.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -35,8 +36,10 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename is None:
+            exc.filename = str(path)
         raise
 
 

@@ -377,7 +377,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_cross_domain(args: argparse.Namespace) -> int:
-    from .model import compute_class_weights, featurize, fit_vocabulary, train_logreg
+    from .model import (TrainingError, compute_class_weights, featurize, fit_vocabulary,
+                        train_logreg)
 
     dataset_path = _require_file(args.input, "dataset")
     distances_path = _require_file(args.distances, "distance matrix")
@@ -394,18 +395,21 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
     table = _select_sentences(read_dataset(dataset_path), "all", set(fields))
-    # Every field's rows and distance column, checked before the first fit.
+    # Every field's rows, class weights and distance column, checked before
+    # the first fit.
     selected = {(field, split): table.rows(field, split)
                 for field in fields for split in ("all", SPLIT_TRAIN, SPLIT_TEST)}
+    class_weights = {}
+    for field in fields:
+        try:
+            class_weights[field] = compute_class_weights(table.label[selected[field, SPLIT_TRAIN]])
+        except TrainingError as exc:
+            raise TrainingError(f"field {field!r}, split {SPLIT_TRAIN!r}: {exc}") from exc
     for test_field in fields:
         column = [distances[train_field, test_field] for train_field in fields]
         if len(set(column)) == 1:
             raise ValueError(f"{distances_path}: every distance to test field {test_field!r} "
                              "is the same, so its rho is undefined")
-        if not 0.0 < metrics._centered(column)[1] < math.inf:
-            raise ValueError(f"{distances_path}: the squared deviations of the distances to "
-                             f"test field {test_field!r} leave the float range, so its rho "
-                             "is undefined")
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:
         train_rows = selected[train_field, SPLIT_TRAIN]
@@ -414,8 +418,8 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         # Rows are featurized independently, so one pass over every sentence
         # serves the fit and all of its test cells.
         X = featurize(table.counts, vocab)
-        model = train_logreg(X[train_rows], train_labels,
-                             compute_class_weights(train_labels), C=args.c_value)
+        model = train_logreg(X[train_rows], train_labels, class_weights[train_field],
+                             C=args.c_value)
         _warn_unconverged(f"fit on {train_field}", model)
         for test_field in fields:
             eval_rows = selected[test_field, SPLIT_TEST if test_field == train_field else "all"]

@@ -115,30 +115,23 @@ def dataset_stats(samples: Iterable[ParagraphSample]) -> StatsReport:
                 non_cite += 1
 
     total = len(lengths)
-    if total == 0:
-        return StatsReport(
-            total_sentences=0, total_tokens=0, split_sentences={},
-            cite_worthy=0, cite_worthy_pct=0.0,
-            non_cite_worthy=0, non_cite_worthy_pct=0.0,
-            min_char_length=0, max_char_length=0,
-            mean_char_length=0.0, median_char_length=0,
-            field_sentences={}, empty=True,
-        )
-    lengths.sort()
+    lengths = sorted(lengths) or [0]
+    n = max(total, 1)
     return StatsReport(
         total_sentences=total,
         total_tokens=tokens,
         split_sentences=dict(split_counts),
         cite_worthy=cite,
-        cite_worthy_pct=100.0 * cite / total,
+        cite_worthy_pct=100.0 * cite / n,
         non_cite_worthy=non_cite,
-        non_cite_worthy_pct=100.0 * non_cite / total,
+        non_cite_worthy_pct=100.0 * non_cite / n,
         min_char_length=lengths[0],
         max_char_length=lengths[-1],
-        mean_char_length=sum(lengths) / total,
+        mean_char_length=sum(lengths) / n,
         # Lower middle for even counts.
-        median_char_length=lengths[(total - 1) // 2],
+        median_char_length=lengths[(n - 1) // 2],
         field_sentences=dict(field_counts),
+        empty=total == 0,
     )
 
 
@@ -155,29 +148,30 @@ def cluster_purity(assignments: Sequence, gold_domains: Sequence) -> float:
     return 100.0 * majority / len(assignments)
 
 
-def _centered(values: Sequence[float]) -> tuple[list[float], float]:
-    """Each value's deviation from the mean, and the sum of their squares,
-    which is 0 or not finite when the squares underflow or overflow."""
-    mean = sum(values) / len(values)
-    deviations = [v - mean for v in values]
-    return deviations, sum(d * d for d in deviations)
+def _centered(values: Sequence[float]) -> tuple[list[float], float, int]:
+    """Scale the values by 2**-k, with k such that the largest magnitude
+    lies in [0.5, 1), and return each scaled value's deviation from their
+    mean, the sum of the squared deviations, and k. Scaling by a power of
+    two is exact, and no square of a scaled deviation leaves the float range."""
+    k = math.frexp(max(map(abs, values)))[1]
+    scaled = [math.ldexp(v, -k) for v in values]
+    mean = sum(scaled) / len(scaled)
+    deviations = [v - mean for v in scaled]
+    return deviations, sum(d * d for d in deviations), k
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient; a ValueError when it is
-    undefined, or when the variances leave the float range."""
+    undefined."""
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} xs vs {len(ys)} ys")
     if len(xs) < 2:
         raise ValueError("need at least two points")
-    dx, var_x = _centered(xs)
-    dy, var_y = _centered(ys)
+    dx, var_x, _ = _centered(xs)
+    dy, var_y, _ = _centered(ys)
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("correlation undefined: an argument has zero variance")
-    product = var_x * var_y
-    if not 0.0 < product < math.inf:
-        raise ValueError("correlation undefined: the variances leave the float range")
-    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(product)
+    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
 
 
 @dataclass
@@ -209,8 +203,8 @@ class DomainGrid:
 
 
 def population_std(values: Sequence[float]) -> float:
-    mean = sum(values) / len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    _, squares, k = _centered(values)
+    return math.ldexp(math.sqrt(squares / len(values)), k)
 
 
 def require_pairs(

@@ -846,8 +846,7 @@ class TestCrossDomain:
 
     @pytest.mark.parametrize("case", ["missing-matrix-row", "field-not-in-dataset",
                                       "field-without-test-rows", "field-without-train-rows",
-                                      "constant-distance-column", "distances-1e308",
-                                      "distances-1e200", "distances-1e-200"])
+                                      "one-class-train-rows", "constant-distance-column"])
     def test_inputs_checked_before_the_first_fit(self, case, trained, tmp_path, monkeypatch,
                                                  capsys):
         def no_fit(*args, **kwargs):
@@ -858,7 +857,6 @@ class TestCrossDomain:
         dataset_path = out / "dataset.jsonl"
         fields = ["Biology", "Chemistry"]
         rows = fields
-        cells = {}
         if case == "missing-matrix-row":
             rows = ["Biology"]
             expected = ("incomplete distance matrix; missing pairs: "
@@ -870,13 +868,16 @@ class TestCrossDomain:
             # Every column below is constant; the row checks come first.
             expected = (f"{tmp_path / 'dist.tsv'}: every distance to test field 'Biology' "
                         "is the same, so its rho is undefined")
-        elif case.startswith("distances-"):
-            # Biology's two distances are +x and -x: their squares overflow
-            # to inf or underflow to 0.
-            x = case.removeprefix("distances-")
-            cells = {("Biology", "Biology"): x, ("Chemistry", "Biology"): "-" + x}
-            expected = (f"{tmp_path / 'dist.tsv'}: the squared deviations of the distances "
-                        "to test field 'Biology' leave the float range, so its rho is undefined")
+        elif case == "one-class-train-rows":
+            samples = read_dataset(dataset_path)
+            for sample in samples:
+                if sample.mag_field == "Chemistry":
+                    sample.sentences = tuple(LabeledSentence(s.text, LABEL_NON_CITE_WORTHY)
+                                             for s in sample.sentences)
+            dataset_path = tmp_path / "dataset.jsonl"
+            write_dataset(samples, dataset_path)
+            expected = ("field 'Chemistry', split 'train': both classes must be present to "
+                        "compute class weights")
         else:
             emptied = "test" if case == "field-without-test-rows" else "train"
             samples = read_dataset(dataset_path)
@@ -890,11 +891,37 @@ class TestCrossDomain:
         with open(dist_path, "w", encoding="utf-8") as fh:
             fh.write("\t" + "\t".join(fields) + "\n")
             for train in rows:
-                fh.write("\t".join([train] + [cells.get((train, test), "1.0")
-                                              for test in fields]) + "\n")
+                fh.write("\t".join([train] + ["1.0"] * len(fields)) + "\n")
         assert main(["cross-domain", "--input", str(dataset_path), "--distances",
                      str(dist_path), "--fields", ",".join(fields)]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("test_field, x", [
+        ("Biology", "1e308"), ("Biology", "1e200"), ("Biology", "1e-200"),
+        ("Chemistry", "9e153"), ("Chemistry", "1e-160"),
+    ], ids=["distances-1e308", "distances-1e200", "distances-1e-200",
+            "distances-9e153", "distances-1e-160"])
+    def test_distances_beyond_the_float_range_have_a_rho(self, test_field, x, trained,
+                                                         tmp_path, capsys):
+        # The test field's two distances are +x and -x: their squares, or the
+        # product of the distance and F1 variances, overflow or underflow
+        # unless the column is scaled. With two fields every rho is +1 or -1,
+        # up to rounding.
+        out, _ = trained
+        fields = ["Biology", "Chemistry"]
+        distances = {(a, b): float(a != b) for a in fields for b in fields}
+        distances["Biology", test_field] = float(x)
+        distances["Chemistry", test_field] = -float(x)
+        dist_path = tmp_path / "dist.tsv"
+        write_distance_matrix(distances, fields, dist_path)
+        grid_path = tmp_path / "grid.json"
+        assert main(["cross-domain", "--input", str(out / "dataset.jsonl"), "--distances",
+                     str(dist_path), "--fields", ",".join(fields),
+                     "--output", str(grid_path)]) == 0
+        rho = json.loads(grid_path.read_text())["rho"]
+        assert set(rho) == set(fields)
+        for value in rho.values():
+            assert abs(value) == pytest.approx(1.0, rel=0, abs=4 * sys.float_info.epsilon)
 
 
 class TestAuditCommands:
@@ -1072,7 +1099,7 @@ def test_failed_write_keeps_the_old_file(writer, fault, trained, tmp_path, monke
     if fault == "nan":
         assert err.startswith(f"error: {out / name}: a number is not finite (")
     else:
-        assert err == "error: [Errno 28] No space left on device\n"
+        assert err == f"error: [Errno 28] No space left on device: '{out / name}'\n"
 
 
 @pytest.mark.parametrize("command", ["build", "audit-export", "train", "eval",

@@ -3,8 +3,9 @@ traceback.
 
 Each test starts from tiny valid inputs, applies one or two drawn mutations
 to one file (a JSON value replaced or dropped, a TSV cell replaced, a line
-dropped or repeated, bytes inserted) and runs every command that reads that
-file. Each run must return exit code 0, 1 or 2.
+dropped or repeated, bytes inserted; for the corpus, a citation span moved
+out of bounds) and runs every command that reads that file. Each run must
+return exit code 0, 1 or 2.
 """
 
 import json
@@ -19,6 +20,7 @@ from citecorpus.cli import main
 from citecorpus.metrics import write_distance_matrix
 from citecorpus.pipeline import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LabeledSentence,
                                  ParagraphSample, write_dataset)
+from corpusgen import make_papers, write_corpus
 
 FIELDS = ["Biology", "Chemistry"]
 
@@ -38,8 +40,10 @@ def _paragraph(field, split):
 def base(tmp_path_factory):
     """Tiny valid inputs for every reading command, each accepted as is."""
     tmp = tmp_path_factory.mktemp("fuzz")
-    paths = {name: tmp / name for name in
-             ("dataset.jsonl", "model.json", "dist.tsv", "sheet.tsv", "key.jsonl")}
+    paths = {name: tmp / name for name in ("corpus.jsonl", "dataset.jsonl", "model.json",
+                                           "dist.tsv", "sheet.tsv", "key.jsonl")}
+    write_corpus(make_papers(4, seed=3, adversarial_rate=0.3, fields=FIELDS),
+                 paths["corpus.jsonl"])
     write_dataset([_paragraph(field, split) for field in FIELDS for split in ("train", "test")],
                   paths["dataset.jsonl"])
     assert main(["train", "--input", str(paths["dataset.jsonl"]),
@@ -124,6 +128,32 @@ def _mutated(draw, text):
     return data
 
 
+@st.composite
+def _mutated_corpus(draw, text):
+    """``text`` with one JSON value replaced or dropped, one citation span
+    moved out of its paragraph, or a byte inserted."""
+    lines = text.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(["value", "span", "byte"]))
+    if how == "value":
+        lines[i] = draw(_mutate_line(lines[i]))
+    elif how == "span":
+        record = json.loads(lines[i])
+        spans = [span for paragraph in record["body_text"] for span in paragraph["cite_spans"]]
+        if spans:
+            span = draw(st.sampled_from(spans))
+            shift = draw(st.sampled_from([-1000, -1, 1, 1000]))
+            span["start"] += shift
+            span["end"] += shift
+        lines[i] = json.dumps(record) + "\n"
+    data = "".join(lines).encode("utf-8")
+    if how == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\x00", b"\n", b"{", b"\""])
+                                | st.binary(min_size=1, max_size=1)) + data[at:]
+    return data
+
+
 def _exit_codes(base, name, data, commands):
     """Exit codes of ``commands``, each a function of the input paths, with
     ``name`` holding ``data`` and every other input its valid text."""
@@ -138,6 +168,8 @@ def _exit_codes(base, name, data, commands):
         return [main([str(arg) for arg in command({**paths, **out})]) for command in commands]
 
 
+CORPUS_COMMANDS = [lambda p: ["build", "--input", p["corpus.jsonl"], "--output", p["out"],
+                               "--seed", "1", "--quota", "2", "--workers", "1"]]
 DATASET_COMMANDS = [
     lambda p: ["stats", "--input", p["dataset.jsonl"]],
     lambda p: ["stats", "--json", "--input", p["dataset.jsonl"]],
@@ -159,6 +191,7 @@ AUDIT_COMMANDS = [lambda p: ["audit-score", "--sheet", p["sheet.tsv"], "--key", 
     ("dist.tsv", DISTANCE_COMMANDS),
     ("sheet.tsv", AUDIT_COMMANDS),
     ("key.jsonl", AUDIT_COMMANDS),
+    ("corpus.jsonl", CORPUS_COMMANDS),
 ])
 def test_valid_inputs_are_accepted(base, name, commands):
     assert _exit_codes(base, name, base[name].encode("utf-8"), commands) == [0] * len(commands)
@@ -190,3 +223,10 @@ def test_mutated_distance_matrix(base, data):
 def test_mutated_audit_sheet_or_key(base, name, data):
     mutated = data.draw(_mutated(base[name]))
     assert set(_exit_codes(base, name, mutated, AUDIT_COMMANDS)) <= {0, 1, 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_corpus(base, data):
+    mutated = data.draw(_mutated_corpus(base["corpus.jsonl"]))
+    assert set(_exit_codes(base, "corpus.jsonl", mutated, CORPUS_COMMANDS)) <= {0, 1, 2}

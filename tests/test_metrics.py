@@ -2,9 +2,12 @@
 
 import math
 import random
+import sys
 from dataclasses import asdict
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from citecorpus import write_json
 from citecorpus.metrics import (
@@ -180,13 +183,41 @@ class TestPearson:
             pearson([1], [2])
 
     @pytest.mark.parametrize("ys", [[1e308, -1e308], [1e200, -1e200], [9e153, -9e153],
-                                    [1e-200, -1e-200]],
-                             ids=["1e308", "1e200", "product-overflows", "1e-200"])
-    def test_variances_beyond_the_float_range_are_an_error(self, ys):
-        # Each pair has rho = -1; in floating point the squares overflow or
-        # underflow, and the quotient used to come out 0.0.
-        with pytest.raises(ValueError, match="correlation undefined"):
-            pearson([0.0, 100.0], ys)
+                                    [1e-200, -1e-200], [1e-160, -1e-160]],
+                             ids=["1e308", "1e200", "product-overflows", "1e-200",
+                                  "subnormal-variances"])
+    def test_variances_beyond_the_float_range_are_scaled(self, ys):
+        # Each pair has rho = -1, though its squares, or the product of the
+        # two variances, overflow or underflow unless the columns are scaled.
+        assert pearson([0.0, 100.0], ys) == -1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rho_is_bounded_and_scale_free(self, data):
+        # Columns of 2 to 12 values with decimal exponents across the float
+        # range, each column drawn at one exponent and not constant.
+        n = data.draw(st.integers(2, 12))
+
+        def column():
+            exponent = data.draw(st.integers(-300, 300))
+            mantissas = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+                                  .filter(lambda m: len(set(m)) > 1))
+            values = [m * 10.0 ** exponent for m in mantissas]
+            assume(len(set(values)) > 1)
+            return values
+
+        xs, ys = column(), column()
+        rho = pearson(xs, ys)
+        assert abs(rho) <= 1 + 4 * sys.float_info.epsilon
+        # Rescaling one column by a power of two that keeps every value
+        # normal (or zero) leaves rho's bits as they are. A value of
+        # exponent e (as math.frexp gives it) stays normal at e + j in
+        # [-1021, 1024].
+        exponents = [math.frexp(x)[1] for x in xs if x]
+        low, high = -1021 - min(exponents), 1024 - max(exponents)
+        assume(low <= high)
+        j = data.draw(st.integers(low, high))
+        assert pearson([math.ldexp(x, j) for x in xs], ys) == rho
 
     def test_bits_match_the_two_pass_formula(self):
         rng = random.Random(5)
