@@ -148,6 +148,8 @@ def _read_key(key_path: str | Path) -> dict[str, str]:
         if not (isinstance(record, dict) and isinstance(record.get("item_id"), str)
                 and record.get("method") in (METHOD_MAIN, METHOD_BASELINE)):
             raise AuditError(f"{key_path}, line {lineno}: bad key record")
+        if record["item_id"] in methods:
+            raise AuditError(f"{key_path}, line {lineno}: repeated item_id {record['item_id']!r}")
         methods[record["item_id"]] = record["method"]
     return methods
 
@@ -157,13 +159,14 @@ def score_audit(sheet_path: str | Path, key_path: str | Path) -> AuditResult:
 
     Per method, extracted_correct% is the share of items marked
     extraction_ok and markers_removed% the share marked markers_removed.
-    Unknown item ids, missing annotations, and non-binary values raise an
-    AuditError listing the offending rows.
+    Unknown or repeated item ids, missing annotations, and non-binary values
+    raise an AuditError listing the offending rows; so does a key item the
+    sheet lacks.
     """
     methods = _read_key(key_path)
     counts: dict[str, list[int]] = {}
     problems: list[str] = []
-    seen = 0
+    seen: dict[str, int] = {}
     for lineno, line in read_lines(sheet_path, AuditError):
         if lineno == 1:
             header = line.rstrip("\n").split("\t")
@@ -180,21 +183,24 @@ def score_audit(sheet_path: str | Path, key_path: str | Path) -> AuditResult:
         if item_id not in methods:
             problems.append(f"line {lineno}: unknown item_id {item_id!r}")
             continue
+        if item_id in seen:
+            problems.append(f"line {lineno}: item_id {item_id!r} repeats line {seen[item_id]}")
+            continue
+        seen[item_id] = lineno
         if extraction_ok not in ("0", "1") or markers_removed not in ("0", "1"):
             problems.append(
                 f"line {lineno}: annotations must be 0 or 1, "
                 f"got ({extraction_ok!r}, {markers_removed!r})")
             continue
-        seen += 1
         tally = counts.setdefault(methods[item_id], [0, 0, 0])
         tally[0] += 1
         tally[1] += int(extraction_ok)
         tally[2] += int(markers_removed)
     if problems:
         raise AuditError(f"{sheet_path}: " + "; ".join(problems))
-    if seen != len(methods):
+    if len(seen) != len(methods):
         raise AuditError(
-            f"{sheet_path}: {seen} annotated rows but key lists {len(methods)} items")
+            f"{sheet_path}: {len(seen)} annotated rows but key lists {len(methods)} items")
 
     per_method = {}
     for method, (n, ok, removed) in counts.items():

@@ -56,8 +56,21 @@ class UsageError(ValueError):
     """Bad invocation: missing files, unusable flags. Exit code 2."""
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+# The embedded rules, in ``dump-rules`` order: (manifest checksum key,
+# ``dump-rules`` heading, lines). A rule's checksum is the SHA-256 of its
+# lines joined by newlines.
+RULES = (
+    ("section_titles", f"section-titles ({len(PERMISSIBLE_SECTION_TITLES)}):",
+     PERMISSIBLE_SECTION_TITLES),
+    ("numeric_citation_pattern", "citation-format pattern [numeric]:",
+     (textproc.NUMERIC_CITATION_PATTERN,)),
+    ("author_year_citation_pattern", "citation-format pattern [author-year]:",
+     (textproc.AUTHOR_YEAR_CITATION_PATTERN,)),
+    ("hanging_citation_pattern", "hanging-citation pattern:",
+     (textproc.HANGING_CITATION_PATTERN,)),
+    ("sentence_split_abbreviations",
+     f"sentence-split abbreviations ({len(textproc.ABBREVIATIONS)}):", textproc.ABBREVIATIONS),
+)
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -119,6 +132,13 @@ def _ratios(value) -> tuple[float, ...]:
     return tuple(_number(part) for part in parts)
 
 
+def _paths(value) -> list[str]:
+    paths = [value] if isinstance(value, str) else value
+    if not (isinstance(paths, list) and paths and all(isinstance(p, str) for p in paths)):
+        raise ValueError
+    return paths
+
+
 # Option kinds: (description, converter). A converter takes a flag string or
 # a config value alike and raises TypeError, ValueError or OverflowError on
 # a value that is not of its kind.
@@ -126,8 +146,7 @@ INTEGER = ("an integer", _integer)
 NUMBER = ("a number", _number)
 SWITCH = ("true or false", _accept(lambda value: isinstance(value, bool)))
 TEXT = ("a string", _accept(lambda value: isinstance(value, str)))
-PATHS = ("a string or a list of strings", lambda value: [value] if isinstance(value, str) else
-         _accept(lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v))(value))
+PATHS = ("a string or a non-empty list of strings", _paths)
 SPLIT = (f"one of {', '.join(SPLIT_CHOICES)}", _accept(lambda value: value in SPLIT_CHOICES))
 RATIOS = ("three comma-separated numbers", _ratios)
 
@@ -263,12 +282,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             "paragraphs_selected": len(selected),
             "sentences_selected": sum(s.sentence_count() for s in selected),
         },
-        "rule_checksums": {
-            "numeric_citation_pattern": _sha256(textproc.NUMERIC_CITATION_PATTERN),
-            "author_year_citation_pattern": _sha256(textproc.AUTHOR_YEAR_CITATION_PATTERN),
-            "hanging_citation_pattern": _sha256(textproc.HANGING_CITATION_PATTERN),
-            "section_titles": _sha256("\n".join(PERMISSIBLE_SECTION_TITLES)),
-        },
+        "rule_checksums": {key: hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+                           for key, _, lines in RULES},
     }
     write_json(output_dir / MANIFEST_FILENAME, [manifest], indent=2)
 
@@ -435,22 +450,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_rules(_args: argparse.Namespace) -> int:
-    print(f"section-titles ({len(PERMISSIBLE_SECTION_TITLES)}):")
-    for title in PERMISSIBLE_SECTION_TITLES:
-        print(title)
-    print()
-    print("citation-format pattern [numeric]:")
-    print(textproc.NUMERIC_CITATION_PATTERN)
-    print()
-    print("citation-format pattern [author-year]:")
-    print(textproc.AUTHOR_YEAR_CITATION_PATTERN)
-    print()
-    print("hanging-citation pattern:")
-    print(textproc.HANGING_CITATION_PATTERN)
-    print()
-    print(f"sentence-split abbreviations ({len(textproc.ABBREVIATIONS)}):")
-    for abbreviation in textproc.ABBREVIATIONS:
-        print(abbreviation)
+    print("\n\n".join("\n".join((heading, *lines)) for _, heading, lines in RULES))
     return 0
 
 

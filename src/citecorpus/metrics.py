@@ -161,8 +161,8 @@ def _centered(values: Sequence[float]) -> tuple[list[float], float, int]:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation coefficient; a ValueError when it is
-    undefined."""
+    """Sample Pearson correlation coefficient, clipped into [-1, 1] against
+    rounding; a ValueError when it is undefined."""
     if len(xs) != len(ys):
         raise ValueError(f"{len(xs)} xs vs {len(ys)} ys")
     if len(xs) < 2:
@@ -171,7 +171,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     dy, var_y, _ = _centered(ys)
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("correlation undefined: an argument has zero variance")
-    return sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
+    rho = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
+    return max(-1.0, min(1.0, rho))
 
 
 @dataclass
@@ -189,15 +190,16 @@ class DomainGrid:
     rho: dict[str, float] = field(default_factory=dict)
 
     def render_text(self) -> str:
-        width = max(6, *(len(f) for f in self.fields)) + 2
-        header = f"{'Train/Test':<12}" + "".join(f"{f:>{width}}" for f in self.fields)
+        longest = max(len(f) for f in self.fields)
+        width, label = max(6, longest) + 2, max(12, longest + 2)
+        header = f"{'Train/Test':<{label}}" + "".join(f"{f:>{width}}" for f in self.fields)
         lines = [header]
         for train in self.fields:
             cells = "".join(f"{self.f1[train][test]:>{width}.2f}" for test in self.fields)
-            lines.append(f"{train:<12}" + cells)
-        lines.append(f"{'sigma':<12}" + "".join(
+            lines.append(f"{train:<{label}}" + cells)
+        lines.append(f"{'sigma':<{label}}" + "".join(
             f"{self.sigma[test]:>{width}.2f}" for test in self.fields))
-        lines.append(f"{'rho':<12}" + "".join(
+        lines.append(f"{'rho':<{label}}" + "".join(
             f"{self.rho[test]:>{width}.2f}" for test in self.fields))
         return "\n".join(lines)
 
@@ -248,16 +250,20 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
 
     Format: tab-separated; first line is an empty cell followed by the test
     field names, each following line is a train field name followed by its
-    distances in header order. A cell that is not a finite number is a
-    ValueError naming the file and line.
+    distances in header order. A cell that is not a finite number, or a
+    field name the header or the rows repeat, is a ValueError naming the
+    file and line.
     """
     lines = [(lineno, line.rstrip("\n")) for lineno, line in read_lines(path) if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty distance matrix")
-    header = lines[0][1].split("\t")
+    header_lineno, header = lines[0][0], lines[0][1].split("\t")
     test_fields = [cell.strip() for cell in header[1:]]
     if not test_fields:
         raise ValueError(f"{path}: header names no fields")
+    for i, name in enumerate(test_fields):
+        if name in test_fields[:i]:
+            raise ValueError(f"{path}, line {header_lineno}: field {name!r} is repeated")
     distances: dict[tuple[str, str], float] = {}
     for lineno, line in lines[1:]:
         cells = line.split("\t")
@@ -265,6 +271,8 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
             raise ValueError(
                 f"{path}, line {lineno}: expected {len(test_fields) + 1} cells, got {len(cells)}")
         train = cells[0].strip()
+        if (train, test_fields[0]) in distances:
+            raise ValueError(f"{path}, line {lineno}: row {train!r} is repeated")
         for test_name, cell in zip(test_fields, cells[1:]):
             try:
                 value = float(cell)

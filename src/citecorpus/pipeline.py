@@ -167,18 +167,7 @@ class RejectionRecord:
 
 class SpanConsistencyError(ValueError):
     """Cite-span offsets disagree with the paragraph text; a data error,
-    not a paragraph rejection. ``where`` names the input file and line when
-    known. Its arguments are its ``args``, so it pickles across the pool."""
-
-    def __init__(self, paper_id: str, message: str, where: str = ""):
-        super().__init__(paper_id, message, where)
-        self.paper_id = paper_id
-        self.message = message
-        self.where = where
-
-    def __str__(self) -> str:
-        prefix = f"{self.where}: " if self.where else ""
-        return f"{prefix}paper {self.paper_id!r}: {self.message}"
+    not a paragraph rejection."""
 
 
 class DatasetFormatError(ValueError):
@@ -203,14 +192,11 @@ def _validate_spans(paragraph: Paragraph, paper_id: str) -> None:
     for span in paragraph.cite_spans:
         if not 0 <= span.start < span.end <= len(paragraph.text):
             raise SpanConsistencyError(
-                paper_id,
-                f"cite span ({span.start}, {span.end}) out of bounds for paragraph "
-                f"of length {len(paragraph.text)}",
-            )
+                f"paper {paper_id!r}: cite span ({span.start}, {span.end}) out of bounds "
+                f"for paragraph of length {len(paragraph.text)}")
         if span.start < prev_end:
-            raise SpanConsistencyError(
-                paper_id, f"cite span ({span.start}, {span.end}) overlaps the previous span"
-            )
+            raise SpanConsistencyError(f"paper {paper_id!r}: cite span ({span.start}, "
+                                       f"{span.end}) overlaps the previous span")
         prev_end = span.end
 
 
@@ -341,14 +327,19 @@ class Collected:
     samples: list[ParagraphSample] = field(default_factory=list)
     rejections: list[RejectionRecord] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    papers_total: int = 0
+    # Each parsed record's paper id and where it was read ("<file>, line <n>").
+    papers: list[tuple[str, str]] = field(default_factory=list)
     papers_eligible: int = 0
 
+    @property
+    def papers_total(self) -> int:
+        return len(self.papers)
+
     def add(self, other: Collected) -> None:
+        self.papers.extend(other.papers)
         self.samples.extend(other.samples)
         self.rejections.extend(other.rejections)
         self.diagnostics.extend(other.diagnostics)
-        self.papers_total += other.papers_total
         self.papers_eligible += other.papers_eligible
 
 
@@ -371,15 +362,15 @@ def process_lines(batch: tuple[str, int, list[str]], baseline: bool = False) -> 
         if isinstance(paper, Diagnostic):
             part.diagnostics.append(paper)
             continue
-        part.papers_total += 1
+        where = f"{source}, line {lineno}"
+        part.papers.append((paper.paper_id, where))
         if not paper_eligible(paper):
             continue
         part.papers_eligible += 1
         try:
             samples, rejections = process_paper(paper, baseline)
         except SpanConsistencyError as exc:
-            raise SpanConsistencyError(exc.paper_id, exc.message,
-                                       f"{source}, line {lineno}") from None
+            raise SpanConsistencyError(f"{where}: {exc}") from None
         part.samples.extend(samples)
         part.rejections.extend(rejections)
     return part
@@ -405,11 +396,13 @@ def collect_samples(
 
     Diagnostics come out in input order and samples and rejections in
     canonical (paper_id, paragraph index) order, so the result is identical
-    for any worker count.
+    for any worker count. A paper id read twice, which would put the same
+    paragraphs in two splits, is a ValueError naming both places.
     """
     work = partial(process_lines, baseline=baseline)
     batches = line_batches(paths, BATCH_LINES)
     collected = Collected()
+    read_at: dict[str, str] = {}
     with ExitStack() as stack:
         if workers == 1:
             parts: Iterator[Collected] = map(work, batches)
@@ -417,6 +410,11 @@ def collect_samples(
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             parts = _bounded_map(pool, work, batches, _BATCHES_PER_WORKER * workers)
         for part in parts:
+            for paper_id, where in part.papers:
+                if paper_id in read_at:
+                    raise ValueError(f"{where}: paper {paper_id!r} was already read at "
+                                     f"{read_at[paper_id]}")
+                read_at[paper_id] = where
             collected.add(part)
     collected.samples.sort(key=_canonical_key)
     collected.rejections.sort(key=lambda r: (r.paper_id, r.paragraph_index))

@@ -1,5 +1,6 @@
 """Unit tests for the blinded annotation-sheet workflow."""
 
+import json
 import random
 
 import pytest
@@ -182,6 +183,31 @@ class TestScoreAudit:
         sheet.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(AuditError, match="key lists"):
             score_audit(sheet, key)
+
+    def test_repeated_row_cannot_stand_in_for_a_missing_item(self, tmp_path):
+        # Row 'a' twice and no 'b': counting rows alone would score 'a'
+        # twice and drop the baseline without a word.
+        key = tmp_path / "key.jsonl"
+        key.write_text('{"item_id": "a", "method": "ours", "gold_label": "cite-worthy"}\n'
+                       '{"item_id": "b", "method": "baseline", "gold_label": "cite-worthy"}\n')
+        sheet = tmp_path / "sheet.tsv"
+        sheet.write_text("item_id\tsentence\tprev\tnext\textraction_ok\tmarkers_removed\n"
+                         "a\tx\t\t\t1\t0\na\tx\t\t\t0\t1\n")
+        with pytest.raises(AuditError) as exc:
+            score_audit(sheet, key)
+        assert str(exc.value) == f"{sheet}: line 3: item_id 'a' repeats line 2"
+
+    def test_repeated_key_item_is_named(self, exported):
+        _, sheet, key = exported
+        annotate(sheet, lambda item_id, text: ("1", "1"))
+        lines = key.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["method"] = METHOD_BASELINE if record["method"] == METHOD_MAIN else METHOD_MAIN
+        key.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        with pytest.raises(AuditError) as exc:
+            score_audit(sheet, key)
+        assert str(exc.value) == \
+            f"{key}, line {len(lines) + 1}: repeated item_id {record['item_id']!r}"
 
     @pytest.mark.parametrize("which, lineno", [("sheet", 1), ("sheet", 3), ("key", 3)])
     def test_undecodable_byte_names_file_and_line(self, exported, which, lineno):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -70,7 +71,7 @@ class TestBuild:
         assert manifest["counts"]["paragraphs_selected"] == 4
         assert set(manifest["rule_checksums"]) == {
             "numeric_citation_pattern", "author_year_citation_pattern",
-            "hanging_citation_pattern", "section_titles"}
+            "hanging_citation_pattern", "section_titles", "sentence_split_abbreviations"}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
@@ -187,6 +188,27 @@ class TestBuild:
         assert errors[0].startswith(
             f"error: {corpus}, line 6: paper 'paper-00005': cite span (0, 1000000) out of bounds")
 
+    @pytest.mark.parametrize("repeat", ["line", "file"])
+    def test_a_paper_read_twice_is_refused_at_any_worker_count(self, repeat, tmp_path, capsys):
+        # A repeated paper would put the same paragraphs in two splits.
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus, n_papers=6)
+        if repeat == "line":
+            lines = corpus.read_text().splitlines(keepends=True)
+            corpus.write_text("".join(lines) + lines[2])
+            inputs = ["--input", str(corpus)]
+            expected = f"{corpus}, line 7: paper 'paper-00002' was already read at {corpus}, line 3"
+        else:
+            inputs = ["--input", str(corpus), "--input", str(corpus)]
+            expected = f"{corpus}, line 1: paper 'paper-00000' was already read at {corpus}, line 1"
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["build", *inputs, "--output", str(out), "--seed", "7",
+                         "--workers", workers]) == 1
+            assert capsys.readouterr().err == f"error: {expected}\n"
+            assert not (out / "dataset.jsonl").exists()
+            assert not (out / "manifest.json").exists()
+
     def test_undecodable_byte_names_file_and_line_at_any_worker_count(self, tmp_path,
                                                                       capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -231,7 +253,17 @@ class TestBuild:
                                       "seed": 7}))
         assert main(["build", "--config", str(config)]) == 2
         assert capsys.readouterr().err == (f"error: config file {config}: key 'input' must "
-                                           f"be a string or a list of strings, got [3]\n")
+                                           f"be a string or a non-empty list of strings, "
+                                           f"got [3]\n")
+
+    def test_config_input_list_must_not_be_empty(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": [], "output": str(tmp_path / "out"), "seed": 1}))
+        assert main(["build", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (f"error: config file {config}: key 'input' must "
+                                           f"be a string or a non-empty list of strings, "
+                                           f"got []\n")
+        assert not (tmp_path / "out").exists()
 
     def test_undecodable_config_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -1241,6 +1273,18 @@ class TestDumpRules:
             r"\s+\(?(\(\s*\)|like|reference|including|include|with|for instance"
             r"|for example|see also|at|following|of|from|to|in|by|see|as"
             r"|e\.?g\.?(,)?|viz(\.)?(,)?)\s*(,)*(-)*[\)\]]?\s*[.?!]\s*$")
+
+    def test_manifest_checksums_every_block(self, tmp_path, capsys):
+        assert main(["dump-rules"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        out = tmp_path / "out"
+        assert main(["build", "--input", str(corpus), "--output", str(out), "--seed", "7"]) == 0
+        checksums = json.loads((out / "manifest.json").read_text())["rule_checksums"]
+        assert sorted(checksums.values()) == sorted(
+            hashlib.sha256("\n".join(block.splitlines()[1:]).encode()).hexdigest()
+            for block in blocks)
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 from dataclasses import asdict
 
 import pytest
@@ -208,7 +207,7 @@ class TestPearson:
 
         xs, ys = column(), column()
         rho = pearson(xs, ys)
-        assert abs(rho) <= 1 + 4 * sys.float_info.epsilon
+        assert abs(rho) <= 1
         # Rescaling one column by a power of two that keeps every value
         # normal (or zero) leaves rho's bits as they are. A value of
         # exponent e (as math.frexp gives it) stays normal at e + j in
@@ -229,7 +228,7 @@ class TestPearson:
             dy = [y - sum(ys) / n for y in ys]
             expected = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(
                 sum(d * d for d in dx) * sum(d * d for d in dy))
-            assert pearson(xs, ys) == expected
+            assert pearson(xs, ys) == max(-1.0, min(1.0, expected))
 
 
 class TestDomainGrid:
@@ -279,6 +278,26 @@ class TestDomainGrid:
         text = domain_grid(f1, distances, fields=self.FIELDS).render_text()
         assert "70.00" in text and "sigma" in text and "rho" in text
 
+    def test_row_labels_line_up_with_long_field_names(self):
+        fields = ["Computer Science", "Materials Science", "A"]
+        pairs = [(tr, te) for tr in fields for te in fields]
+        f1 = {pair: 50.0 + i for i, pair in enumerate(pairs)}
+        distances = {pair: float(i % 4) for i, pair in enumerate(pairs)}
+        lines = domain_grid(f1, distances, fields=fields).render_text().splitlines()
+        assert len({len(line) for line in lines}) == 1
+        assert lines[2].startswith("Materials Science  ")
+
+    def test_short_field_names_keep_a_twelve_character_label(self):
+        f1 = self.full_grid([[70.0, 60.0, 50.0], [71.0, 61.0, 51.0], [72.0, 62.0, 52.0]])
+        distances = self.full_grid([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 3.0]])
+        assert domain_grid(f1, distances, fields=self.FIELDS).render_text() == (
+            "Train/Test         A       B       C\n"
+            "A              70.00   60.00   50.00\n"
+            "B              71.00   61.00   51.00\n"
+            "C              72.00   62.00   52.00\n"
+            "sigma           0.82    0.82    0.82\n"
+            "rho             1.00    0.00    0.50")
+
 
 class TestDistanceMatrixIO:
     def test_round_trip(self, tmp_path):
@@ -307,6 +326,18 @@ class TestDistanceMatrixIO:
         with pytest.raises(ValueError) as exc:
             read_distance_matrix(path)
         assert str(exc.value) == f"{path}, line 4: bad number 'x'"
+
+    @pytest.mark.parametrize("text, error", [
+        ("\n\tA\tA\nA\t0\t1\n", "line 2: field 'A' is repeated"),
+        ("\tA\tB\nA\t0\t1\nB\t1\t0\nA\t0\t2\n", "line 4: row 'A' is repeated"),
+    ], ids=["header", "row"])
+    def test_repeated_name_named(self, tmp_path, text, error):
+        # Read silently, a repeat would let its last value win.
+        path = tmp_path / "dist.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_distance_matrix(path)
+        assert str(exc.value) == f"{path}, {error}"
 
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999"])
     def test_non_finite_cell_named(self, tmp_path, cell):

@@ -517,11 +517,9 @@ class TestCollectSamples:
 
 class TestSpanConsistencyError:
     def test_pickle_round_trip(self):
-        error = SpanConsistencyError("p-1", "cite span (1, 2) overlaps", "corpus.jsonl, line 3")
+        error = SpanConsistencyError("corpus.jsonl, line 3: paper 'p-1': cite span (1, 2) overlaps")
         copy = pickle.loads(pickle.dumps(error))
         assert type(copy) is SpanConsistencyError
-        assert (copy.paper_id, copy.message, copy.where) == ("p-1", "cite span (1, 2) overlaps",
-                                                            "corpus.jsonl, line 3")
         assert str(copy) == str(error) == \
             "corpus.jsonl, line 3: paper 'p-1': cite span (1, 2) overlaps"
 
@@ -547,9 +545,23 @@ _CORPUS_LINES = st.lists(
     max_size=30)
 
 
+def first_repeat(lines: list[str], source: str) -> str | None:
+    """The error for the first line whose paper id an earlier record holds."""
+    read_at: dict[str, int] = {}
+    for lineno, line in enumerate(lines, start=1):
+        paper = parse_line(line, lineno)
+        if isinstance(paper, Diagnostic):
+            continue
+        if paper.paper_id in read_at:
+            return (f"{source}, line {lineno}: paper {paper.paper_id!r} was already read at "
+                    f"{source}, line {read_at[paper.paper_id]}")
+        read_at[paper.paper_id] = lineno
+    return None
+
+
 class TestLineAccounting:
     """Every corpus line yields a record or exactly one diagnostic, and the
-    pool changes nothing."""
+    pool changes nothing; a repeated paper is refused at its first repeat."""
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -567,6 +579,16 @@ class TestLineAccounting:
         with tempfile.TemporaryDirectory() as tmp, patch.object(pipeline, "BATCH_LINES", 3):
             path = Path(tmp) / "corpus.jsonl"
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            repeat = first_repeat(lines, str(path))
+            if repeat is not None:
+                for workers in (1, 2):
+                    with pytest.raises(ValueError) as exc:
+                        collect_samples([path], workers=workers)
+                    assert str(exc.value) == repeat
+                # The same lines, one paper id each, for the accounting below.
+                lines = [json.dumps({**json.loads(line), "paper_id": f"p{n}"}) if valid else line
+                         for n, (valid, line) in enumerate(tagged)]
+                path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             serial = collect_samples([path], workers=1)
             pooled = collect_samples([path], workers=2)
             assert serial.papers_total + len(serial.diagnostics) == len(lines)

@@ -1,12 +1,16 @@
-"""Module boundaries of the package: no module reads another module's
-private name."""
+"""Repository structure: no module of the package reads another module's
+private name, and the test configuration lets a failing property test
+report its example."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import citecorpus
 
 PACKAGE = Path(citecorpus.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def _private(name):
@@ -40,3 +44,19 @@ def test_no_module_reads_another_modules_private_name():
                   if isinstance(node, ast.Attribute) and _private(node.attr)
                   and _root(node.value) in imported]
     assert reads == []
+
+
+def test_a_failing_property_test_prints_its_example(tmp_path):
+    # Under the project's warning filters, hypothesis's explain phase must not
+    # turn a failing property test into an INTERNALERROR that hides the example.
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_small(n):\n"
+        "    assert n < 10\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1, (result.stdout + result.stderr)[-2000:]
+    assert "Falsifying example: test_small(" in result.stdout
