@@ -4,9 +4,18 @@ One feature path. Callers ``tokenize`` each sentence once and hand the token
 lists to ``count_tokens``, which builds one CSR count matrix over global term
 ids, assigned in sorted term order. ``fit_vocabulary`` takes its document
 frequencies from the column counts of the rows it is given. ``featurize``
-multiplies the counts by a column map holding each vocabulary term's idf and
-takes the row norms with a CSR matvec. Training and prediction take the
-resulting matrix, or any array scipy converts to one.
+maps each counted term to its vocabulary index and idf and divides each row
+by its norm. Matrices are ``CSR``: three plain numpy arrays, so counting,
+featurizing and predicting load no scipy. Training and prediction take such
+a matrix, or a dense 2-D array, which they convert to one.
+
+``predict`` computes each margin X.w + b by adding a row's products left to
+right, as scipy's CSR matvec does, and calls a row positive when its margin
+is at least -3.3306690738754686e-16, the smallest double at which scipy's
+``expit`` reaches 0.5: the same labels as ``expit(margin) >= 0.5``.
+``predict_proba`` and ``train_logreg`` import scipy when called; a fit
+wraps the matrix's arrays in a ``scipy.sparse.csr_matrix`` without copying
+them.
 
 Training minimizes the class-weighted log loss plus ||w||^2 / (2C) with
 scipy's L-BFGS-B from a zero start. The objective is scaled by 1/N, which
@@ -32,6 +41,8 @@ import os
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,10 +56,15 @@ from .ingest import read_lines
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
-import scipy.sparse as sp  # noqa: E402
-from scipy.special import expit  # noqa: E402
 
 _NUMBER = (int, float)
+
+# The index type of every CSR here: the one scipy picks for matrices of this
+# size, so a fit can hand the arrays to scipy without a copy.
+_INDEX = np.int32
+
+# The smallest double at which scipy's expit (1.17.1) reaches 0.5.
+_POSITIVE_MARGIN = -3.3306690738754686e-16
 
 # L-BFGS-B stopping rule, on the objective scaled by 1/N.
 _MAX_ITERATIONS = 1000
@@ -63,17 +79,82 @@ class TrainingError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class TokenCounts:
-    """How often each term occurs in each document: ``matrix[d, j]`` counts
-    ``terms[j]`` in document d. ``terms`` is sorted, so column order is term
-    order, and each row's columns are sorted."""
+def _indptr(lengths: np.ndarray) -> np.ndarray:
+    """Row offsets for rows of these lengths."""
+    indptr = np.zeros(len(lengths) + 1, dtype=_INDEX)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
 
-    terms: list[str]
-    matrix: sp.csr_matrix
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix in compressed sparse row form, as plain numpy arrays:
+    row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_dense(cls, array) -> CSR:
+        """The nonzero entries of a 2-D array."""
+        dense = np.asarray(array, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got {dense.ndim} dimensions")
+        rows, columns = np.nonzero(dense)
+        return cls(dense[rows, columns], columns.astype(_INDEX),
+                   _indptr(np.count_nonzero(dense, axis=1)), dense.shape)
 
     def __len__(self) -> int:
-        return self.matrix.shape[0]
+        return self.shape[0]
+
+    def __getitem__(self, rows) -> CSR:
+        """The rows at ``rows`` (an index array, a boolean mask or a slice),
+        in that order."""
+        rows = np.arange(len(self))[rows]
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = _indptr(lengths)
+        take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CSR(self.data[take], self.indices[take], indptr, (len(rows), self.shape[1]))
+
+    def row_of_entry(self) -> np.ndarray:
+        """The row of each stored value."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def dot(self, vector: np.ndarray) -> np.ndarray:
+        """The product with ``vector``: each row's products added left to
+        right from 0.0, as scipy's CSR matvec adds them, to the same bits."""
+        # Like scipy's C loop, an overflow or inf * 0 is no warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = self.data * vector[self.indices]
+        return np.bincount(self.row_of_entry(), weights=products, minlength=len(self))
+
+    def to_scipy(self):
+        """This matrix as a ``scipy.sparse.csr_matrix`` over the same arrays."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape,
+                             copy=False)
+
+
+def _as_csr(X: CSR | np.ndarray) -> CSR:
+    return X if isinstance(X, CSR) else CSR.from_dense(X)
+
+
+@dataclass(frozen=True, eq=False)
+class TokenCounts:
+    """How often each term occurs in each document: row d of ``matrix``
+    holds in column j the count of ``terms[j]`` in document d. ``terms`` is
+    sorted, so column order is term order."""
+
+    terms: list[str]
+    matrix: CSR
+
+    def __len__(self) -> int:
+        return len(self.matrix)
 
     def rows(self, index) -> TokenCounts:
         """The documents at ``index`` (an index array or a slice), in that order."""
@@ -90,14 +171,19 @@ def count_tokens(docs: Iterable[Sequence[str]]) -> TokenCounts:
     for tokens in docs:
         ids.extend(map(first_seen.__getitem__, tokens))
         indptr.append(len(ids))
+    if len(ids) > np.iinfo(_INDEX).max:
+        raise TrainingError(f"{len(ids)} tokens are more than a count matrix holds")
     terms = sorted(first_seen)
-    rank = np.empty(len(terms), dtype=np.int32)
-    rank[[first_seen[term] for term in terms]] = np.arange(len(terms), dtype=np.int32)
-    matrix = sp.csr_matrix(
-        (np.ones(len(ids), dtype=np.int32), rank[np.frombuffer(ids, dtype=np.int32)],
-         np.frombuffer(indptr, dtype=np.int64)),
-        shape=(len(indptr) - 1, len(terms)))
-    matrix.sum_duplicates()
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[[first_seen[term] for term in terms]] = np.arange(len(terms))
+    # One key per (document, column), sorted by document, then column.
+    n_docs = len(indptr) - 1
+    doc = np.repeat(np.arange(n_docs), np.diff(np.frombuffer(indptr, dtype=np.int64)))
+    keys, counts = np.unique(doc * len(terms) + rank[np.frombuffer(ids, dtype=np.int32)],
+                             return_counts=True)
+    rows, columns = np.divmod(keys, max(len(terms), 1))
+    matrix = CSR(counts.astype(_INDEX), columns.astype(_INDEX),
+                 _indptr(np.bincount(rows, minlength=n_docs)), (n_docs, len(terms)))
     return TokenCounts(terms, matrix)
 
 
@@ -162,7 +248,7 @@ def fit_vocabulary(
     )
 
 
-def featurize(counts: TokenCounts, vocab: Vocabulary) -> sp.csr_matrix:
+def featurize(counts: TokenCounts, vocab: Vocabulary) -> CSR:
     """One L2-normalized smooth TF-IDF row per row of ``counts``.
 
     weight(t) = tf(t) * (ln((1 + N) / (1 + df(t))) + 1), then each row is
@@ -171,26 +257,33 @@ def featurize(counts: TokenCounts, vocab: Vocabulary) -> sp.csr_matrix:
     in-vocabulary term gives an empty row. The matrix is (n_docs, len(vocab)),
     each row sorted by index.
     """
-    # idf(term) at (column of term, index of term): one index per column, so
-    # each entry of the product is the single product tf * idf.
+    # Each column's vocabulary index (-1 out of vocabulary) and idf.
     column_of = dict(zip(counts.terms, range(len(counts.terms))))
-    columns, indices, idf = [], [], []
+    index_of = np.full(len(counts.terms), -1, dtype=np.int64)
+    idf = np.zeros(len(counts.terms))
     for term, (index, df) in vocab.terms.items():
         column = column_of.get(term)
         if column is not None:
-            columns.append(column)
-            indices.append(index)
-            idf.append(math.log((1 + vocab.total_docs) / (1 + df)) + 1.0)
-    scale = sp.csr_matrix((idf, (columns, indices)), shape=(len(counts.terms), len(vocab)))
-    X = counts.matrix @ scale
-    X.sort_indices()
+            index_of[column] = index
+            idf[column] = math.log((1 + vocab.total_docs) / (1 + df)) + 1.0
+    matrix = counts.matrix
+    index = index_of[matrix.indices]
+    kept = np.flatnonzero(index >= 0)
+    rows, index, columns = matrix.row_of_entry()[kept], index[kept], matrix.indices[kept]
+    data = matrix.data[kept] * idf[columns]
+    # A row's columns are in term order; its indices are too unless the
+    # vocabulary (as load_model allows) numbers its terms in another order.
+    mapped = index_of[index_of >= 0]
+    if np.any(mapped[1:] < mapped[:-1]):
+        order = np.argsort(rows * len(vocab) + index, kind="stable")
+        rows, index, data = rows[order], index[order], data[order]
 
-    # scipy's CSR matvec adds each row's products left to right, the sequential
-    # sum the model files depend on; pairwise sums (X.sum(axis=1),
-    # np.add.reduceat) round differently.
-    norms = np.sqrt(X.multiply(X) @ np.ones(X.shape[1]))
-    X.data /= np.repeat(norms, np.diff(X.indptr))
-    return X
+    # bincount adds each row's squares left to right, the sequential sum the
+    # model files depend on; pairwise sums (np.add.reduceat) round differently.
+    norms = np.sqrt(np.bincount(rows, weights=data * data, minlength=len(counts)))
+    data /= norms[rows]
+    return CSR(data, index.astype(_INDEX), _indptr(np.bincount(rows, minlength=len(counts))),
+               (len(counts), len(vocab)))
 
 
 def compute_class_weights(labels: Sequence[int]) -> tuple[float, float]:
@@ -233,13 +326,16 @@ class PUModel:
 def loss_and_gradient(
     weights: np.ndarray,
     bias: float,
-    X: sp.csr_matrix,
+    X,
     y: np.ndarray,
     sample_weight: np.ndarray,
     C: float,
 ) -> tuple[float, np.ndarray, float]:
     """Sample-weighted negative log-likelihood with L2 penalty ||w||^2 / (2C),
-    and its analytic gradient. Targets ``y`` may be soft, in [0, 1]."""
+    and its analytic gradient, for a scipy sparse ``X``. Targets ``y`` may be
+    soft, in [0, 1]."""
+    from scipy.special import expit
+
     z = X @ weights + bias
     # -log sigma(z) = logaddexp(0, -z); numerically stable on both tails.
     nll = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
@@ -251,7 +347,7 @@ def loss_and_gradient(
 
 
 def train_logreg(
-    X: np.ndarray | sp.spmatrix,
+    X: CSR | np.ndarray,
     labels: Sequence[float],
     class_weights: tuple[float, float],
     C: float = DEFAULT_C,
@@ -270,11 +366,11 @@ def train_logreg(
 
     if C <= 0:
         raise ValueError("C must be positive")
-    X = sp.csr_matrix(X, dtype=float)
+    X = _as_csr(X)
     y = np.asarray(labels, dtype=float)
     n = y.shape[0]
-    if n != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} feature rows but {n} labels")
+    if n != len(X):
+        raise ValueError(f"{len(X)} feature rows but {n} labels")
     w_pos, w_neg = class_weights
     weight = np.where(y == 1.0, w_pos, w_neg)
     bad = np.flatnonzero(~np.isfinite(X.data))
@@ -282,8 +378,12 @@ def train_logreg(
         row = int(np.searchsorted(X.indptr, bad[0], side="right")) - 1
         raise TrainingError(f"feature value in row {row} is not finite")
 
+    # scipy's fused products are several times faster than ``CSR.dot``, and
+    # a fit evaluates the objective some 30 times.
+    A = X.to_scipy()
+
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad_w, grad_b = loss_and_gradient(v[:-1], float(v[-1]), X, y, weight, C)
+        loss, grad_w, grad_b = loss_and_gradient(v[:-1], float(v[-1]), A, y, weight, C)
         return loss / n, np.append(grad_w, grad_b) / n
 
     result = minimize(objective, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B",
@@ -295,21 +395,29 @@ def train_logreg(
                        converged=bool(result.success))
 
 
-def predict_proba(model: LinearModel, X: np.ndarray | sp.spmatrix) -> np.ndarray:
-    """Positive-class probabilities, one per feature row."""
-    X = sp.csr_matrix(X, dtype=float)
+def _margin(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
+    """X.w + b, one per feature row."""
+    X = _as_csr(X)
     if X.shape[1] != model.n_features:
         raise ValueError(f"model expects {model.n_features} features, got {X.shape[1]}")
-    return expit(X @ model.weights + model.bias)
+    return X.dot(model.weights) + model.bias
 
 
-def predict(model: LinearModel, X: np.ndarray | sp.spmatrix) -> np.ndarray:
-    """Binary labels: positive iff probability >= 0.5."""
-    return (predict_proba(model, X) >= 0.5).astype(int)
+def predict_proba(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
+    """Positive-class probabilities, one per feature row."""
+    from scipy.special import expit
+
+    return expit(_margin(model, X))
+
+
+def predict(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
+    """Binary labels: positive iff probability >= 0.5, that is, iff the
+    margin is at least the one where scipy's expit reaches 0.5."""
+    return (_margin(model, X) >= _POSITIVE_MARGIN).astype(int)
 
 
 def train_pu(
-    X: np.ndarray | sp.spmatrix,
+    X: CSR | np.ndarray,
     observed_labels: Sequence[int],
     seed: int,
     C: float = DEFAULT_C,
@@ -327,10 +435,10 @@ def train_pu(
     unlabeled sample (a positive at weight q(x), a negative at 1-q(x)),
     term by term.
     """
-    X = sp.csr_matrix(X, dtype=float)
+    X = _as_csr(X)
     s = np.asarray(observed_labels, dtype=int)
-    if s.shape[0] != X.shape[0]:
-        raise ValueError(f"{X.shape[0]} feature rows but {s.shape[0]} labels")
+    if s.shape[0] != len(X):
+        raise ValueError(f"{len(X)} feature rows but {s.shape[0]} labels")
     pos_idx = np.flatnonzero(s == 1)
     unl_idx = np.flatnonzero(s == 0)
     if pos_idx.size == 0:
@@ -439,16 +547,21 @@ def _vocabulary_from_record(record: object) -> Vocabulary:
     total_docs = _pull(record, "total_docs", int)
     if total_docs < 1:
         raise ValueError(f"key 'total_docs' must be at least 1, got {total_docs}")
-    terms = {}
-    for term in raw:
-        index, df = _pull_pair(raw, term, int, "integers")
-        if not 1 <= df <= total_docs:
-            raise ValueError(
-                f"key {term!r}: document frequency {df} is not in 1..{total_docs}")
-        terms[term] = (index, df)
-    if sorted(index for index, _ in terms.values()) != list(range(len(terms))):
-        raise ValueError(f"vocabulary indices are not exactly 0..{len(terms) - 1}")
-    return Vocabulary(terms=terms, total_docs=total_docs)
+    pairs = list(raw.values())
+    # Checked all at once, and on a fault term by term, to name the first
+    # bad key.
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int}
+            and 1 <= min(dfs := list(map(itemgetter(1), pairs)), default=1)
+            and max(dfs, default=1) <= total_docs):
+        for term in raw:
+            _, df = _pull_pair(raw, term, int, "integers")
+            if not 1 <= df <= total_docs:
+                raise ValueError(
+                    f"key {term!r}: document frequency {df} is not in 1..{total_docs}")
+    if sorted(map(itemgetter(0), pairs)) != list(range(len(pairs))):
+        raise ValueError(f"vocabulary indices are not exactly 0..{len(pairs) - 1}")
+    return Vocabulary(terms=dict(zip(raw, map(tuple, pairs))), total_docs=total_docs)
 
 
 def save_model(

@@ -330,6 +330,8 @@ class Collected:
     # Each parsed record's paper id and where it was read ("<file>, line <n>").
     papers: list[tuple[str, str]] = field(default_factory=list)
     papers_eligible: int = 0
+    # The span error that ended a batch, raised when the batch is merged.
+    span_error: str | None = None
 
     @property
     def papers_total(self) -> int:
@@ -352,8 +354,9 @@ def process_lines(batch: tuple[str, int, list[str]], baseline: bool = False) -> 
     """Decode, parse, check eligibility of and process one batch of corpus
     lines, as tagged by ``ingest.line_batches``; the work of one pool task.
 
-    Every line yields a record or exactly one diagnostic. A span error is
-    raised naming the input file and line.
+    Every line yields a record or exactly one diagnostic. A span error ends
+    the batch: its message, naming the input file and line, is returned in
+    ``span_error``, for the merge to raise after checking the batch's papers.
     """
     source, first_line, lines = batch
     part = Collected()
@@ -370,7 +373,8 @@ def process_lines(batch: tuple[str, int, list[str]], baseline: bool = False) -> 
         try:
             samples, rejections = process_paper(paper, baseline)
         except SpanConsistencyError as exc:
-            raise SpanConsistencyError(f"{where}: {exc}") from None
+            part.span_error = f"{where}: {exc}"
+            break
         part.samples.extend(samples)
         part.rejections.extend(rejections)
     return part
@@ -397,7 +401,9 @@ def collect_samples(
     Diagnostics come out in input order and samples and rejections in
     canonical (paper_id, paragraph index) order, so the result is identical
     for any worker count. A paper id read twice, which would put the same
-    paragraphs in two splits, is a ValueError naming both places.
+    paragraphs in two splits, is a ValueError naming both places; it and a
+    ``SpanConsistencyError`` are raised for the first such fault in input
+    order.
     """
     work = partial(process_lines, baseline=baseline)
     batches = line_batches(paths, BATCH_LINES)
@@ -415,6 +421,8 @@ def collect_samples(
                     raise ValueError(f"{where}: paper {paper_id!r} was already read at "
                                      f"{read_at[paper_id]}")
                 read_at[paper_id] = where
+            if part.span_error is not None:
+                raise SpanConsistencyError(part.span_error)
             collected.add(part)
     collected.samples.sort(key=_canonical_key)
     collected.rejections.sort(key=lambda r: (r.paper_id, r.paragraph_index))

@@ -594,6 +594,30 @@ def test_cli_import_loads_no_numpy():
     assert result.stdout.strip() == "[]"
 
 
+def test_eval_loads_no_scipy_and_train_still_fits(trained, tmp_path):
+    # Only a fit needs scipy: eval scores linear and PU models without it.
+    out, model_path = trained
+    code = ("import sys\nfrom citecorpus.cli import main\ncode = main(sys.argv[1:])\n"
+            "print(sorted({name.split('.')[0] for name in sys.modules} & {'numpy', 'scipy'}))\n"
+            "sys.exit(code)")
+
+    def run(*argv):
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, env=_subprocess_env(), timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        return result.stdout.splitlines()
+
+    dataset = str(out / "dataset.jsonl")
+    pu_path = tmp_path / "pu.json"
+    trained_pu = run("train", "--input", dataset, "--output", str(pu_path), "--seed", "4", "--pu")
+    assert trained_pu[-1] == "['numpy', 'scipy']"
+    assert "model saved to" in trained_pu[-2]
+    for path in (model_path, pu_path):
+        scored = run("eval", "--model", str(path), "--input", dataset)
+        assert scored[0].startswith("precision ")
+        assert scored[-1] == "['numpy']"
+
+
 def _drop_last_term(payload):
     terms = payload["vocabulary"]["terms"]
     del terms[max(terms, key=lambda term: terms[term][0])]
@@ -755,7 +779,10 @@ class TestSentenceTable:
                   and (fields is None or sample.mag_field in fields)]
         expected = count_tokens(tokenize(sentence.text) for _, _, sentence in chosen)
         assert table.counts.terms == expected.terms
-        assert (table.counts.matrix != expected.matrix).nnz == 0
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(table.counts.matrix, part),
+                                  getattr(expected.matrix, part))
+        assert table.counts.matrix.shape == expected.matrix.shape
         for field in [None, *_TABLE_FIELDS, "Physics"]:
             for part in ["all", *_TABLE_SPLITS]:
                 rows = [i for i, (name, in_split, _) in enumerate(chosen)

@@ -10,9 +10,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import citecorpus
 from citecorpus.model import (
+    CSR,
     LinearModel,
     PUModel,
     TrainingError,
@@ -214,7 +216,8 @@ class TestFeaturize:
             terms={term: (permuted[index], df) for term, (index, df) in fitted.terms.items()},
             total_docs=fitted.total_docs)
         X = featurize(counts, vocab)
-        assert X.has_sorted_indices
+        assert all(np.all(np.diff(X.indices[X.indptr[i]:X.indptr[i + 1]]) > 0)
+                   for i in range(len(X)))
         for i, tokens in enumerate(corpus):
             assert row(X, i) == reference_row(tokens, vocab)
 
@@ -373,6 +376,125 @@ class TestPredict:
                             C=1.0, n_features=2)
         with pytest.raises(ValueError):
             predict_proba(model, np.zeros((1, 5)))
+
+
+def random_csr(rng, n_rows, n_columns, max_per_row):
+    """A seeded random sparse matrix, built by scipy; rows of up to
+    ``max_per_row`` values, some empty."""
+    dense = np.zeros((n_rows, n_columns))
+    for i in range(n_rows):
+        size = int(rng.integers(0, max_per_row + 1))
+        columns = rng.choice(n_columns, size=size, replace=False)
+        dense[i, columns] = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size)
+    return sp.csr_matrix(dense)
+
+
+def scipy_featurize(counts, vocab):
+    """TF-IDF rows the way scipy computes them: counts times a column map of
+    idf values, then each row divided by its norm from a CSR matvec."""
+    column_of = {term: column for column, term in enumerate(counts.terms)}
+    pairs = [(column_of[term], index, math.log((1 + vocab.total_docs) / (1 + df)) + 1.0)
+             for term, (index, df) in vocab.terms.items() if term in column_of]
+    columns, indices, idf = zip(*pairs) if pairs else ((), (), ())
+    scale = sp.csr_matrix((idf, (columns, indices)), shape=(len(counts.terms), len(vocab)))
+    X = counts.matrix.to_scipy() @ scale
+    X.sort_indices()
+    X.data /= np.repeat(np.sqrt(X.multiply(X) @ np.ones(X.shape[1])), np.diff(X.indptr))
+    return X
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestScipyExactness:
+    """The numpy margin, labels and TF-IDF rows carry scipy's bits."""
+
+    def test_predict_is_expit_at_least_a_half(self):
+        edge = -3.3306690738754686e-16
+        near, below, above = [edge], edge, edge
+        for _ in range(1000):
+            below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+            near += [below, above]
+        special = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(41)
+        spread = rng.normal(size=5000) * 10.0 ** rng.integers(-20, 4, 5000)
+        margins = np.concatenate([near, special, spread])
+        # One stored value per row, weight 1 and bias 0: each margin as given
+        # (-0.0 comes out as 0.0, the first sum being 0.0 + -0.0).
+        X = CSR(margins, np.zeros(margins.size, dtype=np.int32),
+                np.arange(margins.size + 1, dtype=np.int32), (margins.size, 1))
+        model = LinearModel(weights=np.ones(1), bias=0.0, class_weights=(1, 1), C=1.0,
+                            n_features=1)
+        labels = predict(model, X)
+        assert np.array_equal(labels, (expit(margins) >= 0.5).astype(int))
+        assert np.array_equal(labels, (expit(X.to_scipy() @ model.weights) >= 0.5).astype(int))
+        assert labels[:3].tolist() == [1, 0, 1]  # the edge, the double below, above
+
+    def test_margin_and_rows_match_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(42)
+        for n_columns, max_per_row in ((7, 7), (300, 200), (2000, 40)):
+            S = random_csr(rng, 120, n_columns, max_per_row)
+            X = CSR(S.data, S.indices.astype(np.int32), S.indptr.astype(np.int32), S.shape)
+            w, b = rng.normal(size=n_columns), float(rng.normal())
+            model = LinearModel(weights=w, bias=b, class_weights=(1, 1), C=1.0,
+                                n_features=n_columns)
+            assert same_bits(predict_proba(model, X), expit(S @ w + b))
+            assert same_bits(X.dot(w), S @ w)
+            rows = rng.permutation(120)[:50]
+            for index in (rows, rng.random(120) < 0.5, slice(10, 90)):
+                part, expected = X[index], S[index]
+                assert part.shape == expected.shape
+                for name in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(part, name), getattr(expected, name))
+
+    def test_fit_products_are_scipys_on_the_same_arrays(self):
+        # A fit wraps the feature arrays for scipy without copying them; its
+        # margins are the ones predict computes, and its objective is the one
+        # scipy computes on the same matrix built from dense rows.
+        rng = np.random.default_rng(43)
+        words = [f"w{i}" for i in range(300)]
+        X = featurize(count_tokens(rng.choice(words, size=int(rng.integers(0, 120))).tolist()
+                                   for _ in range(80)),
+                      fit_vocabulary(count_tokens([words])))
+        A = X.to_scipy()
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(A, name), getattr(X, name))
+        w = rng.normal(size=X.shape[1])
+        assert same_bits(A @ w, X.dot(w))
+        independent = sp.csr_matrix(A.toarray())
+        y = rng.integers(0, 2, size=len(X)).astype(float)
+        weight = rng.uniform(0.5, 2.0, size=len(X))
+        for got, expected in zip(loss_and_gradient(w, 0.25, A, y, weight, 2.0),
+                                 loss_and_gradient(w, 0.25, independent, y, weight, 2.0)):
+            assert same_bits(got, expected)
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_featurize_matches_scipy_bit_for_bit(self, tmp_path, permute):
+        # Rows of 64 and more distinct terms, repeated terms, empty and
+        # out-of-vocabulary rows; the vocabulary read back from a model file,
+        # its indices shuffled when ``permute`` is set.
+        rng = random.Random(44)
+        words = [f"w{i:03d}" for i in range(400)]
+        corpus = [rng.sample(words, rng.randint(0, 250)) * rng.randint(1, 3) for _ in range(150)]
+        corpus += [[], ["oov"] * 4]
+        counts = count_tokens(corpus)
+        fitted = fit_vocabulary(counts.rows(slice(0, 100)), min_df=2)
+        order = list(range(len(fitted)))
+        if permute:
+            rng.shuffle(order)
+        vocab = Vocabulary({term: (order[index], df)
+                            for term, (index, df) in fitted.terms.items()}, fitted.total_docs)
+        path = tmp_path / "model.json"
+        save_model(path, LinearModel(weights=np.zeros(len(vocab)), bias=0.0,
+                                     class_weights=(1, 1), C=1.0, n_features=len(vocab)), vocab)
+        _, loaded = load_model(path)
+        assert loaded == vocab
+        X, expected = featurize(counts, loaded), scipy_featurize(counts, loaded)
+        assert X.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            assert same_bits(getattr(X, name), getattr(expected, name).astype(
+                getattr(X, name).dtype))
 
 
 class TestTrainPU:
@@ -542,6 +664,32 @@ class TestSerialization:
         path.write_text('{"format_version": 99, "kind": "linear"}')
         with pytest.raises(ValueError):
             load_model(path)
+
+    @pytest.mark.parametrize("later", [False, True], ids=["alone", "then-another"])
+    @pytest.mark.parametrize("entry,problem", [
+        ([11, True], "is missing or mistyped"), ([11.0, 2], "is missing or mistyped"),
+        ("11,2", "is missing or mistyped"), (None, "is missing or mistyped"),
+        ({"11": 2}, "is missing or mistyped"), ([11, 2, 1], "must hold two integers"),
+        ([11], "must hold two integers"), ([], "must hold two integers"),
+        ([11, 0], "document frequency 0 is not in 1..40"),
+        ([11, 41], "document frequency 41 is not in 1..40"),
+        ([11, 10**400], f"document frequency {10**400} is not in 1..40")])
+    def test_first_bad_vocabulary_entry_is_named(self, tmp_path, entry, problem, later):
+        # One bad entry in the middle, alone or with another after it: the
+        # first is named.
+        vocab = Vocabulary({f"t{i:02d}": (i, 1 + i % 40) for i in range(30)}, total_docs=40)
+        path = tmp_path / "model.json"
+        save_model(path, LinearModel(weights=np.zeros(30), bias=0.0, class_weights=(1, 1),
+                                     C=1.0, n_features=30), vocab)
+        payload = json.loads(path.read_text())
+        payload["vocabulary"]["terms"]["t11"] = entry
+        if later:
+            payload["vocabulary"]["terms"]["t20"] = [20, -1] if entry != [11, 0] else "x"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        separator = ":" if problem.startswith("document") else ""
+        assert str(exc.value) == f"{path}: key 't11'{separator} {problem}"
 
 
 class TestImbalancedWeighting:

@@ -6,7 +6,7 @@ import pickle
 import random
 import re
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from pathlib import Path
 from unittest.mock import patch
 
@@ -50,6 +50,19 @@ from citecorpus.pipeline import (
     write_dataset,
 )
 from corpusgen import make_corpus_file, make_papers, write_corpus
+
+
+class _PicklingPool(Executor):
+    """A worker pool stand-in: runs each task when it is submitted and
+    returns its result through pickle, as a process pool does."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        future.set_result(pickle.loads(pickle.dumps(fn(*args, **kwargs))))
+        return future
 
 
 def paragraph_with_citation(cite=" [2]", section="Introduction"):
@@ -497,6 +510,27 @@ class TestCollectSamples:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"{path}, line 4: paper 'paper-00003': cite span (5, 10000)")
+
+    def test_repeat_before_a_span_error_in_one_batch_is_named(self, tmp_path):
+        # Eight lines, one batch: line 2 repeats line 1's paper, line 8 has a
+        # span beyond its text. The first fault in input order is named.
+        path = tmp_path / "corpus.jsonl"
+        records = make_papers(n_papers=8, seed=5)
+        records[7]["mag_field_of_study"] = ["Biology"]
+        records[7]["body_text"][0]["section"] = "Introduction"
+        records[7]["body_text"][0]["cite_spans"] = [{"start": 5, "end": 1_000_000, "ref_id": "b"}]
+        write_corpus(records, path)
+        with pytest.raises(SpanConsistencyError, match=f"^{re.escape(str(path))}, line 8: "):
+            collect_samples([path])
+        records[1]["paper_id"] = records[0]["paper_id"]
+        write_corpus(records, path)
+        expected = f"{path}, line 2: paper 'paper-00000' was already read at {path}, line 1"
+        for workers in (1, 2):
+            with patch.object(pipeline, "ProcessPoolExecutor", _PicklingPool), \
+                    pytest.raises(ValueError) as exc:
+                collect_samples([path], workers=workers)
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == expected
 
 
     def test_pool_holds_at_most_the_limit_in_flight(self):
