@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, TextIO
 __version__ = "0.1.0"
 
 # Inverse L2 regularization strength of the logistic-regression baseline; it
-# lives here so the CLI can show it without importing the model's numpy/scipy.
+# lives here so the CLI can show it without importing the model's numpy.
 DEFAULT_C = 0.1151
 
 

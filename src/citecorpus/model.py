@@ -5,32 +5,39 @@ lists to ``count_tokens``, which builds one CSR count matrix over global term
 ids, assigned in sorted term order. ``fit_vocabulary`` takes its document
 frequencies from the column counts of the rows it is given. ``featurize``
 maps each counted term to its vocabulary index and idf and divides each row
-by its norm. Matrices are ``CSR``: three plain numpy arrays, so counting,
-featurizing and predicting load no scipy. Training and prediction take such
-a matrix, or a dense 2-D array, which they convert to one.
+by its norm. Matrices are ``CSR``: three plain numpy arrays, and nothing
+here loads scipy. Training and prediction take such a matrix, or a dense
+2-D array, which they convert to one.
 
 ``predict`` computes each margin X.w + b by adding a row's products left to
 right, as scipy's CSR matvec does, and calls a row positive when its margin
 is at least -3.3306690738754686e-16, the smallest double at which scipy's
 ``expit`` reaches 0.5: the same labels as ``expit(margin) >= 0.5``.
-``predict_proba`` and ``train_logreg`` import scipy when called; a fit
-wraps the matrix's arrays in a ``scipy.sparse.csr_matrix`` without copying
-them.
+``predict_proba`` is 1 / (1 + exp(-margin)) on numpy's exp, within two ulps
+of ``expit``.
 
-Training minimizes the class-weighted log loss plus ||w||^2 / (2C) with
-scipy's L-BFGS-B from a zero start. The objective is scaled by 1/N, which
-leaves the minimizer where it is and gives the stopping tolerances the same
-meaning at any dataset size. The optimizer has no random choices, so
-identical inputs give bitwise-identical parameters on any machine with the
-same numpy and scipy, as long as BLAS runs on one thread: a threaded BLAS
-splits dot products by thread count, and the weights then move in the last
-bits with the number of cores.
-This module therefore sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads,
-unless the environment already sets it. Every fitted model records its
-iteration count, the largest gradient component of the unscaled objective
-at the end, and whether L-BFGS-B reported convergence. The loss, gradient
-and the positive-unlabeled scheme are implemented here; the
-positive-unlabeled fit trains on soft targets, one row per sample.
+Training minimizes the class-weighted log loss plus ||w||^2 / (2C) from a
+zero start over [w, b] by line-search Newton-CG (Nocedal and Wright,
+Algorithm 7.1). Each step solves H p = -g by conjugate gradients to a
+residual of min(0.5, sqrt(|g|)) |g|, each Hessian-vector product being two
+CSR products, then halves the step from 1 until Armijo's sufficient-decrease
+test holds, or, where the objective no longer changes beyond rounding, until
+the gradient shrinks. The objective is scaled by 1/N, which leaves the
+minimizer where it is and gives the stopping rule the same meaning at any
+dataset size: a fit has converged when no gradient component exceeds 1e-10,
+and it stops there, after 1000 Newton steps, or when no step along the
+direction helps. Every objective evaluation goes through
+``loss_and_gradient``. Every fitted model records its Newton step count, the
+largest gradient component of the unscaled objective at the end, and
+whether it converged. The solver has no random choices and its sparse
+products add in a fixed order, so identical inputs give bitwise-identical
+parameters on any machine with the same numpy and CPU vector extensions
+(numpy picks its exp kernel by them), as long as BLAS runs on one thread:
+a threaded BLAS splits dot products by thread count, and the weights then
+move in the last bits with the number of cores. This module
+therefore sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads, unless the
+environment already sets it. The positive-unlabeled fit trains on soft
+targets, one row per sample.
 """
 
 from __future__ import annotations
@@ -59,17 +66,20 @@ import numpy as np  # noqa: E402
 
 _NUMBER = (int, float)
 
-# The index type of every CSR here: the one scipy picks for matrices of this
-# size, so a fit can hand the arrays to scipy without a copy.
+# The index type of every CSR here.
 _INDEX = np.int32
 
 # The smallest double at which scipy's expit (1.17.1) reaches 0.5.
 _POSITIVE_MARGIN = -3.3306690738754686e-16
 
-# L-BFGS-B stopping rule, on the objective scaled by 1/N.
+# Newton-CG stopping rule: at most this many Newton steps, and done when no
+# gradient component of the objective scaled by 1/N exceeds _GTOL.
 _MAX_ITERATIONS = 1000
-_FTOL = 1e-13
 _GTOL = 1e-10
+
+# Armijo's sufficient-decrease constant, and the most halvings of one step.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
 
 # Share of the labeled positives that PU training holds out to estimate c.
 _PU_HOLDOUT_FRACTION = 0.2
@@ -132,12 +142,13 @@ class CSR:
             products = self.data * vector[self.indices]
         return np.bincount(self.row_of_entry(), weights=products, minlength=len(self))
 
-    def to_scipy(self):
-        """This matrix as a ``scipy.sparse.csr_matrix`` over the same arrays."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape,
-                             copy=False)
+    def transpose_dot(self, vector: np.ndarray) -> np.ndarray:
+        """The product of this matrix's transpose with ``vector``, one value
+        per row: each column's products added in storage order from 0.0, as
+        scipy's ``A.T @ vector`` adds them, to the same bits."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = self.data * vector[self.row_of_entry()]
+        return np.bincount(self.indices, weights=products, minlength=self.shape[1])
 
 
 def _as_csr(X: CSR | np.ndarray) -> CSR:
@@ -323,27 +334,69 @@ class PUModel:
     final_model: LinearModel
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), elementwise; 0.0 where exp(-z) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def loss_and_gradient(
     weights: np.ndarray,
     bias: float,
-    X,
+    X: CSR | np.ndarray,
     y: np.ndarray,
     sample_weight: np.ndarray,
     C: float,
 ) -> tuple[float, np.ndarray, float]:
     """Sample-weighted negative log-likelihood with L2 penalty ||w||^2 / (2C),
-    and its analytic gradient, for a scipy sparse ``X``. Targets ``y`` may be
-    soft, in [0, 1]."""
-    from scipy.special import expit
-
-    z = X @ weights + bias
+    and its analytic gradient, for a ``CSR`` or dense 2-D ``X``. Targets
+    ``y`` may be soft, in [0, 1]."""
+    X = _as_csr(X)
+    z = X.dot(weights) + bias
     # -log sigma(z) = logaddexp(0, -z); numerically stable on both tails.
     nll = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
     loss = float(np.dot(sample_weight, nll) + np.dot(weights, weights) / (2.0 * C))
-    residual = sample_weight * (expit(z) - y)
-    grad_w = X.T @ residual + weights / C
-    grad_b = float(residual.sum())
-    return loss, np.asarray(grad_w).ravel(), grad_b
+    residual = sample_weight * (_sigmoid(z) - y)
+    return loss, X.transpose_dot(residual) + weights / C, float(residual.sum())
+
+
+def _hessian_product(X: CSR, v: np.ndarray, sample_weight: np.ndarray, C: float):
+    """d -> H d, H being the Hessian of ``loss_and_gradient``'s objective
+    over [w, b] at ``v``: [X 1]^T diag(s * sigma * (1 - sigma)) [X 1] plus I/C
+    on the w block. Each product is two CSR products; H is never formed."""
+    sigma = _sigmoid(X.dot(v[:-1]) + v[-1])
+    curvature = sample_weight * sigma * (1.0 - sigma)
+
+    def times(d: np.ndarray) -> np.ndarray:
+        u = curvature * (X.dot(d[:-1]) + d[-1])
+        return np.append(X.transpose_dot(u) + d[:-1] / C, u.sum())
+
+    return times
+
+
+def _newton_direction(hessian_times, gradient: np.ndarray) -> np.ndarray:
+    """An inexact solution p of H p = -gradient by conjugate gradients
+    (Nocedal and Wright, Algorithm 7.1). CG stops once the residual is below
+    min(0.5, sqrt(|g|)) |g|, which makes Newton's convergence superlinear,
+    on a direction of no curvature, or after len(gradient) steps."""
+    norm = math.sqrt(np.dot(gradient, gradient))
+    tolerance = min(0.5, math.sqrt(norm)) * norm
+    p = np.zeros_like(gradient)
+    r, d = gradient, -gradient
+    rr = np.dot(r, r)
+    for _ in range(len(gradient)):
+        hd = hessian_times(d)
+        curve = np.dot(d, hd)
+        if curve <= 0.0:
+            break
+        alpha = rr / curve
+        p = p + alpha * d
+        r = r + alpha * hd
+        rr, previous = np.dot(r, r), rr
+        if math.sqrt(rr) <= tolerance:
+            break
+        d = -r + (rr / previous) * d
+    return p if p.any() else -gradient
 
 
 def train_logreg(
@@ -352,7 +405,7 @@ def train_logreg(
     class_weights: tuple[float, float],
     C: float = DEFAULT_C,
 ) -> LinearModel:
-    """Fit weighted logistic regression with L-BFGS-B.
+    """Fit weighted logistic regression with line-search Newton-CG.
 
     Minimizes the class-weighted negative log-likelihood with an L2 penalty
     of ||w||^2 / (2C), scaled by 1/N, from a zero start over ``[w, b]``.
@@ -361,9 +414,6 @@ def train_logreg(
     before optimizing when a feature value is not finite. The procedure has
     no random choices.
     """
-    # Imported here: it costs ~0.2 s, which commands that never fit skip.
-    from scipy.optimize import minimize
-
     if C <= 0:
         raise ValueError("C must be positive")
     X = _as_csr(X)
@@ -378,21 +428,36 @@ def train_logreg(
         row = int(np.searchsorted(X.indptr, bad[0], side="right")) - 1
         raise TrainingError(f"feature value in row {row} is not finite")
 
-    # scipy's fused products are several times faster than ``CSR.dot``, and
-    # a fit evaluates the objective some 30 times.
-    A = X.to_scipy()
-
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad_w, grad_b = loss_and_gradient(v[:-1], float(v[-1]), A, y, weight, C)
+        loss, grad_w, grad_b = loss_and_gradient(v[:-1], float(v[-1]), X, y, weight, C)
         return loss / n, np.append(grad_w, grad_b) / n
 
-    result = minimize(objective, np.zeros(X.shape[1] + 1), jac=True, method="L-BFGS-B",
-                      options={"maxiter": _MAX_ITERATIONS, "ftol": _FTOL, "gtol": _GTOL})
-    return LinearModel(weights=result.x[:-1], bias=float(result.x[-1]),
+    v = np.zeros(X.shape[1] + 1)
+    f, g = objective(v)
+    iterations = 0
+    while np.max(np.abs(g)) > _GTOL and iterations < _MAX_ITERATIONS:
+        # The scaled objective is the unscaled one with weights s/N and C*N.
+        p = _newton_direction(_hessian_product(X, v, weight / n, C * n), g)
+        step, slope = 1.0, float(np.dot(g, p))
+        for _ in range(_MAX_HALVINGS):
+            v_new = v + step * p
+            f_new, g_new = objective(v_new)
+            # Armijo's test; within rounding of f it cannot tell, and a step
+            # that shrinks the gradient is taken instead.
+            if (f_new <= f + _ARMIJO * step * slope
+                    or (abs(f_new - f) <= 4 * np.finfo(float).eps * abs(f)
+                        and np.max(np.abs(g_new)) < np.max(np.abs(g)))):
+                break
+            step /= 2
+        else:
+            break  # no step along p helps: the fit is at its rounding floor
+        v, f, g = v_new, f_new, g_new
+        iterations += 1
+    grad_max = float(np.max(np.abs(g)))
+    return LinearModel(weights=v[:-1], bias=float(v[-1]),
                        class_weights=(float(w_pos), float(w_neg)), C=float(C),
-                       n_features=X.shape[1], iterations=int(result.nit),
-                       grad_max=float(np.max(np.abs(result.jac))) * n,
-                       converged=bool(result.success))
+                       n_features=X.shape[1], iterations=iterations,
+                       grad_max=grad_max * n, converged=grad_max <= _GTOL)
 
 
 def _margin(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
@@ -405,9 +470,7 @@ def _margin(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
 
 def predict_proba(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
     """Positive-class probabilities, one per feature row."""
-    from scipy.special import expit
-
-    return expit(_margin(model, X))
+    return _sigmoid(_margin(model, X))
 
 
 def predict(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:

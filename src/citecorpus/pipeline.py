@@ -23,7 +23,7 @@ import logging
 import math
 import random
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
@@ -392,6 +392,14 @@ def _bounded_map(pool: Executor, fn: Callable, items: Iterable, limit: int) -> I
         yield pending.popleft().result()
 
 
+def worker_pool(workers: int) -> Executor:
+    """A pool of ``workers`` processes. Imported here: the process pool
+    loads multiprocessing, which only a build at two or more workers needs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def collect_samples(
     paths: Iterable[str | Path], baseline: bool = False, workers: int = 1
 ) -> Collected:
@@ -413,7 +421,7 @@ def collect_samples(
         if workers == 1:
             parts: Iterator[Collected] = map(work, batches)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            pool = stack.enter_context(worker_pool(workers))
             parts = _bounded_map(pool, work, batches, _BATCHES_PER_WORKER * workers)
         for part in parts:
             for paper_id, where in part.papers:

@@ -11,7 +11,6 @@ import unicodedata
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from citecorpus import textproc
 from citecorpus.cli import main
@@ -346,7 +345,7 @@ class TestCriterion7ModelCorrectness:
         rng = np.random.default_rng(707)
         for _ in range(20):
             n, d = rng.integers(4, 12), rng.integers(2, 8)
-            X = sp.csr_matrix(rng.normal(size=(int(n), int(d))))
+            X = rng.normal(size=(int(n), int(d)))
             y = rng.integers(0, 2, size=int(n)).astype(float)
             weight = rng.uniform(0.2, 2.5, size=int(n))
             w = rng.normal(size=int(d))

@@ -290,7 +290,7 @@ class TestBuild:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pipeline, "worker_pool", no_pool)
         corpus = tmp_path / "corpus.jsonl"
         build_fixture_corpus(corpus)
         out = tmp_path / "out"
@@ -329,7 +329,7 @@ class TestBuild:
             config = tmp_path / "config.json"
             config.write_text(json.dumps({"workers": number}))
             argv += ["--config", str(config)]
-        with patch.object(pipeline, "ProcessPoolExecutor", _no_pool):
+        with patch.object(pipeline, "worker_pool", _no_pool):
             code = main(argv)
         err = capsys.readouterr().err
         if number == cli.MAX_WORKERS:
@@ -586,16 +586,18 @@ def test_model_file_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_cli_import_loads_no_numpy():
-    # Build-side commands never touch the model; importing the CLI must not
-    # pay for numpy/scipy.
-    code = "import sys, citecorpus.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    # Build-side commands never touch the model, and only a build at two or
+    # more workers starts a process pool; importing the CLI must pay for
+    # neither numpy/scipy nor multiprocessing.
+    code = ("import sys, citecorpus.cli\n"
+            "print(sorted({'numpy', 'scipy', 'multiprocessing'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=_subprocess_env(), check=True)
     assert result.stdout.strip() == "[]"
 
 
-def test_eval_loads_no_scipy_and_train_still_fits(trained, tmp_path):
-    # Only a fit needs scipy: eval scores linear and PU models without it.
+def test_no_command_loads_scipy(trained, tmp_path):
+    # Fits, PU probabilities and scoring all run on numpy alone.
     out, model_path = trained
     code = ("import sys\nfrom citecorpus.cli import main\ncode = main(sys.argv[1:])\n"
             "print(sorted({name.split('.')[0] for name in sys.modules} & {'numpy', 'scipy'}))\n"
@@ -605,17 +607,23 @@ def test_eval_loads_no_scipy_and_train_still_fits(trained, tmp_path):
         result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                                 text=True, env=_subprocess_env(), timeout=300)
         assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.splitlines()[-1] == "['numpy']"
         return result.stdout.splitlines()
 
     dataset = str(out / "dataset.jsonl")
     pu_path = tmp_path / "pu.json"
-    trained_pu = run("train", "--input", dataset, "--output", str(pu_path), "--seed", "4", "--pu")
-    assert trained_pu[-1] == "['numpy', 'scipy']"
-    assert "model saved to" in trained_pu[-2]
+    assert "model saved to" in run("train", "--input", dataset, "--output",
+                                   str(tmp_path / "m.json"), "--seed", "4")[-2]
+    assert "model saved to" in run("train", "--input", dataset, "--output", str(pu_path),
+                                   "--seed", "4", "--pu")[-2]
     for path in (model_path, pu_path):
-        scored = run("eval", "--model", str(path), "--input", dataset)
-        assert scored[0].startswith("precision ")
-        assert scored[-1] == "['numpy']"
+        assert run("eval", "--model", str(path), "--input", dataset)[0].startswith("precision ")
+    fields = ["Biology", "Chemistry"]
+    dist_path = tmp_path / "dist.tsv"
+    write_distance_matrix({(a, b): float(a != b) for a in fields for b in fields},
+                          fields, dist_path)
+    assert run("cross-domain", "--input", dataset, "--distances", str(dist_path), "--output",
+               str(tmp_path / "grid.json"))[-2].startswith("grid written to ")
 
 
 def _drop_last_term(payload):
@@ -1262,7 +1270,7 @@ def run_with_config(command, key, value, workdir):
     for name, flag_value in FUZZ_FLAGS[command].items():
         if name != key:
             argv += ["--" + name.replace("_", "-"), flag_value]
-    with contextlib.chdir(workdir), patch.object(pipeline, "ProcessPoolExecutor", _no_pool):
+    with contextlib.chdir(workdir), patch.object(pipeline, "worker_pool", _no_pool):
         return main(argv)
 
 

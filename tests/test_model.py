@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import expit
 
 import citecorpus
@@ -260,7 +261,7 @@ class TestLossAndGradient:
         rng = np.random.default_rng(99)
         for _ in range(10):
             n, d = 8, 5
-            X = sp.csr_matrix(rng.normal(size=(n, d)))
+            X = CSR.from_dense(rng.normal(size=(n, d)))
             y = rng.integers(0, 2, size=n).astype(float)
             weight = rng.uniform(0.2, 2.0, size=n)
             w = rng.normal(size=d)
@@ -341,15 +342,113 @@ class TestTrainLogreg:
             hessian = A.T @ (A * (weight * p * (1.0 - p))[:, None]) + np.diag(penalty)
             v -= np.linalg.solve(hessian, grad)
         assert np.max(np.abs(grad)) < 1e-10
-        optimum = loss_and_gradient(v[:-1], v[-1], sp.csr_matrix(X), y, weight, C)[0]
+        optimum = loss_and_gradient(v[:-1], v[-1], X, y, weight, C)[0]
 
         model = train_logreg(X, y, (1.7, 0.6), C=C)
-        reached, grad_w, grad_b = loss_and_gradient(model.weights, model.bias, sp.csr_matrix(X),
-                                                    y, weight, C)
+        reached, grad_w, grad_b = loss_and_gradient(model.weights, model.bias, X, y, weight, C)
         assert (reached - optimum) / abs(optimum) <= 1e-10
         assert model.converged is True
         assert 0 < model.iterations < 100
         assert model.grad_max == pytest.approx(max(np.max(np.abs(grad_w)), abs(grad_b)))
+
+
+def sparse_problem(seed, n_rows=600, positive_share=0.4):
+    """Seeded TF-IDF rows over a 500-word vocabulary and labels from a
+    planted linear rule with noise, positive in ``positive_share`` of rows."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(500)]
+    docs = [rng.choice(words, size=int(rng.integers(1, 25))).tolist() for _ in range(n_rows)]
+    X = featurize(count_tokens(docs), fit_vocabulary(count_tokens(docs)))
+    margin = X.dot(rng.normal(size=X.shape[1]) * 3.0) + rng.normal(size=n_rows)
+    return X, (margin >= np.quantile(margin, 1.0 - positive_share)).astype(float), rng
+
+
+def scaled_objective(X, y, sample_weight, C):
+    """``loss_and_gradient`` over [w, b], scaled by 1/N as a fit scales it."""
+    def f(v):
+        loss, grad_w, grad_b = loss_and_gradient(v[:-1], v[-1], X, y, sample_weight, C)
+        return loss / len(y), np.append(grad_w, grad_b) / len(y)
+    return f
+
+
+class TestNewtonCG:
+    """The numpy solver against scipy's L-BFGS-B and the gradient."""
+
+    @pytest.mark.parametrize("kind", ["hard", "soft", "imbalanced"])
+    def test_scipy_polishing_finds_nothing_lower(self, kind):
+        # Hard 0/1 labels; PU-style soft targets at class weights (1, 1);
+        # 3% positives with inverse-frequency class weights. L-BFGS-B
+        # started from the fitted weights, at tolerances far below the fit's,
+        # must not lower the objective by more than 1e-12 of it.
+        X, y, rng = sparse_problem({"hard": 1, "soft": 2, "imbalanced": 3}[kind],
+                                   positive_share=0.03 if kind == "imbalanced" else 0.4)
+        class_weights, C = (1.0, 1.0), citecorpus.DEFAULT_C
+        if kind == "soft":
+            y = np.where(y == 1.0, 1.0, rng.uniform(0.0, 1.0, size=len(y)))
+            C = 50.0
+        elif kind == "imbalanced":
+            class_weights, C = compute_class_weights(y.tolist()), 1.0
+        model = train_logreg(X, y, class_weights, C=C)
+        weight = np.where(y == 1.0, *class_weights)
+        f = scaled_objective(X, y, weight, C)
+        fitted = np.append(model.weights, model.bias)
+        reached, grad = f(fitted)
+        polished = minimize(f, fitted, jac=True, method="L-BFGS-B",
+                            options={"maxiter": 2000, "gtol": 1e-12, "ftol": 1e-15})
+        optimum = min(float(polished.fun), reached)
+        assert (reached - optimum) / abs(optimum) <= 1e-12
+        assert model.converged is True
+        assert 0 < model.iterations < 20
+        assert model.grad_max == np.max(np.abs(grad)) * len(y) <= 1e-10 * len(y)
+
+    def test_hessian_product_matches_gradient_differences(self):
+        X, y, rng = sparse_problem(4, n_rows=200)
+        weight = rng.uniform(0.5, 2.0, size=len(y))
+        C = 0.7
+
+        def gradient(v):
+            return np.append(*loss_and_gradient(v[:-1], v[-1], X, y, weight, C)[1:])
+
+        for _ in range(5):
+            v = rng.normal(size=X.shape[1] + 1)
+            d = rng.normal(size=X.shape[1] + 1)
+            h = 1e-5
+            numeric = (gradient(v + h * d) - gradient(v - h * d)) / (2 * h)
+            exact = citecorpus.model._hessian_product(X, v, weight, C)(d)
+            assert np.max(np.abs(numeric - exact)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
+
+    def test_full_steps_are_taken_where_the_objective_is_flat_to_rounding(self,
+                                                                          monkeypatch):
+        # At C = 1e-8 the last Newton steps change the objective by less than
+        # its rounding, so Armijo's test cannot accept them; a step that
+        # shrinks the gradient is taken whole instead of being halved.
+        X, y = gaussian_blobs(5, n_pos=30, n_neg=70, sep=2.0)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return loss_and_gradient(*args)
+
+        monkeypatch.setattr(citecorpus.model, "loss_and_gradient", counting)
+        model = train_logreg(X, y, (10.0, 1.0), C=1e-8)
+        assert model.converged is True
+        assert len(calls) == model.iterations + 1
+
+    def test_two_fits_give_the_same_bits(self):
+        X, y, _ = sparse_problem(5)
+        a = train_logreg(X, y, (1.3, 0.8), C=0.5)
+        b = train_logreg(X, y, (1.3, 0.8), C=0.5)
+        assert same_bits(a.weights, b.weights)
+        assert (a.bias, a.iterations, a.grad_max, a.converged) == (
+            b.bias, b.iterations, b.grad_max, b.converged)
+
+    def test_iteration_cap_reports_not_converged(self, monkeypatch):
+        X, y, _ = sparse_problem(6)
+        monkeypatch.setattr(citecorpus.model, "_MAX_ITERATIONS", 2)
+        model = train_logreg(X, y, (1.0, 1.0), C=10.0)
+        assert model.iterations == 2
+        assert model.converged is False
+        assert model.grad_max > 1e-10 * len(y)
 
 
 class TestPredict:
@@ -389,6 +488,11 @@ def random_csr(rng, n_rows, n_columns, max_per_row):
     return sp.csr_matrix(dense)
 
 
+def to_scipy(X):
+    """A ``scipy.sparse.csr_matrix`` over the arrays of the CSR ``X``."""
+    return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+
 def scipy_featurize(counts, vocab):
     """TF-IDF rows the way scipy computes them: counts times a column map of
     idf values, then each row divided by its norm from a CSR matvec."""
@@ -397,7 +501,7 @@ def scipy_featurize(counts, vocab):
              for term, (index, df) in vocab.terms.items() if term in column_of]
     columns, indices, idf = zip(*pairs) if pairs else ((), (), ())
     scale = sp.csr_matrix((idf, (columns, indices)), shape=(len(counts.terms), len(vocab)))
-    X = counts.matrix.to_scipy() @ scale
+    X = to_scipy(counts.matrix) @ scale
     X.sort_indices()
     X.data /= np.repeat(np.sqrt(X.multiply(X) @ np.ones(X.shape[1])), np.diff(X.indptr))
     return X
@@ -405,6 +509,14 @@ def scipy_featurize(counts, vocab):
 
 def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def within_ulps(a, b, ulps):
+    """Whether the non-negative doubles ``a`` and ``b`` are at most ``ulps``
+    representable values apart, element by element."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(np.abs(a.view(np.int64) - b.view(np.int64))
+                                              <= ulps))
 
 
 class TestScipyExactness:
@@ -428,7 +540,7 @@ class TestScipyExactness:
                             n_features=1)
         labels = predict(model, X)
         assert np.array_equal(labels, (expit(margins) >= 0.5).astype(int))
-        assert np.array_equal(labels, (expit(X.to_scipy() @ model.weights) >= 0.5).astype(int))
+        assert np.array_equal(labels, (expit(to_scipy(X) @ model.weights) >= 0.5).astype(int))
         assert labels[:3].tolist() == [1, 0, 1]  # the edge, the double below, above
 
     def test_margin_and_rows_match_scipy_bit_for_bit(self):
@@ -439,8 +551,10 @@ class TestScipyExactness:
             w, b = rng.normal(size=n_columns), float(rng.normal())
             model = LinearModel(weights=w, bias=b, class_weights=(1, 1), C=1.0,
                                 n_features=n_columns)
-            assert same_bits(predict_proba(model, X), expit(S @ w + b))
+            assert within_ulps(predict_proba(model, X), expit(S @ w + b), 2)
             assert same_bits(X.dot(w), S @ w)
+            r = rng.normal(size=120) * 10.0 ** rng.integers(-3, 4, 120)
+            assert same_bits(X.transpose_dot(r), S.T @ r)
             rows = rng.permutation(120)[:50]
             for index in (rows, rng.random(120) < 0.5, slice(10, 90)):
                 part, expected = X[index], S[index]
@@ -448,26 +562,33 @@ class TestScipyExactness:
                 for name in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(part, name), getattr(expected, name))
 
-    def test_fit_products_are_scipys_on_the_same_arrays(self):
-        # A fit wraps the feature arrays for scipy without copying them; its
-        # margins are the ones predict computes, and its objective is the one
-        # scipy computes on the same matrix built from dense rows.
+    def test_transposed_product_is_scipys_bit_for_bit(self):
+        # X^T r, the gradient's product, on TF-IDF rows (some empty) with
+        # residuals of every sign and scale.
         rng = np.random.default_rng(43)
         words = [f"w{i}" for i in range(300)]
         X = featurize(count_tokens(rng.choice(words, size=int(rng.integers(0, 120))).tolist()
                                    for _ in range(80)),
                       fit_vocabulary(count_tokens([words])))
-        A = X.to_scipy()
-        for name in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(A, name), getattr(X, name))
-        w = rng.normal(size=X.shape[1])
-        assert same_bits(A @ w, X.dot(w))
-        independent = sp.csr_matrix(A.toarray())
-        y = rng.integers(0, 2, size=len(X)).astype(float)
-        weight = rng.uniform(0.5, 2.0, size=len(X))
-        for got, expected in zip(loss_and_gradient(w, 0.25, A, y, weight, 2.0),
-                                 loss_and_gradient(w, 0.25, independent, y, weight, 2.0)):
-            assert same_bits(got, expected)
+        for scale in (1e-12, 1.0, 1e12):
+            r = rng.normal(size=len(X)) * scale
+            assert same_bits(X.transpose_dot(r), to_scipy(X).T @ r)
+        assert same_bits(X.transpose_dot(np.zeros(len(X))), np.zeros(X.shape[1]))
+
+    def test_predict_proba_is_within_two_ulps_of_expit(self):
+        # expit is 1 / (1 + exp(-z)) with libm's exp. numpy's vectorized exp
+        # differs from it in the last bit for some arguments, and that ulp
+        # can grow to two through 1 + e and the reciprocal, so the
+        # probabilities are not bit-equal. predict never uses them: its
+        # threshold is on the margin.
+        rng = np.random.default_rng(45)
+        margins = np.concatenate([rng.normal(size=20000) * 10.0 ** rng.integers(-20, 3, 20000),
+                                  [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]])
+        X = CSR(margins, np.zeros(margins.size, dtype=np.int32),
+                np.arange(margins.size + 1, dtype=np.int32), (margins.size, 1))
+        model = LinearModel(weights=np.ones(1), bias=0.0, class_weights=(1, 1), C=1.0,
+                            n_features=1)
+        assert within_ulps(predict_proba(model, X), expit(margins), 2)
 
     @pytest.mark.parametrize("permute", [False, True])
     def test_featurize_matches_scipy_bit_for_bit(self, tmp_path, permute):
@@ -533,7 +654,7 @@ class TestTrainPU:
         q = np.clip((1.0 - pu.c_estimate) / pu.c_estimate * g / (1.0 - g), 0.0, 1.0)
         assert np.count_nonzero((q > 0.05) & (q < 0.95)) >= 20  # soft, not 0/1 targets
 
-        stacked = sp.csr_matrix(np.vstack([X[pos], X[unl], X[unl]]))
+        stacked = np.vstack([X[pos], X[unl], X[unl]])
         y = np.concatenate([np.ones(pos.size), np.ones(unl.size), np.zeros(unl.size)])
         weight = np.concatenate([np.ones(pos.size), q, 1.0 - q])
         final = pu.final_model
@@ -541,10 +662,9 @@ class TestTrainPU:
                                                    y, weight, C)
         targets = np.ones(len(s))
         targets[unl] = q
-        soft = loss_and_gradient(final.weights, final.bias, sp.csr_matrix(X), targets,
-                                 np.ones(len(s)), C)[0]
+        soft = loss_and_gradient(final.weights, final.bias, X, targets, np.ones(len(s)), C)[0]
         assert abs(soft - oracle) <= 1e-12 * abs(oracle)
-        # L-BFGS-B stops at gtol 1e-10 on the objective scaled by 1/N.
+        # The fit stops at max|gradient| 1e-10 on the objective scaled by 1/N.
         assert final.converged is True
         assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-10 * len(s)
 

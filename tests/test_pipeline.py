@@ -526,7 +526,7 @@ class TestCollectSamples:
         write_corpus(records, path)
         expected = f"{path}, line 2: paper 'paper-00000' was already read at {path}, line 1"
         for workers in (1, 2):
-            with patch.object(pipeline, "ProcessPoolExecutor", _PicklingPool), \
+            with patch.object(pipeline, "worker_pool", _PicklingPool), \
                     pytest.raises(ValueError) as exc:
                 collect_samples([path], workers=workers)
             assert type(exc.value) is ValueError
