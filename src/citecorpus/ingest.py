@@ -40,7 +40,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 # What ``surrogateescape`` decodes an undecodable byte to.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
@@ -54,8 +54,7 @@ def _invalid_utf8(line: str) -> str | None:
     return f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8"
 
 
-@dataclass(frozen=True)
-class CiteSpan:
+class CiteSpan(NamedTuple):
     """A span of citation text inside a paragraph (offsets in scalar values)."""
 
     start: int
@@ -110,7 +109,7 @@ def _parse_cite_span(raw: object) -> CiteSpan:
              "cite span 'end' is not an integer")
     ref_id = raw.get("ref_id", "")
     _require(ref_id is None or isinstance(ref_id, str), "cite span 'ref_id' is not a string")
-    return CiteSpan(start=raw["start"], end=raw["end"], ref_id=ref_id or "")
+    return CiteSpan(raw["start"], raw["end"], ref_id or "")
 
 
 def _parse_paragraph(raw: object) -> Paragraph:

@@ -48,6 +48,7 @@ import os
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -130,9 +131,12 @@ class CSR:
         take = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
         return CSR(self.data[take], self.indices[take], indptr, (len(rows), self.shape[1]))
 
+    @cached_property
     def row_of_entry(self) -> np.ndarray:
-        """The row of each stored value."""
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        """The row of each stored value, computed once per matrix (read-only)."""
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
 
     def dot(self, vector: np.ndarray) -> np.ndarray:
         """The product with ``vector``: each row's products added left to
@@ -140,14 +144,14 @@ class CSR:
         # Like scipy's C loop, an overflow or inf * 0 is no warning.
         with np.errstate(over="ignore", invalid="ignore"):
             products = self.data * vector[self.indices]
-        return np.bincount(self.row_of_entry(), weights=products, minlength=len(self))
+        return np.bincount(self.row_of_entry, weights=products, minlength=len(self))
 
     def transpose_dot(self, vector: np.ndarray) -> np.ndarray:
         """The product of this matrix's transpose with ``vector``, one value
         per row: each column's products added in storage order from 0.0, as
         scipy's ``A.T @ vector`` adds them, to the same bits."""
         with np.errstate(over="ignore", invalid="ignore"):
-            products = self.data * vector[self.row_of_entry()]
+            products = self.data * vector[self.row_of_entry]
         return np.bincount(self.indices, weights=products, minlength=self.shape[1])
 
 
@@ -280,7 +284,7 @@ def featurize(counts: TokenCounts, vocab: Vocabulary) -> CSR:
     matrix = counts.matrix
     index = index_of[matrix.indices]
     kept = np.flatnonzero(index >= 0)
-    rows, index, columns = matrix.row_of_entry()[kept], index[kept], matrix.indices[kept]
+    rows, index, columns = matrix.row_of_entry[kept], index[kept], matrix.indices[kept]
     data = matrix.data[kept] * idf[columns]
     # A row's columns are in term order; its indices are too unless the
     # vocabulary (as load_model allows) numbers its terms in another order.

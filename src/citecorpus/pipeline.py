@@ -13,22 +13,25 @@ parses, checks eligibility and processes each line of a batch, in-process at
 one worker or on a worker pool that holds at most two batches per worker in
 flight. Results are merged in batch order, so diagnostics stay in line
 order, and sorted into canonical (paper_id, paragraph index) order, so builds
-are deterministic for any worker count.
+are deterministic for any worker count. The parent keeps the cyclic garbage
+collector off while a pool runs: unpickling its results makes many objects
+and no reference cycles.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import math
 import random
 from collections import deque
 from concurrent.futures import Executor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import write_json
 from .ingest import (Diagnostic, PaperRecord, Paragraph, line_batches,
@@ -129,8 +132,9 @@ PERMISSIBLE_SECTION_TITLES = (
 _PERMISSIBLE_SET = frozenset(PERMISSIBLE_SECTION_TITLES)
 
 
-@dataclass(frozen=True)
-class LabeledSentence:
+class LabeledSentence(NamedTuple):
+    """One cleaned sentence and its label."""
+
     text: str
     label: str
     removed_span_count: int = 0
@@ -221,6 +225,11 @@ def process_paragraph(paragraph: Paragraph) -> tuple[LabeledSentence, ...] | Rej
     and strip hanging punctuation; reject on a hanging citation marker or an
     ill-formed result. Only if all sentences pass are they returned, each
     labelled by whether a citation span was removed from it.
+
+    The pattern checks are ``textproc``'s: a format pattern is searched for
+    only in text that holds its ``[`` or ``)``, and the hanging pattern only
+    near the end of the cleaned sentence, each with the verbatim pattern's
+    answer. Most sentences hold no citation, so most checks search nothing.
     """
     sentences = split_sentences(paragraph.text)
     if not sentences:
@@ -256,8 +265,7 @@ def process_paragraph(paragraph: Paragraph) -> tuple[LabeledSentence, ...] | Rej
         if not is_well_formed(cleaned):
             return RejectionReason(MALFORMED_SENTENCE)
         label = LABEL_CITE_WORTHY if rel_spans else LABEL_NON_CITE_WORTHY
-        labeled.append(LabeledSentence(text=cleaned, label=label,
-                                       removed_span_count=len(rel_spans)))
+        labeled.append(LabeledSentence(cleaned, label, len(rel_spans)))
     return tuple(labeled)
 
 
@@ -287,7 +295,7 @@ def build_baseline_variant(paragraph: Paragraph) -> tuple[LabeledSentence, ...] 
         if not text.strip():
             continue
         label = LABEL_CITE_WORTHY if count else LABEL_NON_CITE_WORTHY
-        labeled.append(LabeledSentence(text=text, label=label, removed_span_count=count))
+        labeled.append(LabeledSentence(text, label, count))
     return tuple(labeled) if labeled else RejectionReason(MALFORMED_SENTENCE)
 
 
@@ -397,7 +405,23 @@ def worker_pool(workers: int) -> Executor:
     loads multiprocessing, which only a build at two or more workers needs."""
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers)
+    # A forked worker inherits the collector state of the parent, which keeps
+    # the collector off while it merges; the workers run with it on, as a
+    # spawned worker would.
+    return ProcessPoolExecutor(max_workers=workers, initializer=gc.enable)
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off in this block, then restore the
+    state it had."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def collect_samples(
@@ -421,6 +445,9 @@ def collect_samples(
         if workers == 1:
             parts: Iterator[Collected] = map(work, batches)
         else:
+            # Unpickled results would make the collector rescan the growing
+            # result lists, again and again.
+            stack.enter_context(_gc_paused())
             pool = stack.enter_context(worker_pool(workers))
             parts = _bounded_map(pool, work, batches, _BATCHES_PER_WORKER * workers)
         for part in parts:
@@ -528,43 +555,45 @@ def _sample_to_record(sample: ParagraphSample) -> dict:
     }
 
 
+def _field(record: dict, key: str, kind: type, where: str):
+    """``record[key]`` when it is a ``kind`` (a bool is no int), else a
+    DatasetFormatError naming the line and the field."""
+    value = record.get(key)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DatasetFormatError(f"{where}: field {key!r} missing or not {kind.__name__}")
+    return value
+
+
 def _record_to_sample(record: object, where: str) -> ParagraphSample:
     if not isinstance(record, dict):
         raise DatasetFormatError(f"{where}: record is not an object")
-
-    def pull(key: str, kind: type) -> object:
-        value = record.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise DatasetFormatError(f"{where}: field {key!r} missing or not {kind.__name__}")
-        return value
-
-    split = pull("split", str)
+    split = _field(record, "split", str, where)
     if split not in (*SPLITS, SPLIT_UNASSIGNED):
         raise DatasetFormatError(f"{where}: unknown split {split!r}")
-    sentences = []
-    raw_sentences = pull("samples", list)
+    raw_sentences = _field(record, "samples", list, where)
     if not raw_sentences:
         raise DatasetFormatError(f"{where}: record has no sentences")
+    sentences = []
     for i, raw in enumerate(raw_sentences):
         if not isinstance(raw, dict):
             raise DatasetFormatError(f"{where}: sentence {i} is not an object")
         text = raw.get("text")
         label = raw.get("label")
         count = raw.get("removed_span_count")
-        if not isinstance(text, str) or label not in LABELS \
-                or not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        # JSON decodes to exact types: ``type(count) is int`` leaves out bools.
+        if type(text) is not str or label not in LABELS or type(count) is not int or count < 0:
             raise DatasetFormatError(f"{where}: sentence {i} is malformed")
         if (label == LABEL_CITE_WORTHY) != (count >= 1):
             raise DatasetFormatError(
                 f"{where}: sentence {i} label {label!r} disagrees with "
                 f"removed_span_count {count}")
-        sentences.append(LabeledSentence(text=text, label=label, removed_span_count=count))
+        sentences.append(LabeledSentence(text, label, count))
     return ParagraphSample(
-        paper_id=pull("paper_id", str),
-        section_title=pull("section_title", str),
-        mag_field=pull("mag_field_of_study", str),
+        paper_id=_field(record, "paper_id", str, where),
+        section_title=_field(record, "section_title", str, where),
+        mag_field=_field(record, "mag_field_of_study", str, where),
         sentences=tuple(sentences),
-        paragraph_index=pull("paragraph_index", int),
+        paragraph_index=_field(record, "paragraph_index", int, where),
         split=split,
     )
 

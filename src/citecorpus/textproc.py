@@ -10,13 +10,24 @@ The three citation regexes are embedded verbatim as ``NUMERIC_CITATION_PATTERN``
 deliberately not "fixed" (e.g. the ``[,-;]`` class is a character range that
 admits digits) so that matching behaviour is bit-exact with the published
 rules. Use ``citecorpus dump-rules`` to audit them.
+
+Each pattern is compiled once, from its constant, and the checks skip only
+text where it cannot match, so every answer is the verbatim search's:
+
+- every numeric match contains ``[`` and every author-year match contains
+  ``)``, so ``matches_citation_format`` searches a text for a pattern only
+  when it holds that character;
+- the hanging pattern is end-anchored, and what it matches after its cue word
+  is whitespace and ``,-)].?!`` only, so ``has_hanging_citation_marker``
+  searches only the last 14 characters before the text's trailing run of
+  those characters (see its docstring).
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Verbatim citation-format patterns. Pattern semantics, including quirks,
 # are frozen by golden tests; do not edit.
@@ -33,6 +44,11 @@ _AUTHOR_YEAR_RE = re.compile(AUTHOR_YEAR_CITATION_PATTERN)
 _HANGING_RE = re.compile(HANGING_CITATION_PATTERN)
 
 _TERMINALS = ".!?"
+
+# What the hanging pattern can match after its cue word, besides whitespace,
+# and how far before those characters its match can start.
+_HANGING_TAIL = ",-)].?!"
+_HANGING_REACH = 14
 
 # The only characters the splitter acts on: brackets and terminal marks.
 _MARK_RE = re.compile(r"[()\[\].!?]")
@@ -75,8 +91,7 @@ _SUFFIX_AFTER_SPAN_RE = re.compile(r"\s*[.!?]\s*")
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-@dataclass(frozen=True)
-class SentenceSpan:
+class SentenceSpan(NamedTuple):
     """One sentence of a paragraph, with its character offsets.
 
     ``text`` equals the paragraph slice ``[start, end)``; sentences of one
@@ -154,7 +169,7 @@ def split_sentences(paragraph_text: str) -> list[SentenceSpan]:
         if stripped:
             start = seg_start + (len(segment) - len(segment.lstrip()))
             end = start + len(stripped)
-            spans.append(SentenceSpan(text=paragraph_text[start:end], start=start, end=end))
+            spans.append(SentenceSpan(paragraph_text[start:end], start, end))
         seg_start = seg_end
     return spans
 
@@ -170,8 +185,14 @@ def find_author_year_citations(text: str) -> list[tuple[int, int]]:
 
 
 def matches_citation_format(span_text: str) -> bool:
-    """True when the span text contains either citation-format pattern."""
-    return _NUMERIC_RE.search(span_text) is not None or _AUTHOR_YEAR_RE.search(span_text) is not None
+    """True when the span text contains either citation-format pattern.
+
+    A text without ``[`` holds no numeric match and one without ``)`` no
+    author-year match (each pattern matches that character literally), so
+    the pattern is searched for only when its character is there.
+    """
+    return ("[" in span_text and _NUMERIC_RE.search(span_text) is not None) or (
+        ")" in span_text and _AUTHOR_YEAR_RE.search(span_text) is not None)
 
 
 def citation_at_sentence_end(sentence_text: str, start: int, end: int) -> bool:
@@ -237,8 +258,24 @@ def strip_hanging_punctuation(sentence_text: str) -> str:
 
 
 def has_hanging_citation_marker(sentence_text: str) -> bool:
-    """True when the end-anchored hanging-citation pattern matches."""
-    return _HANGING_RE.search(sentence_text) is not None
+    """True when the end-anchored hanging-citation pattern matches.
+
+    The search starts 14 characters before ``k``, the start of the text's
+    trailing run of whitespace and ``,-)].?!``, and finds a match whenever
+    the whole text holds one. The pattern ends at the end of the text (or
+    before a final newline), and all it matches after its cue is whitespace
+    (the regex's whitespace class is ``str.isspace``, code point for code
+    point) and those characters. So the cue's last character outside that
+    set is at ``k - 1``: the ``(`` of ``( )``, the ``g`` or ``z`` of
+    ``e.g.,`` and ``viz.,``, a cue word's last letter. The cue then starts
+    at ``k - 12`` or later ("for instance" is the longest), and the optional
+    ``(`` and one whitespace character before it start a match at
+    ``k - 14`` or later.
+    """
+    k = len(sentence_text)
+    while k and (sentence_text[k - 1] in _HANGING_TAIL or sentence_text[k - 1].isspace()):
+        k -= 1
+    return _HANGING_RE.search(sentence_text, max(0, k - _HANGING_REACH)) is not None
 
 
 def is_well_formed(sentence_text: str) -> bool:

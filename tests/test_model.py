@@ -562,6 +562,19 @@ class TestScipyExactness:
                 for name in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(part, name), getattr(expected, name))
 
+    def test_row_of_entry_is_computed_once_per_matrix(self):
+        rng = np.random.default_rng(44)
+        S = random_csr(rng, 60, 30, 12)
+        X = CSR(S.data, S.indices.astype(np.int32), S.indptr.astype(np.int32), S.shape)
+        rows = X.row_of_entry
+        assert np.array_equal(rows, S.tocoo().row)
+        X.dot(rng.normal(size=30))
+        X.transpose_dot(rng.normal(size=60))
+        assert X.row_of_entry is rows
+        with pytest.raises(ValueError):
+            rows[0] = 1
+        assert X[slice(5, 20)].row_of_entry is not rows
+
     def test_transposed_product_is_scipys_bit_for_bit(self):
         # X^T r, the gradient's product, on TF-IDF rows (some empty) with
         # residuals of every sign and scale.

@@ -1,5 +1,6 @@
 """Unit tests for the paragraph pipeline, balancing, splitting, and IO."""
 
+import gc
 import io
 import json
 import pickle
@@ -7,6 +8,7 @@ import random
 import re
 import tempfile
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from unittest.mock import patch
 
@@ -547,6 +549,83 @@ class TestCollectSamples:
                 assert result == (consumed - 1) ** 2
                 assert len(drawn) - consumed < 4
         assert consumed == 50
+
+
+@contextmanager
+def collector_set(enabled):
+    """Run the block with the cyclic garbage collector on or off, then put
+    back the state it had."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """A pooled collect keeps the garbage collector off while it merges and
+    restores the caller's state; a serial collect leaves it alone."""
+
+    def collect(self, path, workers, enabled):
+        """Collect on the stub pool; returns the collector state at each
+        batch, the state after and the error raised, if any."""
+        states, error = [], None
+        process_lines = pipeline.process_lines
+
+        def recording(batch, baseline=False):
+            states.append(gc.isenabled())
+            return process_lines(batch, baseline)
+
+        with collector_set(enabled), patch.object(pipeline, "worker_pool", _PicklingPool), \
+                patch.object(pipeline, "process_lines", recording), \
+                patch.object(pipeline, "BATCH_LINES", 3):
+            try:
+                collect_samples([path], workers=workers)
+            except ValueError as exc:
+                error = str(exc)
+            after = gc.isenabled()
+        return states, after, error
+
+    def corpus(self, tmp_path, fault=None):
+        path = tmp_path / "corpus.jsonl"
+        records = make_papers(n_papers=12, seed=3)
+        if fault == "span":
+            records[7]["mag_field_of_study"] = ["Biology"]
+            records[7]["body_text"][0]["section"] = "Introduction"
+            records[7]["body_text"][0]["cite_spans"] = [{"start": 5, "end": 10_000, "ref_id": "b"}]
+        elif fault == "repeat":
+            records[7]["paper_id"] = records[2]["paper_id"]
+        write_corpus(records, path)
+        return path
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_pool_merge_pauses_the_collector_and_restores_it(self, tmp_path, enabled):
+        states, after, error = self.collect(self.corpus(tmp_path), 2, enabled)
+        assert error is None
+        assert len(states) == 4 and not any(states)
+        assert after is enabled
+
+    @pytest.mark.parametrize("fault, message", [
+        ("span", "line 8: paper 'paper-00007': cite span (5, 10000) out of bounds"),
+        ("repeat", "line 8: paper 'paper-00002' was already read at "),
+    ])
+    def test_an_error_restores_the_collector(self, tmp_path, fault, message):
+        states, after, error = self.collect(self.corpus(tmp_path, fault), 2, True)
+        assert message in error
+        assert not any(states)
+        assert after is True
+
+    def test_serial_collect_leaves_the_collector_alone(self, tmp_path):
+        for enabled in (True, False):
+            states, after, error = self.collect(self.corpus(tmp_path), 1, enabled)
+            assert error is None
+            assert states == [enabled] * 4
+            assert after is enabled
+
+    def test_pool_workers_run_with_the_collector_on(self):
+        with collector_set(False), pipeline.worker_pool(1) as pool:
+            assert pool.submit(gc.isenabled).result() is True
 
 
 class TestSpanConsistencyError:

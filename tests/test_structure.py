@@ -1,5 +1,6 @@
 """Repository structure: no module of the package reads another module's
-private name or imports scipy, and the test configuration lets a failing
+private name or imports scipy, each citation pattern is written once and
+compiled only from its constant, and the test configuration lets a failing
 property test report its example."""
 
 import ast
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import citecorpus
+from citecorpus import textproc
 
 PACKAGE = Path(citecorpus.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -61,6 +63,41 @@ def test_no_module_imports_scipy():
             imports += [f"{path.name}, line {node.lineno}: imports {name}"
                         for name in names if name.split(".")[0] == "scipy"]
     assert imports == []
+
+
+CITATION_PATTERNS = ("NUMERIC_CITATION_PATTERN", "AUTHOR_YEAR_CITATION_PATTERN",
+                     "HANGING_CITATION_PATTERN")
+
+
+def test_citation_patterns_are_written_once_and_compiled_from_their_constants():
+    # A shortcut in the checks must search with the verbatim pattern, not with
+    # a copy or a part of it. Besides ``re.compile(NAME)``, a constant may only
+    # be a whole element of a tuple: the rule table of dump-rules.
+    written = {name: [] for name in CITATION_PATTERNS}
+    compiled = {name: [] for name in CITATION_PATTERNS}
+    other_uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent_of = {child: node for node in ast.walk(tree)
+                     for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant):
+                for name in CITATION_PATTERNS:
+                    if node.value == getattr(textproc, name):
+                        written[name].append(path.name)
+                continue
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name not in CITATION_PATTERNS or not isinstance(node.ctx, ast.Load):
+                continue
+            parent = parent_of[node]
+            if isinstance(parent, ast.Call) and ast.unparse(parent.func) == "re.compile" \
+                    and parent.args == [node] and not parent.keywords:
+                compiled[name].append(path.name)
+            elif not isinstance(parent, ast.Tuple):
+                other_uses.append(f"{path.name}, line {node.lineno}: {ast.unparse(parent)}")
+    assert written == {name: ["textproc.py"] for name in CITATION_PATTERNS}
+    assert compiled == {name: ["textproc.py"] for name in CITATION_PATTERNS}
+    assert other_uses == []
 
 
 def test_a_failing_property_test_prints_its_example(tmp_path):

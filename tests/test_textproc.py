@@ -1,6 +1,8 @@
 """Unit tests for sentence splitting, citation matching, and cleaning."""
 
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,76 @@ class TestHangingCitationMarker:
 
     def test_no_leading_whitespace_no_match(self):
         assert has_hanging_citation_marker("of.") is False
+
+
+# The verbatim patterns, searched over the whole text: the oracle for the
+# checks' shortcuts.
+_NUMERIC = re.compile(NUMERIC_CITATION_PATTERN)
+_AUTHOR_YEAR = re.compile(AUTHOR_YEAR_CITATION_PATTERN)
+_HANGING = re.compile(HANGING_CITATION_PATTERN)
+
+# Cue words, the characters the hanging pattern's tail and the citation
+# patterns are made of, digits, letters and Unicode whitespace.
+_CHECK_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["for instance", "for example", "e.g.,", "e.g.", "eg", "viz.,", "viz",
+                         "( )", "(  )", "see also", "of", "in", "at", "as", "1999", "2004a",
+                         "[12]", "[3, 5-7]", "(2001)", "Word", "\u00a0", "\u2003", "\x1c",
+                         " ", "\n"]),
+        st.text(alphabet=",-)].?!([]0123456789aEz \t\n\u00a0\u2003\x1c;", min_size=1,
+                max_size=3),
+    ),
+    max_size=12).map("".join)
+
+
+class TestCheckShortcuts:
+    """The checks search only where a pattern can match; their answers are
+    the verbatim patterns' over the whole text."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CHECK_TEXT)
+    def test_citation_format_equals_the_full_search(self, text):
+        expected = _NUMERIC.search(text) is not None or _AUTHOR_YEAR.search(text) is not None
+        assert matches_citation_format(text) is expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CHECK_TEXT)
+    def test_hanging_marker_equals_the_full_search(self, text):
+        assert has_hanging_citation_marker(text) is (_HANGING.search(text) is not None)
+
+    @pytest.mark.parametrize("text", [
+        # The only match starts 14 characters before the trailing run.
+        "Results agree (for instance).",
+        "Results agree (for instance) .",
+        "Results agree\u00a0(for instance)\u2003.\n",
+        " (for instance).",
+        "Results agree\n(for instance,-).",
+        # Matches that start nearer: no parenthesis, shorter cues, ( ) in ( ).
+        "Results agree for instance.",
+        "Results agree (for example).",
+        "Results agree (e.g.,).",
+        "Results agree (viz.,) .",
+        "Results agree (( )).",
+    ])
+    def test_match_at_the_reach(self, text):
+        assert _HANGING.search(text) is not None
+        assert has_hanging_citation_marker(text) is True
+
+    @pytest.mark.parametrize("text", [
+        "Results agree(for instance).",
+        "(for instance).",
+        "Results agree (for instance)x.",
+        "Results agree (for instances).",
+    ])
+    def test_no_match_near_the_reach(self, text):
+        assert _HANGING.search(text) is None
+        assert has_hanging_citation_marker(text) is False
+
+    def test_regex_whitespace_is_str_isspace(self):
+        space = re.compile(r"\s")
+        differ = [hex(c) for c in range(sys.maxunicode + 1)
+                  if (space.match(chr(c)) is not None) != chr(c).isspace()]
+        assert differ == []
 
 
 class TestIsWellFormed:
