@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation or data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -241,13 +240,19 @@ def _select_sentences(
 
 
 def _score(model: LinearModel, X, golds) -> metrics.PRF:
-    """Predict the rows of ``X`` and score them against ``golds``."""
+    """Predict the rows of ``X`` and score them against the 0/1 ``golds``."""
     from .model import predict
+    import numpy as np
 
-    return metrics.precision_recall_f1(list(predict(model, X)), golds, positive_class=1)
+    predicted = predict(model, X)
+    tp = np.count_nonzero(predicted & golds)
+    return metrics.prf_from_counts(tp, np.count_nonzero(predicted) - tp,
+                                   np.count_nonzero(golds) - tp)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    import hashlib
+
     input_paths = [_require_file(p, "input corpus") for p in args.input]
     output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)

@@ -47,6 +47,12 @@ def precision_recall_f1(
             fp += 1
         elif gold == positive_class:
             fn += 1
+    return prf_from_counts(tp, fp, fn)
+
+
+def prf_from_counts(tp: int, fp: int, fn: int) -> PRF:
+    """P/R/F1 from true-positive, false-positive and false-negative counts;
+    zero denominators yield 0."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

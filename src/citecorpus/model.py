@@ -49,10 +49,11 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from . import DEFAULT_C, write_json
 from .ingest import read_lines
@@ -175,6 +176,11 @@ class TokenCounts:
         """The documents at ``index`` (an index array or a slice), in that order."""
         return TokenCounts(self.terms, self.matrix[index])
 
+    @cached_property
+    def column_of(self) -> Mapping[str, int]:
+        """Term -> column, computed once per matrix (read-only)."""
+        return MappingProxyType(dict(zip(self.terms, range(len(self.terms)))))
+
 
 def count_tokens(docs: Iterable[Sequence[str]]) -> TokenCounts:
     """Count the terms of each tokenized document into one CSR row."""
@@ -189,8 +195,9 @@ def count_tokens(docs: Iterable[Sequence[str]]) -> TokenCounts:
     if len(ids) > np.iinfo(_INDEX).max:
         raise TrainingError(f"{len(ids)} tokens are more than a count matrix holds")
     terms = sorted(first_seen)
+    first = np.fromiter(map(first_seen.__getitem__, terms), dtype=np.int64, count=len(terms))
     rank = np.empty(len(terms), dtype=np.int64)
-    rank[[first_seen[term] for term in terms]] = np.arange(len(terms))
+    rank[first] = np.arange(len(terms))
     # One key per (document, column), sorted by document, then column.
     n_docs = len(indptr) - 1
     doc = np.repeat(np.arange(n_docs), np.diff(np.frombuffer(indptr, dtype=np.int64)))
@@ -257,8 +264,8 @@ def fit_vocabulary(
         raise TrainingError(
             f"vocabulary is empty (min_df={min_df} over {total_docs} documents)")
     return Vocabulary(
-        terms={counts.terms[column]: (index, int(df[column]))
-               for index, column in enumerate(kept.tolist())},
+        terms={counts.terms[column]: (index, count)
+               for index, (column, count) in enumerate(zip(kept.tolist(), df[kept].tolist()))},
         total_docs=total_docs,
     )
 
@@ -272,15 +279,24 @@ def featurize(counts: TokenCounts, vocab: Vocabulary) -> CSR:
     in-vocabulary term gives an empty row. The matrix is (n_docs, len(vocab)),
     each row sorted by index.
     """
-    # Each column's vocabulary index (-1 out of vocabulary) and idf.
-    column_of = dict(zip(counts.terms, range(len(counts.terms))))
+    # Each column's vocabulary index (-1 out of vocabulary) and idf, stored
+    # by whole-array assignments: no per-term numpy scalars or tuples. The
+    # idf takes math.log, the bits that model files and grids hold, once per
+    # distinct document frequency, on Python ints: a loaded vocabulary's
+    # counts may outgrow int64.
+    column = np.fromiter(map(counts.column_of.get, vocab.terms, repeat(-1)),
+                         dtype=np.int64, count=len(vocab))
+    found = column >= 0
+    pairs = vocab.terms.values()
+    dfs = list(map(itemgetter(1), pairs))
+    total = 1 + vocab.total_docs
+    idf_of = {df: math.log(total / (1 + df)) + 1.0 for df in set(dfs)}
     index_of = np.full(len(counts.terms), -1, dtype=np.int64)
+    index_of[column[found]] = np.fromiter(map(itemgetter(0), pairs), dtype=np.int64,
+                                          count=len(vocab))[found]
     idf = np.zeros(len(counts.terms))
-    for term, (index, df) in vocab.terms.items():
-        column = column_of.get(term)
-        if column is not None:
-            index_of[column] = index
-            idf[column] = math.log((1 + vocab.total_docs) / (1 + df)) + 1.0
+    idf[column[found]] = np.fromiter(map(idf_of.__getitem__, dfs), dtype=float,
+                                     count=len(vocab))[found]
     matrix = counts.matrix
     index = index_of[matrix.indices]
     kept = np.flatnonzero(index >= 0)

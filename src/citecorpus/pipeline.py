@@ -26,12 +26,11 @@ import logging
 import math
 import random
 from collections import deque
-from concurrent.futures import Executor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import write_json
 from .ingest import (Diagnostic, PaperRecord, Paragraph, line_batches,
@@ -45,6 +44,9 @@ from .textproc import (
     split_sentences,
     strip_hanging_punctuation,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 logger = logging.getLogger(__name__)
 

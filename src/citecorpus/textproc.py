@@ -90,6 +90,11 @@ _SUFFIX_AFTER_SPAN_RE = re.compile(r"\s*[.!?]\s*")
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# On ASCII, ``[^\W_]`` is exactly ``str.isalnum``: this table keeps those
+# bytes and turns every other byte into a space, so splitting the translated
+# text on whitespace gives ``_TOKEN_RE``'s tokens.
+_ASCII_WORD_TABLE = bytes(b if b < 128 and chr(b).isalnum() else 0x20 for b in range(256))
+
 
 class SentenceSpan(NamedTuple):
     """One sentence of a paragraph, with its character offsets.
@@ -288,5 +293,12 @@ def is_well_formed(sentence_text: str) -> bool:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase word tokens split on non-alphanumeric boundaries."""
-    return _TOKEN_RE.findall(text.lower())
+    """Lowercase word tokens split on non-alphanumeric boundaries.
+
+    Text that is ASCII once lowercased (the Kelvin sign lowers to ``k``)
+    takes a byte translation and a whitespace split, other text
+    ``_TOKEN_RE``; both give the same tokens."""
+    text = text.lower()
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_WORD_TABLE).decode("ascii").split()
+    return _TOKEN_RE.findall(text)

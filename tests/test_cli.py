@@ -586,11 +586,13 @@ def test_model_file_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_cli_import_loads_no_numpy():
-    # Build-side commands never touch the model, and only a build at two or
-    # more workers starts a process pool; importing the CLI must pay for
-    # neither numpy/scipy nor multiprocessing.
+    # Build-side commands never touch the model, only a build at two or more
+    # workers starts a process pool, and only a build checksums its rules;
+    # importing the CLI must pay for none of numpy/scipy, multiprocessing,
+    # concurrent.futures and hashlib.
     code = ("import sys, citecorpus.cli\n"
-            "print(sorted({'numpy', 'scipy', 'multiprocessing'} & set(sys.modules)))")
+            "print(sorted({'numpy', 'scipy', 'multiprocessing', 'concurrent.futures',"
+            " 'hashlib'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=_subprocess_env(), check=True)
     assert result.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import math
 import random
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from citecorpus.metrics import (
     pearson,
     population_std,
     precision_recall_f1,
+    prf_from_counts,
     read_distance_matrix,
     write_distance_matrix,
 )
@@ -65,6 +67,23 @@ class TestPrecisionRecallF1:
             recall = tp / (tp + fn) if tp + fn else 0.0
             f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
             assert result == PRF(precision, recall, f1)
+
+    @pytest.mark.parametrize("case", ["random", "no-predicted-positive", "no-gold-positive",
+                                      "both-all-negative"])
+    def test_from_counts_equals_the_tally(self, case):
+        # Counted as the model commands count: nonzeros of 0/1 arrays.
+        rng = np.random.default_rng(405)
+        for _ in range(100):
+            n = int(rng.integers(1, 50))
+            preds, golds = rng.integers(0, 2, n), rng.integers(0, 2, n)
+            if case in ("no-predicted-positive", "both-all-negative"):
+                preds[:] = 0
+            if case in ("no-gold-positive", "both-all-negative"):
+                golds[:] = 0
+            tp = np.count_nonzero(preds & golds)
+            fp, fn = np.count_nonzero(preds) - tp, np.count_nonzero(golds) - tp
+            assert prf_from_counts(tp, fp, fn) == precision_recall_f1(
+                preds.tolist(), golds.tolist(), 1)
 
 
 def sample_of(texts_labels, field="Biology", split="train"):

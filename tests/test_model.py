@@ -234,6 +234,51 @@ class TestFeaturize:
         for i, tokens in enumerate(scored):
             assert row(X, i) == reference_row(tokens, vocab)
 
+    def test_column_map_is_computed_once_per_matrix(self):
+        counts = docs("beta alpha", "gamma beta")
+        columns = counts.column_of
+        assert dict(columns) == {"alpha": 0, "beta": 1, "gamma": 2}
+        vocab = fit_vocabulary(counts)
+        featurize(counts, vocab)
+        featurize(counts, vocab)
+        assert counts.column_of is columns
+        # A row selection is its own matrix; its map is computed on use.
+        part = counts.rows(slice(0, 1))
+        assert "column_of" not in vars(part)
+        assert part.column_of is not columns and dict(part.column_of) == dict(columns)
+
+    def test_column_map_is_read_only(self):
+        columns = docs("alpha beta").column_of
+        with pytest.raises(TypeError):
+            columns["alpha"] = 1
+        with pytest.raises(TypeError):
+            del columns["beta"]
+
+    def test_counts_beyond_int64(self):
+        # load_model bounds a document frequency only by total_docs, which
+        # may be any integer; the idf is still the per-document formula's.
+        vocab = Vocabulary({"a": (0, 10**20), "b": (1, 1)}, total_docs=10**21)
+        corpus = [["a", "b", "c"], ["b", "c"], ["c"]]
+        X = featurize(count_tokens(corpus), vocab)
+        for i, tokens in enumerate(corpus):
+            assert row(X, i) == reference_row(tokens, vocab)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_vocabularies_sharing_a_matrix_match_fresh_counts(self, first):
+        # Whatever featurize keeps per matrix must not carry one vocabulary's
+        # indices or idf over to another's.
+        rng = random.Random(46)
+        words = [f"w{i:02d}" for i in range(60)]
+        corpus = [rng.choices(words, k=rng.randint(0, 20)) for _ in range(80)]
+        counts = count_tokens(corpus)
+        vocabs = [fit_vocabulary(counts.rows(slice(0, 40)), min_df=2),
+                  fit_vocabulary(counts.rows(slice(30, 80)), max_features=25)]
+        assert vocabs[0].terms != vocabs[1].terms
+        for vocab in (vocabs[first], vocabs[1 - first]):
+            X, expected = featurize(counts, vocab), featurize(count_tokens(corpus), vocab)
+            for name in ("data", "indices", "indptr"):
+                assert same_bits(getattr(X, name), getattr(expected, name))
+
 
 class TestClassWeights:
     def test_balanced(self):

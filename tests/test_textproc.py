@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citecorpus.textproc import (
+    _TOKEN_RE,
     AUTHOR_YEAR_CITATION_PATTERN,
     HANGING_CITATION_PATTERN,
     NUMERIC_CITATION_PATTERN,
@@ -21,6 +22,7 @@ from citecorpus.textproc import (
     remove_citation_spans,
     split_sentences,
     strip_hanging_punctuation,
+    tokenize,
 )
 from corpusgen import make_papers
 from refsplit import split_sentences as ref_split_sentences
@@ -461,3 +463,42 @@ class TestIsWellFormed:
     def test_titlecase_letter_is_not_uppercase(self):
         # Lu only; the titlecase letter Dz (category Lt) does not qualify.
         assert is_well_formed("ǲagreement of the cohorts held.") is False
+
+
+# All of ASCII (underscore, the vertical tab, the form feed and the
+# separators \x1c-\x1f that str.split treats as whitespace included), alone
+# or with characters whose lowercase form or word class differs from ASCII's:
+# é, İ (lowers to i + U+0307), the combining dot U+0307, the Kelvin sign
+# (lowers to ASCII k), superscript two and the Arabic-Indic digit three.
+_ASCII = [chr(c) for c in range(128)]
+_TOKEN_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(_ASCII), max_size=40),
+    st.text(alphabet=st.sampled_from(
+        _ASCII + ["\u00e9", "\u0130", "\u0307", "\u212a", "\u00b2", "\u0663"]), max_size=40))
+
+
+class TestTokenize:
+    """ASCII text is tokenized by a byte table, other text by ``_TOKEN_RE``;
+    the tokens are the regex's either way."""
+
+    def test_token_pattern_is_frozen(self):
+        assert _TOKEN_RE.pattern == r"[^\W_]+"
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_TOKEN_TEXT)
+    def test_equals_the_regex(self, text):
+        assert tokenize(text) == _TOKEN_RE.findall(text.lower())
+
+    @pytest.mark.parametrize("text, tokens", [
+        # ASCII: underscores and every non-alphanumeric byte split words.
+        ("Snake_case TF-IDF\x1cx\x0bY  12b.", ["snake", "case", "tf", "idf", "x", "y", "12b"]),
+        ("", []),
+        ("_-_ \x1f", []),
+        # Non-ASCII that lowers to ASCII: the Kelvin sign is a k.
+        ("\u212aelvin scale", ["kelvin", "scale"]),
+        # Non-ASCII: the regex, whose word class takes é, ² and ٣ but not
+        # the combining dot above that İ lowers to.
+        ("Caf\u00e9 x\u00b2 \u0663 \u0130stanbul", ["caf\u00e9", "x\u00b2", "\u0663", "i", "stanbul"]),
+    ])
+    def test_fixed_cases(self, text, tokens):
+        assert tokenize(text) == tokens
