@@ -78,9 +78,7 @@ def _load_config(args: argparse.Namespace) -> dict:
     path = args.config
     if path is None:
         return {}
-    config_path = Path(path)
-    if not config_path.exists():
-        raise UsageError(f"config file not found: {path}")
+    _require_file(path, "config file")
     try:
         text = "".join(line for _, line in read_lines(path))
     except ValueError as exc:
@@ -239,12 +237,10 @@ def _select_sentences(
         np.repeat(group, [len(sample.sentences) for sample in chosen]), groups)
 
 
-def _score(model: LinearModel, X, golds) -> metrics.PRF:
-    """Predict the rows of ``X`` and score them against the 0/1 ``golds``."""
-    from .model import predict
+def _score(predicted, golds) -> metrics.PRF:
+    """Score the 0/1 ``predicted`` labels against the 0/1 ``golds``."""
     import numpy as np
 
-    predicted = predict(model, X)
     tp = np.count_nonzero(predicted & golds)
     return metrics.prf_from_counts(tp, np.count_nonzero(predicted) - tp,
                                    np.count_nonzero(golds) - tp)
@@ -380,25 +376,24 @@ def _scoring_model(model: LinearModel | PUModel) -> LinearModel:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .model import featurize, load_model
+    from .model import featurize, load_model, predict
 
     model_path = _require_file(args.model, "model file")
     dataset_path = _require_file(args.input, "dataset")
     split, field = args.split, args.field
 
     model, vocab = load_model(model_path)
-    if vocab is None:
-        raise ValueError(f"{model_path} carries no vocabulary; cannot featurize text")
     table = _select_sentences(read_dataset(dataset_path), split,
                               None if field is None else {field})
     golds = table.label[table.rows(field, split)]
-    print(_score(_scoring_model(model), featurize(table.counts, vocab), golds).render_text())
+    predicted = predict(_scoring_model(model), featurize(table.counts, vocab))
+    print(_score(predicted, golds).render_text())
     return 0
 
 
 def cmd_cross_domain(args: argparse.Namespace) -> int:
     from .model import (TrainingError, compute_class_weights, featurize, fit_vocabulary,
-                        train_logreg)
+                        predict, train_logreg)
 
     dataset_path = _require_file(args.input, "dataset")
     distances_path = _require_file(args.distances, "distance matrix")
@@ -435,16 +430,17 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         train_rows = selected[train_field, SPLIT_TRAIN]
         train_labels = table.label[train_rows]
         vocab = fit_vocabulary(table.counts.rows(train_rows), min_df=args.min_df)
-        # Rows are featurized independently, so one pass over every sentence
-        # serves the fit and all of its test cells.
+        # Rows are featurized and predicted independently, so one pass over
+        # every sentence serves the fit and all of its test cells.
         X = featurize(table.counts, vocab)
         model = train_logreg(X[train_rows], train_labels, class_weights[train_field],
                              C=args.c_value)
         _warn_unconverged(f"fit on {train_field}", model)
+        predicted = predict(model, X)
         for test_field in fields:
             eval_rows = selected[test_field, SPLIT_TEST if test_field == train_field else "all"]
             f1_by_pair[train_field, test_field] = 100.0 * _score(
-                model, X[eval_rows], table.label[eval_rows]).f1
+                predicted[eval_rows], table.label[eval_rows]).f1
 
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
     print(grid.render_text())

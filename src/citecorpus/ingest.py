@@ -11,25 +11,26 @@ Input files are newline-delimited records, one JSON object per line:
       "has_tables_figures": bool,
       "venue": str | null,
       "inbound_citations": int,
-      "mag_field_of_study": [str, ...]
+      "mag_field_of_study": [str, ...] | null
     }
 
 See the README for the mapping of these fields onto the S2ORC 20200705v1
 release. ``parse_line`` turns one input line into a record or exactly one
-diagnostic; ``read_corpus`` streams records through it one line at a time
-from a binary stream, and ``line_batches`` hands ``build`` raw lines in
-batches, so that the workers decoding and parsing them hold only their own
-batch. Both decode UTF-8 with ``surrogateescape``, so that an undecodable
-byte reaches ``parse_line``, which raises naming its file and line. Records
-are immutable and safe to share with parallel workers.
+diagnostic. ``build`` reads through ``line_batches``, which hands out raw
+lines in batches, so that the workers decoding and parsing them hold only
+their own batch. ``read_corpus`` streams records through ``parse_line`` one
+line at a time from a binary stream that the caller opens; no command uses
+it, but the benchmark's corpus generator checks its output through it. Both
+decode UTF-8 with ``surrogateescape``, so that an undecodable byte reaches
+``parse_line``, which raises naming its file and line. Records are immutable
+and safe to share with parallel workers.
 
 Every other text file the tool reads back (the dataset, the audit sheet and
 key, the distance matrix, the config and the model file) goes through
 ``read_lines``, which decodes the same way and raises at the first
 undecodable byte, naming the file and line. The corpus path keeps its own
 check in ``parse_line`` instead: the workers run it, so the parent only
-hands out raw lines; ``read_corpus`` takes a stream, not a path; and the
-benchmark's corpus generator checks its output through ``read_corpus``.
+hands out raw lines, and ``read_corpus`` takes a stream, not a path.
 """
 
 from __future__ import annotations
@@ -145,8 +146,9 @@ def parse_record(raw: object) -> PaperRecord:
     inbound = raw.get("inbound_citations", 0)
     _require(isinstance(inbound, int) and not isinstance(inbound, bool),
              "'inbound_citations' is not an integer")
-    fields = raw.get("mag_field_of_study") or []
-    _require(isinstance(fields, list) and all(isinstance(f, str) for f in fields),
+    fields = raw.get("mag_field_of_study")
+    _require(fields is None
+             or isinstance(fields, list) and all(isinstance(f, str) for f in fields),
              "'mag_field_of_study' is not a list of strings")
 
     return PaperRecord(
@@ -156,7 +158,7 @@ def parse_record(raw: object) -> PaperRecord:
         has_tables_figures=raw["has_tables_figures"],
         has_venue=bool(venue),
         has_inbound_citations=inbound >= 1,
-        mag_fields=frozenset(fields),
+        mag_fields=frozenset(fields or ()),
         paragraphs=tuple(_parse_paragraph(p) for p in body),
     )
 
@@ -204,14 +206,6 @@ def read_corpus(
                 on_malformed(item)
             else:
                 yield item
-
-
-def read_corpus_path(
-    path: str | Path, on_malformed: Callable[[Diagnostic], None]
-) -> Iterator[PaperRecord]:
-    """``read_corpus`` over a file path."""
-    with open(path, "rb") as fh:
-        yield from read_corpus(fh, on_malformed=on_malformed)
 
 
 def read_lines(

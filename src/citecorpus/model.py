@@ -6,8 +6,7 @@ ids, assigned in sorted term order. ``fit_vocabulary`` takes its document
 frequencies from the column counts of the rows it is given. ``featurize``
 maps each counted term to its vocabulary index and idf and divides each row
 by its norm. Matrices are ``CSR``: three plain numpy arrays, and nothing
-here loads scipy. Training and prediction take such a matrix, or a dense
-2-D array, which they convert to one.
+here loads scipy. Training and prediction take such a matrix.
 
 ``predict`` computes each margin X.w + b by adding a row's products left to
 right, as scipy's CSR matvec does, and calls a row positive when its margin
@@ -154,10 +153,6 @@ class CSR:
         with np.errstate(over="ignore", invalid="ignore"):
             products = self.data * vector[self.row_of_entry]
         return np.bincount(self.indices, weights=products, minlength=self.shape[1])
-
-
-def _as_csr(X: CSR | np.ndarray) -> CSR:
-    return X if isinstance(X, CSR) else CSR.from_dense(X)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,14 +330,10 @@ class LinearModel:
     bias: float
     class_weights: tuple[float, float]
     C: float
-    n_features: int
     # Fit report; None for models built by hand or read from older files.
     iterations: int | None = None
     grad_max: float | None = None
     converged: bool | None = None
-
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=float)
 
 
 @dataclass(eq=False)
@@ -363,15 +354,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def loss_and_gradient(
     weights: np.ndarray,
     bias: float,
-    X: CSR | np.ndarray,
+    X: CSR,
     y: np.ndarray,
     sample_weight: np.ndarray,
     C: float,
 ) -> tuple[float, np.ndarray, float]:
     """Sample-weighted negative log-likelihood with L2 penalty ||w||^2 / (2C),
-    and its analytic gradient, for a ``CSR`` or dense 2-D ``X``. Targets
-    ``y`` may be soft, in [0, 1]."""
-    X = _as_csr(X)
+    and its analytic gradient, over the rows of ``X``. Targets ``y`` may be
+    soft, in [0, 1]."""
     z = X.dot(weights) + bias
     # -log sigma(z) = logaddexp(0, -z); numerically stable on both tails.
     nll = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
@@ -420,7 +410,7 @@ def _newton_direction(hessian_times, gradient: np.ndarray) -> np.ndarray:
 
 
 def train_logreg(
-    X: CSR | np.ndarray,
+    X: CSR,
     labels: Sequence[float],
     class_weights: tuple[float, float],
     C: float = DEFAULT_C,
@@ -436,7 +426,6 @@ def train_logreg(
     """
     if C <= 0:
         raise ValueError("C must be positive")
-    X = _as_csr(X)
     y = np.asarray(labels, dtype=float)
     n = y.shape[0]
     if n != len(X):
@@ -476,31 +465,30 @@ def train_logreg(
     grad_max = float(np.max(np.abs(g)))
     return LinearModel(weights=v[:-1], bias=float(v[-1]),
                        class_weights=(float(w_pos), float(w_neg)), C=float(C),
-                       n_features=X.shape[1], iterations=iterations,
-                       grad_max=grad_max * n, converged=grad_max <= _GTOL)
+                       iterations=iterations, grad_max=grad_max * n,
+                       converged=grad_max <= _GTOL)
 
 
-def _margin(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
+def _margin(model: LinearModel, X: CSR) -> np.ndarray:
     """X.w + b, one per feature row."""
-    X = _as_csr(X)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"model expects {model.n_features} features, got {X.shape[1]}")
+    if X.shape[1] != len(model.weights):
+        raise ValueError(f"model expects {len(model.weights)} features, got {X.shape[1]}")
     return X.dot(model.weights) + model.bias
 
 
-def predict_proba(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
+def predict_proba(model: LinearModel, X: CSR) -> np.ndarray:
     """Positive-class probabilities, one per feature row."""
     return _sigmoid(_margin(model, X))
 
 
-def predict(model: LinearModel, X: CSR | np.ndarray) -> np.ndarray:
+def predict(model: LinearModel, X: CSR) -> np.ndarray:
     """Binary labels: positive iff probability >= 0.5, that is, iff the
     margin is at least the one where scipy's expit reaches 0.5."""
     return (_margin(model, X) >= _POSITIVE_MARGIN).astype(int)
 
 
 def train_pu(
-    X: CSR | np.ndarray,
+    X: CSR,
     observed_labels: Sequence[int],
     seed: int,
     C: float = DEFAULT_C,
@@ -518,7 +506,6 @@ def train_pu(
     unlabeled sample (a positive at weight q(x), a negative at 1-q(x)),
     term by term.
     """
-    X = _as_csr(X)
     s = np.asarray(observed_labels, dtype=int)
     if s.shape[0] != len(X):
         raise ValueError(f"{len(X)} feature rows but {s.shape[0]} labels")
@@ -565,7 +552,7 @@ def _linear_to_record(model: LinearModel) -> dict:
         "bias": model.bias,
         "class_weights": [model.class_weights[0], model.class_weights[1]],
         "C": model.C,
-        "n_features": model.n_features,
+        "n_features": len(model.weights),
     }
     for key in _FIT_REPORT:
         if getattr(model, key) is not None:
@@ -618,7 +605,6 @@ def _linear_from_record(record: object) -> LinearModel:
         bias=float(_pull(record, "bias", _NUMBER)),
         class_weights=(float(w_pos), float(w_neg)),
         C=float(_pull(record, "C", _NUMBER)),
-        n_features=n_features,
         **report,
     )
 
@@ -647,13 +633,10 @@ def _vocabulary_from_record(record: object) -> Vocabulary:
     return Vocabulary(terms=dict(zip(raw, map(tuple, pairs))), total_docs=total_docs)
 
 
-def save_model(
-    path: str | Path,
-    model: LinearModel | PUModel,
-    vocab: Vocabulary | None = None,
-) -> None:
-    """Write a versioned model container; float round-trips are exact, and a
-    number that is not finite is a ValueError naming the file.
+def save_model(path: str | Path, model: LinearModel | PUModel, vocab: Vocabulary) -> None:
+    """Write a versioned model container with the vocabulary its features
+    come from; float round-trips are exact, and a number that is not finite
+    is a ValueError naming the file.
 
     The JSON goes through ``write_json``, so an interrupted write never
     leaves a truncated model file.
@@ -667,19 +650,19 @@ def save_model(
     else:
         payload["kind"] = "linear"
         payload["model"] = _linear_to_record(model)
-    if vocab is not None:
-        payload["vocabulary"] = {
-            "total_docs": vocab.total_docs,
-            "terms": {term: [index, df] for term, (index, df) in vocab.terms.items()},
-        }
+    payload["vocabulary"] = {
+        "total_docs": vocab.total_docs,
+        "terms": {term: [index, df] for term, (index, df) in vocab.terms.items()},
+    }
     write_json(path, [payload])
 
 
-def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary | None]:
-    """Read a model container; raise ValueError naming the file when a key is
-    missing, mistyped, holds a number that is not finite or a vocabulary
-    count out of range, or when weights, n_features and vocabulary disagree,
-    and naming the line too when a byte is not UTF-8."""
+def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary]:
+    """Read a model container and its vocabulary; raise ValueError naming
+    the file when a key (the vocabulary too) is missing, mistyped, holds a
+    number that is not finite or a vocabulary count out of range, or when
+    weights, n_features and vocabulary disagree, and naming the line too
+    when a byte is not UTF-8."""
     text = "".join(line for _, line in read_lines(path))
     try:
         payload = json.loads(text)
@@ -693,17 +676,15 @@ def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary | No
                 c_estimate=float(_pull(payload, "c_estimate", _NUMBER)),
                 final_model=_linear_from_record(_pull(payload, "final_model", dict)),
             )
-            widths = {model.labeling_model.n_features, model.final_model.n_features}
+            widths = {len(model.labeling_model.weights), len(model.final_model.weights)}
         elif kind == "linear":
             model = _linear_from_record(_pull(payload, "model", dict))
-            widths = {model.n_features}
+            widths = {len(model.weights)}
         else:
             raise ValueError(f"unknown model kind {kind!r}")
-        vocab = None
-        if "vocabulary" in payload:
-            vocab = _vocabulary_from_record(_pull(payload, "vocabulary", dict))
-            if widths != {len(vocab)}:
-                raise ValueError(f"n_features is not the vocabulary size {len(vocab)}")
+        vocab = _vocabulary_from_record(_pull(payload, "vocabulary", dict))
+        if widths != {len(vocab)}:
+            raise ValueError(f"n_features is not the vocabulary size {len(vocab)}")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return model, vocab

@@ -1,8 +1,11 @@
-"""Seeded synthetic classification tasks shared by model and acceptance tests."""
+"""Seeded synthetic classification tasks shared by model and acceptance tests.
+Feature rows come as a ``model.CSR``, the one matrix the model takes."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from citecorpus.model import CSR, Vocabulary
 
 
 def gaussian_blobs(seed: int, n_pos: int, n_neg: int, sep: float, dim: int = 2):
@@ -13,7 +16,7 @@ def gaussian_blobs(seed: int, n_pos: int, n_neg: int, sep: float, dim: int = 2):
     X = np.vstack([xp, xn])
     y = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_neg, dtype=int)])
     perm = rng.permutation(len(y))
-    return X[perm], y[perm]
+    return CSR.from_dense(X[perm]), y[perm]
 
 
 def imbalanced_blobs(seed: int, n: int = 10000, positive_rate: float = 0.3176,
@@ -50,7 +53,13 @@ def pu_blobs(seed: int, n_pos: int = 800, n_neg: int = 1600,
     pos = np.flatnonzero(y == 1)
     hidden = rng.choice(pos, size=int(round(hidden_fraction * pos.size)), replace=False)
     s[hidden] = 0
-    return X, y, s
+    return CSR.from_dense(X), y, s
+
+
+def stub_vocabulary(width: int) -> Vocabulary:
+    """A vocabulary of ``width`` terms, for saving a model fitted on rows
+    that come from no text."""
+    return Vocabulary({f"t{i}": (i, 1) for i in range(width)}, total_docs=1)
 
 
 def recall_of(predictions: np.ndarray, truth: np.ndarray) -> float:

@@ -16,6 +16,7 @@ from citecorpus import textproc
 from citecorpus.cli import main
 from citecorpus.metrics import cluster_purity, pearson, population_std, precision_recall_f1
 from citecorpus.model import (
+    CSR,
     PUModel,
     compute_class_weights,
     count_tokens,
@@ -38,7 +39,7 @@ from citecorpus.pipeline import (
 )
 from corpusgen import FIELDS, make_corpus_file
 from refregex import RefRegex
-from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of
+from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of, stub_vocabulary
 
 # Golden transcriptions of the embedded rules (independent copies).
 GOLDEN_TITLES = [
@@ -345,7 +346,7 @@ class TestCriterion7ModelCorrectness:
         rng = np.random.default_rng(707)
         for _ in range(20):
             n, d = rng.integers(4, 12), rng.integers(2, 8)
-            X = rng.normal(size=(int(n), int(d)))
+            X = CSR.from_dense(rng.normal(size=(int(n), int(d))))
             y = rng.integers(0, 2, size=int(n)).astype(float)
             weight = rng.uniform(0.2, 2.5, size=int(n))
             w = rng.normal(size=int(d))
@@ -426,13 +427,13 @@ class TestCriterion9RoundTrips:
         assert loaded.bias == model.bias
         assert loaded.class_weights == model.class_weights
         assert loaded.C == model.C
-        assert loaded.n_features == model.n_features
+        assert len(loaded.weights) == len(vocab)
         assert loaded_vocab == vocab
 
         X, _, s = pu_blobs(3009, n_pos=300, n_neg=600)
         pu = train_pu(X, s, seed=5, C=10.0)
         pu_path = tmp_path / "pu.json"
-        save_model(pu_path, pu)
+        save_model(pu_path, pu, stub_vocabulary(2))
         loaded_pu, _ = load_model(pu_path)
         assert isinstance(loaded_pu, PUModel)
         assert loaded_pu.c_estimate == pu.c_estimate

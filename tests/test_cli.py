@@ -24,7 +24,7 @@ from citecorpus.model import LinearModel, Vocabulary, save_model
 from citecorpus import pipeline
 from citecorpus.pipeline import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LabeledSentence,
                                  ParagraphSample, read_dataset, write_dataset)
-from corpusgen import make_corpus_file, write_corpus
+from corpusgen import FIELDS, make_corpus_file, write_corpus
 from faults import disk_full_on
 
 import numpy as np
@@ -265,6 +265,16 @@ class TestBuild:
                                            f"got []\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["missing.json", "a-directory"])
+    def test_config_that_is_not_a_file_is_a_usage_error(self, name, tmp_path, capsys):
+        config = tmp_path / name
+        if name == "a-directory":
+            config.mkdir()
+        assert main(["build", "--config", str(config), "--input", str(tmp_path / "c.jsonl"),
+                     "--output", str(tmp_path / "out"), "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {config}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_config_is_a_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"quota": 2,\n "seed": "\xff7"}')
@@ -449,8 +459,7 @@ class TestTrainEval:
     def test_eval_all_positive_model_has_recall_100(self, trained, tmp_path, capsys):
         out, _ = trained
         vocab = Vocabulary(terms={"the": (0, 1)}, total_docs=1)
-        model = LinearModel(weights=np.zeros(1), bias=40.0, class_weights=(1.0, 1.0),
-                            C=1.0, n_features=1)
+        model = LinearModel(weights=np.zeros(1), bias=40.0, class_weights=(1.0, 1.0), C=1.0)
         path = tmp_path / "all_positive.json"
         save_model(path, model, vocab)
         rc = main(["eval", "--model", str(path), "--input", str(out / "dataset.jsonl")])
@@ -644,6 +653,7 @@ def _first_term(payload):
 
 MALFORMED_MODELS = {
     "missing-key": lambda payload: payload.clear() or payload.update(format_version=1),
+    "missing-vocabulary": lambda payload: payload.pop("vocabulary"),
     "mistyped-key": lambda payload: payload["model"].update(bias="0.5"),
     "weights-vs-n_features": lambda payload: payload["model"]["weights"].append(0.0),
     "vocabulary-indices": _out_of_range_index,
@@ -681,6 +691,16 @@ class TestMalformedModelFile:
             message = f"key {next(iter(payload['vocabulary']['terms']))!r} must hold two integers"
         assert main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")]) == 1
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_missing_vocabulary_names_file_and_key(self, trained, tmp_path, capsys):
+        out, model_path = trained
+        payload = json.loads(model_path.read_text())
+        MALFORMED_MODELS["missing-vocabulary"](payload)
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: key 'vocabulary' is missing or mistyped\n")
 
     def test_non_finite_bias_names_file_and_key(self, trained, tmp_path, capsys):
         out, model_path = trained
@@ -809,6 +829,20 @@ class TestSentenceTable:
                     int(chosen[i][2].label == LABEL_CITE_WORTHY) for i in rows]
 
 
+@pytest.fixture(scope="module")
+def ten_fields(tmp_path_factory):
+    """A built dataset over every field, and a distance matrix for its grid."""
+    tmp = tmp_path_factory.mktemp("ten_fields")
+    corpus = tmp / "corpus.jsonl"
+    make_corpus_file(corpus, n_papers=200, seed=5, fields=FIELDS, paragraphs_per_paper=(2, 4))
+    assert main(["build", "--input", str(corpus), "--output", str(tmp / "out"),
+                 "--seed", "1", "--quota", "30"]) == 0
+    dist_path = tmp / "dist.tsv"
+    write_distance_matrix({(a, b): float(abs(FIELDS.index(a) - FIELDS.index(b)))
+                           for a in FIELDS for b in FIELDS}, FIELDS, dist_path)
+    return tmp / "out" / "dataset.jsonl", dist_path
+
+
 class TestCrossDomain:
     def test_two_field_grid(self, trained, tmp_path, capsys):
         out, _ = trained
@@ -829,44 +863,57 @@ class TestCrossDomain:
             for test_field in fields:
                 assert 0.0 <= grid["f1"][train_field][test_field] <= 100.0
 
-    def test_in_domain_cell_uses_held_out_split(self, trained, tmp_path, capsys):
-        # Hand-check the orchestration: the diagonal must equal a model
-        # trained on the field's train split and scored on its test split.
+    def test_every_cell_matches_a_separate_fit_and_predict(self, ten_fields, tmp_path):
+        # Hand-check the orchestration: each cell must equal a model trained
+        # on its row field's train split, predicting the cell's rows alone:
+        # the held-out test split in domain, the whole column field out of
+        # domain.
         from citecorpus.metrics import precision_recall_f1
         from citecorpus.model import (compute_class_weights, count_tokens, featurize,
                                       fit_vocabulary, predict, train_logreg)
         from citecorpus.textproc import tokenize
 
-        out, _ = trained
-        fields = ["Biology", "Chemistry"]
-        distances = {(a, b): (0.0 if a == b else 1.5) for a in fields for b in fields}
-        dist_path = tmp_path / "dist.tsv"
-        write_distance_matrix(distances, fields, dist_path)
+        dataset_path, dist_path = ten_fields
         grid_path = tmp_path / "grid.json"
-        assert main(["cross-domain", "--input", str(out / "dataset.jsonl"),
-                     "--distances", str(dist_path), "--seed", "2",
-                     "--output", str(grid_path)]) == 0
+        assert main(["cross-domain", "--input", str(dataset_path),
+                     "--distances", str(dist_path), "--output", str(grid_path)]) == 0
         grid = json.loads(grid_path.read_text())
 
-        samples = read_dataset(out / "dataset.jsonl")
+        samples = read_dataset(dataset_path)
         def sentences(split, field):
             texts, labels = [], []
             for s in samples:
-                if s.mag_field == field and s.split == split:
+                if s.mag_field == field and split in ("all", s.split):
                     for sent in s.sentences:
                         texts.append(tokenize(sent.text))
                         labels.append(1 if sent.label == "cite-worthy" else 0)
             return count_tokens(texts), labels
 
-        texts, labels = sentences("train", "Biology")
-        vocab = fit_vocabulary(texts, min_df=1)
-        model = train_logreg(featurize(texts, vocab), labels,
-                             compute_class_weights(labels), C=0.1151)
-        test_texts, test_labels = sentences("test", "Biology")
-        preds = predict(model, featurize(test_texts, vocab))
-        expected = 100.0 * precision_recall_f1(list(preds), test_labels, 1).f1
-        assert grid["f1"]["Biology"]["Biology"] == pytest.approx(expected, abs=1e-9)
+        assert grid["fields"] == sorted(FIELDS)
+        for train_field in FIELDS:
+            texts, labels = sentences("train", train_field)
+            vocab = fit_vocabulary(texts, min_df=1)
+            model = train_logreg(featurize(texts, vocab), labels,
+                                 compute_class_weights(labels), C=0.1151)
+            for test_field in FIELDS:
+                test_texts, test_labels = sentences(
+                    "test" if test_field == train_field else "all", test_field)
+                preds = predict(model, featurize(test_texts, vocab))
+                expected = 100.0 * precision_recall_f1(list(preds), test_labels, 1).f1
+                assert grid["f1"][train_field][test_field] == pytest.approx(expected, abs=1e-9)
 
+    def test_one_prediction_per_fit(self, ten_fields, monkeypatch):
+        calls = {"train_logreg": 0, "predict": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(citecorpus.model, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(citecorpus.model, name, counting)
+        dataset_path, dist_path = ten_fields
+        assert main(["cross-domain", "--input", str(dataset_path),
+                     "--distances", str(dist_path)]) == 0
+        assert calls == {"train_logreg": len(FIELDS), "predict": len(FIELDS)}
 
     def test_undecodable_distance_matrix_names_file_and_line(self, trained, tmp_path,
                                                              capsys):

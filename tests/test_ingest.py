@@ -12,7 +12,6 @@ from citecorpus.ingest import (
     Paragraph,
     paper_eligible,
     read_corpus,
-    read_corpus_path,
     read_lines,
 )
 
@@ -65,7 +64,8 @@ class TestReadCorpus:
         path.write_text(f"{good1}\n{truncated}\n{good3}\n", encoding="utf-8")
 
         diagnostics = []
-        papers = list(read_corpus_path(path, on_malformed=diagnostics.append))
+        with open(path, "rb") as fh:
+            papers = list(read_corpus(fh, on_malformed=diagnostics.append))
         assert [p.paper_id for p in papers] == ["p1", "p3"]
         assert len(diagnostics) == 1
         assert diagnostics[0].line == 2
@@ -95,8 +95,8 @@ class TestReadCorpus:
         path = tmp_path / "corpus.jsonl"
         good = json.dumps(full_record("p1")).encode("utf-8")
         path.write_bytes(good + b"\n" + good.replace(b"p1", b"p\xc3\xa9\xe9") + b"\n")
-        with pytest.raises(ValueError) as exc:
-            list(read_corpus_path(path, on_malformed=pytest.fail))
+        with open(path, "rb") as fh, pytest.raises(ValueError) as exc:
+            list(read_corpus(fh, on_malformed=pytest.fail))
         assert str(exc.value) == f"{path}, line 2: byte 0xe9 is not valid UTF-8"
 
     def test_cite_spans_are_sorted_on_parse(self):
@@ -121,6 +121,22 @@ class TestReadCorpus:
         papers = list(read_corpus(as_stream([record]), on_malformed=diagnostics.append))
         assert papers == []
         assert len(diagnostics) == 1
+
+    @pytest.mark.parametrize("value, fields", [
+        (None, frozenset()), ([], frozenset()), (["Biology"], frozenset({"Biology"})),
+        ("", None), (0, None), (False, None), ({}, None), ("Biology", None), ([1], None),
+    ])
+    def test_fields_of_study_are_null_or_a_list_of_strings(self, value, fields):
+        diagnostics = []
+        record = full_record(mag_field_of_study=value)
+        papers = list(read_corpus(as_stream([record]), on_malformed=diagnostics.append))
+        if fields is None:
+            assert papers == []
+            assert [d.message for d in diagnostics] == [
+                "'mag_field_of_study' is not a list of strings"]
+        else:
+            assert diagnostics == []
+            assert papers[0].mag_fields == fields
 
 
 class TestReadLines:

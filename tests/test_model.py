@@ -34,7 +34,7 @@ from citecorpus.model import (
 )
 from citecorpus.textproc import tokenize
 from faults import disk_full_on
-from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of
+from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of, stub_vocabulary
 
 
 def docs(*texts):
@@ -328,7 +328,7 @@ class TestLossAndGradient:
 
 class TestTrainLogreg:
     def test_two_point_separable_toy(self):
-        X = np.array([[1.0], [-1.0]])
+        X = CSR.from_dense([[1.0], [-1.0]])
         y = [1, 0]
         model = train_logreg(X, y, (1.0, 1.0), C=10.0)
         assert list(predict(model, X)) == [1, 0]
@@ -343,11 +343,11 @@ class TestTrainLogreg:
 
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError):
-            train_logreg(np.zeros((3, 2)), [1, 0], (1.0, 1.0))
+            train_logreg(CSR.from_dense(np.zeros((3, 2))), [1, 0], (1.0, 1.0))
 
     def test_non_finite_inputs_rejected_before_fitting(self):
         with pytest.raises(TrainingError) as exc:
-            train_logreg(np.array([[1.0], [float("inf")]]), [1, 0], (1.0, 1.0))
+            train_logreg(CSR.from_dense([[1.0], [float("inf")]]), [1, 0], (1.0, 1.0))
         assert str(exc.value) == "feature value in row 1 is not finite"
 
     def test_monotone_class_weight_effect_on_recall(self):
@@ -367,7 +367,7 @@ class TestTrainLogreg:
 
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
-            train_logreg(np.zeros((2, 1)), [0, 1], (1.0, 1.0), C=0.0)
+            train_logreg(CSR.from_dense(np.zeros((2, 1))), [0, 1], (1.0, 1.0), C=0.0)
 
     def test_reaches_the_newton_optimum(self):
         # Weakly regularized, with class weights. The oracle is a plain
@@ -387,10 +387,12 @@ class TestTrainLogreg:
             hessian = A.T @ (A * (weight * p * (1.0 - p))[:, None]) + np.diag(penalty)
             v -= np.linalg.solve(hessian, grad)
         assert np.max(np.abs(grad)) < 1e-10
-        optimum = loss_and_gradient(v[:-1], v[-1], X, y, weight, C)[0]
+        rows = CSR.from_dense(X)
+        optimum = loss_and_gradient(v[:-1], v[-1], rows, y, weight, C)[0]
 
-        model = train_logreg(X, y, (1.7, 0.6), C=C)
-        reached, grad_w, grad_b = loss_and_gradient(model.weights, model.bias, X, y, weight, C)
+        model = train_logreg(rows, y, (1.7, 0.6), C=C)
+        reached, grad_w, grad_b = loss_and_gradient(model.weights, model.bias, rows, y, weight,
+                                                    C)
         assert (reached - optimum) / abs(optimum) <= 1e-10
         assert model.converged is True
         assert 0 < model.iterations < 100
@@ -498,28 +500,26 @@ class TestNewtonCG:
 
 class TestPredict:
     def test_zero_model_gives_half(self):
-        model = LinearModel(weights=np.zeros(2), bias=0.0, class_weights=(1, 1),
-                            C=1.0, n_features=2)
-        assert predict_proba(model, np.array([[3.0, -1.0]]))[0] == pytest.approx(0.5)
-        assert predict(model, np.array([[3.0, -1.0]]))[0] == 1  # >= threshold
+        model = LinearModel(weights=np.zeros(2), bias=0.0, class_weights=(1, 1), C=1.0)
+        X = CSR.from_dense([[3.0, -1.0]])
+        assert predict_proba(model, X)[0] == pytest.approx(0.5)
+        assert predict(model, X)[0] == 1  # >= threshold
 
     def test_large_bias_saturates(self):
-        model = LinearModel(weights=np.zeros(1), bias=50.0, class_weights=(1, 1),
-                            C=1.0, n_features=1)
-        assert predict_proba(model, np.array([[0.0]]))[0] == pytest.approx(1.0)
+        model = LinearModel(weights=np.zeros(1), bias=50.0, class_weights=(1, 1), C=1.0)
+        assert predict_proba(model, CSR.from_dense([[0.0]]))[0] == pytest.approx(1.0)
 
     def test_hand_computed_sigmoid(self):
         model = LinearModel(weights=np.array([2.0, -1.0]), bias=0.5,
-                            class_weights=(1, 1), C=1.0, n_features=2)
-        x = np.array([[1.0, 3.0]])
+                            class_weights=(1, 1), C=1.0)
+        x = CSR.from_dense([[1.0, 3.0]])
         z = 2.0 * 1.0 - 1.0 * 3.0 + 0.5
         assert predict_proba(model, x)[0] == pytest.approx(1 / (1 + math.exp(-z)))
 
     def test_dimension_mismatch(self):
-        model = LinearModel(weights=np.zeros(2), bias=0.0, class_weights=(1, 1),
-                            C=1.0, n_features=2)
+        model = LinearModel(weights=np.zeros(2), bias=0.0, class_weights=(1, 1), C=1.0)
         with pytest.raises(ValueError):
-            predict_proba(model, np.zeros((1, 5)))
+            predict_proba(model, CSR.from_dense(np.zeros((1, 5))))
 
 
 def random_csr(rng, n_rows, n_columns, max_per_row):
@@ -581,8 +581,7 @@ class TestScipyExactness:
         # (-0.0 comes out as 0.0, the first sum being 0.0 + -0.0).
         X = CSR(margins, np.zeros(margins.size, dtype=np.int32),
                 np.arange(margins.size + 1, dtype=np.int32), (margins.size, 1))
-        model = LinearModel(weights=np.ones(1), bias=0.0, class_weights=(1, 1), C=1.0,
-                            n_features=1)
+        model = LinearModel(weights=np.ones(1), bias=0.0, class_weights=(1, 1), C=1.0)
         labels = predict(model, X)
         assert np.array_equal(labels, (expit(margins) >= 0.5).astype(int))
         assert np.array_equal(labels, (expit(to_scipy(X) @ model.weights) >= 0.5).astype(int))
@@ -594,8 +593,7 @@ class TestScipyExactness:
             S = random_csr(rng, 120, n_columns, max_per_row)
             X = CSR(S.data, S.indices.astype(np.int32), S.indptr.astype(np.int32), S.shape)
             w, b = rng.normal(size=n_columns), float(rng.normal())
-            model = LinearModel(weights=w, bias=b, class_weights=(1, 1), C=1.0,
-                                n_features=n_columns)
+            model = LinearModel(weights=w, bias=b, class_weights=(1, 1), C=1.0)
             assert within_ulps(predict_proba(model, X), expit(S @ w + b), 2)
             assert same_bits(X.dot(w), S @ w)
             r = rng.normal(size=120) * 10.0 ** rng.integers(-3, 4, 120)
@@ -644,8 +642,7 @@ class TestScipyExactness:
                                   [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]])
         X = CSR(margins, np.zeros(margins.size, dtype=np.int32),
                 np.arange(margins.size + 1, dtype=np.int32), (margins.size, 1))
-        model = LinearModel(weights=np.ones(1), bias=0.0, class_weights=(1, 1), C=1.0,
-                            n_features=1)
+        model = LinearModel(weights=np.ones(1), bias=0.0, class_weights=(1, 1), C=1.0)
         assert within_ulps(predict_proba(model, X), expit(margins), 2)
 
     @pytest.mark.parametrize("permute", [False, True])
@@ -666,7 +663,7 @@ class TestScipyExactness:
                             for term, (index, df) in fitted.terms.items()}, fitted.total_docs)
         path = tmp_path / "model.json"
         save_model(path, LinearModel(weights=np.zeros(len(vocab)), bias=0.0,
-                                     class_weights=(1, 1), C=1.0, n_features=len(vocab)), vocab)
+                                     class_weights=(1, 1), C=1.0), vocab)
         _, loaded = load_model(path)
         assert loaded == vocab
         X, expected = featurize(counts, loaded), scipy_featurize(counts, loaded)
@@ -712,7 +709,7 @@ class TestTrainPU:
         q = np.clip((1.0 - pu.c_estimate) / pu.c_estimate * g / (1.0 - g), 0.0, 1.0)
         assert np.count_nonzero((q > 0.05) & (q < 0.95)) >= 20  # soft, not 0/1 targets
 
-        stacked = np.vstack([X[pos], X[unl], X[unl]])
+        stacked = X[np.concatenate([pos, unl, unl])]
         y = np.concatenate([np.ones(pos.size), np.ones(unl.size), np.zeros(unl.size)])
         weight = np.concatenate([np.ones(pos.size), q, 1.0 - q])
         final = pu.final_model
@@ -732,7 +729,7 @@ class TestTrainPU:
         assert 0.0 < pu.c_estimate <= 1.0
 
     def test_errors_on_missing_groups(self):
-        X = np.zeros((4, 2))
+        X = CSR.from_dense(np.zeros((4, 2)))
         with pytest.raises(TrainingError):
             train_pu(X, [0, 0, 0, 0], seed=0)
         with pytest.raises(TrainingError):
@@ -765,9 +762,9 @@ class TestSerialization:
         X, y, s = pu_blobs(3003, n_pos=200, n_neg=400)
         model = train_pu(X, s, seed=2, C=10.0)
         path = tmp_path / "pu.json"
-        save_model(path, model)
+        save_model(path, model, stub_vocabulary(2))
         loaded, vocab = load_model(path)
-        assert vocab is None
+        assert vocab == stub_vocabulary(2)
         assert isinstance(loaded, PUModel)
         assert loaded.c_estimate == model.c_estimate
         assert np.array_equal(loaded.final_model.weights, model.final_model.weights)
@@ -777,7 +774,7 @@ class TestSerialization:
         X, y = gaussian_blobs(8, n_pos=60, n_neg=90, sep=1.5)
         model = train_logreg(X, y, (1.3, 0.8), C=0.5)
         path = tmp_path / "model.json"
-        save_model(path, model)
+        save_model(path, model, stub_vocabulary(2))
         loaded, _ = load_model(path)
         assert (loaded.iterations, loaded.grad_max, loaded.converged) == (
             model.iterations, model.grad_max, True)
@@ -792,9 +789,9 @@ class TestSerialization:
     @pytest.mark.parametrize("key,value", [("iterations", 3.5), ("iterations", True),
                                            ("grad_max", "small"), ("converged", 1)])
     def test_mistyped_fit_report_rejected(self, tmp_path, key, value):
-        model = train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
+        model = train_logreg(CSR.from_dense([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
         path = tmp_path / "model.json"
-        save_model(path, model)
+        save_model(path, model, stub_vocabulary(1))
         payload = json.loads(path.read_text())
         payload["model"][key] = value
         path.write_text(json.dumps(payload))
@@ -803,11 +800,14 @@ class TestSerialization:
 
     def test_failed_write_leaves_old_file_intact(self, tmp_path, monkeypatch):
         path = tmp_path / "model.json"
-        save_model(path, train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0))
+        vocab = stub_vocabulary(1)
+        save_model(path, train_logreg(CSR.from_dense([[1.0], [-1.0]]), [1, 0],
+                                      (1.0, 1.0), C=1.0), vocab)
         before = path.read_bytes()
         monkeypatch.setattr(citecorpus, "open", disk_full_on("model.json"), raising=False)
         with pytest.raises(OSError, match="No space left on device"):
-            save_model(path, train_logreg(np.array([[2.0], [-1.0]]), [1, 0], (1.0, 1.0)))
+            save_model(path, train_logreg(CSR.from_dense([[2.0], [-1.0]]), [1, 0],
+                                          (1.0, 1.0)), vocab)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
@@ -815,9 +815,9 @@ class TestSerialization:
                              ids=["nan", "inf", "-inf", "1e999", "int-beyond-float"])
     @pytest.mark.parametrize("key", ["bias", "weights", "C", "grad_max"])
     def test_non_finite_number_rejected_naming_the_key(self, tmp_path, key, token):
-        model = train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
+        model = train_logreg(CSR.from_dense([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
         path = tmp_path / "model.json"
-        save_model(path, model)
+        save_model(path, model, stub_vocabulary(1))
         payload = json.loads(path.read_text())
         payload["model"][key] = ["__value__"] if key == "weights" else "__value__"
         path.write_text(json.dumps(payload).replace('"__value__"', token))
@@ -827,15 +827,30 @@ class TestSerialization:
 
     def test_non_finite_number_is_not_written(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(path, train_logreg(np.array([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0))
+        vocab = stub_vocabulary(1)
+        save_model(path, train_logreg(CSR.from_dense([[1.0], [-1.0]]), [1, 0],
+                                      (1.0, 1.0), C=1.0), vocab)
         before = path.read_bytes()
-        model = LinearModel(weights=[0.5], bias=float("nan"), class_weights=(1.0, 1.0),
-                            C=1.0, n_features=1)
+        model = LinearModel(weights=np.array([0.5]), bias=float("nan"),
+                            class_weights=(1.0, 1.0), C=1.0)
         with pytest.raises(ValueError, match="not JSON compliant") as exc:
-            save_model(path, model)
+            save_model(path, model, vocab)
         assert str(exc.value).startswith(f"{path}: ")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    @pytest.mark.parametrize("pu", [False, True], ids=["linear", "pu"])
+    def test_missing_vocabulary_rejected_naming_the_key(self, tmp_path, pu):
+        X, _, s = pu_blobs(3004, n_pos=200, n_neg=400)
+        model = train_pu(X, s, seed=1) if pu else train_logreg(X, s, (1.0, 1.0))
+        path = tmp_path / "model.json"
+        save_model(path, model, stub_vocabulary(2))
+        payload = json.loads(path.read_text())
+        del payload["vocabulary"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: key 'vocabulary' is missing or mistyped"
 
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -858,7 +873,7 @@ class TestSerialization:
         vocab = Vocabulary({f"t{i:02d}": (i, 1 + i % 40) for i in range(30)}, total_docs=40)
         path = tmp_path / "model.json"
         save_model(path, LinearModel(weights=np.zeros(30), bias=0.0, class_weights=(1, 1),
-                                     C=1.0, n_features=30), vocab)
+                                     C=1.0), vocab)
         payload = json.loads(path.read_text())
         payload["vocabulary"]["terms"]["t11"] = entry
         if later:
