@@ -215,6 +215,17 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _require_output(path: str, what: str) -> Path:
+    """The file to write, checked before any work: not a directory, and in
+    a directory that exists."""
+    p = Path(path)
+    if p.is_dir():
+        raise UsageError(f"{what} is a directory: {path}")
+    if not p.parent.is_dir():
+        raise UsageError(f"{what} is in a directory that does not exist: {path}")
+    return p
+
+
 def _select_sentences(
     samples: list[ParagraphSample], split: str, fields: set[str] | None = None
 ) -> SentenceTable:
@@ -346,7 +357,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                         train_logreg, train_pu)
 
     dataset_path = _require_file(args.input, "dataset")
-    model_path, split = Path(args.output), args.split
+    model_path, split = _require_output(args.output, "model file"), args.split
     # The parsed samples are freed once counted, and the counts once
     # featurized: the fit is when the process holds the most memory.
     table = _select_sentences(read_dataset(dataset_path), split)
@@ -397,6 +408,8 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
 
     dataset_path = _require_file(args.input, "dataset")
     distances_path = _require_file(args.distances, "distance matrix")
+    if args.output:
+        _require_output(args.output, "grid file")
 
     distances = metrics.read_distance_matrix(distances_path)
     if args.fields:

@@ -3,10 +3,12 @@
 One feature path. Callers ``tokenize`` each sentence once and hand the token
 lists to ``count_tokens``, which builds one CSR count matrix over global term
 ids, assigned in sorted term order. ``fit_vocabulary`` takes its document
-frequencies from the column counts of the rows it is given. ``featurize``
-maps each counted term to its vocabulary index and idf and divides each row
-by its norm. Matrices are ``CSR``: three plain numpy arrays, and nothing
-here loads scipy. Training and prediction take such a matrix.
+frequencies from the column counts of the rows it is given. A feature's
+index is its term's rank among the vocabulary's terms in sorted order, so
+``featurize`` keeps each row's column order when it maps each counted term
+to its index and idf, and divides each row by its norm. Matrices are
+``CSR``: three plain numpy arrays, and nothing here loads scipy. Training
+and prediction take such a matrix.
 
 ``predict`` computes each margin X.w + b by adding a row's products left to
 right, as scipy's CSR matvec does, and calls a row positive when its margin
@@ -48,8 +50,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -107,16 +108,6 @@ class CSR:
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple[int, int]
-
-    @classmethod
-    def from_dense(cls, array) -> CSR:
-        """The nonzero entries of a 2-D array."""
-        dense = np.asarray(array, dtype=float)
-        if dense.ndim != 2:
-            raise ValueError(f"expected a 2-D array, got {dense.ndim} dimensions")
-        rows, columns = np.nonzero(dense)
-        return cls(dense[rows, columns], columns.astype(_INDEX),
-                   _indptr(np.count_nonzero(dense, axis=1)), dense.shape)
 
     def __len__(self) -> int:
         return self.shape[0]
@@ -228,9 +219,11 @@ class SentenceTable:
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Term -> (dense index, document frequency) plus the corpus size."""
+    """The kept terms in sorted order, each one's document frequency, and
+    the corpus size. A term's feature index is its position in ``terms``."""
 
-    terms: dict[str, tuple[int, int]]
+    terms: tuple[str, ...]
+    df: tuple[int, ...]
     total_docs: int
 
     def __len__(self) -> int:
@@ -243,8 +236,7 @@ def fit_vocabulary(
     """Build a vocabulary from the document frequencies of ``counts``' rows.
 
     Terms with df < min_df are dropped; with ``max_features`` set, the most
-    frequent terms are kept, ties broken lexicographically. Retained terms
-    get dense indices in lexicographic order.
+    frequent terms are kept, ties broken lexicographically.
     """
     total_docs = len(counts)
     if total_docs == 0:
@@ -258,11 +250,8 @@ def fit_vocabulary(
     if not kept.size:
         raise TrainingError(
             f"vocabulary is empty (min_df={min_df} over {total_docs} documents)")
-    return Vocabulary(
-        terms={counts.terms[column]: (index, count)
-               for index, (column, count) in enumerate(zip(kept.tolist(), df[kept].tolist()))},
-        total_docs=total_docs,
-    )
+    return Vocabulary(terms=tuple(map(counts.terms.__getitem__, kept.tolist())),
+                      df=tuple(df[kept].tolist()), total_docs=total_docs)
 
 
 def featurize(counts: TokenCounts, vocab: Vocabulary) -> CSR:
@@ -272,7 +261,8 @@ def featurize(counts: TokenCounts, vocab: Vocabulary) -> CSR:
     divided by its L2 norm, its squares added one after another in index
     order. Out-of-vocabulary terms are ignored; a document with no
     in-vocabulary term gives an empty row. The matrix is (n_docs, len(vocab)),
-    each row sorted by index.
+    each row sorted by index: a row's columns are in term order, and so are
+    the indices they map to.
     """
     # Each column's vocabulary index (-1 out of vocabulary) and idf, stored
     # by whole-array assignments: no per-term numpy scalars or tuples. The
@@ -281,29 +271,19 @@ def featurize(counts: TokenCounts, vocab: Vocabulary) -> CSR:
     # counts may outgrow int64.
     column = np.fromiter(map(counts.column_of.get, vocab.terms, repeat(-1)),
                          dtype=np.int64, count=len(vocab))
-    found = column >= 0
-    pairs = vocab.terms.values()
-    dfs = list(map(itemgetter(1), pairs))
+    found = np.flatnonzero(column >= 0)
     total = 1 + vocab.total_docs
-    idf_of = {df: math.log(total / (1 + df)) + 1.0 for df in set(dfs)}
+    idf_of = {df: math.log(total / (1 + df)) + 1.0 for df in set(vocab.df)}
     index_of = np.full(len(counts.terms), -1, dtype=np.int64)
-    index_of[column[found]] = np.fromiter(map(itemgetter(0), pairs), dtype=np.int64,
-                                          count=len(vocab))[found]
+    index_of[column[found]] = found
     idf = np.zeros(len(counts.terms))
-    idf[column[found]] = np.fromiter(map(idf_of.__getitem__, dfs), dtype=float,
+    idf[column[found]] = np.fromiter(map(idf_of.__getitem__, vocab.df), dtype=float,
                                      count=len(vocab))[found]
     matrix = counts.matrix
     index = index_of[matrix.indices]
     kept = np.flatnonzero(index >= 0)
-    rows, index, columns = matrix.row_of_entry[kept], index[kept], matrix.indices[kept]
-    data = matrix.data[kept] * idf[columns]
-    # A row's columns are in term order; its indices are too unless the
-    # vocabulary (as load_model allows) numbers its terms in another order.
-    mapped = index_of[index_of >= 0]
-    if np.any(mapped[1:] < mapped[:-1]):
-        order = np.argsort(rows * len(vocab) + index, kind="stable")
-        rows, index, data = rows[order], index[order], data[order]
-
+    rows, index = matrix.row_of_entry[kept], index[kept]
+    data = matrix.data[kept] * idf[matrix.indices[kept]]
     # bincount adds each row's squares left to right, the sequential sum the
     # model files depend on; pairwise sums (np.add.reduceat) round differently.
     norms = np.sqrt(np.bincount(rows, weights=data * data, minlength=len(counts)))
@@ -330,10 +310,11 @@ class LinearModel:
     bias: float
     class_weights: tuple[float, float]
     C: float
-    # Fit report; None for models built by hand or read from older files.
-    iterations: int | None = None
-    grad_max: float | None = None
-    converged: bool | None = None
+    # Fit report: Newton steps, the largest gradient component at the end,
+    # and whether that met the stopping rule.
+    iterations: int
+    grad_max: float
+    converged: bool
 
 
 @dataclass(eq=False)
@@ -547,17 +528,14 @@ _FIT_REPORT = {"iterations": int, "grad_max": _NUMBER, "converged": bool}
 
 
 def _linear_to_record(model: LinearModel) -> dict:
-    record = {
+    return {
         "weights": [float(x) for x in model.weights],
         "bias": model.bias,
         "class_weights": [model.class_weights[0], model.class_weights[1]],
         "C": model.C,
         "n_features": len(model.weights),
+        **{key: getattr(model, key) for key in _FIT_REPORT},
     }
-    for key in _FIT_REPORT:
-        if getattr(model, key) is not None:
-            record[key] = getattr(model, key)
-    return record
 
 
 def _is(value: object, kind: type | tuple[type, ...]) -> bool:
@@ -597,9 +575,7 @@ def _linear_from_record(record: object) -> LinearModel:
     if len(weights) != n_features:
         raise ValueError(f"{len(weights)} weights but n_features={n_features}")
     w_pos, w_neg = _pull_pair(record, "class_weights", _NUMBER, "numbers")
-    # The fit report is optional: files written before it existed lack it.
-    report = {key: _pull(record, key, kind) for key, kind in _FIT_REPORT.items()
-              if key in record}
+    report = {key: _pull(record, key, kind) for key, kind in _FIT_REPORT.items()}
     return LinearModel(
         weights=np.asarray(weights, dtype=float),
         bias=float(_pull(record, "bias", _NUMBER)),
@@ -610,27 +586,32 @@ def _linear_from_record(record: object) -> LinearModel:
 
 
 def _vocabulary_from_record(record: object) -> Vocabulary:
-    """The vocabulary, with ``total_docs`` at least 1 and each term's
-    document frequency in 1..total_docs, which keeps every idf finite."""
+    """The vocabulary ``save_model`` writes: ``total_docs`` at least 1 and
+    within the float range, and for each term two integers, its index its
+    rank in sorted term order and its document frequency in 1..total_docs,
+    which keeps every idf finite. The first bad entry in file order is
+    named."""
     raw = _pull(record, "terms", dict)
     total_docs = _pull(record, "total_docs", int)
+    if not _finite(total_docs):
+        raise ValueError("key 'total_docs' holds a number that is not finite")
     if total_docs < 1:
         raise ValueError(f"key 'total_docs' must be at least 1, got {total_docs}")
-    pairs = list(raw.values())
-    # Checked all at once, and on a fault term by term, to name the first
-    # bad key.
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int}
-            and 1 <= min(dfs := list(map(itemgetter(1), pairs)), default=1)
-            and max(dfs, default=1) <= total_docs):
-        for term in raw:
-            _, df = _pull_pair(raw, term, int, "integers")
-            if not 1 <= df <= total_docs:
-                raise ValueError(
-                    f"key {term!r}: document frequency {df} is not in 1..{total_docs}")
-    if sorted(map(itemgetter(0), pairs)) != list(range(len(pairs))):
-        raise ValueError(f"vocabulary indices are not exactly 0..{len(pairs) - 1}")
-    return Vocabulary(terms=dict(zip(raw, map(tuple, pairs))), total_docs=total_docs)
+    rank_of = {term: rank for rank, term in enumerate(sorted(raw))}
+    dfs = [0] * len(rank_of)
+    for term, entry in raw.items():
+        # An entry that is not two integers fails _pull_pair, which says how.
+        if not (type(entry) is list and len(entry) == 2
+                and type(entry[0]) is type(entry[1]) is int):
+            _pull_pair(raw, term, int, "integers")
+        index, df = entry
+        if not 1 <= df <= total_docs:
+            raise ValueError(f"key {term!r}: document frequency {df} is not in 1..{total_docs}")
+        if index != rank_of[term]:
+            raise ValueError(f"key {term!r}: index {index} is not the term's rank "
+                             f"{rank_of[term]} in sorted order")
+        dfs[index] = df
+    return Vocabulary(terms=tuple(rank_of), df=tuple(dfs), total_docs=total_docs)
 
 
 def save_model(path: str | Path, model: LinearModel | PUModel, vocab: Vocabulary) -> None:
@@ -652,17 +633,19 @@ def save_model(path: str | Path, model: LinearModel | PUModel, vocab: Vocabulary
         payload["model"] = _linear_to_record(model)
     payload["vocabulary"] = {
         "total_docs": vocab.total_docs,
-        "terms": {term: [index, df] for term, (index, df) in vocab.terms.items()},
+        "terms": {term: [index, df]
+                  for index, (term, df) in enumerate(zip(vocab.terms, vocab.df))},
     }
     write_json(path, [payload])
 
 
 def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary]:
-    """Read a model container and its vocabulary; raise ValueError naming
-    the file when a key (the vocabulary too) is missing, mistyped, holds a
-    number that is not finite or a vocabulary count out of range, or when
-    weights, n_features and vocabulary disagree, and naming the line too
-    when a byte is not UTF-8."""
+    """Read a model container and its vocabulary, in the shape ``save_model``
+    writes; raise ValueError naming the file when a key (the vocabulary and
+    the fit report too) is missing, mistyped, holds a number that is not
+    finite, a vocabulary count out of range or an index that is not its
+    term's rank, or when weights, n_features and vocabulary disagree, and
+    naming the line too when a byte is not UTF-8."""
     text = "".join(line for _, line in read_lines(path))
     try:
         payload = json.loads(text)

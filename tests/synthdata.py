@@ -1,11 +1,31 @@
 """Seeded synthetic classification tasks shared by model and acceptance tests.
-Feature rows come as a ``model.CSR``, the one matrix the model takes."""
+Feature rows come as a ``model.CSR``, the one matrix the model takes; hand-built
+models carry a fit report, as every ``model.LinearModel`` does."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from citecorpus.model import CSR, Vocabulary
+from citecorpus.model import CSR, LinearModel, Vocabulary
+
+
+def dense_csr(array) -> CSR:
+    """The nonzero entries of a 2-D array, as a CSR."""
+    dense = np.asarray(array, dtype=float)
+    if dense.ndim != 2:
+        raise ValueError(f"expected a 2-D array, got {dense.ndim} dimensions")
+    rows, columns = np.nonzero(dense)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(dense, axis=1))])
+    return CSR(dense[rows, columns], columns.astype(np.int32), indptr.astype(np.int32),
+               dense.shape)
+
+
+def linear_model(weights, bias: float = 0.0) -> LinearModel:
+    """A hand-built model with class weights (1, 1), C = 1 and the fit report
+    of a fit that converged at its zero start."""
+    return LinearModel(weights=np.asarray(weights, dtype=float), bias=bias,
+                       class_weights=(1.0, 1.0), C=1.0,
+                       iterations=0, grad_max=0.0, converged=True)
 
 
 def gaussian_blobs(seed: int, n_pos: int, n_neg: int, sep: float, dim: int = 2):
@@ -16,7 +36,7 @@ def gaussian_blobs(seed: int, n_pos: int, n_neg: int, sep: float, dim: int = 2):
     X = np.vstack([xp, xn])
     y = np.concatenate([np.ones(n_pos, dtype=int), np.zeros(n_neg, dtype=int)])
     perm = rng.permutation(len(y))
-    return CSR.from_dense(X[perm]), y[perm]
+    return dense_csr(X[perm]), y[perm]
 
 
 def imbalanced_blobs(seed: int, n: int = 10000, positive_rate: float = 0.3176,
@@ -53,13 +73,14 @@ def pu_blobs(seed: int, n_pos: int = 800, n_neg: int = 1600,
     pos = np.flatnonzero(y == 1)
     hidden = rng.choice(pos, size=int(round(hidden_fraction * pos.size)), replace=False)
     s[hidden] = 0
-    return CSR.from_dense(X), y, s
+    return dense_csr(X), y, s
 
 
 def stub_vocabulary(width: int) -> Vocabulary:
     """A vocabulary of ``width`` terms, for saving a model fitted on rows
-    that come from no text."""
-    return Vocabulary({f"t{i}": (i, 1) for i in range(width)}, total_docs=1)
+    that come from no text. The names are zero-padded, so that they sort in
+    index order."""
+    return Vocabulary(tuple(f"t{i:04d}" for i in range(width)), (1,) * width, total_docs=1)
 
 
 def recall_of(predictions: np.ndarray, truth: np.ndarray) -> float:

@@ -16,7 +16,6 @@ from citecorpus import textproc
 from citecorpus.cli import main
 from citecorpus.metrics import cluster_purity, pearson, population_std, precision_recall_f1
 from citecorpus.model import (
-    CSR,
     PUModel,
     compute_class_weights,
     count_tokens,
@@ -39,7 +38,8 @@ from citecorpus.pipeline import (
 )
 from corpusgen import FIELDS, make_corpus_file
 from refregex import RefRegex
-from synthdata import gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of, stub_vocabulary
+from synthdata import (dense_csr, gaussian_blobs, imbalanced_blobs, pu_blobs, recall_of,
+                       stub_vocabulary)
 
 # Golden transcriptions of the embedded rules (independent copies).
 GOLDEN_TITLES = [
@@ -346,7 +346,7 @@ class TestCriterion7ModelCorrectness:
         rng = np.random.default_rng(707)
         for _ in range(20):
             n, d = rng.integers(4, 12), rng.integers(2, 8)
-            X = CSR.from_dense(rng.normal(size=(int(n), int(d))))
+            X = dense_csr(rng.normal(size=(int(n), int(d))))
             y = rng.integers(0, 2, size=int(n)).astype(float)
             weight = rng.uniform(0.2, 2.5, size=int(n))
             w = rng.normal(size=int(d))

@@ -20,12 +20,13 @@ import citecorpus
 from citecorpus import audit, cli
 from citecorpus.cli import main
 from citecorpus.metrics import write_distance_matrix
-from citecorpus.model import LinearModel, Vocabulary, save_model
+from citecorpus.model import Vocabulary, save_model
 from citecorpus import pipeline
 from citecorpus.pipeline import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LabeledSentence,
                                  ParagraphSample, read_dataset, write_dataset)
 from corpusgen import FIELDS, make_corpus_file, write_corpus
 from faults import disk_full_on
+from synthdata import linear_model
 
 import numpy as np
 
@@ -458,8 +459,8 @@ class TestTrainEval:
 
     def test_eval_all_positive_model_has_recall_100(self, trained, tmp_path, capsys):
         out, _ = trained
-        vocab = Vocabulary(terms={"the": (0, 1)}, total_docs=1)
-        model = LinearModel(weights=np.zeros(1), bias=40.0, class_weights=(1.0, 1.0), C=1.0)
+        vocab = Vocabulary(terms=("the",), df=(1,), total_docs=1)
+        model = linear_model(np.zeros(1), 40.0)
         path = tmp_path / "all_positive.json"
         save_model(path, model, vocab)
         rc = main(["eval", "--model", str(path), "--input", str(out / "dataset.jsonl")])
@@ -651,6 +652,11 @@ def _first_term(payload):
     return payload["vocabulary"]["terms"][next(iter(payload["vocabulary"]["terms"]))]
 
 
+def _swap_first_two_indices(payload):
+    first, second = list(payload["vocabulary"]["terms"].values())[:2]
+    first[0], second[0] = second[0], first[0]
+
+
 MALFORMED_MODELS = {
     "missing-key": lambda payload: payload.clear() or payload.update(format_version=1),
     "missing-vocabulary": lambda payload: payload.pop("vocabulary"),
@@ -662,6 +668,9 @@ MALFORMED_MODELS = {
     "class_weights-of-one": lambda payload: payload["model"]["class_weights"].pop(),
     "vocabulary-entry-of-three": lambda payload: _first_term(payload).append(1),
     "vocabulary-entry-of-one": lambda payload: _first_term(payload).pop(),
+    "vocabulary-indices-swapped": _swap_first_two_indices,
+    "fit-report-missing": lambda payload: payload["model"].pop("iterations"),
+    "total_docs-beyond-float": lambda payload: payload["vocabulary"].update(total_docs=10**400),
 }
 
 
@@ -701,6 +710,25 @@ class TestMalformedModelFile:
         assert main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")]) == 1
         assert capsys.readouterr().err == (
             f"error: {bad}: key 'vocabulary' is missing or mistyped\n")
+
+    @pytest.mark.parametrize("case", ["vocabulary-indices-swapped", "fit-report-missing",
+                                      "total_docs-beyond-float"])
+    def test_shape_save_model_never_writes_names_file_and_key(self, case, trained, tmp_path,
+                                                             capsys):
+        out, model_path = trained
+        payload = json.loads(model_path.read_text())
+        first = next(iter(payload["vocabulary"]["terms"]))
+        MALFORMED_MODELS[case](payload)
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(payload))
+        message = {
+            "vocabulary-indices-swapped":
+                f"key {first!r}: index 1 is not the term's rank 0 in sorted order",
+            "fit-report-missing": "key 'iterations' is missing or mistyped",
+            "total_docs-beyond-float": "key 'total_docs' holds a number that is not finite",
+        }[case]
+        assert main(["eval", "--model", str(bad), "--input", str(out / "dataset.jsonl")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_non_finite_bias_names_file_and_key(self, trained, tmp_path, capsys):
         out, model_path = trained
@@ -1279,6 +1307,27 @@ def test_out_of_range_number_is_a_usage_error_before_any_input_is_read(
     assert main([command, *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, output, message", [
+    ("train", "out", "model file is a directory"),
+    ("train", "missing/m.json", "model file is in a directory that does not exist"),
+    ("cross-domain", "out", "grid file is a directory"),
+], ids=["train-directory", "train-missing-directory", "cross-domain-directory"])
+def test_unwritable_output_is_a_usage_error_before_the_dataset_is_read(
+        command, output, message, tmp_path, capsys, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(cli, "read_dataset", no_read)
+    data = tmp_path / "data.jsonl"
+    data.write_text("")
+    (tmp_path / "out").mkdir()
+    extra = ["--distances", str(data)] if command == "cross-domain" else []
+    output = str(tmp_path / output)
+    assert main([command, "--input", str(data), "--output", output, "--seed", "1", *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message}: {output}\n"
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 CONFIG_COMMANDS = ["build", "audit-export", "train", "eval", "cross-domain"]
