@@ -46,8 +46,6 @@ class AuditItem:
 @dataclass(frozen=True)
 class MethodScore:
     n_items: int
-    n_extraction_ok: int
-    n_markers_removed: int
     extracted_correct_pct: float
     markers_removed_pct: float
 
@@ -206,8 +204,6 @@ def score_audit(sheet_path: str | Path, key_path: str | Path) -> AuditResult:
     for method, (n, ok, removed) in counts.items():
         per_method[method] = MethodScore(
             n_items=n,
-            n_extraction_ok=ok,
-            n_markers_removed=removed,
             extracted_correct_pct=100.0 * ok / n,
             markers_removed_pct=100.0 * removed / n,
         )

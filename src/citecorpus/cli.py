@@ -261,6 +261,15 @@ def cmd_build(args: argparse.Namespace) -> int:
     import hashlib
 
     input_paths = [_require_file(p, "input corpus") for p in args.input]
+    # One file read twice repeats every paper in it; a link or another
+    # spelling of the path is the same file.
+    given_as: dict[tuple[int, int], str] = {}
+    for given, path in zip(args.input, input_paths):
+        stat = path.stat()
+        file = (stat.st_dev, stat.st_ino)
+        if file in given_as:
+            raise UsageError(f"--input {given_as[file]} and --input {given} name the same file")
+        given_as[file] = given
     output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)
     # The manifest is written last and marks a complete build, so an earlier
@@ -287,7 +296,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "inputs": args.input,
         "counts": {
             "malformed_lines": len(collected.diagnostics),
-            "papers_total": collected.papers_total,
+            "papers_total": len(collected.read_at),
             "papers_eligible": collected.papers_eligible,
             "paragraphs_accepted": len(collected.samples),
             "paragraphs_rejected": len(collected.rejections),

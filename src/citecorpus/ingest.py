@@ -60,7 +60,6 @@ class CiteSpan(NamedTuple):
 
     start: int
     end: int
-    ref_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,8 @@ def _parse_cite_span(raw: object) -> CiteSpan:
              "cite span 'start' is not an integer")
     _require(isinstance(raw.get("end"), int) and not isinstance(raw["end"], bool),
              "cite span 'end' is not an integer")
-    ref_id = raw.get("ref_id", "")
-    _require(ref_id is None or isinstance(ref_id, str), "cite span 'ref_id' is not a string")
-    return CiteSpan(raw["start"], raw["end"], ref_id or "")
+    _require(isinstance(raw.get("ref_id"), str | None), "cite span 'ref_id' is not a string")
+    return CiteSpan(raw["start"], raw["end"])
 
 
 def _parse_paragraph(raw: object) -> Paragraph:

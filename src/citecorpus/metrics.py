@@ -108,19 +108,17 @@ def dataset_stats(samples: Iterable[ParagraphSample]) -> StatsReport:
     tokens = 0
     split_counts: Counter[str] = Counter()
     field_counts: Counter[str] = Counter()
-    cite = non_cite = 0
+    cite = 0
     for sample in samples:
+        split_counts[sample.split] += len(sample.sentences)
+        field_counts[sample.mag_field] += len(sample.sentences)
         for sentence in sample.sentences:
             lengths.append(len(sentence.text))
             tokens += len(tokenize(sentence.text))
-            split_counts[sample.split] += 1
-            field_counts[sample.mag_field] += 1
-            if sentence.label == LABEL_CITE_WORTHY:
-                cite += 1
-            else:
-                non_cite += 1
+            cite += sentence.label == LABEL_CITE_WORTHY
 
     total = len(lengths)
+    non_cite = total - cite
     lengths = sorted(lengths) or [0]
     n = max(total, 1)
     return StatsReport(

@@ -337,18 +337,25 @@ class Collected:
     samples: list[ParagraphSample] = field(default_factory=list)
     rejections: list[RejectionRecord] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    # Each parsed record's paper id and where it was read ("<file>, line <n>").
-    papers: list[tuple[str, str]] = field(default_factory=list)
+    # Where each parsed record was read, by paper id: its input file and line.
+    read_at: dict[str, tuple[str, int]] = field(default_factory=dict)
     papers_eligible: int = 0
-    # The span error that ended a batch, raised when the batch is merged.
-    span_error: str | None = None
+    # The fault that ended a batch, raised when the batch is merged.
+    fault: ValueError | None = None
 
-    @property
-    def papers_total(self) -> int:
-        return len(self.papers)
+    def note_read(self, paper_id: str, where: tuple[str, int]) -> None:
+        """Index ``paper_id`` as read at ``where``; a repeat is a ValueError naming both."""
+        if paper_id in self.read_at:
+            raise ValueError("%s, line %d: paper %r was already read at %s, line %d"
+                             % (*where, paper_id, *self.read_at[paper_id]))
+        self.read_at[paper_id] = where
 
     def add(self, other: Collected) -> None:
-        self.papers.extend(other.papers)
+        """Merge the next batch, or raise its first fault in input order."""
+        for paper_id, where in other.read_at.items():
+            self.note_read(paper_id, where)
+        if other.fault is not None:
+            raise other.fault
         self.samples.extend(other.samples)
         self.rejections.extend(other.rejections)
         self.diagnostics.extend(other.diagnostics)
@@ -364,9 +371,9 @@ def process_lines(batch: tuple[str, int, list[str]], baseline: bool = False) -> 
     """Decode, parse, check eligibility of and process one batch of corpus
     lines, as tagged by ``ingest.line_batches``; the work of one pool task.
 
-    Every line yields a record or exactly one diagnostic. A span error ends
-    the batch: its message, naming the input file and line, is returned in
-    ``span_error``, for the merge to raise after checking the batch's papers.
+    Every line yields a record or exactly one diagnostic. A repeated paper
+    id or a span error ends the batch: its error, naming the file and line,
+    is kept in ``fault``, for the merge to raise after checking the batch.
     """
     source, first_line, lines = batch
     part = Collected()
@@ -375,15 +382,18 @@ def process_lines(batch: tuple[str, int, list[str]], baseline: bool = False) -> 
         if isinstance(paper, Diagnostic):
             part.diagnostics.append(paper)
             continue
-        where = f"{source}, line {lineno}"
-        part.papers.append((paper.paper_id, where))
+        try:
+            part.note_read(paper.paper_id, (source, lineno))
+        except ValueError as exc:
+            part.fault = exc
+            break
         if not paper_eligible(paper):
             continue
         part.papers_eligible += 1
         try:
             samples, rejections = process_paper(paper, baseline)
         except SpanConsistencyError as exc:
-            part.span_error = f"{where}: {exc}"
+            part.fault = SpanConsistencyError(f"{source}, line {lineno}: {exc}")
             break
         part.samples.extend(samples)
         part.rejections.extend(rejections)
@@ -442,7 +452,6 @@ def collect_samples(
     work = partial(process_lines, baseline=baseline)
     batches = line_batches(paths, BATCH_LINES)
     collected = Collected()
-    read_at: dict[str, str] = {}
     with ExitStack() as stack:
         if workers == 1:
             parts: Iterator[Collected] = map(work, batches)
@@ -453,13 +462,6 @@ def collect_samples(
             pool = stack.enter_context(worker_pool(workers))
             parts = _bounded_map(pool, work, batches, _BATCHES_PER_WORKER * workers)
         for part in parts:
-            for paper_id, where in part.papers:
-                if paper_id in read_at:
-                    raise ValueError(f"{where}: paper {paper_id!r} was already read at "
-                                     f"{read_at[paper_id]}")
-                read_at[paper_id] = where
-            if part.span_error is not None:
-                raise SpanConsistencyError(part.span_error)
             collected.add(part)
     collected.samples.sort(key=_canonical_key)
     collected.rejections.sort(key=lambda r: (r.paper_id, r.paragraph_index))

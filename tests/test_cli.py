@@ -194,14 +194,16 @@ class TestBuild:
         # A repeated paper would put the same paragraphs in two splits.
         corpus = tmp_path / "corpus.jsonl"
         build_fixture_corpus(corpus, n_papers=6)
+        lines = corpus.read_text().splitlines(keepends=True)
         if repeat == "line":
-            lines = corpus.read_text().splitlines(keepends=True)
             corpus.write_text("".join(lines) + lines[2])
             inputs = ["--input", str(corpus)]
             expected = f"{corpus}, line 7: paper 'paper-00002' was already read at {corpus}, line 3"
         else:
-            inputs = ["--input", str(corpus), "--input", str(corpus)]
-            expected = f"{corpus}, line 1: paper 'paper-00000' was already read at {corpus}, line 1"
+            other = tmp_path / "other.jsonl"
+            other.write_text(lines[4])
+            inputs = ["--input", str(corpus), "--input", str(other)]
+            expected = f"{other}, line 1: paper 'paper-00004' was already read at {corpus}, line 5"
         for workers in ("1", "2"):
             out = tmp_path / f"w{workers}"
             assert main(["build", *inputs, "--output", str(out), "--seed", "7",
@@ -209,6 +211,29 @@ class TestBuild:
             assert capsys.readouterr().err == f"error: {expected}\n"
             assert not (out / "dataset.jsonl").exists()
             assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "other", "link"])
+    def test_one_corpus_file_given_twice_is_refused_before_the_work(self, spelling, tmp_path,
+                                                                    capsys, monkeypatch):
+        # One file read twice would repeat all its papers. The build stops
+        # before it touches the output directory or reads a line.
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus, n_papers=6)
+        second = {"same": str(corpus), "other": f"{tmp_path}/./corpus.jsonl",
+                  "link": str(tmp_path / "link.jsonl")}[spelling]
+        if spelling == "link":
+            os.symlink(corpus, second)
+        monkeypatch.setattr(cli, "collect_samples", pytest.fail)
+        made = tmp_path / "made"
+        made.mkdir()
+        (made / "manifest.json").write_text("earlier build\n")
+        for out in (made, tmp_path / "new"):
+            assert main(["build", "--input", str(corpus), "--input", second,
+                         "--output", str(out), "--seed", "7"]) == 2
+            assert capsys.readouterr().err == \
+                f"error: --input {corpus} and --input {second} name the same file\n"
+        assert (made / "manifest.json").read_text() == "earlier build\n"
+        assert not (tmp_path / "new").exists()
 
     def test_undecodable_byte_names_file_and_line_at_any_worker_count(self, tmp_path,
                                                                       capsys):

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from citecorpus.ingest import (
-    CiteSpan,
     Diagnostic,
     Paragraph,
     paper_eligible,
@@ -122,6 +121,24 @@ class TestReadCorpus:
         assert papers == []
         assert len(diagnostics) == 1
 
+    @pytest.mark.parametrize("span, valid", [
+        ({}, True), ({"ref_id": None}, True), ({"ref_id": "b0"}, True),
+        ({"ref_id": 3}, False), ({"ref_id": ["b0"]}, False),
+    ])
+    def test_a_span_ref_id_is_absent_null_or_a_string(self, span, valid):
+        record = full_record(body_text=[{
+            "section": "Methods", "text": "Alpha beta.",
+            "cite_spans": [{"start": 0, "end": 5, **span}],
+        }])
+        diagnostics = []
+        papers = list(read_corpus(as_stream([record]), on_malformed=diagnostics.append))
+        if valid:
+            assert diagnostics == []
+            assert papers[0].paragraphs[0].cite_spans == ((0, 5),)
+        else:
+            assert papers == []
+            assert [d.message for d in diagnostics] == ["cite span 'ref_id' is not a string"]
+
     @pytest.mark.parametrize("value, fields", [
         (None, frozenset()), ([], frozenset()), (["Biology"], frozenset({"Biology"})),
         ("", None), (0, None), (False, None), ({}, None), ("Biology", None), ([1], None),
@@ -201,10 +218,6 @@ class TestDomainTypes:
             paper.paper_id = "other"
         with pytest.raises(dataclasses.FrozenInstanceError):
             paper.paragraphs[0].text = "other"
-
-    def test_cite_span_defaults(self):
-        span = CiteSpan(start=1, end=4)
-        assert span.ref_id == ""
 
     def test_paragraph_default_spans(self):
         assert Paragraph("Intro", "Text.").cite_spans == ()

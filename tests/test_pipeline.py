@@ -70,7 +70,7 @@ class _PicklingPool(Executor):
 def paragraph_with_citation(cite=" [2]", section="Introduction"):
     base = "Land use change reflects human activity on the surface"
     text = f"{base}{cite}. Remote sensing images detect land changes efficiently."
-    span = CiteSpan(len(base), len(base) + len(cite), "b0")
+    span = CiteSpan(len(base), len(base) + len(cite))
     return Paragraph(section, text, (span,))
 
 
@@ -120,7 +120,7 @@ class TestProcessParagraph:
 
     def test_mid_sentence_span_rejected(self):
         text = "In [1], we extend the analysis to all cohorts over time."
-        paragraph = Paragraph("Methods", text, (CiteSpan(3, 6, "b0"),))
+        paragraph = Paragraph("Methods", text, (CiteSpan(3, 6),))
         result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == NOT_AT_END
@@ -141,7 +141,7 @@ class TestProcessParagraph:
     def test_span_without_citation_format_rejected(self):
         base = "The full derivation appears in the online appendix"
         text = f"{base} below. Another sentence keeps the paragraph going."
-        paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + 6, "b0"),))
+        paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + 6),))
         result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == BAD_FORMAT
@@ -150,7 +150,7 @@ class TestProcessParagraph:
         base = "This was shown by the work of"
         cite = " (Smith, 2000)"
         text = f"{base}{cite}."
-        paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + len(cite), "b0"),))
+        paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + len(cite)),))
         result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == HANGING_MARKER
@@ -169,7 +169,7 @@ class TestProcessParagraph:
     def test_span_straddling_sentences_rejected(self):
         text = "We show results [1]. Here the next sentence continues onward."
         # Span crosses the sentence boundary after "[1]."
-        paragraph = Paragraph("Results", text, (CiteSpan(16, 25, "b0"),))
+        paragraph = Paragraph("Results", text, (CiteSpan(16, 25),))
         result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == BAD_FORMAT
@@ -188,7 +188,7 @@ class TestBaselineVariant:
         base = "Shown by the work of"
         cite = " (Smith, 2000)"
         text = f"{base}{cite}."
-        paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + len(cite), "b0"),))
+        paragraph = Paragraph("Methods", text, (CiteSpan(len(base), len(base) + len(cite)),))
         sentences = build_baseline_variant(paragraph)
         assert isinstance(sentences, tuple)
         assert sentences[0].text == "Shown by the work of."
@@ -206,7 +206,7 @@ class TestBaselineVariant:
 
     def test_mid_sentence_span_removed_not_rejected(self):
         text = "In [1], we extend the analysis to all cohorts over time."
-        paragraph = Paragraph("Methods", text, (CiteSpan(3, 6, "b0"),))
+        paragraph = Paragraph("Methods", text, (CiteSpan(3, 6),))
         sentences = build_baseline_variant(paragraph)
         assert isinstance(sentences, tuple)
         assert sentences[0].text == "In , we extend the analysis to all cohorts over time."
@@ -255,7 +255,7 @@ def _paragraphs(draw):
             lambda cuts: list(zip(*[iter(sorted(cuts))] * 2))),
         st.lists(st.tuples(anywhere, anywhere), max_size=4)))
     return Paragraph(draw(st.sampled_from(_SECTIONS)), text,
-                     tuple(CiteSpan(start, end, "b") for start, end in spans))
+                     tuple(CiteSpan(start, end) for start, end in spans))
 
 
 _PAPERS = st.builds(lambda paragraphs, fields: make_paper(*paragraphs, fields=fields),
@@ -276,7 +276,7 @@ class TestProcessPaper:
         assert sample.sentences == process_paragraph(paragraph)
 
     def test_out_of_bounds_span_is_an_error_not_a_rejection(self):
-        paragraph = Paragraph("Results", "Short text.", (CiteSpan(5, 99, "b0"),))
+        paragraph = Paragraph("Results", "Short text.", (CiteSpan(5, 99),))
         for baseline in (False, True):
             with pytest.raises(SpanConsistencyError) as exc:
                 process_paper(make_paper(paragraph, paper_id="paper-7"), baseline)
@@ -285,13 +285,13 @@ class TestProcessPaper:
     def test_overlapping_spans_are_an_error(self):
         text = "Alpha beta gamma delta epsilon zeta."
         paragraph = Paragraph("Results", text,
-                              (CiteSpan(0, 10, "a"), CiteSpan(5, 12, "b")))
+                              (CiteSpan(0, 10), CiteSpan(5, 12)))
         for baseline in (False, True):
             with pytest.raises(SpanConsistencyError):
                 process_paper(make_paper(paragraph), baseline)
 
     def test_span_check_follows_the_section_and_field_checks(self):
-        bad_span = (CiteSpan(5, 99, "b0"),)
+        bad_span = (CiteSpan(5, 99),)
         paper = make_paper(Paragraph("Acknowledgements", "Short text.", bad_span))
         assert process_paper(paper)[1][0].reason.code == BAD_SECTION
         paper = make_paper(Paragraph("Results", "Short text.", bad_span), fields=("History",))
@@ -704,7 +704,7 @@ class TestLineAccounting:
                 path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             serial = collect_samples([path], workers=1)
             pooled = collect_samples([path], workers=2)
-            assert serial.papers_total + len(serial.diagnostics) == len(lines)
+            assert len(serial.read_at) + len(serial.diagnostics) == len(lines)
             assert [d.line for d in serial.diagnostics] == broken
             assert {d.source for d in serial.diagnostics} <= {str(path)}
             assert serial == pooled

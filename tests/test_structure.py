@@ -1,15 +1,17 @@
 """Repository structure: no module of the package reads another module's
-private name or imports scipy, each citation pattern is written once and
-compiled only from its constant, and the test configuration lets a failing
-property test report its example."""
+private name or imports scipy, no build-side command loads numpy, each
+citation pattern is written once and compiled only from its constant, and
+the test configuration lets a failing property test report its example."""
 
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import citecorpus
 from citecorpus import textproc
+from corpusgen import make_corpus_file
 
 PACKAGE = Path(citecorpus.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -63,6 +65,39 @@ def test_no_module_imports_scipy():
             imports += [f"{path.name}, line {node.lineno}: imports {name}"
                         for name in names if name.split(".")[0] == "scipy"]
     assert imports == []
+
+
+def test_build_side_commands_load_no_numpy(tmp_path):
+    # Only the model commands need numpy, whose import costs each command
+    # about 0.1 s. Each command runs in a fresh interpreter.
+    code = ("import sys\nfrom citecorpus.cli import main\nstatus = main(sys.argv[1:])\n"
+            "print('numpy' in sys.modules)\nsys.exit(status)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.splitlines()[-1] == "False", argv
+
+    corpus = tmp_path / "corpus.jsonl"
+    make_corpus_file(corpus, n_papers=120, seed=401, adversarial_rate=0.25,
+                     fields=["Biology", "Chemistry"], paragraphs_per_paper=(2, 3))
+    main, baseline, audit = tmp_path / "main", tmp_path / "baseline", tmp_path / "audit"
+    for out, workers, *flags in ((main, "1"), (baseline, "2", "--baseline")):
+        run("build", "--input", str(corpus), "--output", str(out), "--seed", "9",
+            "--quota", "60", "--workers", workers, *flags)
+    run("stats", "--input", str(main / "dataset.jsonl"))
+    run("audit-export", "--input", str(main / "dataset.jsonl"), "--baseline-input",
+        str(baseline / "dataset.jsonl"), "--n-per-class", "8", "--seed", "17",
+        "--output", str(audit))
+    sheet = audit / "sheet.tsv"
+    header, *rows = sheet.read_text(encoding="utf-8").splitlines()
+    sheet.write_text("".join(f"{line}\n" for line in [
+        header, *(row.rsplit("\t", 2)[0] + "\t1\t0" for row in rows)]), encoding="utf-8")
+    run("audit-score", "--sheet", str(sheet), "--key", str(audit / "key.jsonl"))
+    run("dump-rules")
 
 
 CITATION_PATTERNS = ("NUMERIC_CITATION_PATTERN", "AUTHOR_YEAR_CITATION_PATTERN",
