@@ -45,7 +45,6 @@ class AuditItem:
 
 @dataclass(frozen=True)
 class MethodScore:
-    n_items: int
     extracted_correct_pct: float
     markers_removed_pct: float
 
@@ -203,7 +202,6 @@ def score_audit(sheet_path: str | Path, key_path: str | Path) -> AuditResult:
     per_method = {}
     for method, (n, ok, removed) in counts.items():
         per_method[method] = MethodScore(
-            n_items=n,
             extracted_correct_pct=100.0 * ok / n,
             markers_removed_pct=100.0 * removed / n,
         )

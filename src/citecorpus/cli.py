@@ -248,15 +248,6 @@ def _select_sentences(
         np.repeat(group, [len(sample.sentences) for sample in chosen]), groups)
 
 
-def _score(predicted, golds) -> metrics.PRF:
-    """Score the 0/1 ``predicted`` labels against the 0/1 ``golds``."""
-    import numpy as np
-
-    tp = np.count_nonzero(predicted & golds)
-    return metrics.prf_from_counts(tp, np.count_nonzero(predicted) - tp,
-                                   np.count_nonzero(golds) - tp)
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     import hashlib
 
@@ -407,7 +398,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                               None if field is None else {field})
     golds = table.label[table.rows(field, split)]
     predicted = predict(_scoring_model(model), featurize(table.counts, vocab))
-    print(_score(predicted, golds).render_text())
+    print(metrics.precision_recall_f1(predicted, golds).render_text())
     return 0
 
 
@@ -461,7 +452,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         predicted = predict(model, X)
         for test_field in fields:
             eval_rows = selected[test_field, SPLIT_TEST if test_field == train_field else "all"]
-            f1_by_pair[train_field, test_field] = 100.0 * _score(
+            f1_by_pair[train_field, test_field] = 100.0 * metrics.precision_recall_f1(
                 predicted[eval_rows], table.label[eval_rows]).f1
 
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
@@ -518,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "train", cmd_train, "train a classifier on a dataset")
     _option(p, "input", TEXT, required=True, help="dataset file")
     _option(p, "output", TEXT, required=True, help="model file to write")
-    _option(p, "seed", INTEGER, required=True)
+    _option(p, "seed", INTEGER, required=True, check=_at_least(0))
     _option(p, "c_value", NUMBER, DEFAULT_C, check=POSITIVE,
             help="inverse regularization strength")
     _option(p, "pu", SWITCH, False, help="positive-unlabeled training")

@@ -31,28 +31,15 @@ class PRF:
                 f"f1 {100 * self.f1:.2f}")
 
 
-def precision_recall_f1(
-    predictions: Sequence, golds: Sequence, positive_class
-) -> PRF:
-    """P/R/F1 for the positive class; zero denominators yield 0."""
-    if len(predictions) != len(golds):
-        raise ValueError(f"{len(predictions)} predictions vs {len(golds)} golds")
-    if not predictions:
-        raise ValueError("empty inputs")
-    tp = fp = fn = 0
-    for pred, gold in zip(predictions, golds):
-        if pred == positive_class and gold == positive_class:
-            tp += 1
-        elif pred == positive_class:
-            fp += 1
-        elif gold == positive_class:
-            fn += 1
-    return prf_from_counts(tp, fp, fn)
+def precision_recall_f1(predicted, golds) -> PRF:
+    """P/R/F1 of the 0/1 numpy array ``predicted`` against the 0/1 numpy
+    array ``golds``; zero denominators yield 0."""
+    import numpy as np
 
-
-def prf_from_counts(tp: int, fp: int, fn: int) -> PRF:
-    """P/R/F1 from true-positive, false-positive and false-negative counts;
-    zero denominators yield 0."""
+    if len(predicted) != len(golds):
+        raise ValueError(f"{len(predicted)} predictions vs {len(golds)} golds")
+    tp = np.count_nonzero(predicted & golds)
+    fp, fn = np.count_nonzero(predicted) - tp, np.count_nonzero(golds) - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

@@ -11,11 +11,11 @@ and cite-span checks, then one labeler, ``process_paragraph`` or the naive
 reads the corpus as batches of raw lines; one batch function decodes,
 parses, checks eligibility and processes each line of a batch, in-process at
 one worker or on a worker pool that holds at most two batches per worker in
-flight. Results are merged in batch order, so diagnostics stay in line
-order, and sorted into canonical (paper_id, paragraph index) order, so builds
-are deterministic for any worker count. The parent keeps the cyclic garbage
-collector off while a pool runs: unpickling its results makes many objects
-and no reference cycles.
+flight. Results are merged in batch order, so diagnostics and samples stay
+in input order at any worker count; rejections are sorted into canonical
+(paper_id, paragraph index) order, the order of the rejections file. The
+parent keeps the cyclic garbage collector off while a pool runs: unpickling
+its results makes many objects and no reference cycles.
 """
 
 from __future__ import annotations
@@ -442,7 +442,7 @@ def collect_samples(
     """Read, parse and process every line of the corpus files: in this
     process at one worker, otherwise on a pool of ``workers`` processes.
 
-    Diagnostics come out in input order and samples and rejections in
+    Diagnostics and samples come out in input order and rejections in
     canonical (paper_id, paragraph index) order, so the result is identical
     for any worker count. A paper id read twice, which would put the same
     paragraphs in two splits, is a ValueError naming both places; it and a
@@ -463,7 +463,6 @@ def collect_samples(
             parts = _bounded_map(pool, work, batches, _BATCHES_PER_WORKER * workers)
         for part in parts:
             collected.add(part)
-    collected.samples.sort(key=_canonical_key)
     collected.rejections.sort(key=lambda r: (r.paper_id, r.paragraph_index))
     return collected
 

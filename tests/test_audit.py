@@ -130,7 +130,6 @@ class TestScoreAudit:
         for method in (METHOD_MAIN, METHOD_BASELINE):
             assert result.per_method[method].extracted_correct_pct == 100.0
             assert result.per_method[method].markers_removed_pct == 100.0
-            assert result.per_method[method].n_items == 10
 
     def test_nine_of_ten_gives_ninety(self, exported):
         items, sheet, key = exported

@@ -921,7 +921,6 @@ class TestCrossDomain:
         # on its row field's train split, predicting the cell's rows alone:
         # the held-out test split in domain, the whole column field out of
         # domain.
-        from citecorpus.metrics import precision_recall_f1
         from citecorpus.model import (compute_class_weights, count_tokens, featurize,
                                       fit_vocabulary, predict, train_logreg)
         from citecorpus.textproc import tokenize
@@ -951,8 +950,12 @@ class TestCrossDomain:
             for test_field in FIELDS:
                 test_texts, test_labels = sentences(
                     "test" if test_field == train_field else "all", test_field)
-                preds = predict(model, featurize(test_texts, vocab))
-                expected = 100.0 * precision_recall_f1(list(preds), test_labels, 1).f1
+                preds = predict(model, featurize(test_texts, vocab)).tolist()
+                tp = sum(p and g for p, g in zip(preds, test_labels))
+                precision = tp / sum(preds) if sum(preds) else 0.0
+                recall = tp / sum(test_labels) if sum(test_labels) else 0.0
+                f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+                expected = 100.0 * f1
                 assert grid["f1"][train_field][test_field] == pytest.approx(expected, abs=1e-9)
 
     def test_one_prediction_per_fit(self, ten_fields, monkeypatch):
@@ -1295,6 +1298,7 @@ OUT_OF_RANGE = [
     ("cross-domain", "c_value", -1.0,
      "--c-value must be finite and greater than 0, got -1.0"),
     ("train", "min_df", 0, "--min-df must be at least 1, got 0"),
+    ("train", "seed", -5, "--seed must be at least 0, got -5"),
     ("cross-domain", "min_df", -3, "--min-df must be at least 1, got -3"),
     *[("build", "ratios", ratios,
        f"--ratios must be three finite, non-negative numbers that sum to 1, got {ratios}")
@@ -1316,11 +1320,12 @@ def test_out_of_range_number_is_a_usage_error_before_any_input_is_read(
     data = tmp_path / "data.jsonl"
     data.write_text("")
     out = tmp_path / "out"
+    seed = [] if option == "seed" else ["--seed", "1"]
     argv = {
-        "build": ["--input", str(data), "--output", str(out), "--seed", "1"],
+        "build": ["--input", str(data), "--output", str(out), *seed],
         "audit-export": ["--input", str(data), "--baseline-input", str(data),
-                         "--output", str(out), "--seed", "1"],
-        "train": ["--input", str(data), "--output", str(out), "--seed", "1"],
+                         "--output", str(out), *seed],
+        "train": ["--input", str(data), "--output", str(out), *seed],
         "cross-domain": ["--input", str(data), "--distances", str(data)],
     }[command]
     if via == "flag":
@@ -1353,6 +1358,69 @@ def test_unwritable_output_is_a_usage_error_before_the_dataset_is_read(
     assert main([command, "--input", str(data), "--output", output, "--seed", "1", *extra]) == 2
     assert capsys.readouterr().err == f"error: {message}: {output}\n"
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def _dataset_line(split="train", samples=None):
+    if samples is None:
+        samples = [{"text": "Cells divide.", "label": LABEL_NON_CITE_WORTHY,
+                    "removed_span_count": 0}]
+    return json.dumps({"paper_id": "p1", "mag_field_of_study": "Biology",
+                       "section_title": "introduction", "split": split,
+                       "paragraph_index": 0, "samples": samples}) + "\n"
+
+
+_SHEET_HEADER = "\t".join(audit.SHEET_COLUMNS) + "\n"
+# (files by name, arguments, exit code, stderr line); each run refuses its input.
+REFUSALS = {
+    "stats-unknown-split": (
+        {"d.jsonl": _dataset_line(split="holdout")}, ["stats", "--input", "d.jsonl"], 1,
+        "error: d.jsonl, line 1: unknown split 'holdout'"),
+    "stats-no-sentences": (
+        {"d.jsonl": _dataset_line(samples=[])}, ["stats", "--input", "d.jsonl"], 1,
+        "error: d.jsonl, line 1: record has no sentences"),
+    "stats-sentence-not-object": (
+        {"d.jsonl": _dataset_line(samples=["x"])}, ["stats", "--input", "d.jsonl"], 1,
+        "error: d.jsonl, line 1: sentence 0 is not an object"),
+    "stats-blank-line-skipped": (
+        {"d.jsonl": _dataset_line() + "\n" + _dataset_line(split="holdout")},
+        ["stats", "--input", "d.jsonl"], 1,
+        "error: d.jsonl, line 3: unknown split 'holdout'"),
+    "eval-unknown-model-kind": (
+        {"m.json": json.dumps({"format_version": 1, "kind": "bogus"}),
+         "d.jsonl": _dataset_line()},
+        ["eval", "--model", "m.json", "--input", "d.jsonl"], 1,
+        "error: m.json: unknown model kind 'bogus'"),
+    "config-not-json": (
+        {"bad.json": '{"quota": 3'}, ["build", "--config", "bad.json"], 2,
+        "error: config file bad.json is not valid JSON: Expecting ',' delimiter"),
+    "config-not-object": (
+        {"arr.json": "[1, 2]"}, ["build", "--config", "arr.json"], 2,
+        "error: config file arr.json must hold an object"),
+    "cross-domain-empty-distances": (
+        {"d.jsonl": _dataset_line(), "empty.tsv": ""},
+        ["cross-domain", "--input", "d.jsonl", "--distances", "empty.tsv"], 1,
+        "error: empty.tsv: empty distance matrix"),
+    "audit-score-short-row": (
+        {"sheet.tsv": _SHEET_HEADER + "\n" + "a\tb\tc\n",
+         "key.jsonl": "\n" + json.dumps({"item_id": "a", "method": audit.METHOD_MAIN}) + "\n"},
+        ["audit-score", "--sheet", "sheet.tsv", "--key", "key.jsonl"], 1,
+        "error: sheet.tsv: line 3: expected 6 columns"),
+    "train-pu-one-positive": (
+        {"d.jsonl": _dataset_line(samples=[
+            {"text": "Cells divide.", "label": LABEL_NON_CITE_WORTHY, "removed_span_count": 0},
+            {"text": "Cells grow.", "label": LABEL_CITE_WORTHY, "removed_span_count": 1}])},
+        ["train", "--pu", "--input", "d.jsonl", "--output", "m.json", "--seed", "1"], 1,
+        "error: no labeled positives left outside the hold-out slice"),
+}
+
+
+@pytest.mark.parametrize("files, argv, code, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusal_names_its_cause(files, argv, code, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == code
+    assert capsys.readouterr().err == message + "\n"
 
 
 CONFIG_COMMANDS = ["build", "audit-export", "train", "eval", "cross-domain"]

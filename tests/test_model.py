@@ -358,25 +358,15 @@ class TestTrainLogreg:
             train_logreg(dense_csr(np.zeros((2, 1))), [0, 1], (1.0, 1.0), C=0.0)
 
     def test_reaches_the_newton_optimum(self):
-        # Weakly regularized, with class weights. The oracle is a plain
-        # Newton iteration on the exact Hessian of the same objective.
+        # Weakly regularized, with class weights.
         rng = np.random.default_rng(12)
         n, d, C = 60, 4, 1000.0
         X = rng.normal(size=(n, d))
         y = (X @ np.array([1.5, -2.0, 0.5, 1.0]) + 0.3
              + rng.normal(scale=0.8, size=n) > 0).astype(float)
         weight = np.where(y == 1.0, 1.7, 0.6)
-        A = np.hstack([X, np.ones((n, 1))])
-        penalty = np.append(np.full(d, 1.0 / C), 0.0)
-        v = np.zeros(d + 1)
-        for _ in range(50):
-            p = 1.0 / (1.0 + np.exp(-(A @ v)))
-            grad = A.T @ (weight * (p - y)) + penalty * v
-            hessian = A.T @ (A * (weight * p * (1.0 - p))[:, None]) + np.diag(penalty)
-            v -= np.linalg.solve(hessian, grad)
-        assert np.max(np.abs(grad)) < 1e-10
         rows = dense_csr(X)
-        optimum = loss_and_gradient(v[:-1], v[-1], rows, y, weight, C)[0]
+        optimum = newton_optimum(X, y, weight, C)
 
         model = train_logreg(rows, y, (1.7, 0.6), C=C)
         reached, grad_w, grad_b = loss_and_gradient(model.weights, model.bias, rows, y, weight,
@@ -385,6 +375,46 @@ class TestTrainLogreg:
         assert model.converged is True
         assert 0 < model.iterations < 100
         assert model.grad_max == pytest.approx(max(np.max(np.abs(grad_w)), abs(grad_b)))
+
+    def test_line_search_halves_an_overshooting_step(self, monkeypatch):
+        # Five rows of large features: some full Newton step overshoots, so
+        # the line search must halve it, and still reach the optimum.
+        X = np.array([[-27.0, 2.0], [2.0, -10.0], [-29.0, -1.0], [-34.0, -3.0], [0.0, 43.0]])
+        y = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
+        weight, C = np.ones(len(y)), 10.0
+        optimum = newton_optimum(X, y, weight, C)
+        evaluations = 0
+
+        def counting(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return loss_and_gradient(*args)
+
+        monkeypatch.setattr(citecorpus.model, "loss_and_gradient", counting)
+        rows = dense_csr(X)
+        model = train_logreg(rows, y, (1.0, 1.0), C=C)
+        assert model.converged is True
+        # One evaluation at the start and one per accepted step; the rest
+        # are halvings.
+        assert evaluations > model.iterations + 1
+        reached = loss_and_gradient(model.weights, model.bias, rows, y, weight, C)[0]
+        assert (reached - optimum) / abs(optimum) <= 1e-10
+
+
+def newton_optimum(X, y, weight, C):
+    """The minimum of ``loss_and_gradient`` over dense ``X``, found by a
+    plain Newton iteration on the exact Hessian of the same objective."""
+    n, d = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
+    penalty = np.append(np.full(d, 1.0 / C), 0.0)
+    v = np.zeros(d + 1)
+    for _ in range(50):
+        p = 1.0 / (1.0 + np.exp(-(A @ v)))
+        grad = A.T @ (weight * (p - y)) + penalty * v
+        hessian = A.T @ (A * (weight * p * (1.0 - p))[:, None]) + np.diag(penalty)
+        v -= np.linalg.solve(hessian, grad)
+    assert np.max(np.abs(grad)) < 1e-10
+    return loss_and_gradient(v[:-1], v[-1], dense_csr(X), y, weight, C)[0]
 
 
 def sparse_problem(seed, n_rows=600, positive_share=0.4):

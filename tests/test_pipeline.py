@@ -475,12 +475,16 @@ class TestDatasetIO:
 
 
 class TestCollectSamples:
-    def test_canonical_order_and_rejections(self, tmp_path):
+    def test_input_order_samples_and_canonical_order_rejections(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        make_corpus_file(path, n_papers=30, seed=42, adversarial_rate=0.4)
+        records = make_papers(30, seed=42, adversarial_rate=0.4)
+        random.Random(42).shuffle(records)
+        write_corpus(records, path)
         collected = collect_samples([path], workers=1)
         keys = [(s.paper_id, s.paragraph_index) for s in collected.samples]
-        assert keys == sorted(keys)
+        position = {record["paper_id"]: i for i, record in enumerate(records)}
+        assert keys == sorted(keys, key=lambda k: (position[k[0]], k[1]))
+        assert keys != sorted(keys), "the corpus should be out of id order"
         assert collected.rejections, "adversarial corpus should produce rejections"
         rkeys = [(r.paper_id, r.paragraph_index) for r in collected.rejections]
         assert rkeys == sorted(rkeys)
