@@ -12,7 +12,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import IO, Iterable, Iterator
 
 __version__ = "0.1.0"
 
@@ -22,8 +22,9 @@ DEFAULT_C = 0.1151
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
-    """Open ``path`` for text writing so that it never holds a partial file.
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open ``path`` for text (or ``binary``) writing so that it never holds
+    a partial file.
 
     Writes go to a temporary file beside ``path``, which replaces ``path``
     when the block completes; on any failure the temporary file is removed
@@ -33,7 +34,7 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException as exc:

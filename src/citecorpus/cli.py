@@ -226,26 +226,57 @@ def _require_output(path: str, what: str) -> Path:
     return p
 
 
-def _select_sentences(
-    samples: list[ParagraphSample], split: str, fields: set[str] | None = None
-) -> SentenceTable:
-    """The sentences in ``split`` ("all" for every split) whose field is in
-    ``fields`` (None for every field), in dataset order. The one place the
+def _sentence_table(samples: list[ParagraphSample]) -> SentenceTable:
+    """Every sentence of ``samples``, in dataset order. The one place the
     model commands tokenize; the token lists go straight into the count
     matrix."""
     from .model import SentenceTable, count_tokens
     import numpy as np  # after .model, which sets the BLAS thread count
 
-    chosen = [sample for sample in samples
-              if (split == "all" or sample.split == split)
-              and (fields is None or sample.mag_field in fields)]
-    sentences = [sentence for sample in chosen for sentence in sample.sentences]
+    sentences = [sentence for sample in samples for sentence in sample.sentences]
     groups: dict[tuple[str, str], int] = {}
-    group = [groups.setdefault((sample.mag_field, sample.split), len(groups)) for sample in chosen]
+    group = [groups.setdefault((sample.mag_field, sample.split), len(groups))
+             for sample in samples]
     return SentenceTable(
         count_tokens(tokenize(sentence.text) for sentence in sentences),
         np.array([sentence.label == LABEL_CITE_WORTHY for sentence in sentences], dtype=int),
-        np.repeat(group, [len(sample.sentences) for sample in chosen]), groups)
+        # An int array even when empty, as a table file stores it.
+        np.repeat(np.array(group, dtype=int), [len(sample.sentences) for sample in samples]),
+        groups)
+
+
+def _read_table(path: Path) -> SentenceTable:
+    """The sentence table of the whole dataset at ``path``, through a
+    read-through cache beside it, ``.<name>.table``, keyed by the SHA-256 of
+    the dataset's bytes and ``model.TABLE_VERSION``. On a miss (no cache, a
+    stale or damaged one) the dataset is read with every check of
+    ``read_dataset`` and the table written back, unless the file changed
+    while it was read; a cache that cannot be written is skipped."""
+    import hashlib
+
+    from .model import load_table, save_table
+
+    def digest() -> bytes:
+        sha256 = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                sha256.update(chunk)
+        return sha256.digest()
+
+    cache = path.with_name(f".{path.name}.table")
+    key = digest()
+    try:
+        return load_table(cache, key)
+    except (OSError, ValueError):
+        pass
+    table = _sentence_table(read_dataset(path))
+    # The key must be the hash of the very bytes just parsed.
+    if digest() == key:
+        try:
+            save_table(cache, table, key)
+        except OSError:
+            pass
+    return table
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -316,6 +347,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_audit_export(args: argparse.Namespace) -> int:
     main_path = _require_file(args.input, "dataset")
     baseline_path = _require_file(args.baseline_input, "baseline dataset")
+    # A sheet that compares a dataset with itself audits nothing; a link or
+    # another spelling of the path is the same file.
+    if main_path.samefile(baseline_path):
+        raise UsageError(f"--input {args.input} and --baseline-input {args.baseline_input} "
+                         "name the same file")
     output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)
 
@@ -358,9 +394,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     dataset_path = _require_file(args.input, "dataset")
     model_path, split = _require_output(args.output, "model file"), args.split
-    # The parsed samples are freed once counted, and the counts once
+    # The whole table is freed once selected, and the counts once
     # featurized: the fit is when the process holds the most memory.
-    table = _select_sentences(read_dataset(dataset_path), split)
+    table = _read_table(dataset_path).select(split)
     labels = table.label[table.rows(split=split)]
     vocab = fit_vocabulary(table.counts, min_df=args.min_df, max_features=args.max_features)
     X = featurize(table.counts, vocab)
@@ -394,8 +430,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     split, field = args.split, args.field
 
     model, vocab = load_model(model_path)
-    table = _select_sentences(read_dataset(dataset_path), split,
-                              None if field is None else {field})
+    table = _read_table(dataset_path).select(split, None if field is None else {field})
     golds = table.label[table.rows(field, split)]
     predicted = predict(_scoring_model(model), featurize(table.counts, vocab))
     print(metrics.precision_recall_f1(predicted, golds).render_text())
@@ -422,7 +457,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
-    table = _select_sentences(read_dataset(dataset_path), "all", set(fields))
+    table = _read_table(dataset_path).select("all", fields)
     # Every field's rows, class weights and distance column, checked before
     # the first fit.
     selected = {(field, split): table.rows(field, split)

@@ -8,7 +8,9 @@ index is its term's rank among the vocabulary's terms in sorted order, so
 ``featurize`` keeps each row's column order when it maps each counted term
 to its index and idf, and divides each row by its norm. Matrices are
 ``CSR``: three plain numpy arrays, and nothing here loads scipy. Training
-and prediction take such a matrix.
+and prediction take such a matrix. ``save_table`` and ``load_table`` store
+a dataset's ``SentenceTable`` as an ``.npz`` keyed by the dataset's SHA-256
+and ``TABLE_VERSION``, and check every array on load.
 
 ``predict`` computes each margin X.w + b by adding a row's products left to
 right, as scipy's CSR matvec does, and calls a row positive when its margin
@@ -26,8 +28,9 @@ test holds, or, where the objective no longer changes beyond rounding, until
 the gradient shrinks. The objective is scaled by 1/N, which leaves the
 minimizer where it is and gives the stopping rule the same meaning at any
 dataset size: a fit has converged when no gradient component exceeds 1e-10,
-and it stops there, after 1000 Newton steps, or when no step along the
-direction helps. Every objective evaluation goes through
+and it stops there or after 1000 Newton steps. A guard also stops it when
+every halving of one step fails the line search; no fit on real data has
+been seen to reach it. Every objective evaluation goes through
 ``loss_and_gradient``. Every fitted model records its Newton step count, the
 largest gradient component of the unscaled objective at the end, and
 whether it converged. The solver has no random choices and its sparse
@@ -43,9 +46,11 @@ targets, one row per sample.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+import zipfile
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -53,9 +58,9 @@ from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
-from . import DEFAULT_C, write_json
+from . import DEFAULT_C, atomic_write, write_json
 from .ingest import read_lines
 
 # A threaded BLAS sums dot products in per-thread chunks, so fitted weights
@@ -85,6 +90,12 @@ _MAX_HALVINGS = 40
 
 # Share of the labeled positives that PU training holds out to estimate c.
 _PU_HOLDOUT_FRACTION = 0.2
+
+# The version of the table a dataset gives, stored in each table file with
+# the dataset's hash. Bump it whenever that table changes for the same bytes
+# (the tokenizer, the table's arrays or their layout), so that every table
+# file written before the change is a miss.
+TABLE_VERSION = 1
 
 
 class TrainingError(RuntimeError):
@@ -208,13 +219,39 @@ class SentenceTable:
     def rows(self, field: str | None = None, split: str = "all") -> np.ndarray:
         """The indices of the rows in ``field`` (None for every field) and
         ``split`` ("all" for every split); a ValueError when there are none."""
-        wanted = [code for (name, part), code in self.groups.items()
-                  if field in (None, name) and split in ("all", part)]
-        found = np.flatnonzero(np.isin(self.group, wanted))
+        found = self._rows_in(split, None if field is None else {field})
         if not found.size:
             where = "dataset" if field is None else f"field {field!r}"
             raise ValueError(f"{where} has no sentences for split {split!r}")
         return found
+
+    def _rows_in(self, split: str, fields: Collection[str] | None) -> np.ndarray:
+        wanted = [code for (name, part), code in self.groups.items()
+                  if (fields is None or name in fields) and split in ("all", part)]
+        return np.flatnonzero(np.isin(self.group, wanted))
+
+    def select(self, split: str = "all", fields: Collection[str] | None = None) -> SentenceTable:
+        """The rows in ``split`` ("all" for every split) whose field is in
+        ``fields`` (None for every field), in table order, as the table those
+        sentences alone give: columns for only the terms they hold, and group
+        codes numbered in order of first appearance."""
+        rows = self._rows_in(split, fields)
+        matrix = self.counts.matrix[rows]
+        present = np.flatnonzero(np.bincount(matrix.indices, minlength=len(self.counts.terms)))
+        column = np.zeros(len(self.counts.terms), dtype=_INDEX)
+        column[present] = np.arange(len(present), dtype=_INDEX)
+        codes = self.group[rows]
+        seen, first = np.unique(codes, return_index=True)
+        order = seen[np.argsort(first)]
+        renumber = np.zeros(len(self.groups), dtype=np.int64)
+        renumber[order] = np.arange(len(order))
+        key_of = {code: key for key, code in self.groups.items()}
+        return SentenceTable(
+            TokenCounts(list(map(self.counts.terms.__getitem__, present.tolist())),
+                        CSR(matrix.data, column[matrix.indices], matrix.indptr,
+                            (len(rows), len(present)))),
+            self.label[rows], renumber[codes],
+            {key_of[code]: new for new, code in enumerate(order.tolist())})
 
 
 @dataclass(frozen=True)
@@ -671,3 +708,112 @@ def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary]:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return model, vocab
+
+
+# The arrays of a table file and their dtypes. Strings are stored as one
+# UTF-8 text (lone surrogates passed through, since a JSON string may hold
+# one) with the end of each string, counted in code points.
+_TABLE_ARRAYS = {
+    "version": np.int64, "sha256": np.uint8,
+    "terms": np.uint8, "term_ends": np.int64,
+    "fields": np.uint8, "field_ends": np.int64,
+    "splits": np.uint8, "split_ends": np.int64,
+    "data": _INDEX, "indices": _INDEX, "indptr": _INDEX,
+    "label": np.int64, "group": np.int64,
+}
+
+# What zipfile raises on a file that is not an intact archive of stored
+# members: a short or damaged archive, a member whose CRC-32 does not match,
+# or a feature that a damaged directory names, such as encryption or a newer
+# zip version (NotImplementedError is a RuntimeError).
+_DAMAGED = (EOFError, RuntimeError, ValueError, zipfile.BadZipFile)
+
+
+def _pack(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    text = "".join(strings).encode("utf-8", "surrogatepass")
+    return (np.frombuffer(text, dtype=np.uint8),
+            np.cumsum([len(string) for string in strings], dtype=np.int64))
+
+
+def _unpack(text: np.ndarray, ends: np.ndarray) -> list[str]:
+    decoded = text.tobytes().decode("utf-8", "surrogatepass")
+    last = int(ends[-1]) if ends.size else 0
+    if last != len(decoded) or ends.size and (ends[0] < 0 or np.any(np.diff(ends) < 0)):
+        raise ValueError("string ends do not divide the text")
+    bounds = [0, *ends.tolist()]
+    return [decoded[start:end] for start, end in zip(bounds, bounds[1:])]
+
+
+def save_table(path: str | Path, table: SentenceTable, sha256: bytes) -> None:
+    """Write ``table``, the table of the dataset whose bytes have the
+    SHA-256 digest ``sha256``, as an uncompressed ``.npz`` through
+    ``atomic_write``: ``load_table`` reads it back."""
+    fields, splits = zip(*table.groups) if table.groups else ((), ())
+    packed = {}
+    for name, strings in (("term", table.counts.terms), ("field", fields), ("split", splits)):
+        packed[f"{name}s"], packed[f"{name}_ends"] = _pack(strings)
+    matrix = table.counts.matrix
+    with atomic_write(path, binary=True) as fh:
+        np.savez(fh, version=np.int64(TABLE_VERSION), sha256=np.frombuffer(sha256, np.uint8),
+                 data=matrix.data, indices=matrix.indices, indptr=matrix.indptr,
+                 label=table.label, group=table.group, **packed)
+
+
+def load_table(path: str | Path, sha256: bytes) -> SentenceTable:
+    """The table ``save_table`` wrote to ``path`` for the dataset whose bytes
+    have the digest ``sha256``, read as an ``.npz`` archive that may hold no
+    pickled object. Raises ValueError naming the file unless the file is
+    such a table at ``TABLE_VERSION``, every array of its dtype, shape and
+    range: a CSR count matrix over sorted, distinct terms with columns
+    ascending in each row, 0/1 labels and a group code per row, and distinct
+    (field, split) groups. Raises OSError when the file cannot be read."""
+    members = {f"{name}.npy": name for name in _TABLE_ARRAYS}
+    try:
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+            if sorted(info.filename for info in infos) != sorted(members) \
+                    or any(info.compress_type != zipfile.ZIP_STORED for info in infos):
+                raise ValueError("not the stored members save_table writes")
+            # read() returns a member only once its CRC-32 matches, so numpy
+            # parses only the headers and data that save_table wrote.
+            arrays = {name: np.lib.format.read_array(io.BytesIO(archive.read(member)),
+                                                     allow_pickle=False)
+                      for member, name in members.items()}
+        return _checked_table(arrays, sha256)
+    except _DAMAGED as exc:
+        raise ValueError(f"{path}: not a table file for this dataset ({exc!r})") from exc
+
+
+def _checked_table(arrays: dict[str, np.ndarray], sha256: bytes) -> SentenceTable:
+    for name, dtype in _TABLE_ARRAYS.items():
+        ndim = 0 if name == "version" else 1
+        if arrays[name].dtype != np.dtype(dtype) or arrays[name].ndim != ndim:
+            raise ValueError(f"array {name!r} is {arrays[name].dtype} {arrays[name].shape}")
+    if int(arrays["version"]) != TABLE_VERSION:
+        raise ValueError(f"table version {int(arrays['version'])}")
+    if arrays["sha256"].tobytes() != sha256:
+        raise ValueError("the dataset's hash differs")
+    terms = _unpack(arrays["terms"], arrays["term_ends"])
+    if any(a >= b for a, b in zip(terms, terms[1:])):
+        raise ValueError("terms are not sorted and distinct")
+    keys = list(zip(_unpack(arrays["fields"], arrays["field_ends"]),
+                    _unpack(arrays["splits"], arrays["split_ends"]), strict=True))
+    groups = dict(zip(keys, range(len(keys))))
+    if len(groups) != len(keys):
+        raise ValueError("a (field, split) group repeats")
+    data, indices, indptr = arrays["data"], arrays["indices"], arrays["indptr"]
+    n_rows = len(indptr) - 1
+    if n_rows < 0 or indptr[0] != 0 or np.any(np.diff(indptr) < 0) \
+            or indptr[-1] != len(indices) or len(data) != len(indices):
+        raise ValueError("indptr does not divide the entries into rows")
+    matrix = CSR(data, indices, indptr, (n_rows, len(terms)))
+    # Row-major positions strictly increase exactly when each row's columns do.
+    position = matrix.row_of_entry * len(terms) + indices
+    if indices.size and (indices.min() < 0 or indices.max() >= len(terms) or data.min() < 1
+                         or np.any(np.diff(position) <= 0)):
+        raise ValueError("an entry is out of range or out of order")
+    label, group = arrays["label"], arrays["group"]
+    if len(label) != n_rows or len(group) != n_rows or np.any((label != 0) & (label != 1)) \
+            or group.size and (group.min() < 0 or group.max() >= len(groups)):
+        raise ValueError("a label or group code is out of range")
+    return SentenceTable(TokenCounts(terms, matrix), label, group, groups)

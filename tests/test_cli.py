@@ -1,14 +1,17 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
+import zipfile
 from pathlib import Path
 from unittest.mock import patch
 
@@ -561,6 +564,27 @@ class TestTrainEval:
         assert "fit did not converge in 2 iterations" in caplog.text
         assert json.loads((tmp_path / "m.json").read_text())["model"]["converged"] is False
 
+    def test_train_warns_when_no_step_helps(self, trained, tmp_path, monkeypatch, capsys,
+                                            caplog):
+        # Every trial point costs more than the zero start, beyond rounding.
+        out, _ = trained
+        real = citecorpus.model.loss_and_gradient
+        losses = []
+
+        def rising(*args):
+            loss, grad_w, grad_b = real(*args)
+            losses.append(loss)
+            return (loss if len(losses) == 1 else 2 * abs(losses[0]) + 1.0), grad_w, grad_b
+
+        monkeypatch.setattr(citecorpus.model, "loss_and_gradient", rising)
+        assert main(["train", "--input", str(out / "dataset.jsonl"), "--output",
+                     str(tmp_path / "m.json"), "--seed", "4"]) == 0
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("fit:")]
+        assert line.startswith("fit: 0 iterations, max|grad| ")
+        assert line.endswith(", not converged")
+        assert "fit did not converge in 0 iterations" in caplog.text
+
 
 class TestUndecodableDataset:
     @pytest.mark.parametrize("command", ["stats", "train", "eval"])
@@ -795,6 +819,10 @@ class TestMalformedModelFile:
 
 
 class TestTokenizeOnce:
+    """A cold run tokenizes every sentence of the dataset once; a warm run
+    reads the table cache and tokenizes none. Each test runs on its own copy
+    of the dataset, which has no cache yet."""
+
     @pytest.fixture
     def calls(self, monkeypatch):
         import citecorpus.cli
@@ -808,29 +836,34 @@ class TestTokenizeOnce:
         monkeypatch.setattr(citecorpus.cli, "tokenize", counting)
         return texts
 
-    def test_train_tokenizes_each_selected_sentence_once(self, trained, tmp_path, calls):
-        out, _ = trained
-        assert main(["train", "--input", str(out / "dataset.jsonl"),
-                     "--output", str(tmp_path / "m.json"), "--seed", "4"]) == 0
-        train = [sent.text for sample in read_dataset(out / "dataset.jsonl")
-                 if sample.split == "train" for sent in sample.sentences]
-        assert len(calls) == len(train)
-        assert sorted(calls) == sorted(train)
+    @pytest.fixture
+    def dataset(self, trained, tmp_path):
+        return Path(shutil.copy(trained[0] / "dataset.jsonl", tmp_path / "dataset.jsonl"))
 
-    def test_cross_domain_tokenizes_each_sentence_once(self, trained, tmp_path, calls):
-        out, _ = trained
+    def _cold_then_warm(self, argv, dataset, calls):
+        assert main(argv) == 0
+        everything = [sent.text for sample in read_dataset(dataset)
+                      for sent in sample.sentences]
+        assert len(calls) == len(everything)
+        assert sorted(calls) == sorted(everything)
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == []
+
+    def test_train_tokenizes_every_sentence_once_cold_and_none_warm(self, dataset, tmp_path,
+                                                                     calls):
+        self._cold_then_warm(["train", "--input", str(dataset), "--output",
+                              str(tmp_path / "m.json"), "--seed", "4"], dataset, calls)
+
+    def test_cross_domain_tokenizes_every_sentence_once_cold_and_none_warm(
+            self, dataset, tmp_path, calls):
         fields = ["Biology", "Chemistry"]
         dist_path = tmp_path / "dist.tsv"
         write_distance_matrix({(a, b): float(a != b) for a in fields for b in fields},
                               fields, dist_path)
-        assert main(["cross-domain", "--input", str(out / "dataset.jsonl"),
-                     "--distances", str(dist_path)]) == 0
-        everything = [sent.text for sample in read_dataset(out / "dataset.jsonl")
-                      for sent in sample.sentences]
-        assert {sample.mag_field for sample in read_dataset(out / "dataset.jsonl")} \
-            == set(fields)
-        assert len(calls) == len(everything)
-        assert sorted(calls) == sorted(everything)
+        assert {sample.mag_field for sample in read_dataset(dataset)} == set(fields)
+        self._cold_then_warm(["cross-domain", "--input", str(dataset),
+                              "--distances", str(dist_path)], dataset, calls)
 
 
 # Field names in and outside MAG_FIELDS, the empty name and a NUL included.
@@ -847,6 +880,17 @@ _TABLE_SAMPLES = st.lists(st.builds(
              max_size=4)), max_size=8)
 
 
+def _same_table(a, b):
+    """Whether two sentence tables are equal array for array, dtypes included."""
+    arrays = [(a.counts.matrix.data, b.counts.matrix.data),
+              (a.counts.matrix.indices, b.counts.matrix.indices),
+              (a.counts.matrix.indptr, b.counts.matrix.indptr),
+              (a.label, b.label), (a.group, b.group)]
+    return (a.counts.terms == b.counts.terms and a.counts.matrix.shape == b.counts.matrix.shape
+            and a.groups == b.groups
+            and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in arrays))
+
+
 class TestSentenceTable:
     @settings(max_examples=200, deadline=None)
     @given(_TABLE_SAMPLES, st.sampled_from(["all", *_TABLE_SPLITS]),
@@ -855,7 +899,7 @@ class TestSentenceTable:
         from citecorpus.model import count_tokens
         from citecorpus.textproc import tokenize
 
-        table = cli._select_sentences(samples, split, fields)
+        table = cli._sentence_table(samples).select(split, fields)
         chosen = [(sample.mag_field, sample.split, sentence) for sample in samples
                   for sentence in sample.sentences
                   if split in ("all", sample.split)
@@ -880,6 +924,304 @@ class TestSentenceTable:
                 assert found.tolist() == rows
                 assert table.label[found].tolist() == [
                     int(chosen[i][2].label == LABEL_CITE_WORTHY) for i in rows]
+        # The whole table, selected, is the table of only the chosen paragraphs.
+        direct = cli._sentence_table([sample for sample in samples
+                                      if split in ("all", sample.split)
+                                      and (fields is None or sample.mag_field in fields)])
+        assert _same_table(table, direct)
+
+
+def _digest(path):
+    return hashlib.sha256(Path(path).read_bytes()).digest()
+
+
+def _table_cache(dataset):
+    return dataset.with_name(f".{dataset.name}.table")
+
+
+def _resaved(**changes):
+    """A damaged cache: the good table saved again with ``changes`` to its
+    labels, terms, matrix arrays or key."""
+    def damage(cache, table, key):
+        from citecorpus.model import CSR, SentenceTable, TokenCounts, save_table
+        matrix = table.counts.matrix
+        arrays = {"data": matrix.data, "indices": matrix.indices.copy(),
+                  "indptr": matrix.indptr.copy(), "terms": list(table.counts.terms),
+                  "label": table.label, "key": key}
+        for name, change in changes.items():
+            arrays[name] = change(arrays[name])
+        save_table(cache, SentenceTable(
+            TokenCounts(arrays["terms"], CSR(arrays["data"], arrays["indices"],
+                                             arrays["indptr"], matrix.shape)),
+            arrays["label"], table.group, table.groups), arrays["key"])
+    return damage
+
+
+def _set(index, value_of):
+    """A change that sets ``array[index]`` to ``value_of(array)``."""
+    def change(array):
+        array[index] = value_of(array)
+        return array
+    return change
+
+
+def _newer_version(cache, table, key):
+    from citecorpus import model
+    version = model.TABLE_VERSION
+    try:
+        model.TABLE_VERSION = version + 1
+        model.save_table(cache, table, key)
+    finally:
+        model.TABLE_VERSION = version
+
+
+def _directory(cache, table, key):
+    cache.unlink()
+    cache.mkdir()
+
+
+def _deflated(cache, table, key):
+    with zipfile.ZipFile(cache) as archive:
+        members = {info.filename: archive.read(info) for info in archive.infolist()}
+    with zipfile.ZipFile(cache, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+DAMAGED_CACHES = {
+    "truncated": lambda cache, table, key: cache.write_bytes(
+        cache.read_bytes()[:cache.stat().st_size // 2]),
+    "random-bytes": lambda cache, table, key: cache.write_bytes(
+        random.Random(5).randbytes(cache.stat().st_size)),
+    "directory": _directory,
+    "deflated": _deflated,
+    "wrong-dtype": _resaved(label=lambda label: label.astype(np.int32)),
+    "index-out-of-range": _resaved(indices=_set(-1, lambda indices: indices.max() + 1)),
+    "indptr-not-monotone": _resaved(indptr=_set(1, lambda indptr: indptr[2] + 1)),
+    "unsorted-terms": _resaved(terms=lambda terms: [terms[1], terms[0], *terms[2:]]),
+    "wrong-key": _resaved(key=lambda key: bytes(32)),
+    "wrong-version": _newer_version,
+}
+
+# A table pinned with the version it is stored under: a change to the
+# tokenizer or the table fails here until TABLE_VERSION is bumped.
+GOLDEN_TABLE_TEXTS = ["The cell divides; cells divide.", "Straße, café und naïve Façade!",
+                      "ΔG° fell 3.5% in 2021", "x_1 and X-2 at 300 \u212a", "!!!"]
+GOLDEN_TABLE = (
+    1,
+    ["1", "2", "2021", "3", "300", "5", "and", "at", "café", "cell", "cells", "divide",
+     "divides", "façade", "fell", "in", "k", "naïve", "straße", "the", "und", "x", "δg"],
+    [1] * 22 + [2],
+    [9, 10, 11, 12, 19, 8, 13, 17, 18, 20, 2, 3, 5, 14, 15, 22, 0, 1, 4, 6, 7, 16, 21],
+    [0, 5, 10, 16, 23, 23],
+)
+
+
+class TestTableCache:
+    """The model commands' sentence-table cache: a stale, damaged or
+    unwritable cache gives the output of a fresh read, exit 0 and no
+    traceback, and leaves no temporary file."""
+
+    @pytest.fixture
+    def dataset(self, trained, tmp_path):
+        (tmp_path / "data").mkdir()
+        return Path(shutil.copy(trained[0] / "dataset.jsonl", tmp_path / "data"))
+
+    @staticmethod
+    def _eval(model_path, dataset, capsys):
+        code = main(["eval", "--model", str(model_path), "--input", str(dataset),
+                     "--split", "all"])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out
+
+    def _fresh(self, model_path, dataset, capsys):
+        """The output of eval on a copy of ``dataset`` beside no cache."""
+        fresh = dataset.parent.parent / "fresh"
+        shutil.rmtree(fresh, ignore_errors=True)
+        fresh.mkdir()
+        code, out = self._eval(model_path, shutil.copy(dataset, fresh), capsys)
+        shutil.rmtree(fresh)
+        assert code == 0
+        return out
+
+    @staticmethod
+    def _listing(dataset):
+        return sorted(p.name for p in dataset.parent.iterdir())
+
+    def test_a_second_run_reads_no_dataset(self, trained, dataset, tmp_path, capsys,
+                                           monkeypatch):
+        _, model_path = trained
+        expected = self._fresh(model_path, dataset, capsys)
+        train = ["train", "--input", str(dataset), "--output", str(tmp_path / "m.json"),
+                 "--seed", "4"]
+        assert main(train) == 0
+        trained_out = capsys.readouterr().out
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(cli, "read_dataset", no_read)
+        assert self._eval(model_path, dataset, capsys) == (0, expected)
+        assert main(train) == 0
+        assert capsys.readouterr().out == trained_out
+        assert self._listing(dataset) == [".dataset.jsonl.table", "dataset.jsonl"]
+
+    def test_a_stale_cache_is_read_again(self, trained, dataset, capsys, monkeypatch):
+        # The edit keeps the file's length and modification time.
+        _, model_path = trained
+        assert self._eval(model_path, dataset, capsys)[0] == 0
+        old_key, stat = _digest(dataset), dataset.stat()
+        text = dataset.read_bytes()
+        at = text.index(b'"text": "') + len(b'"text": "')
+        dataset.write_bytes(text[:at] + (b"Q" if text[at:at + 1] != b"Q" else b"R")
+                            + text[at + 1:])
+        os.utime(dataset, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert dataset.stat().st_size == stat.st_size
+        expected = self._fresh(model_path, dataset, capsys)
+        reads = []
+        monkeypatch.setattr(cli, "read_dataset", lambda path: reads.append(path)
+                            or read_dataset(path))
+        assert self._eval(model_path, dataset, capsys) == (0, expected)
+        assert reads == [dataset]
+        from citecorpus.model import load_table
+        load_table(_table_cache(dataset), _digest(dataset))
+        with pytest.raises(ValueError):
+            load_table(_table_cache(dataset), old_key)
+        assert self._listing(dataset) == [".dataset.jsonl.table", "dataset.jsonl"]
+
+    def test_a_dataset_changed_while_read_is_not_cached(self, trained, dataset, capsys,
+                                                        monkeypatch):
+        _, model_path = trained
+        expected = self._fresh(model_path, dataset, capsys)
+        original = dataset.read_bytes()
+
+        def read_then_change(path):
+            samples = read_dataset(path)
+            dataset.write_bytes(original + original.splitlines(keepends=True)[0])
+            return samples
+
+        monkeypatch.setattr(cli, "read_dataset", read_then_change)
+        assert self._eval(model_path, dataset, capsys) == (0, expected)
+        assert self._listing(dataset) == ["dataset.jsonl"]
+
+    def test_a_stale_cache_of_a_malformed_dataset(self, trained, dataset, capsys):
+        _, model_path = trained
+        assert self._eval(model_path, dataset, capsys)[0] == 0
+        cached = _table_cache(dataset).read_bytes()
+        lines = dataset.read_bytes().splitlines(keepends=True)
+        lineno = next(i for i, line in enumerate(lines, 1) if b'"split": "train"' in line)
+        lines[lineno - 1] = lines[lineno - 1].replace(b'"split": "train"', b'"split": "trian"')
+        dataset.write_bytes(b"".join(lines))
+        assert main(["eval", "--model", str(model_path), "--input", str(dataset)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {dataset}, line {lineno}: unknown split 'trian'\n")
+        assert _table_cache(dataset).read_bytes() == cached
+        assert self._listing(dataset) == [".dataset.jsonl.table", "dataset.jsonl"]
+
+    @pytest.mark.parametrize("damage", DAMAGED_CACHES.values(), ids=DAMAGED_CACHES)
+    def test_a_damaged_cache_is_a_miss(self, damage, trained, dataset, capsys):
+        from citecorpus.model import load_table
+        _, model_path = trained
+        expected = self._fresh(model_path, dataset, capsys)
+        assert self._eval(model_path, dataset, capsys) == (0, expected)
+        cache, key = _table_cache(dataset), _digest(dataset)
+        table = load_table(cache, key)
+        damage(cache, table, key)
+        with pytest.raises((ValueError, OSError)):
+            load_table(cache, key)
+        assert self._eval(model_path, dataset, capsys) == (0, expected)
+        assert self._listing(dataset) == [".dataset.jsonl.table", "dataset.jsonl"]
+        if not cache.is_dir():
+            assert _same_table(load_table(cache, key), table)
+
+    @pytest.mark.parametrize("step", ["open", "replace"])
+    def test_a_failed_cache_write_is_skipped(self, step, trained, dataset, capsys,
+                                              monkeypatch):
+        _, model_path = trained
+        expected = self._fresh(model_path, dataset, capsys)
+        denials = []
+
+        def denied(*args, **kwargs):
+            denials.append(args)
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        if step == "open":
+            def opener(path, *args, **kwargs):
+                if Path(path).name.startswith("..dataset.jsonl.table."):
+                    denied()
+                return open(path, *args, **kwargs)
+            monkeypatch.setattr(citecorpus, "open", opener, raising=False)
+        else:
+            monkeypatch.setattr(os, "replace", denied)
+        assert self._eval(model_path, dataset, capsys) == (0, expected)
+        assert len(denials) == 1
+        assert self._listing(dataset) == ["dataset.jsonl"]
+
+    def test_concurrent_cold_runs_agree(self, trained, dataset, capsys):
+        from citecorpus.model import load_table
+        _, model_path = trained
+        expected = self._fresh(model_path, dataset, capsys)
+        argv = [sys.executable, "-m", "citecorpus", "eval", "--model", str(model_path),
+                "--input", str(dataset), "--split", "all"]
+        procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=_subprocess_env()) for _ in range(4)]
+        try:
+            results = [proc.communicate(timeout=300) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait(timeout=60)
+        assert [proc.returncode for proc in procs] == [0] * 4, results
+        assert {out.decode() for out, _ in results} == {expected}
+        assert self._listing(dataset) == [".dataset.jsonl.table", "dataset.jsonl"]
+        load_table(_table_cache(dataset), _digest(dataset))
+
+    def test_golden_table(self):
+        from citecorpus.model import TABLE_VERSION
+        table = cli._sentence_table([ParagraphSample(
+            paper_id="p", section_title="results", mag_field="Biology", split="train",
+            sentences=tuple(LabeledSentence(text, LABEL_NON_CITE_WORTHY, 0)
+                            for text in GOLDEN_TABLE_TEXTS))])
+        matrix = table.counts.matrix
+        assert (TABLE_VERSION, table.counts.terms, matrix.data.tolist(),
+                matrix.indices.tolist(), matrix.indptr.tolist()) == GOLDEN_TABLE
+
+    @settings(max_examples=100, deadline=None)
+    @given(_TABLE_SAMPLES, st.binary(min_size=32, max_size=32))
+    def test_save_and_load_round_trip(self, samples, key):
+        from citecorpus.model import load_table, save_table
+        # A JSON string may hold a lone surrogate; a field name passes through.
+        samples = [*samples, ParagraphSample(
+            paper_id="p", section_title="results", mag_field="\ud800", split="test",
+            sentences=(LabeledSentence("Ab \ud83d.", LABEL_CITE_WORTHY, 1),))]
+        table = cli._sentence_table(samples)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.table"
+            save_table(path, table, key)
+            assert _same_table(load_table(path, key), table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_damage_anywhere_loads_the_table_or_is_refused(self, trained, data):
+        from citecorpus.model import load_table, save_table
+        table = cli._sentence_table(read_dataset(trained[0] / "dataset.jsonl"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.table"
+            save_table(path, table, bytes(32))
+            raw = bytearray(path.read_bytes())
+            if data.draw(st.booleans(), label="truncate"):
+                raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+            else:
+                for _ in range(data.draw(st.integers(1, 4), label="changes")):
+                    at = data.draw(st.integers(0, len(raw) - 1), label="at")
+                    raw[at] = data.draw(st.integers(0, 255), label="byte")
+            path.write_bytes(bytes(raw))
+            try:
+                loaded = load_table(path, bytes(32))
+            except (ValueError, OSError):
+                return
+            assert _same_table(loaded, table)
 
 
 @pytest.fixture(scope="module")
@@ -1133,13 +1475,31 @@ class TestAuditCommands:
         main_out = tmp_path / "main"
         assert main(["build", "--input", str(corpus), "--output", str(main_out),
                      "--seed", "9", "--quota", "5"]) == 0
+        baseline = shutil.copy(main_out / "dataset.jsonl", tmp_path / "baseline.jsonl")
         rc = main(["audit-export", "--input", str(main_out / "dataset.jsonl"),
-                   "--baseline-input", str(main_out / "dataset.jsonl"),
+                   "--baseline-input", str(baseline),
                    "--n-per-class", "500", "--seed", "1",
                    "--output", str(tmp_path / "audit")])
         assert rc == 1
         assert "stratum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("baseline", ["d.jsonl", "./d.jsonl", "hard.jsonl", "soft.jsonl"],
+                             ids=["same", "spelling", "hard-link", "symlink"])
+    def test_export_refuses_one_file_as_both_inputs(self, baseline, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a dataset was read")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "read_dataset", no_read)
+        (tmp_path / "d.jsonl").write_text(_dataset_line())
+        os.link("d.jsonl", "hard.jsonl")
+        os.symlink("d.jsonl", "soft.jsonl")
+        assert main(["audit-export", "--input", "d.jsonl", "--baseline-input", baseline,
+                     "--seed", "1", "--output", "audit"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --input d.jsonl and --baseline-input {baseline} name the same file\n")
+        assert not (tmp_path / "audit").exists()
 
     @pytest.mark.parametrize("record", [
         {"item_id": "a1", "method": ["ours"], "gold_label": "cite-worthy"},
@@ -1163,8 +1523,9 @@ class TestAuditCommands:
         assert main(["build", "--input", str(corpus), "--output", str(main_out),
                      "--seed", "9", "--quota", "20"]) == 0
         audit_dir = tmp_path / "audit"
+        baseline = shutil.copy(main_out / "dataset.jsonl", tmp_path / "baseline.jsonl")
         argv = ["audit-export", "--input", str(main_out / "dataset.jsonl"),
-                "--baseline-input", str(main_out / "dataset.jsonl"),
+                "--baseline-input", str(baseline),
                 "--n-per-class", "2", "--output", str(audit_dir), "--seed"]
         assert main(argv + ["1"]) == 0
         old = {p.name: p.read_bytes() for p in audit_dir.iterdir()}
@@ -1236,7 +1597,9 @@ WRITERS = {
              _nan_in_grid),
     "audit-key": ("key.jsonl",
                   lambda source, out: ["audit-export", "--input", str(source / "dataset.jsonl"),
-                                       "--baseline-input", str(source / "dataset.jsonl"),
+                                       "--baseline-input",
+                                       str(shutil.copy(source / "dataset.jsonl",
+                                                       out.parent / "baseline.jsonl")),
                                        "--n-per-class", "2", "--seed", "1",
                                        "--output", str(out)],
                   lambda monkeypatch: monkeypatch.setattr(audit, "METHOD_MAIN", math.nan)),

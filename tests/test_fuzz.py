@@ -40,18 +40,19 @@ def _paragraph(field, split):
 def base(tmp_path_factory):
     """Tiny valid inputs for every reading command, each accepted as is."""
     tmp = tmp_path_factory.mktemp("fuzz")
-    paths = {name: tmp / name for name in ("corpus.jsonl", "dataset.jsonl", "model.json",
-                                           "dist.tsv", "sheet.tsv", "key.jsonl")}
+    paths = {name: tmp / name for name in ("corpus.jsonl", "dataset.jsonl", "baseline.jsonl",
+                                           "model.json", "dist.tsv", "sheet.tsv", "key.jsonl")}
     write_corpus(make_papers(4, seed=3, adversarial_rate=0.3, fields=FIELDS),
                  paths["corpus.jsonl"])
-    write_dataset([_paragraph(field, split) for field in FIELDS for split in ("train", "test")],
-                  paths["dataset.jsonl"])
+    for name in ("dataset.jsonl", "baseline.jsonl"):
+        write_dataset([_paragraph(field, split) for field in FIELDS
+                       for split in ("train", "test")], paths[name])
     assert main(["train", "--input", str(paths["dataset.jsonl"]),
                  "--output", str(paths["model.json"]), "--seed", "1"]) == 0
     write_distance_matrix({(a, b): float(a != b) for a in FIELDS for b in FIELDS}, FIELDS,
                           paths["dist.tsv"])
     assert main(["audit-export", "--input", str(paths["dataset.jsonl"]),
-                 "--baseline-input", str(paths["dataset.jsonl"]), "--n-per-class", "1",
+                 "--baseline-input", str(paths["baseline.jsonl"]), "--n-per-class", "1",
                  "--seed", "1", "--output", str(tmp)]) == 0
     lines = paths["sheet.tsv"].read_text().splitlines()
     paths["sheet.tsv"].write_text("".join(line.rsplit("\t", 2)[0] + "\t1\t0\n" if i else
@@ -177,7 +178,7 @@ DATASET_COMMANDS = [
                "--seed", "1"],
     lambda p: ["eval", "--model", p["model.json"], "--input", p["dataset.jsonl"]],
     lambda p: ["audit-export", "--input", p["dataset.jsonl"], "--baseline-input",
-               p["dataset.jsonl"], "--n-per-class", "1", "--seed", "1", "--output", p["out"]],
+               p["baseline.jsonl"], "--n-per-class", "1", "--seed", "1", "--output", p["out"]],
 ]
 MODEL_COMMANDS = [lambda p: ["eval", "--model", p["model.json"], "--input", p["dataset.jsonl"]]]
 DISTANCE_COMMANDS = [lambda p: ["cross-domain", "--input", p["dataset.jsonl"], "--distances",

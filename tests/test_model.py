@@ -507,6 +507,25 @@ class TestNewtonCG:
         assert (a.bias, a.iterations, a.grad_max, a.converged) == (
             b.bias, b.iterations, b.grad_max, b.converged)
 
+    def test_a_direction_no_step_helps_ends_the_fit(self, monkeypatch):
+        # Every point but the zero start costs more than the start, by far
+        # more than rounding: each halving fails both of the line search's
+        # tests, and the fit ends where it began.
+        X, y = gaussian_blobs(7, n_pos=20, n_neg=30, sep=2.0)
+        losses = []
+
+        def rising(*args):
+            loss, grad_w, grad_b = loss_and_gradient(*args)
+            losses.append(loss)
+            return (loss if len(losses) == 1 else 2 * abs(losses[0]) + 1.0), grad_w, grad_b
+
+        monkeypatch.setattr(citecorpus.model, "loss_and_gradient", rising)
+        model = train_logreg(X, y, (1.0, 1.0), C=1.0)
+        assert (model.iterations, model.converged) == (0, False)
+        assert len(losses) == 1 + citecorpus.model._MAX_HALVINGS
+        assert not model.weights.any() and model.bias == 0.0
+        assert model.grad_max > 1e-10 * len(y)
+
     def test_iteration_cap_reports_not_converged(self, monkeypatch):
         X, y, _ = sparse_problem(6)
         monkeypatch.setattr(citecorpus.model, "_MAX_ITERATIONS", 2)
