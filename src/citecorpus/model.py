@@ -232,26 +232,12 @@ class SentenceTable:
 
     def select(self, split: str = "all", fields: Collection[str] | None = None) -> SentenceTable:
         """The rows in ``split`` ("all" for every split) whose field is in
-        ``fields`` (None for every field), in table order, as the table those
-        sentences alone give: columns for only the terms they hold, and group
-        codes numbered in order of first appearance."""
+        ``fields`` (None for every field), in table order, over the same
+        terms and group codes: ``fit_vocabulary`` skips a term no row holds,
+        and ``featurize`` maps terms by name."""
         rows = self._rows_in(split, fields)
-        matrix = self.counts.matrix[rows]
-        present = np.flatnonzero(np.bincount(matrix.indices, minlength=len(self.counts.terms)))
-        column = np.zeros(len(self.counts.terms), dtype=_INDEX)
-        column[present] = np.arange(len(present), dtype=_INDEX)
-        codes = self.group[rows]
-        seen, first = np.unique(codes, return_index=True)
-        order = seen[np.argsort(first)]
-        renumber = np.zeros(len(self.groups), dtype=np.int64)
-        renumber[order] = np.arange(len(order))
-        key_of = {code: key for key, code in self.groups.items()}
-        return SentenceTable(
-            TokenCounts(list(map(self.counts.terms.__getitem__, present.tolist())),
-                        CSR(matrix.data, column[matrix.indices], matrix.indptr,
-                            (len(rows), len(present)))),
-            self.label[rows], renumber[codes],
-            {key_of[code]: new for new, code in enumerate(order.tolist())})
+        return SentenceTable(self.counts.rows(rows), self.label[rows], self.group[rows],
+                             self.groups)
 
 
 @dataclass(frozen=True)
@@ -710,14 +696,11 @@ def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary]:
     return model, vocab
 
 
-# The arrays of a table file and their dtypes. Strings are stored as one
-# UTF-8 text (lone surrogates passed through, since a JSON string may hold
-# one) with the end of each string, counted in code points.
+# The arrays of a table file and their dtypes. ``strings`` is the JSON text
+# of [terms, group fields, group splits], which escapes a lone surrogate (a
+# JSON string may hold one) and reads it back.
 _TABLE_ARRAYS = {
-    "version": np.int64, "sha256": np.uint8,
-    "terms": np.uint8, "term_ends": np.int64,
-    "fields": np.uint8, "field_ends": np.int64,
-    "splits": np.uint8, "split_ends": np.int64,
+    "version": np.int64, "sha256": np.uint8, "strings": np.uint8,
     "data": _INDEX, "indices": _INDEX, "indptr": _INDEX,
     "label": np.int64, "group": np.int64,
 }
@@ -729,34 +712,18 @@ _TABLE_ARRAYS = {
 _DAMAGED = (EOFError, RuntimeError, ValueError, zipfile.BadZipFile)
 
 
-def _pack(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    text = "".join(strings).encode("utf-8", "surrogatepass")
-    return (np.frombuffer(text, dtype=np.uint8),
-            np.cumsum([len(string) for string in strings], dtype=np.int64))
-
-
-def _unpack(text: np.ndarray, ends: np.ndarray) -> list[str]:
-    decoded = text.tobytes().decode("utf-8", "surrogatepass")
-    last = int(ends[-1]) if ends.size else 0
-    if last != len(decoded) or ends.size and (ends[0] < 0 or np.any(np.diff(ends) < 0)):
-        raise ValueError("string ends do not divide the text")
-    bounds = [0, *ends.tolist()]
-    return [decoded[start:end] for start, end in zip(bounds, bounds[1:])]
-
-
 def save_table(path: str | Path, table: SentenceTable, sha256: bytes) -> None:
     """Write ``table``, the table of the dataset whose bytes have the
     SHA-256 digest ``sha256``, as an uncompressed ``.npz`` through
     ``atomic_write``: ``load_table`` reads it back."""
-    fields, splits = zip(*table.groups) if table.groups else ((), ())
-    packed = {}
-    for name, strings in (("term", table.counts.terms), ("field", fields), ("split", splits)):
-        packed[f"{name}s"], packed[f"{name}_ends"] = _pack(strings)
+    strings = json.dumps([table.counts.terms, [field for field, _ in table.groups],
+                          [split for _, split in table.groups]]).encode("ascii")
     matrix = table.counts.matrix
     with atomic_write(path, binary=True) as fh:
         np.savez(fh, version=np.int64(TABLE_VERSION), sha256=np.frombuffer(sha256, np.uint8),
-                 data=matrix.data, indices=matrix.indices, indptr=matrix.indptr,
-                 label=table.label, group=table.group, **packed)
+                 strings=np.frombuffer(strings, np.uint8), data=matrix.data,
+                 indices=matrix.indices, indptr=matrix.indptr, label=table.label,
+                 group=table.group)
 
 
 def load_table(path: str | Path, sha256: bytes) -> SentenceTable:
@@ -793,11 +760,15 @@ def _checked_table(arrays: dict[str, np.ndarray], sha256: bytes) -> SentenceTabl
         raise ValueError(f"table version {int(arrays['version'])}")
     if arrays["sha256"].tobytes() != sha256:
         raise ValueError("the dataset's hash differs")
-    terms = _unpack(arrays["terms"], arrays["term_ends"])
-    if any(a >= b for a, b in zip(terms, terms[1:])):
+    lists = json.loads(arrays["strings"].tobytes().decode("ascii"))
+    if not (_is(lists, list) and len(lists) == 3
+            and all(_is(strings, list) and set(map(type, strings)) <= {str} for strings in lists)
+            and len(lists[1]) == len(lists[2])):
+        raise ValueError("strings are not three lists of strings")
+    terms, fields, splits = lists
+    if terms != sorted(set(terms)):
         raise ValueError("terms are not sorted and distinct")
-    keys = list(zip(_unpack(arrays["fields"], arrays["field_ends"]),
-                    _unpack(arrays["splits"], arrays["split_ends"]), strict=True))
+    keys = list(zip(fields, splits))
     groups = dict(zip(keys, range(len(keys))))
     if len(groups) != len(keys):
         raise ValueError("a (field, split) group repeats")

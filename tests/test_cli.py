@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -880,6 +881,14 @@ _TABLE_SAMPLES = st.lists(st.builds(
              max_size=4)), max_size=8)
 
 
+def _row_counts(counts):
+    """Each row's {term: count}."""
+    matrix = counts.matrix
+    return [{counts.terms[column]: int(count) for column, count
+             in zip(matrix.indices[start:end].tolist(), matrix.data[start:end].tolist())}
+            for start, end in zip(matrix.indptr[:-1].tolist(), matrix.indptr[1:].tolist())]
+
+
 def _same_table(a, b):
     """Whether two sentence tables are equal array for array, dtypes included."""
     arrays = [(a.counts.matrix.data, b.counts.matrix.data),
@@ -896,7 +905,7 @@ class TestSentenceTable:
     @given(_TABLE_SAMPLES, st.sampled_from(["all", *_TABLE_SPLITS]),
            st.none() | st.sets(st.sampled_from(_TABLE_FIELDS + ["Physics"])))
     def test_rows_and_labels_match_a_per_sentence_loop(self, samples, split, fields):
-        from citecorpus.model import count_tokens
+        from citecorpus.model import TrainingError, count_tokens, featurize, fit_vocabulary
         from citecorpus.textproc import tokenize
 
         table = cli._sentence_table(samples).select(split, fields)
@@ -905,11 +914,8 @@ class TestSentenceTable:
                   if split in ("all", sample.split)
                   and (fields is None or sample.mag_field in fields)]
         expected = count_tokens(tokenize(sentence.text) for _, _, sentence in chosen)
-        assert table.counts.terms == expected.terms
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(table.counts.matrix, part),
-                                  getattr(expected.matrix, part))
-        assert table.counts.matrix.shape == expected.matrix.shape
+        assert _row_counts(table.counts) == _row_counts(expected)
+        assert table.counts.matrix.shape == (len(chosen), len(table.counts.terms))
         for field in [None, *_TABLE_FIELDS, "Physics"]:
             for part in ["all", *_TABLE_SPLITS]:
                 rows = [i for i, (name, in_split, _) in enumerate(chosen)
@@ -924,11 +930,29 @@ class TestSentenceTable:
                 assert found.tolist() == rows
                 assert table.label[found].tolist() == [
                     int(chosen[i][2].label == LABEL_CITE_WORTHY) for i in rows]
-        # The whole table, selected, is the table of only the chosen paragraphs.
+        # The whole table, selected, gives each command the vocabulary and
+        # features that the table of only the chosen paragraphs gives.
         direct = cli._sentence_table([sample for sample in samples
                                       if split in ("all", sample.split)
                                       and (fields is None or sample.mag_field in fields)])
-        assert _same_table(table, direct)
+        key_of = {code: key for key, code in table.groups.items()}
+        direct_key_of = {code: key for key, code in direct.groups.items()}
+        assert [key_of[code] for code in table.group.tolist()] == [
+            direct_key_of[code] for code in direct.group.tolist()]
+        assert np.array_equal(table.label, direct.label)
+        for min_df in (1, 2):
+            try:
+                vocab = fit_vocabulary(direct.counts, min_df=min_df)
+            except TrainingError as exc:
+                with pytest.raises(TrainingError) as raised:
+                    fit_vocabulary(table.counts, min_df=min_df)
+                assert str(raised.value) == str(exc)
+                continue
+            assert fit_vocabulary(table.counts, min_df=min_df) == vocab
+            features, alone = featurize(table.counts, vocab), featurize(direct.counts, vocab)
+            assert features.shape == alone.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(features, part), getattr(alone, part))
 
 
 def _digest(path):
@@ -988,6 +1012,20 @@ def _deflated(cache, table, key):
             archive.writestr(name, data)
 
 
+def _strings(text):
+    """A damaged cache: the good archive with ``text`` as its strings member."""
+    def damage(cache, table, key):
+        with zipfile.ZipFile(cache) as archive:
+            members = {info.filename: archive.read(info) for info in archive.infolist()}
+        member = io.BytesIO()
+        np.lib.format.write_array(member, np.frombuffer(text, np.uint8))
+        members["strings.npy"] = member.getvalue()
+        with zipfile.ZipFile(cache, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+    return damage
+
+
 DAMAGED_CACHES = {
     "truncated": lambda cache, table, key: cache.write_bytes(
         cache.read_bytes()[:cache.stat().st_size // 2]),
@@ -999,6 +1037,8 @@ DAMAGED_CACHES = {
     "index-out-of-range": _resaved(indices=_set(-1, lambda indices: indices.max() + 1)),
     "indptr-not-monotone": _resaved(indptr=_set(1, lambda indptr: indptr[2] + 1)),
     "unsorted-terms": _resaved(terms=lambda terms: [terms[1], terms[0], *terms[2:]]),
+    "strings-not-json": _strings(b'[["a", "b"'),
+    "strings-not-three-lists": _strings(b'[["a"], ["Biology"], 5]'),
     "wrong-key": _resaved(key=lambda key: bytes(32)),
     "wrong-version": _newer_version,
 }
