@@ -4,21 +4,44 @@ The package turns structured plain-text scientific papers into a cleaned,
 paragraph-contextualized dataset of sentences labelled for whether they cite
 an external source, and provides TF-IDF / logistic-regression baselines plus
 evaluation tooling on top of it.
+
+The root holds what every command shares: the sentence labels, the split
+names, the output encoding and the atomic writer. A model command imports
+the root, ``cli``, ``ingest.read_lines``, ``model`` and, to score,
+``metrics``; only the build-side commands, and a model command that reads a
+dataset without its table cache, load ``pipeline`` and ``textproc``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 __version__ = "0.1.0"
 
 # Inverse L2 regularization strength of the logistic-regression baseline; it
 # lives here so the CLI can show it without importing the model's numpy.
 DEFAULT_C = 0.1151
+
+LABEL_CITE_WORTHY = "cite-worthy"
+LABEL_NON_CITE_WORTHY = "non-cite-worthy"
+LABELS = (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY)
+
+SPLIT_TRAIN = "train"
+SPLIT_DEV = "dev"
+SPLIT_TEST = "test"
+SPLIT_UNASSIGNED = "unassigned"
+SPLITS = (SPLIT_TRAIN, SPLIT_DEV, SPLIT_TEST)
+
+
+def ratios_are_valid(ratios: Sequence[float]) -> bool:
+    """Three finite, non-negative split shares that sum to 1 (within 1e-9)."""
+    return (len(ratios) == 3 and all(math.isfinite(r) and r >= 0 for r in ratios)
+            and abs(sum(ratios) - 1.0) <= 1e-9)
 
 
 @contextmanager

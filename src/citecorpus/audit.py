@@ -17,11 +17,13 @@ import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import atomic_write, write_json
+from . import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, atomic_write, write_json
 from .ingest import read_lines
-from .pipeline import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, ParagraphSample
+
+if TYPE_CHECKING:
+    from .pipeline import ParagraphSample
 
 METHOD_MAIN = "ours"
 METHOD_BASELINE = "baseline"

@@ -6,6 +6,10 @@ cross-domain, dump-rules. Every source of randomness flows from the explicit
 reruns with the same config are byte-identical.
 
 Exit codes: 0 success, 1 validation or data error, 2 usage error.
+
+Each command imports the layers it runs when it starts, so a model command
+whose dataset has a table cache loads neither the build pipeline nor the
+text processing, and no build-side command loads numpy.
 """
 
 from __future__ import annotations
@@ -20,27 +24,13 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_C, __version__, audit, metrics, textproc, to_json, write_json
+from . import (DEFAULT_C, LABEL_CITE_WORTHY, SPLIT_TEST, SPLIT_TRAIN, SPLITS, __version__,
+               ratios_are_valid, to_json, write_json)
 from .ingest import read_lines
-from .pipeline import (
-    LABEL_CITE_WORTHY,
-    PERMISSIBLE_SECTION_TITLES,
-    SPLIT_TEST,
-    SPLIT_TRAIN,
-    SPLITS,
-    ParagraphSample,
-    balanced_sample,
-    collect_samples,
-    ratios_are_valid,
-    read_dataset,
-    split_dataset,
-    write_dataset,
-    write_rejections,
-)
-from .textproc import tokenize
 
 if TYPE_CHECKING:
     from .model import LinearModel, PUModel, SentenceTable
+    from .pipeline import ParagraphSample
 
 logger = logging.getLogger("citecorpus")
 
@@ -53,23 +43,6 @@ KEY_FILENAME = "key.jsonl"
 
 class UsageError(ValueError):
     """Bad invocation: missing files, unusable flags. Exit code 2."""
-
-
-# The embedded rules, in ``dump-rules`` order: (manifest checksum key,
-# ``dump-rules`` heading, lines). A rule's checksum is the SHA-256 of its
-# lines joined by newlines.
-RULES = (
-    ("section_titles", f"section-titles ({len(PERMISSIBLE_SECTION_TITLES)}):",
-     PERMISSIBLE_SECTION_TITLES),
-    ("numeric_citation_pattern", "citation-format pattern [numeric]:",
-     (textproc.NUMERIC_CITATION_PATTERN,)),
-    ("author_year_citation_pattern", "citation-format pattern [author-year]:",
-     (textproc.AUTHOR_YEAR_CITATION_PATTERN,)),
-    ("hanging_citation_pattern", "hanging-citation pattern:",
-     (textproc.HANGING_CITATION_PATTERN,)),
-    ("sentence_split_abbreviations",
-     f"sentence-split abbreviations ({len(textproc.ABBREVIATIONS)}):", textproc.ABBREVIATIONS),
-)
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -231,6 +204,7 @@ def _sentence_table(samples: list[ParagraphSample]) -> SentenceTable:
     model commands tokenize; the token lists go straight into the count
     matrix."""
     from .model import SentenceTable, count_tokens
+    from .textproc import tokenize
     import numpy as np  # after .model, which sets the BLAS thread count
 
     sentences = [sentence for sample in samples for sentence in sample.sentences]
@@ -269,6 +243,8 @@ def _read_table(path: Path) -> SentenceTable:
         return load_table(cache, key)
     except (OSError, ValueError):
         pass
+    from .pipeline import read_dataset
+
     table = _sentence_table(read_dataset(path))
     # The key must be the hash of the very bytes just parsed.
     if digest() == key:
@@ -281,6 +257,10 @@ def _read_table(path: Path) -> SentenceTable:
 
 def cmd_build(args: argparse.Namespace) -> int:
     import hashlib
+
+    from . import metrics
+    from .pipeline import (RULES, balanced_sample, collect_samples, split_dataset,
+                           write_dataset, write_rejections)
 
     input_paths = [_require_file(p, "input corpus") for p in args.input]
     # One file read twice repeats every paper in it; a link or another
@@ -335,6 +315,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import metrics
+    from .pipeline import read_dataset
+
     path = _require_file(args.input, "dataset")
     report = metrics.dataset_stats(read_dataset(path))
     if args.json:
@@ -345,6 +328,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_audit_export(args: argparse.Namespace) -> int:
+    from . import audit
+    from .pipeline import read_dataset
+
     main_path = _require_file(args.input, "dataset")
     baseline_path = _require_file(args.baseline_input, "baseline dataset")
     # A sheet that compares a dataset with itself audits nothing; a link or
@@ -369,6 +355,8 @@ def cmd_audit_export(args: argparse.Namespace) -> int:
 
 
 def cmd_audit_score(args: argparse.Namespace) -> int:
+    from . import audit
+
     sheet = _require_file(args.sheet, "annotated sheet")
     key = _require_file(args.key, "key file")
     result = audit.score_audit(sheet, key)
@@ -423,6 +411,7 @@ def _scoring_model(model: LinearModel | PUModel) -> LinearModel:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import metrics
     from .model import featurize, load_model, predict
 
     model_path = _require_file(args.model, "model file")
@@ -438,6 +427,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_cross_domain(args: argparse.Namespace) -> int:
+    from . import metrics
     from .model import (TrainingError, compute_class_weights, featurize, fit_vocabulary,
                         predict, train_logreg)
 
@@ -499,6 +489,8 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_rules(_args: argparse.Namespace) -> int:
+    from .pipeline import RULES
+
     print("\n\n".join("\n".join((heading, *lines)) for _, heading, lines in RULES))
     return 0
 

@@ -11,12 +11,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import atomic_write
-from .textproc import tokenize
+from . import LABEL_CITE_WORTHY, SPLIT_UNASSIGNED, SPLITS, atomic_write
 from .ingest import read_lines
-from .pipeline import LABEL_CITE_WORTHY, SPLIT_UNASSIGNED, SPLITS, ParagraphSample
+
+if TYPE_CHECKING:
+    from .pipeline import ParagraphSample
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,8 @@ class StatsReport:
 
 def dataset_stats(samples: Iterable[ParagraphSample]) -> StatsReport:
     """Compute the statistics table for a dataset."""
+    from .textproc import tokenize
+
     lengths: list[int] = []
     tokens = 0
     split_counts: Counter[str] = Counter()

@@ -49,6 +49,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import os
 import zipfile
 from array import array
@@ -318,7 +319,7 @@ def featurize(counts: TokenCounts, vocab: Vocabulary) -> CSR:
 def compute_class_weights(labels: Sequence[int]) -> tuple[float, float]:
     """Inverse-frequency weights w_c = N / (2 * N_c); (1, 1) when balanced."""
     n = len(labels)
-    n_pos = sum(1 for y in labels if y)
+    n_pos = int(np.count_nonzero(labels))
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise TrainingError("both classes must be present to compute class weights")
@@ -552,7 +553,7 @@ _FIT_REPORT = {"iterations": int, "grad_max": _NUMBER, "converged": bool}
 
 def _linear_to_record(model: LinearModel) -> dict:
     return {
-        "weights": [float(x) for x in model.weights],
+        "weights": model.weights.tolist(),
         "bias": model.bias,
         "class_weights": [model.class_weights[0], model.class_weights[1]],
         "C": model.C,
@@ -592,15 +593,32 @@ def _pull_pair(record: object, key: str, items: type | tuple[type, ...], what: s
     return pair
 
 
+def _pull_weights(record: object) -> np.ndarray:
+    """``record["weights"]`` as a float array: ``_pull(record, "weights",
+    list, _NUMBER)`` with its messages, checking the list as a whole by one
+    set of item types and one ``np.isfinite``."""
+    weights = _pull(record, "weights", list)
+    if not set(map(type, weights)) <= {int, float}:
+        raise ValueError("key 'weights' is missing or mistyped")
+    not_finite = ValueError("key 'weights' holds a number that is not finite")
+    try:
+        array = np.asarray(weights, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise not_finite from None
+    if not np.isfinite(array).all():
+        raise not_finite
+    return array
+
+
 def _linear_from_record(record: object) -> LinearModel:
-    weights = _pull(record, "weights", list, _NUMBER)
+    weights = _pull_weights(record)
     n_features = _pull(record, "n_features", int)
     if len(weights) != n_features:
         raise ValueError(f"{len(weights)} weights but n_features={n_features}")
     w_pos, w_neg = _pull_pair(record, "class_weights", _NUMBER, "numbers")
     report = {key: _pull(record, key, kind) for key, kind in _FIT_REPORT.items()}
     return LinearModel(
-        weights=np.asarray(weights, dtype=float),
+        weights=weights,
         bias=float(_pull(record, "bias", _NUMBER)),
         class_weights=(float(w_pos), float(w_neg)),
         C=float(_pull(record, "C", _NUMBER)),
@@ -766,7 +784,7 @@ def _checked_table(arrays: dict[str, np.ndarray], sha256: bytes) -> SentenceTabl
             and len(lists[1]) == len(lists[2])):
         raise ValueError("strings are not three lists of strings")
     terms, fields, splits = lists
-    if terms != sorted(set(terms)):
+    if not all(map(operator.lt, terms, terms[1:])):
         raise ValueError("terms are not sorted and distinct")
     keys = list(zip(fields, splits))
     groups = dict(zip(keys, range(len(keys))))

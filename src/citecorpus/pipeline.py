@@ -23,19 +23,23 @@ from __future__ import annotations
 import gc
 import json
 import logging
-import math
 import random
 from collections import deque
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
-from . import write_json
+from . import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LABELS, SPLIT_TRAIN, SPLIT_UNASSIGNED,
+               SPLITS, ratios_are_valid, write_json)
 from .ingest import (Diagnostic, PaperRecord, Paragraph, line_batches,
                      paper_eligible, parse_line, read_lines)
 from .textproc import (
+    ABBREVIATIONS,
+    AUTHOR_YEAR_CITATION_PATTERN,
+    HANGING_CITATION_PATTERN,
+    NUMERIC_CITATION_PATTERN,
     citation_at_sentence_end,
     has_hanging_citation_marker,
     is_well_formed,
@@ -49,16 +53,6 @@ if TYPE_CHECKING:
     from concurrent.futures import Executor
 
 logger = logging.getLogger(__name__)
-
-LABEL_CITE_WORTHY = "cite-worthy"
-LABEL_NON_CITE_WORTHY = "non-cite-worthy"
-LABELS = (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY)
-
-SPLIT_TRAIN = "train"
-SPLIT_DEV = "dev"
-SPLIT_TEST = "test"
-SPLIT_UNASSIGNED = "unassigned"
-SPLITS = (SPLIT_TRAIN, SPLIT_DEV, SPLIT_TEST)
 
 # Paragraph rejection codes, one per rejection path.
 BAD_SECTION = "bad-section"
@@ -132,6 +126,21 @@ PERMISSIBLE_SECTION_TITLES = (
     "implementation details",
 )
 _PERMISSIBLE_SET = frozenset(PERMISSIBLE_SECTION_TITLES)
+
+# The embedded rules, in ``dump-rules`` order: (manifest checksum key,
+# ``dump-rules`` heading, lines). A rule's checksum is the SHA-256 of its
+# lines joined by newlines.
+RULES = (
+    ("section_titles", f"section-titles ({len(PERMISSIBLE_SECTION_TITLES)}):",
+     PERMISSIBLE_SECTION_TITLES),
+    ("numeric_citation_pattern", "citation-format pattern [numeric]:",
+     (NUMERIC_CITATION_PATTERN,)),
+    ("author_year_citation_pattern", "citation-format pattern [author-year]:",
+     (AUTHOR_YEAR_CITATION_PATTERN,)),
+    ("hanging_citation_pattern", "hanging-citation pattern:", (HANGING_CITATION_PATTERN,)),
+    ("sentence_split_abbreviations", f"sentence-split abbreviations ({len(ABBREVIATIONS)}):",
+     ABBREVIATIONS),
+)
 
 
 class LabeledSentence(NamedTuple):
@@ -495,12 +504,6 @@ def balanced_sample(
             chosen.extend(rng.sample(pool, take))
     chosen.sort(key=lambda s: (s.mag_field, *_canonical_key(s)))
     return chosen
-
-
-def ratios_are_valid(ratios: Sequence[float]) -> bool:
-    """Three finite, non-negative split shares that sum to 1 (within 1e-9)."""
-    return (len(ratios) == 3 and all(math.isfinite(r) and r >= 0 for r in ratios)
-            and abs(sum(ratios) - 1.0) <= 1e-9)
 
 
 def split_dataset(

@@ -227,7 +227,7 @@ class TestBuild:
                   "link": str(tmp_path / "link.jsonl")}[spelling]
         if spelling == "link":
             os.symlink(corpus, second)
-        monkeypatch.setattr(cli, "collect_samples", pytest.fail)
+        monkeypatch.setattr(pipeline, "collect_samples", pytest.fail)
         made = tmp_path / "made"
         made.mkdir()
         (made / "manifest.json").write_text("earlier build\n")
@@ -517,6 +517,18 @@ class TestTrainEval:
         payload = json.loads(model_path.read_text())
         assert payload["kind"] == "pu"
         assert 0.0 < payload["c_estimate"] <= 1.0
+
+    def test_trained_model_files_are_saved_again_byte_for_byte(self, trained, tmp_path):
+        # Pins the writer: the weights list and the terms' encoding.
+        from citecorpus.model import load_model
+        out, model_path = trained
+        pu_path = tmp_path / "pu.json"
+        assert main(["train", "--input", str(out / "dataset.jsonl"), "--output", str(pu_path),
+                     "--seed", "4", "--pu"]) == 0
+        for path in (model_path, pu_path):
+            again = tmp_path / f"again-{path.name}"
+            save_model(again, *load_model(path))
+            assert again.read_bytes() == path.read_bytes()
 
     def test_train_pu_config_value_must_be_a_bool(self, trained, tmp_path, capsys):
         out, _ = trained
@@ -826,15 +838,15 @@ class TestTokenizeOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import citecorpus.cli
-        from citecorpus.textproc import tokenize
+        from citecorpus import textproc
+        tokenize = textproc.tokenize
         texts = []
 
         def counting(text):
             texts.append(text)
             return tokenize(text)
 
-        monkeypatch.setattr(citecorpus.cli, "tokenize", counting)
+        monkeypatch.setattr(textproc, "tokenize", counting)
         return texts
 
     @pytest.fixture
@@ -1037,6 +1049,7 @@ DAMAGED_CACHES = {
     "index-out-of-range": _resaved(indices=_set(-1, lambda indices: indices.max() + 1)),
     "indptr-not-monotone": _resaved(indptr=_set(1, lambda indptr: indptr[2] + 1)),
     "unsorted-terms": _resaved(terms=lambda terms: [terms[1], terms[0], *terms[2:]]),
+    "repeated-term": _resaved(terms=lambda terms: [terms[0], terms[0], *terms[2:]]),
     "strings-not-json": _strings(b'[["a", "b"'),
     "strings-not-three-lists": _strings(b'[["a"], ["Biology"], 5]'),
     "wrong-key": _resaved(key=lambda key: bytes(32)),
@@ -1101,7 +1114,7 @@ class TestTableCache:
         def no_read(*args, **kwargs):
             raise AssertionError("the dataset was read")
 
-        monkeypatch.setattr(cli, "read_dataset", no_read)
+        monkeypatch.setattr(pipeline, "read_dataset", no_read)
         assert self._eval(model_path, dataset, capsys) == (0, expected)
         assert main(train) == 0
         assert capsys.readouterr().out == trained_out
@@ -1120,7 +1133,7 @@ class TestTableCache:
         assert dataset.stat().st_size == stat.st_size
         expected = self._fresh(model_path, dataset, capsys)
         reads = []
-        monkeypatch.setattr(cli, "read_dataset", lambda path: reads.append(path)
+        monkeypatch.setattr(pipeline, "read_dataset", lambda path: reads.append(path)
                             or read_dataset(path))
         assert self._eval(model_path, dataset, capsys) == (0, expected)
         assert reads == [dataset]
@@ -1141,7 +1154,7 @@ class TestTableCache:
             dataset.write_bytes(original + original.splitlines(keepends=True)[0])
             return samples
 
-        monkeypatch.setattr(cli, "read_dataset", read_then_change)
+        monkeypatch.setattr(pipeline, "read_dataset", read_then_change)
         assert self._eval(model_path, dataset, capsys) == (0, expected)
         assert self._listing(dataset) == ["dataset.jsonl"]
 
@@ -1174,6 +1187,16 @@ class TestTableCache:
         assert self._listing(dataset) == [".dataset.jsonl.table", "dataset.jsonl"]
         if not cache.is_dir():
             assert _same_table(load_table(cache, key), table)
+
+    @pytest.mark.parametrize("damage", ["unsorted-terms", "repeated-term"])
+    def test_terms_out_of_order_are_named(self, damage, trained, dataset, capsys):
+        from citecorpus.model import load_table
+        _, model_path = trained
+        assert self._eval(model_path, dataset, capsys)[0] == 0
+        cache, key = _table_cache(dataset), _digest(dataset)
+        DAMAGED_CACHES[damage](cache, load_table(cache, key), key)
+        with pytest.raises(ValueError, match="terms are not sorted and distinct"):
+            load_table(cache, key)
 
     @pytest.mark.parametrize("step", ["open", "replace"])
     def test_a_failed_cache_write_is_skipped(self, step, trained, dataset, capsys,
@@ -1388,7 +1411,7 @@ class TestCrossDomain:
         def no_read(path):
             raise AssertionError("the dataset was read")
 
-        monkeypatch.setattr(cli, "read_dataset", no_read)
+        monkeypatch.setattr(pipeline, "read_dataset", no_read)
         out, _ = trained
         dist_path = tmp_path / "dist.tsv"
         write_distance_matrix({(a, b): 0.0 for a in matrix_fields for b in matrix_fields},
@@ -1531,7 +1554,7 @@ class TestAuditCommands:
             raise AssertionError("a dataset was read")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(cli, "read_dataset", no_read)
+        monkeypatch.setattr(pipeline, "read_dataset", no_read)
         (tmp_path / "d.jsonl").write_text(_dataset_line())
         os.link("d.jsonl", "hard.jsonl")
         os.symlink("d.jsonl", "soft.jsonl")
@@ -1717,8 +1740,8 @@ def test_out_of_range_number_is_a_usage_error_before_any_input_is_read(
     def no_read(*args, **kwargs):
         raise AssertionError("an input was read")
 
-    for module, name in [(cli, "collect_samples"), (cli, "read_dataset"),
-                         (cli.metrics, "read_distance_matrix")]:
+    for module, name in [(pipeline, "collect_samples"), (pipeline, "read_dataset"),
+                         (citecorpus.metrics, "read_distance_matrix")]:
         monkeypatch.setattr(module, name, no_read)
     data = tmp_path / "data.jsonl"
     data.write_text("")
@@ -1752,7 +1775,7 @@ def test_unwritable_output_is_a_usage_error_before_the_dataset_is_read(
     def no_read(*args, **kwargs):
         raise AssertionError("the dataset was read")
 
-    monkeypatch.setattr(cli, "read_dataset", no_read)
+    monkeypatch.setattr(pipeline, "read_dataset", no_read)
     data = tmp_path / "data.jsonl"
     data.write_text("")
     (tmp_path / "out").mkdir()

@@ -3,7 +3,9 @@
 import json
 import math
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from citecorpus.model import (
     CSR,
     LinearModel,
     PUModel,
+    SentenceTable,
+    TokenCounts,
     TrainingError,
     Vocabulary,
     compute_class_weights,
@@ -25,10 +29,12 @@ from citecorpus.model import (
     featurize,
     fit_vocabulary,
     load_model,
+    load_table,
     loss_and_gradient,
     predict,
     predict_proba,
     save_model,
+    save_table,
     train_logreg,
     train_pu,
 )
@@ -287,6 +293,15 @@ class TestClassWeights:
     def test_single_class_is_an_error(self):
         with pytest.raises(TrainingError):
             compute_class_weights([1, 1, 1])
+
+    @pytest.mark.parametrize("as_input", [list, np.array, lambda labels: np.array(labels, bool)],
+                             ids=["list", "int-array", "bool-array"])
+    def test_lists_and_arrays_give_the_same_floats(self, as_input):
+        labels = [1] * 3176 + [0] * 6824
+        assert compute_class_weights(as_input(labels)) == (10000 / 6352.0, 10000 / 13648.0)
+        for one_class in ([1, 1, 1], [0, 0]):
+            with pytest.raises(TrainingError, match="both classes"):
+                compute_class_weights(as_input(one_class))
 
 
 class TestLossAndGradient:
@@ -853,6 +868,32 @@ class TestSerialization:
             load_model(path)
         assert str(exc.value) == f"{path}: key {key!r} holds a number that is not finite"
 
+    @pytest.mark.parametrize("weights", [[True], ["0.5"], [None], [[1.0]], {"0": 0.5}, 0.5,
+                                         "0.5", None],
+                             ids=["true", "string", "null", "list", "object", "number",
+                                  "string-weights", "null-weights"])
+    def test_mistyped_weights_rejected_naming_the_key(self, tmp_path, weights):
+        model = train_logreg(dense_csr([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
+        path = tmp_path / "model.json"
+        save_model(path, model, stub_vocabulary(1))
+        payload = json.loads(path.read_text())
+        payload["model"]["weights"] = weights
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: key 'weights' is missing or mistyped"
+
+    def test_a_mistyped_weight_is_named_before_a_non_finite_one(self, tmp_path):
+        model = train_logreg(dense_csr([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
+        path = tmp_path / "model.json"
+        save_model(path, model, stub_vocabulary(1))
+        payload = json.loads(path.read_text())
+        payload["model"]["weights"] = ["__value__", True]
+        path.write_text(json.dumps(payload).replace('"__value__"', "NaN"))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: key 'weights' is missing or mistyped"
+
     def test_non_finite_number_is_not_written(self, tmp_path):
         path = tmp_path / "model.json"
         vocab = stub_vocabulary(1)
@@ -925,6 +966,26 @@ class TestSerialization:
             load_model(path)
         separator = ":" if problem.startswith("document") else ""
         assert str(exc.value) == f"{path}: key 't11'{separator} {problem}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=3), max_size=6))
+def test_a_table_loads_only_with_sorted_distinct_terms(terms):
+    # The terms check of load_table against its definition.
+    empty = np.zeros(0, dtype=np.int32)
+    table = SentenceTable(TokenCounts(terms, CSR(empty, empty, np.zeros(1, dtype=np.int32),
+                                                 (0, len(terms)))),
+                          np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), {})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table"
+        save_table(path, table, bytes(32))
+        try:
+            assert load_table(path, bytes(32)).counts.terms == terms
+            loaded = True
+        except ValueError as exc:
+            assert "terms are not sorted and distinct" in str(exc)
+            loaded = False
+    assert loaded == (terms == sorted(set(terms)))
 
 
 class TestImbalancedWeighting:

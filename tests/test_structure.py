@@ -1,7 +1,8 @@
 """Repository structure: no module of the package reads another module's
-private name or imports scipy, no build-side command loads numpy, each
-citation pattern is written once and compiled only from its constant, and
-the test configuration lets a failing property test report its example."""
+private name or imports scipy, no build-side command loads numpy, no model
+command with a table cache loads a build-side module, each citation pattern
+is written once and compiled only from its constant, and the test
+configuration lets a failing property test report its example."""
 
 import ast
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import citecorpus
 from citecorpus import textproc
+from citecorpus.cli import main
+from citecorpus.metrics import write_distance_matrix
 from corpusgen import make_corpus_file
 
 PACKAGE = Path(citecorpus.__file__).parent
@@ -67,19 +70,26 @@ def test_no_module_imports_scipy():
     assert imports == []
 
 
+def _run_fresh(watched, *argv):
+    """Run the command ``argv`` in a fresh interpreter, which must exit 0.
+    Returns its stdout and the modules of ``watched`` that it loaded."""
+    code = ("import sys\nfrom citecorpus.cli import main\nstatus = main(sys.argv[2:])\n"
+            "print([name for name in sys.argv[1].split(',') if name in sys.modules])\n"
+            "sys.exit(status)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, ",".join(watched), *argv],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr[-2000:]
+    *out, loaded = result.stdout.splitlines()
+    return out, ast.literal_eval(loaded)
+
+
 def test_build_side_commands_load_no_numpy(tmp_path):
     # Only the model commands need numpy, whose import costs each command
     # about 0.1 s. Each command runs in a fresh interpreter.
-    code = ("import sys\nfrom citecorpus.cli import main\nstatus = main(sys.argv[1:])\n"
-            "print('numpy' in sys.modules)\nsys.exit(status)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-
     def run(*argv):
-        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                                text=True, env=env, timeout=300)
-        assert result.returncode == 0, result.stderr[-2000:]
-        assert result.stdout.splitlines()[-1] == "False", argv
+        assert _run_fresh(["numpy"], *argv)[1] == [], argv
 
     corpus = tmp_path / "corpus.jsonl"
     make_corpus_file(corpus, n_papers=120, seed=401, adversarial_rate=0.25,
@@ -98,6 +108,37 @@ def test_build_side_commands_load_no_numpy(tmp_path):
         header, *(row.rsplit("\t", 2)[0] + "\t1\t0" for row in rows)]), encoding="utf-8")
     run("audit-score", "--sheet", str(sheet), "--key", str(audit / "key.jsonl"))
     run("dump-rules")
+
+
+BUILD_SIDE = ["citecorpus.pipeline", "citecorpus.textproc", "citecorpus.audit"]
+
+
+def test_model_commands_with_a_table_cache_load_no_build_side_module(tmp_path):
+    # A warm model command reads its sentences from the table cache, so it
+    # needs neither the corpus pipeline nor the tokenizer. Each command runs
+    # in a fresh interpreter.
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    make_corpus_file(corpus, n_papers=120, seed=401, adversarial_rate=0.25,
+                     fields=["Biology", "Chemistry"], paragraphs_per_paper=(2, 3))
+    assert main(["build", "--input", str(corpus), "--output", str(out), "--seed", "9",
+                 "--quota", "60"]) == 0
+    dataset, model = out / "dataset.jsonl", tmp_path / "model.json"
+    distances = tmp_path / "distances.tsv"
+    fields = ["Biology", "Chemistry"]
+    write_distance_matrix({(a, b): float(a != b) for a in fields for b in fields}, fields,
+                          distances)
+    train = ["train", "--input", str(dataset), "--output", str(model), "--seed", "4"]
+    evaluate = ["eval", "--model", str(model), "--input", str(dataset), "--split", "all"]
+    # The first model command reads the dataset and writes the cache.
+    assert "citecorpus.pipeline" in _run_fresh(BUILD_SIDE, *train)[1]
+    for argv in (train, [*train, "--pu", "--output", str(tmp_path / "pu.json")],
+                 ["cross-domain", "--input", str(dataset), "--distances", str(distances)]):
+        assert _run_fresh(BUILD_SIDE, *argv)[1] == [], argv
+    warm, loaded = _run_fresh(BUILD_SIDE, *evaluate)
+    assert loaded == []
+    (out / ".dataset.jsonl.table").unlink()
+    cold, loaded = _run_fresh(BUILD_SIDE, *evaluate)
+    assert (cold, loaded) == (warm, ["citecorpus.pipeline", "citecorpus.textproc"])
 
 
 CITATION_PATTERNS = ("NUMERIC_CITATION_PATTERN", "AUTHOR_YEAR_CITATION_PATTERN",
