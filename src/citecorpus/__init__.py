@@ -6,10 +6,11 @@ an external source, and provides TF-IDF / logistic-regression baselines plus
 evaluation tooling on top of it.
 
 The root holds what every command shares: the sentence labels, the split
-names, the output encoding and the atomic writer. A model command imports
-the root, ``cli``, ``ingest.read_lines``, ``model`` and, to score,
-``metrics``; only the build-side commands, and a model command that reads a
-dataset without its table cache, load ``pipeline`` and ``textproc``.
+names, the JSON encoding of outputs and decoding of inputs, and the atomic
+writer. A model command imports the root, ``cli``, ``ingest.read_lines``,
+``model`` and, to score, ``metrics``; only the build-side commands, and a
+model command that reads a dataset without its table cache, load
+``pipeline`` and ``textproc``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ def to_json(value: object, indent: int | None = None) -> str:
     """The one JSON encoding of every output: keys sorted, text not escaped
     to ASCII, and a number that is not finite a ValueError."""
     return json.dumps(value, ensure_ascii=False, sort_keys=True, indent=indent, allow_nan=False)
+
+
+def from_json(text: str) -> object:
+    """The one JSON decoding of every input: ``json.loads``, except that
+    text nested too deeply for the decoder is a ``json.JSONDecodeError``,
+    as any other invalid JSON is."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("too deeply nested", text, 0) from None
 
 
 def write_json(path: str | Path, values: Iterable[object], indent: int | None = None) -> None:

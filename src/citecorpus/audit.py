@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, atomic_write, write_json
+from . import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, atomic_write, from_json, write_json
 from .ingest import read_lines
 
 if TYPE_CHECKING:
@@ -141,7 +141,7 @@ def _read_key(key_path: str | Path) -> dict[str, str]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = from_json(line)
         except json.JSONDecodeError:
             record = None
         if not (isinstance(record, dict) and isinstance(record.get("item_id"), str)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import (DEFAULT_C, LABEL_CITE_WORTHY, SPLIT_TEST, SPLIT_TRAIN, SPLITS, __version__,
-               ratios_are_valid, to_json, write_json)
+               from_json, ratios_are_valid, to_json, write_json)
 from .ingest import read_lines
 
 if TYPE_CHECKING:
@@ -57,7 +57,7 @@ def _load_config(args: argparse.Namespace) -> dict:
     except ValueError as exc:
         raise UsageError(f"config file {exc}") from exc
     try:
-        config = json.loads(text)
+        config = from_json(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(config, dict):
@@ -265,13 +265,11 @@ def cmd_build(args: argparse.Namespace) -> int:
     input_paths = [_require_file(p, "input corpus") for p in args.input]
     # One file read twice repeats every paper in it; a link or another
     # spelling of the path is the same file.
-    given_as: dict[tuple[int, int], str] = {}
-    for given, path in zip(args.input, input_paths):
-        stat = path.stat()
-        file = (stat.st_dev, stat.st_ino)
-        if file in given_as:
-            raise UsageError(f"--input {given_as[file]} and --input {given} name the same file")
-        given_as[file] = given
+    for later, path in enumerate(input_paths):
+        for earlier in range(later):
+            if path.samefile(input_paths[earlier]):
+                raise UsageError(f"--input {args.input[earlier]} and --input "
+                                 f"{args.input[later]} name the same file")
     output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)
     # The manifest is written last and marks a complete build, so an earlier
@@ -382,13 +380,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     dataset_path = _require_file(args.input, "dataset")
     model_path, split = _require_output(args.output, "model file"), args.split
-    # The whole table is freed once selected, and the counts once
-    # featurized: the fit is when the process holds the most memory.
-    table = _read_table(dataset_path).select(split)
-    labels = table.label[table.rows(split=split)]
-    vocab = fit_vocabulary(table.counts, min_df=args.min_df, max_features=args.max_features)
-    X = featurize(table.counts, vocab)
+    # The whole table is freed once its rows are taken, and their counts
+    # once featurized: the fit is when the process holds the most memory.
+    table = _read_table(dataset_path)
+    rows = table.rows(split=split)
+    counts, labels = table.counts.rows(rows), table.label[rows]
     del table
+    vocab = fit_vocabulary(counts, min_df=args.min_df, max_features=args.max_features)
+    X = featurize(counts, vocab)
+    del counts
     if args.pu:
         model: LinearModel | PUModel = train_pu(X, labels, seed=args.seed, C=args.c_value)
         print(f"labeling-frequency estimate: {model.c_estimate:.4f}")
@@ -419,9 +419,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     split, field = args.split, args.field
 
     model, vocab = load_model(model_path)
-    table = _read_table(dataset_path).select(split, None if field is None else {field})
-    golds = table.label[table.rows(field, split)]
-    predicted = predict(_scoring_model(model), featurize(table.counts, vocab))
+    table = _read_table(dataset_path)
+    rows = table.rows(field, split)
+    counts, golds = table.counts.rows(rows), table.label[rows]
+    del table
+    predicted = predict(_scoring_model(model), featurize(counts, vocab))
     print(metrics.precision_recall_f1(predicted, golds).render_text())
     return 0
 
@@ -447,7 +449,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
-    table = _read_table(dataset_path).select("all", fields)
+    table = _read_table(dataset_path)
     # Every field's rows, class weights and distance column, checked before
     # the first fit.
     selected = {(field, split): table.rows(field, split)

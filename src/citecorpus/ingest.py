@@ -43,6 +43,8 @@ from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
+from . import from_json
+
 # What ``surrogateescape`` decodes an undecodable byte to.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
@@ -175,7 +177,7 @@ def parse_line(line: str, lineno: int, source: str = "") -> PaperRecord | Diagno
     if not stripped:
         return Diagnostic(lineno, "blank line", source)
     try:
-        raw = json.loads(stripped)
+        raw = from_json(stripped)
     except json.JSONDecodeError as exc:
         return Diagnostic(lineno, f"invalid JSON: {exc.msg}", source)
     try:

@@ -59,9 +59,9 @@ from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from . import DEFAULT_C, atomic_write, write_json
+from . import DEFAULT_C, atomic_write, from_json, write_json
 from .ingest import read_lines
 
 # A threaded BLAS sums dot products in per-thread chunks, so fitted weights
@@ -210,7 +210,8 @@ def count_tokens(docs: Iterable[Sequence[str]]) -> TokenCounts:
 @dataclass(frozen=True, eq=False)
 class SentenceTable:
     """One row per sentence, in dataset order: its token counts, 0/1 ``label``
-    and ``group``, the code ``groups`` gives its paragraph's (field, split)."""
+    and ``group``, the code ``groups`` gives its paragraph's (field, split).
+    ``rows`` selects; a command indexes the counts and labels with its rows."""
 
     counts: TokenCounts
     label: np.ndarray
@@ -220,25 +221,13 @@ class SentenceTable:
     def rows(self, field: str | None = None, split: str = "all") -> np.ndarray:
         """The indices of the rows in ``field`` (None for every field) and
         ``split`` ("all" for every split); a ValueError when there are none."""
-        found = self._rows_in(split, None if field is None else {field})
+        wanted = [code for (name, part), code in self.groups.items()
+                  if field in (None, name) and split in ("all", part)]
+        found = np.flatnonzero(np.isin(self.group, wanted))
         if not found.size:
             where = "dataset" if field is None else f"field {field!r}"
             raise ValueError(f"{where} has no sentences for split {split!r}")
         return found
-
-    def _rows_in(self, split: str, fields: Collection[str] | None) -> np.ndarray:
-        wanted = [code for (name, part), code in self.groups.items()
-                  if (fields is None or name in fields) and split in ("all", part)]
-        return np.flatnonzero(np.isin(self.group, wanted))
-
-    def select(self, split: str = "all", fields: Collection[str] | None = None) -> SentenceTable:
-        """The rows in ``split`` ("all" for every split) whose field is in
-        ``fields`` (None for every field), in table order, over the same
-        terms and group codes: ``fit_vocabulary`` skips a term no row holds,
-        and ``featurize`` maps terms by name."""
-        rows = self._rows_in(split, fields)
-        return SentenceTable(self.counts.rows(rows), self.label[rows], self.group[rows],
-                             self.groups)
 
 
 @dataclass(frozen=True)
@@ -567,25 +556,26 @@ def _is(value: object, kind: type | tuple[type, ...]) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _finite(number: int | float) -> bool:
+def _finite(value: int | float | list) -> bool:
+    """Whether a number, or every number of a list, is finite."""
     try:
-        return math.isfinite(number)
+        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
     except OverflowError:  # an integer beyond the float range
         return False
 
 
 def _pull(record: object, key: str, kind: type | tuple[type, ...], items=None):
-    """``record[key]``: a ``kind``, holding only ``items`` when given. A bool
-    is never a number here, and a number must be finite."""
+    """``record[key]``: a ``kind``, each item's type one of ``items`` when
+    given. A bool is never a number here, and a number must be finite."""
     value = record.get(key) if isinstance(record, dict) else None
-    if not _is(value, kind) or (items is not None and not all(_is(x, items) for x in value)):
+    if not _is(value, kind) or (items is not None and not set(map(type, value)) <= set(items)):
         raise ValueError(f"key {key!r} is missing or mistyped")
-    if _NUMBER in (kind, items) and not all(map(_finite, value if items else [value])):
+    if _NUMBER in (kind, items) and not _finite(value):
         raise ValueError(f"key {key!r} holds a number that is not finite")
     return value
 
 
-def _pull_pair(record: object, key: str, items: type | tuple[type, ...], what: str) -> list:
+def _pull_pair(record: object, key: str, items: tuple[type, ...], what: str) -> list:
     """``_pull(record, key, list, items)``, holding exactly two ``what``."""
     pair = _pull(record, key, list, items)
     if len(pair) != 2:
@@ -593,25 +583,8 @@ def _pull_pair(record: object, key: str, items: type | tuple[type, ...], what: s
     return pair
 
 
-def _pull_weights(record: object) -> np.ndarray:
-    """``record["weights"]`` as a float array: ``_pull(record, "weights",
-    list, _NUMBER)`` with its messages, checking the list as a whole by one
-    set of item types and one ``np.isfinite``."""
-    weights = _pull(record, "weights", list)
-    if not set(map(type, weights)) <= {int, float}:
-        raise ValueError("key 'weights' is missing or mistyped")
-    not_finite = ValueError("key 'weights' holds a number that is not finite")
-    try:
-        array = np.asarray(weights, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise not_finite from None
-    if not np.isfinite(array).all():
-        raise not_finite
-    return array
-
-
 def _linear_from_record(record: object) -> LinearModel:
-    weights = _pull_weights(record)
+    weights = np.asarray(_pull(record, "weights", list, _NUMBER), dtype=float)
     n_features = _pull(record, "n_features", int)
     if len(weights) != n_features:
         raise ValueError(f"{len(weights)} weights but n_features={n_features}")
@@ -644,7 +617,7 @@ def _vocabulary_from_record(record: object) -> Vocabulary:
         # An entry that is not two integers fails _pull_pair, which says how.
         if not (type(entry) is list and len(entry) == 2
                 and type(entry[0]) is type(entry[1]) is int):
-            _pull_pair(raw, term, int, "integers")
+            _pull_pair(raw, term, (int,), "integers")
         index, df = entry
         if not 1 <= df <= total_docs:
             raise ValueError(f"key {term!r}: document frequency {df} is not in 1..{total_docs}")
@@ -689,7 +662,7 @@ def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary]:
     naming the line too when a byte is not UTF-8."""
     text = "".join(line for _, line in read_lines(path))
     try:
-        payload = json.loads(text)
+        payload = from_json(text)
         version = _pull(payload, "format_version", int)
         if version != 1:
             raise ValueError(f"unsupported model format version {version!r}")
@@ -759,14 +732,27 @@ def load_table(path: str | Path, sha256: bytes) -> SentenceTable:
             if sorted(info.filename for info in infos) != sorted(members) \
                     or any(info.compress_type != zipfile.ZIP_STORED for info in infos):
                 raise ValueError("not the stored members save_table writes")
-            # read() returns a member only once its CRC-32 matches, so numpy
-            # parses only the headers and data that save_table wrote.
-            arrays = {name: np.lib.format.read_array(io.BytesIO(archive.read(member)),
-                                                     allow_pickle=False)
+            # read() returns a member only once its CRC-32 matches, which
+            # catches damage but not a member written to pass it.
+            arrays = {name: _read_member(archive.read(member))
                       for member, name in members.items()}
         return _checked_table(arrays, sha256)
     except _DAMAGED as exc:
         raise ValueError(f"{path}: not a table file for this dataset ({exc!r})") from exc
+
+
+def _read_member(npy: bytes) -> np.ndarray:
+    """The array in ``npy``, a ``.npy`` file at format 1.0 as ``save_table``
+    writes it, that may hold no pickled object. Its header must claim as
+    many bytes as follow it, checked before the array is allocated."""
+    member = io.BytesIO(npy)
+    if np.lib.format.read_magic(member) != (1, 0):
+        raise ValueError("an array is not at .npy format 1.0")
+    shape, _, dtype = np.lib.format.read_array_header_1_0(member)
+    if math.prod(shape) * dtype.itemsize != len(npy) - member.tell():
+        raise ValueError(f"an array's header claims {shape} {dtype}")
+    member.seek(0)
+    return np.lib.format.read_array(member, allow_pickle=False)
 
 
 def _checked_table(arrays: dict[str, np.ndarray], sha256: bytes) -> SentenceTable:
@@ -778,7 +764,7 @@ def _checked_table(arrays: dict[str, np.ndarray], sha256: bytes) -> SentenceTabl
         raise ValueError(f"table version {int(arrays['version'])}")
     if arrays["sha256"].tobytes() != sha256:
         raise ValueError("the dataset's hash differs")
-    lists = json.loads(arrays["strings"].tobytes().decode("ascii"))
+    lists = from_json(arrays["strings"].tobytes().decode("ascii"))
     if not (_is(lists, list) and len(lists) == 3
             and all(_is(strings, list) and set(map(type, strings)) <= {str} for strings in lists)
             and len(lists[1]) == len(lists[2])):

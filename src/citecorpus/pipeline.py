@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LABELS, SPLIT_TRAIN, SPLIT_UNASSIGNED,
-               SPLITS, ratios_are_valid, write_json)
+               SPLITS, from_json, ratios_are_valid, write_json)
 from .ingest import (Diagnostic, PaperRecord, Paragraph, line_batches,
                      paper_eligible, parse_line, read_lines)
 from .textproc import (
@@ -619,7 +619,7 @@ def read_dataset(path: str | Path) -> list[ParagraphSample]:
             continue
         where = f"{path}, line {lineno}"
         try:
-            record = json.loads(line)
+            record = from_json(line)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
         samples.append(_record_to_sample(record, where))

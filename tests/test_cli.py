@@ -34,6 +34,10 @@ from synthdata import linear_model
 
 import numpy as np
 
+# JSON nested more deeply than the decoder recurses: every reader refuses it
+# as invalid JSON.
+DEEP_JSON = "[" * 100_000
+
 # Golden output of `build --seed 7 --quota 2 --ratios 0.8,0.1,0.1` on the
 # 6-paper fixture corpus (seed 401); audited by hand on its first run.
 GOLDEN_DATASET = """\
@@ -193,6 +197,19 @@ class TestBuild:
         assert errors[0].startswith(
             f"error: {corpus}, line 6: paper 'paper-00005': cite span (0, 1000000) out of bounds")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_deeply_nested_line_is_a_malformed_line(self, workers, tmp_path, caplog):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus, n_papers=3)
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write(DEEP_JSON + "\n")
+        out = tmp_path / "out"
+        assert main(["build", "--input", str(corpus), "--output", str(out), "--seed", "2",
+                     "--quota", "4", "--workers", workers]) == 0
+        assert f"malformed input {corpus}, line 4: invalid JSON: too deeply nested" \
+            in caplog.text
+        assert json.loads((out / "manifest.json").read_text())["counts"]["malformed_lines"] == 1
+
     @pytest.mark.parametrize("repeat", ["line", "file"])
     def test_a_paper_read_twice_is_refused_at_any_worker_count(self, repeat, tmp_path, capsys):
         # A repeated paper would put the same paragraphs in two splits.
@@ -238,6 +255,18 @@ class TestBuild:
                 f"error: --input {corpus} and --input {second} name the same file\n"
         assert (made / "manifest.json").read_text() == "earlier build\n"
         assert not (tmp_path / "new").exists()
+
+    def test_the_first_repeated_file_is_named_with_its_first_spelling(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(pipeline, "collect_samples", pytest.fail)
+        for name in ("a.jsonl", "b.jsonl"):
+            build_fixture_corpus(tmp_path / name, n_papers=2)
+        inputs = ["a.jsonl", "b.jsonl", "./b.jsonl", "./a.jsonl", "b.jsonl"]
+        assert main(["build", *(arg for path in inputs for arg in ("--input", path)),
+                     "--output", "out", "--seed", "7"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --input b.jsonl and --input ./b.jsonl name the same file\n"
 
     def test_undecodable_byte_names_file_and_line_at_any_worker_count(self, tmp_path,
                                                                       capsys):
@@ -915,56 +944,61 @@ def _same_table(a, b):
 class TestSentenceTable:
     @settings(max_examples=200, deadline=None)
     @given(_TABLE_SAMPLES, st.sampled_from(["all", *_TABLE_SPLITS]),
-           st.none() | st.sets(st.sampled_from(_TABLE_FIELDS + ["Physics"])))
-    def test_rows_and_labels_match_a_per_sentence_loop(self, samples, split, fields):
+           st.none() | st.sampled_from(_TABLE_FIELDS + ["Physics"]))
+    def test_rows_and_labels_match_a_per_sentence_loop(self, samples, split, field):
         from citecorpus.model import TrainingError, count_tokens, featurize, fit_vocabulary
         from citecorpus.textproc import tokenize
 
-        table = cli._sentence_table(samples).select(split, fields)
-        chosen = [(sample.mag_field, sample.split, sentence) for sample in samples
-                  for sentence in sample.sentences
-                  if split in ("all", sample.split)
-                  and (fields is None or sample.mag_field in fields)]
-        expected = count_tokens(tokenize(sentence.text) for _, _, sentence in chosen)
+        table = cli._sentence_table(samples)
+        every = [(sample.mag_field, sample.split, sentence) for sample in samples
+                 for sentence in sample.sentences]
+        expected = count_tokens(tokenize(sentence.text) for _, _, sentence in every)
         assert _row_counts(table.counts) == _row_counts(expected)
-        assert table.counts.matrix.shape == (len(chosen), len(table.counts.terms))
-        for field in [None, *_TABLE_FIELDS, "Physics"]:
+        assert table.counts.matrix.shape == (len(every), len(table.counts.terms))
+        for name in [None, *_TABLE_FIELDS, "Physics"]:
             for part in ["all", *_TABLE_SPLITS]:
-                rows = [i for i, (name, in_split, _) in enumerate(chosen)
-                        if field in (None, name) and part in ("all", in_split)]
+                rows = [i for i, (in_field, in_split, _) in enumerate(every)
+                        if name in (None, in_field) and part in ("all", in_split)]
                 if not rows:
-                    where = "dataset" if field is None else f"field {field!r}"
+                    where = "dataset" if name is None else f"field {name!r}"
                     with pytest.raises(ValueError) as exc:
-                        table.rows(field, part)
+                        table.rows(name, part)
                     assert str(exc.value) == f"{where} has no sentences for split {part!r}"
                     continue
-                found = table.rows(field, part)
+                found = table.rows(name, part)
                 assert found.tolist() == rows
                 assert table.label[found].tolist() == [
-                    int(chosen[i][2].label == LABEL_CITE_WORTHY) for i in rows]
-        # The whole table, selected, gives each command the vocabulary and
-        # features that the table of only the chosen paragraphs gives.
-        direct = cli._sentence_table([sample for sample in samples
-                                      if split in ("all", sample.split)
-                                      and (fields is None or sample.mag_field in fields)])
+                    int(every[i][2].label == LABEL_CITE_WORTHY) for i in rows]
+        # The counts of the chosen rows give each command the vocabulary and
+        # features that the table of only the chosen paragraphs gives, and
+        # so do the whole table's features at those rows.
+        chosen = [sample for sample in samples
+                  if field in (None, sample.mag_field) and split in ("all", sample.split)]
+        if not chosen:
+            return
+        rows = table.rows(field, split)
+        counts = table.counts.rows(rows)
+        direct = cli._sentence_table(chosen)
+        assert _row_counts(counts) == _row_counts(direct.counts)
         key_of = {code: key for key, code in table.groups.items()}
         direct_key_of = {code: key for key, code in direct.groups.items()}
-        assert [key_of[code] for code in table.group.tolist()] == [
+        assert [key_of[code] for code in table.group[rows].tolist()] == [
             direct_key_of[code] for code in direct.group.tolist()]
-        assert np.array_equal(table.label, direct.label)
+        assert np.array_equal(table.label[rows], direct.label)
         for min_df in (1, 2):
             try:
                 vocab = fit_vocabulary(direct.counts, min_df=min_df)
             except TrainingError as exc:
                 with pytest.raises(TrainingError) as raised:
-                    fit_vocabulary(table.counts, min_df=min_df)
+                    fit_vocabulary(counts, min_df=min_df)
                 assert str(raised.value) == str(exc)
                 continue
-            assert fit_vocabulary(table.counts, min_df=min_df) == vocab
-            features, alone = featurize(table.counts, vocab), featurize(direct.counts, vocab)
-            assert features.shape == alone.shape
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(features, part), getattr(alone, part))
+            assert fit_vocabulary(counts, min_df=min_df) == vocab
+            alone = featurize(direct.counts, vocab)
+            for features in (featurize(counts, vocab), featurize(table.counts, vocab)[rows]):
+                assert features.shape == alone.shape
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(features, part), getattr(alone, part))
 
 
 def _digest(path):
@@ -1024,18 +1058,33 @@ def _deflated(cache, table, key):
             archive.writestr(name, data)
 
 
-def _strings(text):
-    """A damaged cache: the good archive with ``text`` as its strings member."""
+def _member(name, npy):
+    """A damaged cache: the good archive with the bytes ``npy`` as its member
+    ``name``, stored with a valid CRC-32."""
     def damage(cache, table, key):
         with zipfile.ZipFile(cache) as archive:
             members = {info.filename: archive.read(info) for info in archive.infolist()}
-        member = io.BytesIO()
-        np.lib.format.write_array(member, np.frombuffer(text, np.uint8))
-        members["strings.npy"] = member.getvalue()
+        members[name] = npy
         with zipfile.ZipFile(cache, "w") as archive:
-            for name, data in members.items():
-                archive.writestr(name, data)
+            for member, data in members.items():
+                archive.writestr(member, data)
     return damage
+
+
+def _strings(text):
+    """A damaged cache: the good archive with ``text`` as its strings member."""
+    member = io.BytesIO()
+    np.lib.format.write_array(member, np.frombuffer(text, np.uint8))
+    return _member("strings.npy", member.getvalue())
+
+
+def _claimed(shape):
+    """A damaged cache whose int32 data member's header claims ``shape``
+    over no data."""
+    member = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        member, {"descr": "<i4", "fortran_order": False, "shape": shape})
+    return _member("data.npy", member.getvalue())
 
 
 DAMAGED_CACHES = {
@@ -1052,6 +1101,8 @@ DAMAGED_CACHES = {
     "repeated-term": _resaved(terms=lambda terms: [terms[0], terms[0], *terms[2:]]),
     "strings-not-json": _strings(b'[["a", "b"'),
     "strings-not-three-lists": _strings(b'[["a"], ["Biology"], 5]'),
+    "strings-deeply-nested": _strings(DEEP_JSON.encode("ascii")),
+    "header-claims-4-tib": _claimed((2**40,)),
     "wrong-key": _resaved(key=lambda key: bytes(32)),
     "wrong-version": _newer_version,
 }
@@ -1819,6 +1870,16 @@ REFUSALS = {
     "config-not-json": (
         {"bad.json": '{"quota": 3'}, ["build", "--config", "bad.json"], 2,
         "error: config file bad.json is not valid JSON: Expecting ',' delimiter"),
+    "stats-deeply-nested": (
+        {"d.jsonl": _dataset_line() + DEEP_JSON + "\n"}, ["stats", "--input", "d.jsonl"], 1,
+        "error: d.jsonl, line 2: invalid JSON: too deeply nested"),
+    "eval-model-deeply-nested": (
+        {"m.json": DEEP_JSON, "d.jsonl": _dataset_line()},
+        ["eval", "--model", "m.json", "--input", "d.jsonl"], 1,
+        "error: m.json: too deeply nested: line 1 column 1 (char 0)"),
+    "config-deeply-nested": (
+        {"deep.json": DEEP_JSON}, ["build", "--config", "deep.json"], 2,
+        "error: config file deep.json is not valid JSON: too deeply nested"),
     "config-not-object": (
         {"arr.json": "[1, 2]"}, ["build", "--config", "arr.json"], 2,
         "error: config file arr.json must hold an object"),
@@ -1831,6 +1892,12 @@ REFUSALS = {
          "key.jsonl": "\n" + json.dumps({"item_id": "a", "method": audit.METHOD_MAIN}) + "\n"},
         ["audit-score", "--sheet", "sheet.tsv", "--key", "key.jsonl"], 1,
         "error: sheet.tsv: line 3: expected 6 columns"),
+    "audit-score-key-deeply-nested": (
+        {"sheet.tsv": _SHEET_HEADER,
+         "key.jsonl": json.dumps({"item_id": "a", "method": audit.METHOD_MAIN}) + "\n"
+                      + DEEP_JSON + "\n"},
+        ["audit-score", "--sheet", "sheet.tsv", "--key", "key.jsonl"], 1,
+        "error: key.jsonl, line 2: bad key record"),
     "train-pu-one-positive": (
         {"d.jsonl": _dataset_line(samples=[
             {"text": "Cells divide.", "label": LABEL_NON_CITE_WORTHY, "removed_span_count": 0},

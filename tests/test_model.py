@@ -894,6 +894,26 @@ class TestSerialization:
             load_model(path)
         assert str(exc.value) == f"{path}: key 'weights' is missing or mistyped"
 
+    @pytest.mark.parametrize("pair,problem", [
+        ("[1.0, true]", "is missing or mistyped"),
+        ("[1e999, true]", "is missing or mistyped"),
+        ("[1.0, 1e999]", "holds a number that is not finite"),
+        ("[1.0, 1" + "0" * 400 + "]", "holds a number that is not finite"),
+        ("[1e999]", "holds a number that is not finite"),
+        ("[1.0]", "must hold two numbers")],
+        ids=["true", "true-after-inf", "inf", "int-beyond-float", "inf-alone", "one"])
+    def test_class_weights_are_checked_for_type_then_finiteness_then_length(
+            self, tmp_path, pair, problem):
+        model = train_logreg(dense_csr([[1.0], [-1.0]]), [1, 0], (1.0, 1.0), C=1.0)
+        path = tmp_path / "model.json"
+        save_model(path, model, stub_vocabulary(1))
+        payload = json.loads(path.read_text())
+        payload["model"]["class_weights"] = "__value__"
+        path.write_text(json.dumps(payload).replace('"__value__"', pair))
+        with pytest.raises(ValueError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path}: key 'class_weights' {problem}"
+
     def test_non_finite_number_is_not_written(self, tmp_path):
         path = tmp_path / "model.json"
         vocab = stub_vocabulary(1)

@@ -1,8 +1,9 @@
 """Repository structure: no module of the package reads another module's
-private name or imports scipy, no build-side command loads numpy, no model
-command with a table cache loads a build-side module, each citation pattern
-is written once and compiled only from its constant, and the test
-configuration lets a failing property test report its example."""
+private name or imports scipy, every JSON input goes through one decoder, no
+build-side command loads numpy, no model command with a table cache loads a
+build-side module, each citation pattern is written once and compiled only
+from its constant, and the test configuration lets a failing property test
+report its example."""
 
 import ast
 import os
@@ -68,6 +69,27 @@ def test_no_module_imports_scipy():
             imports += [f"{path.name}, line {node.lineno}: imports {name}"
                         for name in names if name.split(".")[0] == "scipy"]
     assert imports == []
+
+
+def test_json_is_decoded_only_by_the_root_decoder():
+    # The root's from_json refuses JSON nested too deeply as invalid JSON; a
+    # reader that called the json module itself would end in a RecursionError.
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent_of = {child: node for node in ast.walk(tree)
+                     for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                uses.append(f"{path.name}, line {node.lineno}: {ast.unparse(node)}")
+            if not (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and _root(node.value) == "json"):
+                continue
+            scope = node
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parent_of[scope]
+            uses.append(f"{path.name}, {getattr(scope, 'name', 'module')}: {ast.unparse(node)}")
+    assert uses == ["__init__.py, from_json: json.loads"]
 
 
 def _run_fresh(watched, *argv):
