@@ -8,8 +8,8 @@ evaluation tooling on top of it.
 The root holds what every command shares: the sentence labels, the split
 names, the JSON encoding of outputs and decoding of inputs, and the atomic
 writer. A model command imports the root, ``cli``, ``ingest.read_lines``,
-``model`` and, to score, ``metrics``; only the build-side commands, and a
-model command that reads a dataset without its table cache, load
+``model`` and, to score, ``metrics``; only the build-side commands, and
+``model.read_table`` when a dataset has no valid table cache, load
 ``pipeline`` and ``textproc``.
 """
 

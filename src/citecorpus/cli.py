@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 validation or data error, 2 usage error.
 
 Each command imports the layers it runs when it starts, so a model command
 whose dataset has a table cache loads neither the build pipeline nor the
-text processing, and no build-side command loads numpy.
+text processing, and no build-side command loads numpy. The model commands
+get their sentences from ``model.read_table``, which owns the table cache;
+``cross-domain`` keeps only the sentences of the fields its grid scores.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import (DEFAULT_C, LABEL_CITE_WORTHY, SPLIT_TEST, SPLIT_TRAIN, SPLITS, __version__,
-               from_json, ratios_are_valid, to_json, write_json)
+from . import (DEFAULT_C, SPLIT_TEST, SPLIT_TRAIN, SPLITS, __version__, from_json,
+               ratios_are_valid, to_json, write_json)
 from .ingest import read_lines
 
 if TYPE_CHECKING:
-    from .model import LinearModel, PUModel, SentenceTable
-    from .pipeline import ParagraphSample
+    from .model import LinearModel, PUModel
 
 logger = logging.getLogger("citecorpus")
 
@@ -199,62 +200,6 @@ def _require_output(path: str, what: str) -> Path:
     return p
 
 
-def _sentence_table(samples: list[ParagraphSample]) -> SentenceTable:
-    """Every sentence of ``samples``, in dataset order. The one place the
-    model commands tokenize; the token lists go straight into the count
-    matrix."""
-    from .model import SentenceTable, count_tokens
-    from .textproc import tokenize
-    import numpy as np  # after .model, which sets the BLAS thread count
-
-    sentences = [sentence for sample in samples for sentence in sample.sentences]
-    groups: dict[tuple[str, str], int] = {}
-    group = [groups.setdefault((sample.mag_field, sample.split), len(groups))
-             for sample in samples]
-    return SentenceTable(
-        count_tokens(tokenize(sentence.text) for sentence in sentences),
-        np.array([sentence.label == LABEL_CITE_WORTHY for sentence in sentences], dtype=int),
-        # An int array even when empty, as a table file stores it.
-        np.repeat(np.array(group, dtype=int), [len(sample.sentences) for sample in samples]),
-        groups)
-
-
-def _read_table(path: Path) -> SentenceTable:
-    """The sentence table of the whole dataset at ``path``, through a
-    read-through cache beside it, ``.<name>.table``, keyed by the SHA-256 of
-    the dataset's bytes and ``model.TABLE_VERSION``. On a miss (no cache, a
-    stale or damaged one) the dataset is read with every check of
-    ``read_dataset`` and the table written back, unless the file changed
-    while it was read; a cache that cannot be written is skipped."""
-    import hashlib
-
-    from .model import load_table, save_table
-
-    def digest() -> bytes:
-        sha256 = hashlib.sha256()
-        with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                sha256.update(chunk)
-        return sha256.digest()
-
-    cache = path.with_name(f".{path.name}.table")
-    key = digest()
-    try:
-        return load_table(cache, key)
-    except (OSError, ValueError):
-        pass
-    from .pipeline import read_dataset
-
-    table = _sentence_table(read_dataset(path))
-    # The key must be the hash of the very bytes just parsed.
-    if digest() == key:
-        try:
-            save_table(cache, table, key)
-        except OSError:
-            pass
-    return table
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     import hashlib
 
@@ -375,14 +320,14 @@ def _report_fit(name: str, model: LinearModel) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .model import (compute_class_weights, featurize, fit_vocabulary, save_model,
-                        train_logreg, train_pu)
+    from .model import (compute_class_weights, featurize, fit_vocabulary, read_table,
+                        save_model, train_logreg, train_pu)
 
     dataset_path = _require_file(args.input, "dataset")
     model_path, split = _require_output(args.output, "model file"), args.split
     # The whole table is freed once its rows are taken, and their counts
     # once featurized: the fit is when the process holds the most memory.
-    table = _read_table(dataset_path)
+    table = read_table(dataset_path)
     rows = table.rows(split=split)
     counts, labels = table.counts.rows(rows), table.label[rows]
     del table
@@ -412,14 +357,14 @@ def _scoring_model(model: LinearModel | PUModel) -> LinearModel:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
-    from .model import featurize, load_model, predict
+    from .model import featurize, load_model, predict, read_table
 
     model_path = _require_file(args.model, "model file")
     dataset_path = _require_file(args.input, "dataset")
     split, field = args.split, args.field
 
     model, vocab = load_model(model_path)
-    table = _read_table(dataset_path)
+    table = read_table(dataset_path)
     rows = table.rows(field, split)
     counts, golds = table.counts.rows(rows), table.label[rows]
     del table
@@ -431,7 +376,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_cross_domain(args: argparse.Namespace) -> int:
     from . import metrics
     from .model import (TrainingError, compute_class_weights, featurize, fit_vocabulary,
-                        predict, train_logreg)
+                        predict, read_table, train_logreg)
+    import numpy as np  # after .model, which sets the BLAS thread count
 
     dataset_path = _require_file(args.input, "dataset")
     distances_path = _require_file(args.distances, "distance matrix")
@@ -449,7 +395,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
-    table = _read_table(dataset_path)
+    table = read_table(dataset_path)
     # Every field's rows, class weights and distance column, checked before
     # the first fit.
     selected = {(field, split): table.rows(field, split)
@@ -465,22 +411,29 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         if len(set(column)) == 1:
             raise ValueError(f"{distances_path}: every distance to test field {test_field!r} "
                              "is the same, so its rho is undefined")
+    # Only the grid's fields are featurized; unless they hold every sentence,
+    # their rows are copied out once and each selection renumbered.
+    keep = np.sort(np.concatenate([selected[field, "all"] for field in fields]))
+    counts, labels = table.counts, table.label
+    if len(keep) < len(labels):
+        counts, labels = counts.rows(keep), labels[keep]
+        selected = {key: np.searchsorted(keep, rows) for key, rows in selected.items()}
+    del table
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:
         train_rows = selected[train_field, SPLIT_TRAIN]
-        train_labels = table.label[train_rows]
-        vocab = fit_vocabulary(table.counts.rows(train_rows), min_df=args.min_df)
+        vocab = fit_vocabulary(counts.rows(train_rows), min_df=args.min_df)
         # Rows are featurized and predicted independently, so one pass over
-        # every sentence serves the fit and all of its test cells.
-        X = featurize(table.counts, vocab)
-        model = train_logreg(X[train_rows], train_labels, class_weights[train_field],
+        # the grid's sentences serves the fit and all of its test cells.
+        X = featurize(counts, vocab)
+        model = train_logreg(X[train_rows], labels[train_rows], class_weights[train_field],
                              C=args.c_value)
         _warn_unconverged(f"fit on {train_field}", model)
         predicted = predict(model, X)
         for test_field in fields:
             eval_rows = selected[test_field, SPLIT_TEST if test_field == train_field else "all"]
             f1_by_pair[train_field, test_field] = 100.0 * metrics.precision_recall_f1(
-                predicted[eval_rows], table.label[eval_rows]).f1
+                predicted[eval_rows], labels[eval_rows]).f1
 
     grid = metrics.domain_grid(f1_by_pair, distances, fields=fields)
     print(grid.render_text())

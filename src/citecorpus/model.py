@@ -8,9 +8,10 @@ index is its term's rank among the vocabulary's terms in sorted order, so
 ``featurize`` keeps each row's column order when it maps each counted term
 to its index and idf, and divides each row by its norm. Matrices are
 ``CSR``: three plain numpy arrays, and nothing here loads scipy. Training
-and prediction take such a matrix. ``save_table`` and ``load_table`` store
-a dataset's ``SentenceTable`` as an ``.npz`` keyed by the dataset's SHA-256
-and ``TABLE_VERSION``, and check every array on load.
+and prediction take such a matrix. ``read_table`` gives a dataset's
+``SentenceTable`` through a cache file beside it, keyed by the dataset's
+SHA-256 and ``TABLE_VERSION``: a JSON header line, int32 arrays and a
+CRC-32, every part checked on load.
 
 ``predict`` computes each margin X.w + b by adding a row's products left to
 right, as scipy's CSR matvec does, and calls a row positive when its margin
@@ -46,23 +47,26 @@ targets, one row per sample.
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import math
 import operator
 import os
-import zipfile
+import zlib
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import DEFAULT_C, atomic_write, from_json, write_json
+from . import DEFAULT_C, LABEL_CITE_WORTHY, atomic_write, from_json, write_json
 from .ingest import read_lines
+
+if TYPE_CHECKING:
+    from .pipeline import ParagraphSample
 
 # A threaded BLAS sums dot products in per-thread chunks, so fitted weights
 # (and the model files) would depend on the host's core count. The fits here
@@ -556,26 +560,32 @@ def _is(value: object, kind: type | tuple[type, ...]) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _finite(value: int | float | list) -> bool:
-    """Whether a number, or every number of a list, is finite."""
+def _finite(value: int | float | list, key: str) -> np.ndarray:
+    """A number, or a list of numbers, as floats; a ValueError naming
+    ``key`` unless every one is finite."""
     try:
-        return bool(np.isfinite(np.asarray(value, dtype=float)).all())
+        floats = np.asarray(value, dtype=float)
+        if np.isfinite(floats).all():
+            return floats
     except OverflowError:  # an integer beyond the float range
-        return False
+        pass
+    raise ValueError(f"key {key!r} holds a number that is not finite")
 
 
 def _pull(record: object, key: str, kind: type | tuple[type, ...], items=None):
     """``record[key]``: a ``kind``, each item's type one of ``items`` when
-    given. A bool is never a number here, and a number must be finite."""
+    given. A bool is never a number here, and a number must be finite; a
+    list of numbers comes back as a float array."""
     value = record.get(key) if isinstance(record, dict) else None
     if not _is(value, kind) or (items is not None and not set(map(type, value)) <= set(items)):
         raise ValueError(f"key {key!r} is missing or mistyped")
-    if _NUMBER in (kind, items) and not _finite(value):
-        raise ValueError(f"key {key!r} holds a number that is not finite")
+    if _NUMBER in (kind, items):
+        floats = _finite(value, key)
+        return value if items is None else floats
     return value
 
 
-def _pull_pair(record: object, key: str, items: tuple[type, ...], what: str) -> list:
+def _pull_pair(record: object, key: str, items: tuple[type, ...], what: str) -> Sequence:
     """``_pull(record, key, list, items)``, holding exactly two ``what``."""
     pair = _pull(record, key, list, items)
     if len(pair) != 2:
@@ -584,7 +594,7 @@ def _pull_pair(record: object, key: str, items: tuple[type, ...], what: str) -> 
 
 
 def _linear_from_record(record: object) -> LinearModel:
-    weights = np.asarray(_pull(record, "weights", list, _NUMBER), dtype=float)
+    weights = _pull(record, "weights", list, _NUMBER)
     n_features = _pull(record, "n_features", int)
     if len(weights) != n_features:
         raise ValueError(f"{len(weights)} weights but n_features={n_features}")
@@ -607,8 +617,7 @@ def _vocabulary_from_record(record: object) -> Vocabulary:
     named."""
     raw = _pull(record, "terms", dict)
     total_docs = _pull(record, "total_docs", int)
-    if not _finite(total_docs):
-        raise ValueError("key 'total_docs' holds a number that is not finite")
+    _finite(total_docs, "total_docs")
     if total_docs < 1:
         raise ValueError(f"key 'total_docs' must be at least 1, got {total_docs}")
     rank_of = {term: rank for rank, term in enumerate(sorted(raw))}
@@ -687,85 +696,118 @@ def load_model(path: str | Path) -> tuple[LinearModel | PUModel, Vocabulary]:
     return model, vocab
 
 
-# The arrays of a table file and their dtypes. ``strings`` is the JSON text
-# of [terms, group fields, group splits], which escapes a lone surrogate (a
-# JSON string may hold one) and reads it back.
-_TABLE_ARRAYS = {
-    "version": np.int64, "sha256": np.uint8, "strings": np.uint8,
-    "data": _INDEX, "indices": _INDEX, "indptr": _INDEX,
-    "label": np.int64, "group": np.int64,
-}
+def sentence_table(samples: list[ParagraphSample]) -> SentenceTable:
+    """Every sentence of ``samples``, in dataset order, its label and group
+    code int32 as a table file stores them. The one place the model
+    commands tokenize; the token lists go straight into the count matrix."""
+    from .textproc import tokenize
 
-# What zipfile raises on a file that is not an intact archive of stored
-# members: a short or damaged archive, a member whose CRC-32 does not match,
-# or a feature that a damaged directory names, such as encryption or a newer
-# zip version (NotImplementedError is a RuntimeError).
-_DAMAGED = (EOFError, RuntimeError, ValueError, zipfile.BadZipFile)
+    sentences = [sentence for sample in samples for sentence in sample.sentences]
+    groups: dict[tuple[str, str], int] = {}
+    group = [groups.setdefault((sample.mag_field, sample.split), len(groups))
+             for sample in samples]
+    return SentenceTable(
+        count_tokens(tokenize(sentence.text) for sentence in sentences),
+        np.array([sentence.label == LABEL_CITE_WORTHY for sentence in sentences], dtype=_INDEX),
+        np.repeat(np.array(group, dtype=_INDEX), [len(sample.sentences) for sample in samples]),
+        groups)
+
+
+def read_table(path: Path) -> SentenceTable:
+    """The sentence table of the whole dataset at ``path``, through a
+    read-through cache beside it, ``.<name>.table``, keyed by the SHA-256 of
+    the dataset's bytes and ``TABLE_VERSION``. On a miss (no cache, a
+    stale or damaged one) the dataset is read with every check of
+    ``read_dataset`` and the table written back, unless the file changed
+    while it was read; a cache that cannot be written is skipped."""
+    def digest() -> bytes:
+        sha256 = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                sha256.update(chunk)
+        return sha256.digest()
+
+    cache = path.with_name(f".{path.name}.table")
+    key = digest()
+    try:
+        return load_table(cache, key)
+    except (OSError, ValueError):
+        pass
+    from .pipeline import read_dataset
+
+    table = sentence_table(read_dataset(path))
+    # The key must be the hash of the very bytes just parsed.
+    if digest() == key:
+        try:
+            save_table(cache, table, key)
+        except OSError:
+            pass
+    return table
+
+
+# The arrays of a table file, in file order, and how each item is stored.
+_TABLE_ARRAYS = ("data", "indices", "indptr", "label", "group")
+_TABLE_ITEM = np.dtype("<i4")
 
 
 def save_table(path: str | Path, table: SentenceTable, sha256: bytes) -> None:
     """Write ``table``, the table of the dataset whose bytes have the
-    SHA-256 digest ``sha256``, as an uncompressed ``.npz`` through
-    ``atomic_write``: ``load_table`` reads it back."""
-    strings = json.dumps([table.counts.terms, [field for field, _ in table.groups],
-                          [split for _, split in table.groups]]).encode("ascii")
+    SHA-256 digest ``sha256``, through ``atomic_write``: an ASCII JSON line
+    (``version``, ``sha256`` in hex, the arrays' ``lengths`` and ``strings``,
+    [terms, group fields, group splits], a lone surrogate escaped) padded to
+    a multiple of 4 bytes, the arrays ``_TABLE_ARRAYS`` as little-endian
+    int32, then the CRC-32 of all that in 4 little-endian bytes."""
     matrix = table.counts.matrix
+    arrays = [np.ascontiguousarray(array, _TABLE_ITEM) for array in
+              (matrix.data, matrix.indices, matrix.indptr, table.label, table.group)]
+    header = json.dumps({"version": TABLE_VERSION, "sha256": sha256.hex(),
+                         "lengths": [len(array) for array in arrays],
+                         "strings": [table.counts.terms, [field for field, _ in table.groups],
+                                     [split for _, split in table.groups]]})
+    line = header + " " * (-(len(header) + 1) % 4) + "\n"
+    crc = 0
     with atomic_write(path, binary=True) as fh:
-        np.savez(fh, version=np.int64(TABLE_VERSION), sha256=np.frombuffer(sha256, np.uint8),
-                 strings=np.frombuffer(strings, np.uint8), data=matrix.data,
-                 indices=matrix.indices, indptr=matrix.indptr, label=table.label,
-                 group=table.group)
+        for part in [line.encode("ascii"), *arrays]:
+            fh.write(part)
+            crc = zlib.crc32(part, crc)
+        fh.write(crc.to_bytes(4, "little"))
 
 
 def load_table(path: str | Path, sha256: bytes) -> SentenceTable:
     """The table ``save_table`` wrote to ``path`` for the dataset whose bytes
-    have the digest ``sha256``, read as an ``.npz`` archive that may hold no
-    pickled object. Raises ValueError naming the file unless the file is
-    such a table at ``TABLE_VERSION``, every array of its dtype, shape and
-    range: a CSR count matrix over sorted, distinct terms with columns
-    ascending in each row, 0/1 labels and a group code per row, and distinct
-    (field, split) groups. Raises OSError when the file cannot be read."""
-    members = {f"{name}.npy": name for name in _TABLE_ARRAYS}
+    have the digest ``sha256``. Raises ValueError naming the file unless
+    the CRC-32 matches, the header is at ``TABLE_VERSION`` with that digest
+    and claims exactly the int32 items that follow it, and the arrays are
+    such a table: a CSR count matrix over sorted, distinct terms with
+    columns ascending in each row, 0/1 labels and a group code per row, and
+    distinct (field, split) groups. Raises OSError when the file cannot be
+    read."""
+    raw = Path(path).read_bytes()
     try:
-        with zipfile.ZipFile(path) as archive:
-            infos = archive.infolist()
-            if sorted(info.filename for info in infos) != sorted(members) \
-                    or any(info.compress_type != zipfile.ZIP_STORED for info in infos):
-                raise ValueError("not the stored members save_table writes")
-            # read() returns a member only once its CRC-32 matches, which
-            # catches damage but not a member written to pass it.
-            arrays = {name: _read_member(archive.read(member))
-                      for member, name in members.items()}
-        return _checked_table(arrays, sha256)
-    except _DAMAGED as exc:
+        if len(raw) < 4 or int.from_bytes(raw[-4:], "little") != zlib.crc32(
+                memoryview(raw)[:-4]):
+            raise ValueError("the CRC-32 does not match")
+        start = raw.find(b"\n", 0, len(raw) - 4) + 1
+        header = from_json(raw[:start].decode("ascii"))
+        version = _pull(header, "version", int)
+        if version != TABLE_VERSION:
+            raise ValueError(f"table version {version}")
+        if _pull(header, "sha256", str) != sha256.hex():
+            raise ValueError("the dataset's hash differs")
+        # Python ints, before numpy sees a byte: 2**40 items allocate nothing.
+        lengths = _pull(header, "lengths", list, (int,))
+        if len(lengths) != len(_TABLE_ARRAYS) or min(lengths) < 0 \
+                or 4 * sum(lengths) != len(raw) - 4 - start:
+            raise ValueError(f"the header claims arrays of {lengths} items")
+        items = np.frombuffer(raw, _TABLE_ITEM, count=sum(lengths), offset=start)
+        arrays = dict(zip(_TABLE_ARRAYS, np.split(items, list(accumulate(lengths[:-1])))))
+        return _checked_table(_pull(header, "strings", list), arrays)
+    except ValueError as exc:
         raise ValueError(f"{path}: not a table file for this dataset ({exc!r})") from exc
 
 
-def _read_member(npy: bytes) -> np.ndarray:
-    """The array in ``npy``, a ``.npy`` file at format 1.0 as ``save_table``
-    writes it, that may hold no pickled object. Its header must claim as
-    many bytes as follow it, checked before the array is allocated."""
-    member = io.BytesIO(npy)
-    if np.lib.format.read_magic(member) != (1, 0):
-        raise ValueError("an array is not at .npy format 1.0")
-    shape, _, dtype = np.lib.format.read_array_header_1_0(member)
-    if math.prod(shape) * dtype.itemsize != len(npy) - member.tell():
-        raise ValueError(f"an array's header claims {shape} {dtype}")
-    member.seek(0)
-    return np.lib.format.read_array(member, allow_pickle=False)
-
-
-def _checked_table(arrays: dict[str, np.ndarray], sha256: bytes) -> SentenceTable:
-    for name, dtype in _TABLE_ARRAYS.items():
-        ndim = 0 if name == "version" else 1
-        if arrays[name].dtype != np.dtype(dtype) or arrays[name].ndim != ndim:
-            raise ValueError(f"array {name!r} is {arrays[name].dtype} {arrays[name].shape}")
-    if int(arrays["version"]) != TABLE_VERSION:
-        raise ValueError(f"table version {int(arrays['version'])}")
-    if arrays["sha256"].tobytes() != sha256:
-        raise ValueError("the dataset's hash differs")
-    lists = from_json(arrays["strings"].tobytes().decode("ascii"))
-    if not (_is(lists, list) and len(lists) == 3
+def _checked_table(lists: list, arrays: dict[str, np.ndarray]) -> SentenceTable:
+    if not (len(lists) == 3
             and all(_is(strings, list) and set(map(type, strings)) <= {str} for strings in lists)
             and len(lists[1]) == len(lists[2])):
         raise ValueError("strings are not three lists of strings")

@@ -3,7 +3,6 @@
 import contextlib
 import errno
 import hashlib
-import io
 import json
 import math
 import os
@@ -12,7 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import zipfile
+import zlib
 from pathlib import Path
 from unittest.mock import patch
 
@@ -24,7 +23,7 @@ import citecorpus
 from citecorpus import audit, cli
 from citecorpus.cli import main
 from citecorpus.metrics import write_distance_matrix
-from citecorpus.model import Vocabulary, save_model
+from citecorpus.model import Vocabulary, save_model, sentence_table
 from citecorpus import pipeline
 from citecorpus.pipeline import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LabeledSentence,
                                  ParagraphSample, read_dataset, write_dataset)
@@ -949,7 +948,7 @@ class TestSentenceTable:
         from citecorpus.model import TrainingError, count_tokens, featurize, fit_vocabulary
         from citecorpus.textproc import tokenize
 
-        table = cli._sentence_table(samples)
+        table = sentence_table(samples)
         every = [(sample.mag_field, sample.split, sentence) for sample in samples
                  for sentence in sample.sentences]
         expected = count_tokens(tokenize(sentence.text) for _, _, sentence in every)
@@ -978,7 +977,7 @@ class TestSentenceTable:
             return
         rows = table.rows(field, split)
         counts = table.counts.rows(rows)
-        direct = cli._sentence_table(chosen)
+        direct = sentence_table(chosen)
         assert _row_counts(counts) == _row_counts(direct.counts)
         key_of = {code: key for key, code in table.groups.items()}
         direct_key_of = {code: key for key, code in direct.groups.items()}
@@ -1050,41 +1049,40 @@ def _directory(cache, table, key):
     cache.mkdir()
 
 
-def _deflated(cache, table, key):
-    with zipfile.ZipFile(cache) as archive:
-        members = {info.filename: archive.read(info) for info in archive.infolist()}
-    with zipfile.ZipFile(cache, "w", zipfile.ZIP_DEFLATED) as archive:
-        for name, data in members.items():
-            archive.writestr(name, data)
-
-
-def _member(name, npy):
-    """A damaged cache: the good archive with the bytes ``npy`` as its member
-    ``name``, stored with a valid CRC-32."""
+def _rewritten(change):
+    """A damaged cache: the good file with ``change`` applied to its bytes
+    before the CRC-32, and a valid CRC-32 of the result."""
     def damage(cache, table, key):
-        with zipfile.ZipFile(cache) as archive:
-            members = {info.filename: archive.read(info) for info in archive.infolist()}
-        members[name] = npy
-        with zipfile.ZipFile(cache, "w") as archive:
-            for member, data in members.items():
-                archive.writestr(member, data)
+        body = change(cache.read_bytes()[:-4])
+        cache.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
     return damage
 
 
+def _header(text_of):
+    """A damaged cache: the good file with ``text_of(header)`` as its header
+    line, ``header`` being the good header's object, and a valid CRC-32."""
+    def change(body):
+        head, _, rest = body.partition(b"\n")
+        return text_of(json.loads(head)).encode("ascii") + b"\n" + rest
+    return _rewritten(change)
+
+
 def _strings(text):
-    """A damaged cache: the good archive with ``text`` as its strings member."""
-    member = io.BytesIO()
-    np.lib.format.write_array(member, np.frombuffer(text, np.uint8))
-    return _member("strings.npy", member.getvalue())
+    """A damaged cache: the good file with ``text`` as the JSON text of its
+    header's strings, and a valid CRC-32."""
+    return _header(lambda header: json.dumps({**header, "strings": "@"}).replace('"@"', text))
 
 
-def _claimed(shape):
-    """A damaged cache whose int32 data member's header claims ``shape``
-    over no data."""
-    member = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        member, {"descr": "<i4", "fortran_order": False, "shape": shape})
-    return _member("data.npy", member.getvalue())
+def _npz(cache, table, key):
+    """The table as its earlier format held it: an uncompressed ``.npz``."""
+    matrix = table.counts.matrix
+    strings = json.dumps([table.counts.terms, [field for field, _ in table.groups],
+                          [split for _, split in table.groups]]).encode("ascii")
+    with open(cache, "wb") as fh:
+        np.savez(fh, version=np.int64(1), sha256=np.frombuffer(key, np.uint8),
+                 strings=np.frombuffer(strings, np.uint8), data=matrix.data,
+                 indices=matrix.indices, indptr=matrix.indptr,
+                 label=table.label.astype(np.int64), group=table.group.astype(np.int64))
 
 
 DAMAGED_CACHES = {
@@ -1093,18 +1091,33 @@ DAMAGED_CACHES = {
     "random-bytes": lambda cache, table, key: cache.write_bytes(
         random.Random(5).randbytes(cache.stat().st_size)),
     "directory": _directory,
-    "deflated": _deflated,
-    "wrong-dtype": _resaved(label=lambda label: label.astype(np.int32)),
     "index-out-of-range": _resaved(indices=_set(-1, lambda indices: indices.max() + 1)),
     "indptr-not-monotone": _resaved(indptr=_set(1, lambda indptr: indptr[2] + 1)),
     "unsorted-terms": _resaved(terms=lambda terms: [terms[1], terms[0], *terms[2:]]),
     "repeated-term": _resaved(terms=lambda terms: [terms[0], terms[0], *terms[2:]]),
-    "strings-not-json": _strings(b'[["a", "b"'),
-    "strings-not-three-lists": _strings(b'[["a"], ["Biology"], 5]'),
-    "strings-deeply-nested": _strings(DEEP_JSON.encode("ascii")),
-    "header-claims-4-tib": _claimed((2**40,)),
+    "strings-not-json": _strings('[["a", "b"'),
+    "strings-not-three-lists": _strings('[["a"], ["Biology"], 5]'),
+    "strings-deeply-nested": _strings(DEEP_JSON),
+    "header-not-json": _header(lambda header: "not JSON"),
+    "header-claims-2**40-items": _header(lambda header: json.dumps(
+        {**header, "lengths": [2**40, *header["lengths"][1:]]})),
+    "version-true": _header(lambda header: json.dumps({**header, "version": True})),
+    "trailing-bytes": _rewritten(lambda body: body + bytes(4)),
+    "wrong-crc": lambda cache, table, key: cache.write_bytes(
+        (raw := cache.read_bytes())[:-1] + bytes([raw[-1] ^ 1])),
     "wrong-key": _resaved(key=lambda key: bytes(32)),
     "wrong-version": _newer_version,
+    "npz-archive": _npz,
+}
+
+# What load_table says of a damaged header. A claim of 2**40 items is
+# refused by its lengths, before any array is made.
+HEADER_FAULTS = {
+    "wrong-crc": "the CRC-32 does not match",
+    "header-not-json": "Expecting value: line 1 column 1",
+    "version-true": "key 'version' is missing or mistyped",
+    "header-claims-2**40-items": "the header claims arrays of [1099511627776, ",
+    "trailing-bytes": "the header claims arrays of [",
 }
 
 # A table pinned with the version it is stored under: a change to the
@@ -1249,6 +1262,19 @@ class TestTableCache:
         with pytest.raises(ValueError, match="terms are not sorted and distinct"):
             load_table(cache, key)
 
+    @pytest.mark.parametrize("damage", HEADER_FAULTS)
+    def test_header_faults_are_named(self, damage, trained, dataset, capsys):
+        from citecorpus.model import load_table
+        message = HEADER_FAULTS[damage]
+        _, model_path = trained
+        assert self._eval(model_path, dataset, capsys)[0] == 0
+        cache, key = _table_cache(dataset), _digest(dataset)
+        DAMAGED_CACHES[damage](cache, load_table(cache, key), key)
+        with pytest.raises(ValueError) as exc:
+            load_table(cache, key)
+        assert str(exc.value).startswith(f"{cache}: not a table file for this dataset (")
+        assert message in str(exc.value)
+
     @pytest.mark.parametrize("step", ["open", "replace"])
     def test_a_failed_cache_write_is_skipped(self, step, trained, dataset, capsys,
                                               monkeypatch):
@@ -1293,7 +1319,7 @@ class TestTableCache:
 
     def test_golden_table(self):
         from citecorpus.model import TABLE_VERSION
-        table = cli._sentence_table([ParagraphSample(
+        table = sentence_table([ParagraphSample(
             paper_id="p", section_title="results", mag_field="Biology", split="train",
             sentences=tuple(LabeledSentence(text, LABEL_NON_CITE_WORTHY, 0)
                             for text in GOLDEN_TABLE_TEXTS))])
@@ -1309,7 +1335,7 @@ class TestTableCache:
         samples = [*samples, ParagraphSample(
             paper_id="p", section_title="results", mag_field="\ud800", split="test",
             sentences=(LabeledSentence("Ab \ud83d.", LABEL_CITE_WORTHY, 1),))]
-        table = cli._sentence_table(samples)
+        table = sentence_table(samples)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.table"
             save_table(path, table, key)
@@ -1319,7 +1345,7 @@ class TestTableCache:
     @given(st.data())
     def test_damage_anywhere_loads_the_table_or_is_refused(self, trained, data):
         from citecorpus.model import load_table, save_table
-        table = cli._sentence_table(read_dataset(trained[0] / "dataset.jsonl"))
+        table = sentence_table(read_dataset(trained[0] / "dataset.jsonl"))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.table"
             save_table(path, table, bytes(32))
@@ -1426,6 +1452,31 @@ class TestCrossDomain:
         assert main(["cross-domain", "--input", str(dataset_path),
                      "--distances", str(dist_path)]) == 0
         assert calls == {"train_logreg": len(FIELDS), "predict": len(FIELDS)}
+
+    def test_fields_featurizes_only_their_sentences(self, ten_fields, tmp_path, monkeypatch):
+        # --fields naming 2 of the 10 fields featurizes and scores only their
+        # sentences, and the grid is the one a dataset of only them gives.
+        dataset_path, dist_path = ten_fields
+        fields = ["Biology", "Physics"]
+        samples = read_dataset(dataset_path)
+        only = tmp_path / "only.jsonl"
+        write_dataset([sample for sample in samples if sample.mag_field in fields], only)
+        grids = []
+        for path in (only, dataset_path):
+            grid_path = tmp_path / f"grid-{len(grids)}.json"
+            assert main(["cross-domain", "--input", str(path), "--distances", str(dist_path),
+                         "--fields", ",".join(fields), "--output", str(grid_path)]) == 0
+            grids.append(grid_path.read_bytes())
+        assert grids[0] == grids[1]
+        featurized = []
+        featurize = citecorpus.model.featurize
+        monkeypatch.setattr(citecorpus.model, "featurize",
+                            lambda counts, vocab: featurized.append(len(counts))
+                            or featurize(counts, vocab))
+        assert main(["cross-domain", "--input", str(dataset_path), "--distances",
+                     str(dist_path), "--fields", ",".join(fields)]) == 0
+        assert featurized == [sum(len(sample.sentences) for sample in samples
+                                  if sample.mag_field in fields)] * len(fields)
 
     def test_undecodable_distance_matrix_names_file_and_line(self, trained, tmp_path,
                                                              capsys):

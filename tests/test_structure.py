@@ -1,6 +1,6 @@
 """Repository structure: no module of the package reads another module's
-private name or imports scipy, every JSON input goes through one decoder, no
-build-side command loads numpy, no model command with a table cache loads a
+private name or imports scipy, every JSON input goes through one decoder,
+only ``model`` names the table file, no build-side command loads numpy, no model command with a table cache loads a
 build-side module, each citation pattern is written once and compiled only
 from its constant, and the test configuration lets a failing property test
 report its example."""
@@ -90,6 +90,26 @@ def test_json_is_decoded_only_by_the_root_decoder():
                 scope = parent_of[scope]
             uses.append(f"{path.name}, {getattr(scope, 'name', 'module')}: {ast.unparse(node)}")
     assert uses == ["__init__.py, from_json: json.loads"]
+
+
+TABLE_NAMES = {"TABLE_VERSION", "save_table", "load_table"}
+
+
+def test_only_model_names_the_table_file():
+    # The table file's name, key, version and format live in one module;
+    # every other module asks model.read_table for a dataset's table.
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+            if names & TABLE_NAMES or (isinstance(node, ast.Constant)
+                                       and ".table" in str(node.value)):
+                uses.append(f"{path.name}, line {node.lineno}: {ast.unparse(node)[:60]}")
+    assert uses == []
 
 
 def _run_fresh(watched, *argv):
