@@ -411,13 +411,11 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         if len(set(column)) == 1:
             raise ValueError(f"{distances_path}: every distance to test field {test_field!r} "
                              "is the same, so its rho is undefined")
-    # Only the grid's fields are featurized; unless they hold every sentence,
-    # their rows are copied out once and each selection renumbered.
+    # Only the grid's fields are featurized: their rows are copied out once
+    # and each selection renumbered.
     keep = np.sort(np.concatenate([selected[field, "all"] for field in fields]))
-    counts, labels = table.counts, table.label
-    if len(keep) < len(labels):
-        counts, labels = counts.rows(keep), labels[keep]
-        selected = {key: np.searchsorted(keep, rows) for key, rows in selected.items()}
+    counts, labels = table.counts.rows(keep), table.label[keep]
+    selected = {key: np.searchsorted(keep, rows) for key, rows in selected.items()}
     del table
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:

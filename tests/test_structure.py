@@ -1,9 +1,9 @@
 """Repository structure: no module of the package reads another module's
 private name or imports scipy, every JSON input goes through one decoder,
-only ``model`` names the table file, no build-side command loads numpy, no model command with a table cache loads a
-build-side module, each citation pattern is written once and compiled only
-from its constant, and the test configuration lets a failing property test
-report its example."""
+only ``model`` names the table file, no build-side command loads numpy, no
+model command with a table cache loads a build-side module, each citation
+pattern is written once and compiled only from its constant, and the test
+configuration lets a failing property test report its example."""
 
 import ast
 import os
