@@ -6,11 +6,15 @@ an external source, and provides TF-IDF / logistic-regression baselines plus
 evaluation tooling on top of it.
 
 The root holds what every command shares: the sentence labels, the split
-names, the JSON encoding of outputs and decoding of inputs, and the atomic
-writer. A model command imports the root, ``cli``, ``ingest.read_lines``,
-``model`` and, to score, ``metrics``; only the build-side commands, and
-``model.read_table`` when a dataset has no valid table cache, load
-``pipeline`` and ``textproc``.
+names, the input layer, the output encoding and the atomic writer. The
+input layer is ``read_lines``, which reads every text file but the corpus;
+``invalid_utf8``, the check by which it and the corpus parser refuse a byte
+that is not UTF-8; and ``from_json``, the one JSON decoder. A decoded value
+is never of a subclass, so every check of a number's or a bool's type
+compares ``type(value)``, and a bool is never an int. A model command
+imports the root, ``cli``, ``model`` and, to score, ``metrics``; only the
+build-side commands, and ``model.read_table`` when a dataset has no valid
+table cache, load ``pipeline``, ``ingest`` and ``textproc``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -66,6 +71,31 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         if isinstance(exc, OSError) and exc.errno is not None and exc.filename is None:
             exc.filename = str(path)
         raise
+
+
+# What ``surrogateescape`` decodes an undecodable byte to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def invalid_utf8(line: str) -> str | None:
+    """Why ``line``, decoded with ``surrogateescape``, is not UTF-8 (its
+    first undecodable byte), or None when it is."""
+    if line.isascii() or not (bad := _ESCAPED_BYTE.search(line)):
+        return None
+    return f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8"
+
+
+def read_lines(
+    path: str | Path, error: type[Exception] = ValueError
+) -> Iterator[tuple[int, str]]:
+    """The lines of the text file ``path`` with their 1-based numbers,
+    decoded as UTF-8 with universal newlines. At the first byte that is not
+    UTF-8 it raises ``error`` naming the file and the line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if problem := invalid_utf8(line):
+                raise error(f"{path}, line {lineno}: {problem}")
+            yield lineno, line
 
 
 def to_json(value: object, indent: int | None = None) -> str:

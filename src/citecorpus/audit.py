@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, atomic_write, from_json, write_json
-from .ingest import read_lines
+from . import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, atomic_write, from_json, read_lines,
+               write_json)
 
 if TYPE_CHECKING:
     from .pipeline import ParagraphSample

@@ -8,10 +8,11 @@ reruns with the same config are byte-identical.
 Exit codes: 0 success, 1 validation or data error, 2 usage error.
 
 Each command imports the layers it runs when it starts, so a model command
-whose dataset has a table cache loads neither the build pipeline nor the
-text processing, and no build-side command loads numpy. The model commands
-get their sentences from ``model.read_table``, which owns the table cache;
-``cross-domain`` keeps only the sentences of the fields its grid scores.
+whose dataset has a table cache loads neither the corpus parser, the build
+pipeline nor the text processing, and no build-side command loads numpy.
+The model commands get their sentences from ``model.read_table``, which
+owns the table cache; ``cross-domain`` keeps only the sentences of the
+fields its grid scores.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import (DEFAULT_C, SPLIT_TEST, SPLIT_TRAIN, SPLITS, __version__, from_json,
-               ratios_are_valid, to_json, write_json)
-from .ingest import read_lines
+               ratios_are_valid, read_lines, to_json, write_json)
 
 if TYPE_CHECKING:
     from .model import LinearModel, PUModel
@@ -76,13 +76,13 @@ SPLIT_CHOICES = (*SPLITS, "all")
 def _integer(value) -> int:
     """``int()``, except that a bool, a fraction or a non-finite number is
     not an integer."""
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    if type(value) is bool or type(value) is float and not value.is_integer():
         raise ValueError
     return int(value)
 
 
 def _number(value) -> float:
-    if isinstance(value, bool):
+    if type(value) is bool:
         raise ValueError
     return float(value)
 
@@ -115,7 +115,7 @@ def _paths(value) -> list[str]:
 # a value that is not of its kind.
 INTEGER = ("an integer", _integer)
 NUMBER = ("a number", _number)
-SWITCH = ("true or false", _accept(lambda value: isinstance(value, bool)))
+SWITCH = ("true or false", _accept(lambda value: type(value) is bool))
 TEXT = ("a string", _accept(lambda value: isinstance(value, str)))
 PATHS = ("a string or a non-empty list of strings", _paths)
 SPLIT = (f"one of {', '.join(SPLIT_CHOICES)}", _accept(lambda value: value in SPLIT_CHOICES))
@@ -246,7 +246,7 @@ def cmd_build(args: argparse.Namespace) -> int:
             "paragraphs_accepted": len(collected.samples),
             "paragraphs_rejected": len(collected.rejections),
             "paragraphs_selected": len(selected),
-            "sentences_selected": sum(s.sentence_count() for s in selected),
+            "sentences_selected": sum(len(s.sentences) for s in selected),
         },
         "rule_checksums": {key: hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
                            for key, _, lines in RULES},
@@ -349,26 +349,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scoring_model(model: LinearModel | PUModel) -> LinearModel:
-    from .model import PUModel
-
-    return model.final_model if isinstance(model, PUModel) else model
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
-    from .model import featurize, load_model, predict, read_table
+    from .model import PUModel, featurize, load_model, predict, read_table
 
     model_path = _require_file(args.model, "model file")
     dataset_path = _require_file(args.input, "dataset")
     split, field = args.split, args.field
 
     model, vocab = load_model(model_path)
+    if isinstance(model, PUModel):
+        model = model.final_model
     table = read_table(dataset_path)
     rows = table.rows(field, split)
     counts, golds = table.counts.rows(rows), table.label[rows]
     del table
-    predicted = predict(_scoring_model(model), featurize(counts, vocab))
+    predicted = predict(model, featurize(counts, vocab))
     print(metrics.precision_recall_f1(predicted, golds).render_text())
     return 0
 

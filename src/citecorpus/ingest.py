@@ -24,37 +24,18 @@ it, but the benchmark's corpus generator checks its output through it. Both
 decode UTF-8 with ``surrogateescape``, so that an undecodable byte reaches
 ``parse_line``, which raises naming its file and line. Records are immutable
 and safe to share with parallel workers.
-
-Every other text file the tool reads back (the dataset, the audit sheet and
-key, the distance matrix, the config and the model file) goes through
-``read_lines``, which decodes the same way and raises at the first
-undecodable byte, naming the file and line. The corpus path keeps its own
-check in ``parse_line`` instead: the workers run it, so the parent only
-hands out raw lines, and ``read_corpus`` takes a stream, not a path.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
-from . import from_json
-
-# What ``surrogateescape`` decodes an undecodable byte to.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
-def _invalid_utf8(line: str) -> str | None:
-    """Why ``line``, decoded with ``surrogateescape``, is not UTF-8 (its
-    first undecodable byte), or None when it is."""
-    if line.isascii() or not (bad := _ESCAPED_BYTE.search(line)):
-        return None
-    return f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8"
+from . import from_json, invalid_utf8
 
 
 class CiteSpan(NamedTuple):
@@ -105,11 +86,10 @@ def _require(condition: bool, message: str) -> None:
 
 def _parse_cite_span(raw: object) -> CiteSpan:
     _require(isinstance(raw, dict), "cite span is not an object")
-    _require(isinstance(raw.get("start"), int) and not isinstance(raw["start"], bool),
-             "cite span 'start' is not an integer")
-    _require(isinstance(raw.get("end"), int) and not isinstance(raw["end"], bool),
-             "cite span 'end' is not an integer")
-    _require(isinstance(raw.get("ref_id"), str | None), "cite span 'ref_id' is not a string")
+    _require(type(raw.get("start")) is int, "cite span 'start' is not an integer")
+    _require(type(raw.get("end")) is int, "cite span 'end' is not an integer")
+    ref_id = raw.get("ref_id")
+    _require(ref_id is None or isinstance(ref_id, str), "cite span 'ref_id' is not a string")
     return CiteSpan(raw["start"], raw["end"])
 
 
@@ -140,12 +120,11 @@ def parse_record(raw: object) -> PaperRecord:
     _require(isinstance(body, list), "'body_text' is not a list")
     bib = raw.get("bib_entries")
     _require(bib is None or isinstance(bib, dict), "'bib_entries' is not an object")
-    _require(isinstance(raw.get("has_tables_figures"), bool), "'has_tables_figures' is not a bool")
+    _require(type(raw.get("has_tables_figures")) is bool, "'has_tables_figures' is not a bool")
     venue = raw.get("venue")
     _require(venue is None or isinstance(venue, str), "'venue' is not a string")
     inbound = raw.get("inbound_citations", 0)
-    _require(isinstance(inbound, int) and not isinstance(inbound, bool),
-             "'inbound_citations' is not an integer")
+    _require(type(inbound) is int, "'inbound_citations' is not an integer")
     fields = raw.get("mag_field_of_study")
     _require(fields is None
              or isinstance(fields, list) and all(isinstance(f, str) for f in fields),
@@ -170,7 +149,7 @@ def parse_line(line: str, lineno: int, source: str = "") -> PaperRecord | Diagno
     Raises ValueError naming the file and line when the line holds a byte
     that is not UTF-8, as decoded with ``surrogateescape``.
     """
-    if problem := _invalid_utf8(line):
+    if problem := invalid_utf8(line):
         where = f"{source}, line {lineno}" if source else f"line {lineno}"
         raise ValueError(f"{where}: {problem}")
     stripped = line.strip()
@@ -206,19 +185,6 @@ def read_corpus(
                 on_malformed(item)
             else:
                 yield item
-
-
-def read_lines(
-    path: str | Path, error: type[Exception] = ValueError
-) -> Iterator[tuple[int, str]]:
-    """The lines of the text file ``path`` with their 1-based numbers,
-    decoded as UTF-8 with universal newlines. At the first byte that is not
-    UTF-8 it raises ``error`` naming the file and the line."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if problem := _invalid_utf8(line):
-                raise error(f"{path}, line {lineno}: {problem}")
-            yield lineno, line
 
 
 def line_batches(

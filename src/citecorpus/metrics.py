@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import LABEL_CITE_WORTHY, SPLIT_UNASSIGNED, SPLITS, atomic_write
-from .ingest import read_lines
+from . import LABEL_CITE_WORTHY, SPLIT_UNASSIGNED, SPLITS, read_lines
 
 if TYPE_CHECKING:
     from .pipeline import ParagraphSample
@@ -276,14 +275,3 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
                 raise ValueError(f"{path}, line {lineno}: {cell!r} is not a finite number")
             distances[(train, test_name)] = value
     return distances
-
-
-def write_distance_matrix(
-    distances: Mapping[tuple[str, str], float], fields: Sequence[str], path: str | Path
-) -> None:
-    """Inverse of read_distance_matrix, mainly for fixtures and round-trips."""
-    with atomic_write(path) as fh:
-        fh.write("\t" + "\t".join(fields) + "\n")
-        for train in fields:
-            row = [train] + [repr(distances[(train, test)]) for test in fields]
-            fh.write("\t".join(row) + "\n")

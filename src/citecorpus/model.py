@@ -62,8 +62,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from . import DEFAULT_C, LABEL_CITE_WORTHY, atomic_write, from_json, write_json
-from .ingest import read_lines
+from . import DEFAULT_C, LABEL_CITE_WORTHY, atomic_write, from_json, read_lines, write_json
 
 if TYPE_CHECKING:
     from .pipeline import ParagraphSample
@@ -526,13 +525,13 @@ def train_pu(
     # Stage one stays unweighted: the hold-out estimate needs calibrated
     # probabilities.
     labeling = train_logreg(X[train_mask], s_train, class_weights=(1.0, 1.0), C=C)
-    c_estimate = float(predict_proba(labeling, X[holdout]).mean())
+    g = predict_proba(labeling, X)
+    c_estimate = float(g[holdout].mean())
     if c_estimate <= 0.0:
         raise TrainingError("labeling-frequency estimate is zero")
     c_estimate = min(c_estimate, 1.0)
 
-    g = predict_proba(labeling, X[unl_idx])
-    g = np.clip(g, 1e-12, 1.0 - 1e-12)
+    g = np.clip(g[unl_idx], 1e-12, 1.0 - 1e-12)
     q = np.clip((1.0 - c_estimate) / c_estimate * g / (1.0 - g), 0.0, 1.0)
 
     targets = np.ones(s.shape[0])
@@ -555,11 +554,6 @@ def _linear_to_record(model: LinearModel) -> dict:
     }
 
 
-def _is(value: object, kind: type | tuple[type, ...]) -> bool:
-    """``isinstance``, except that a bool is only ever a bool."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
 def _finite(value: int | float | list, key: str) -> np.ndarray:
     """A number, or a list of numbers, as floats; a ValueError naming
     ``key`` unless every one is finite."""
@@ -573,11 +567,13 @@ def _finite(value: int | float | list, key: str) -> np.ndarray:
 
 
 def _pull(record: object, key: str, kind: type | tuple[type, ...], items=None):
-    """``record[key]``: a ``kind``, each item's type one of ``items`` when
-    given. A bool is never a number here, and a number must be finite; a
-    list of numbers comes back as a float array."""
+    """``record[key]``, whose type is ``kind`` (or one of the tuple ``kind``)
+    and each item's type one of ``items`` when given. A bool is never a
+    number here, and a number must be finite; a list of numbers comes back
+    as a float array."""
     value = record.get(key) if isinstance(record, dict) else None
-    if not _is(value, kind) or (items is not None and not set(map(type, value)) <= set(items)):
+    kinds = kind if type(kind) is tuple else (kind,)
+    if type(value) not in kinds or (items is not None and not set(map(type, value)) <= set(items)):
         raise ValueError(f"key {key!r} is missing or mistyped")
     if _NUMBER in (kind, items):
         floats = _finite(value, key)
@@ -808,7 +804,8 @@ def load_table(path: str | Path, sha256: bytes) -> SentenceTable:
 
 def _checked_table(lists: list, arrays: dict[str, np.ndarray]) -> SentenceTable:
     if not (len(lists) == 3
-            and all(_is(strings, list) and set(map(type, strings)) <= {str} for strings in lists)
+            and all(type(strings) is list and set(map(type, strings)) <= {str}
+                    for strings in lists)
             and len(lists[1]) == len(lists[2])):
         raise ValueError("strings are not three lists of strings")
     terms, fields, splits = lists

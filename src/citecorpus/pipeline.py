@@ -32,9 +32,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LABELS, SPLIT_TRAIN, SPLIT_UNASSIGNED,
-               SPLITS, from_json, ratios_are_valid, write_json)
-from .ingest import (Diagnostic, PaperRecord, Paragraph, line_batches,
-                     paper_eligible, parse_line, read_lines)
+               SPLITS, from_json, ratios_are_valid, read_lines, write_json)
+from .ingest import Diagnostic, PaperRecord, Paragraph, line_batches, paper_eligible, parse_line
 from .textproc import (
     ABBREVIATIONS,
     AUTHOR_YEAR_CITATION_PATTERN,
@@ -161,9 +160,6 @@ class ParagraphSample:
     sentences: tuple[LabeledSentence, ...]
     paragraph_index: int = 0
     split: str = SPLIT_UNASSIGNED
-
-    def sentence_count(self) -> int:
-        return len(self.sentences)
 
 
 @dataclass(frozen=True)
@@ -536,14 +532,14 @@ def split_dataset(
             continue
         shuffled = stratum[:]
         rng.shuffle(shuffled)
-        total = sum(s.sentence_count() for s in stratum)
+        total = sum(len(s.sentences) for s in stratum)
         targets = [r * total for r in ratios]
         counts = [0, 0, 0]
         for sample in shuffled:
             deficits = [t - c for t, c in zip(targets, counts)]
             pick = deficits.index(max(deficits))
             sample.split = SPLITS[pick]
-            counts[pick] += sample.sentence_count()
+            counts[pick] += len(sample.sentences)
     return samples
 
 
@@ -562,10 +558,10 @@ def _sample_to_record(sample: ParagraphSample) -> dict:
 
 
 def _field(record: dict, key: str, kind: type, where: str):
-    """``record[key]`` when it is a ``kind`` (a bool is no int), else a
+    """``record[key]`` when its type is ``kind`` (a bool is no int), else a
     DatasetFormatError naming the line and the field."""
     value = record.get(key)
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if type(value) is not kind:
         raise DatasetFormatError(f"{where}: field {key!r} missing or not {kind.__name__}")
     return value
 
@@ -586,7 +582,6 @@ def _record_to_sample(record: object, where: str) -> ParagraphSample:
         text = raw.get("text")
         label = raw.get("label")
         count = raw.get("removed_span_count")
-        # JSON decodes to exact types: ``type(count) is int`` leaves out bools.
         if type(text) is not str or label not in LABELS or type(count) is not int or count < 0:
             raise DatasetFormatError(f"{where}: sentence {i} is malformed")
         if (label == LABEL_CITE_WORTHY) != (count >= 1):

@@ -1,8 +1,12 @@
 """Seeded synthetic classification tasks shared by model and acceptance tests.
 Feature rows come as a ``model.CSR``, the one matrix the model takes; hand-built
-models carry a fit report, as every ``model.LinearModel`` does."""
+models carry a fit report, as every ``model.LinearModel`` does. Also the
+writer of the distance-matrix files that the cross-domain tests read."""
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -81,6 +85,17 @@ def stub_vocabulary(width: int) -> Vocabulary:
     that come from no text. The names are zero-padded, so that they sort in
     index order."""
     return Vocabulary(tuple(f"t{i:04d}" for i in range(width)), (1,) * width, total_docs=1)
+
+
+def write_distance_matrix(
+    distances: Mapping[tuple[str, str], float], fields: Sequence[str], path: str | Path
+) -> None:
+    """Write ``distances`` over ``fields`` in the format
+    ``metrics.read_distance_matrix`` reads."""
+    rows = ["\t" + "\t".join(fields)]
+    rows += ["\t".join([train] + [repr(distances[(train, test)]) for test in fields])
+             for train in fields]
+    Path(path).write_text("".join(row + "\n" for row in rows), encoding="utf-8")
 
 
 def recall_of(predictions: np.ndarray, truth: np.ndarray) -> float:

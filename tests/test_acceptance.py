@@ -294,10 +294,10 @@ class TestCriterion5SplitAndBalance:
 
         ratios = (0.8, 0.1, 0.1)
         split_dataset(selected, ratios, seed=31)
-        total = sum(s.sentence_count() for s in selected)
+        total = sum(len(s.sentences) for s in selected)
         shares = []
         for split, ratio in zip(("train", "dev", "test"), ratios):
-            share = sum(s.sentence_count() for s in selected if s.split == split) / total
+            share = sum(len(s.sentences) for s in selected if s.split == split) / total
             shares.append(share)
             assert abs(share - ratio) <= 0.02, (split, share)
         report(5, "balance exact, split shares "

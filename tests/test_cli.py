@@ -22,14 +22,13 @@ from hypothesis import strategies as st
 import citecorpus
 from citecorpus import audit, cli
 from citecorpus.cli import main
-from citecorpus.metrics import write_distance_matrix
 from citecorpus.model import Vocabulary, save_model, sentence_table
 from citecorpus import pipeline
 from citecorpus.pipeline import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LabeledSentence,
                                  ParagraphSample, read_dataset, write_dataset)
 from corpusgen import FIELDS, make_corpus_file, write_corpus
 from faults import disk_full_on
-from synthdata import linear_model
+from synthdata import linear_model, write_distance_matrix
 
 import numpy as np
 
@@ -1010,19 +1009,19 @@ def _table_cache(dataset):
 
 def _resaved(**changes):
     """A damaged cache: the good table saved again with ``changes`` to its
-    labels, terms, matrix arrays or key."""
+    labels, group codes, terms, matrix arrays or key."""
     def damage(cache, table, key):
         from citecorpus.model import CSR, SentenceTable, TokenCounts, save_table
         matrix = table.counts.matrix
         arrays = {"data": matrix.data, "indices": matrix.indices.copy(),
                   "indptr": matrix.indptr.copy(), "terms": list(table.counts.terms),
-                  "label": table.label, "key": key}
+                  "label": table.label.copy(), "group": table.group.copy(), "key": key}
         for name, change in changes.items():
             arrays[name] = change(arrays[name])
         save_table(cache, SentenceTable(
             TokenCounts(arrays["terms"], CSR(arrays["data"], arrays["indices"],
                                              arrays["indptr"], matrix.shape)),
-            arrays["label"], table.group, table.groups), arrays["key"])
+            arrays["label"], arrays["group"], table.groups), arrays["key"])
     return damage
 
 
@@ -1095,6 +1094,10 @@ DAMAGED_CACHES = {
     "indptr-not-monotone": _resaved(indptr=_set(1, lambda indptr: indptr[2] + 1)),
     "unsorted-terms": _resaved(terms=lambda terms: [terms[1], terms[0], *terms[2:]]),
     "repeated-term": _resaved(terms=lambda terms: [terms[0], terms[0], *terms[2:]]),
+    "repeated-group": _header(lambda header: json.dumps({**header, "strings": [
+        header["strings"][0], *(names + names[:1] for names in header["strings"][1:])]})),
+    "label-2": _resaved(label=_set(0, lambda label: 2)),
+    "group-code-out-of-range": _resaved(group=_set(0, lambda group: group.max() + 1)),
     "strings-not-json": _strings('[["a", "b"'),
     "strings-not-three-lists": _strings('[["a"], ["Biology"], 5]'),
     "strings-deeply-nested": _strings(DEEP_JSON),
@@ -1261,6 +1264,20 @@ class TestTableCache:
         DAMAGED_CACHES[damage](cache, load_table(cache, key), key)
         with pytest.raises(ValueError, match="terms are not sorted and distinct"):
             load_table(cache, key)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("repeated-group", "a (field, split) group repeats"),
+        ("label-2", "a label or group code is out of range"),
+        ("group-code-out-of-range", "a label or group code is out of range")])
+    def test_bad_groups_and_labels_are_named(self, damage, message, trained, dataset, capsys):
+        from citecorpus.model import load_table
+        _, model_path = trained
+        assert self._eval(model_path, dataset, capsys)[0] == 0
+        cache, key = _table_cache(dataset), _digest(dataset)
+        DAMAGED_CACHES[damage](cache, load_table(cache, key), key)
+        with pytest.raises(ValueError) as exc:
+            load_table(cache, key)
+        assert message in str(exc.value)
 
     @pytest.mark.parametrize("damage", HEADER_FAULTS)
     def test_header_faults_are_named(self, damage, trained, dataset, capsys):

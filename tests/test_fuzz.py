@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citecorpus.cli import main
-from citecorpus.metrics import write_distance_matrix
 from citecorpus.pipeline import (LABEL_CITE_WORTHY, LABEL_NON_CITE_WORTHY, LabeledSentence,
                                  ParagraphSample, write_dataset)
 from corpusgen import make_papers, write_corpus
+from synthdata import write_distance_matrix
 
 FIELDS = ["Biology", "Chemistry"]
 

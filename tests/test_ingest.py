@@ -1,4 +1,5 @@
-"""Unit tests for corpus streaming and paper eligibility."""
+"""Unit tests for corpus streaming, paper eligibility and the root's line
+reader."""
 
 import dataclasses
 import io
@@ -6,12 +7,12 @@ import json
 
 import pytest
 
+from citecorpus import read_lines
 from citecorpus.ingest import (
     Diagnostic,
     Paragraph,
     paper_eligible,
     read_corpus,
-    read_lines,
 )
 
 

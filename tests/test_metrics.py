@@ -20,7 +20,6 @@ from citecorpus.metrics import (
     population_std,
     precision_recall_f1,
     read_distance_matrix,
-    write_distance_matrix,
 )
 from citecorpus.pipeline import (
     LABEL_CITE_WORTHY,
@@ -28,6 +27,7 @@ from citecorpus.pipeline import (
     LabeledSentence,
     ParagraphSample,
 )
+from synthdata import write_distance_matrix
 
 
 class TestPrecisionRecallF1:
@@ -158,6 +158,10 @@ class TestClusterPurity:
         with pytest.raises(ValueError):
             cluster_purity([1], ["a", "b"])
 
+    def test_empty_inputs_are_an_error(self):
+        with pytest.raises(ValueError, match="empty inputs"):
+            cluster_purity([], [])
+
 
 class TestPearson:
     def test_perfect_linear(self):
@@ -187,6 +191,10 @@ class TestPearson:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             pearson([1], [2])
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="3 xs vs 2 ys"):
+            pearson([1, 2, 3], [1, 2])
 
     @pytest.mark.parametrize("ys", [[1e308, -1e308], [1e200, -1e200], [9e153, -9e153],
                                     [1e-200, -1e-200], [1e-160, -1e-160]],

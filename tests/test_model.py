@@ -541,6 +541,13 @@ class TestNewtonCG:
         assert not model.weights.any() and model.bias == 0.0
         assert model.grad_max > 1e-10 * len(y)
 
+    def test_no_curvature_gives_the_steepest_descent_direction(self):
+        # CG stops at its first direction when the Hessian shows no curvature
+        # along it, and the step then follows the negative gradient.
+        gradient = np.array([0.5, -2.0, 1.0])
+        direction = citecorpus.model._newton_direction(np.zeros_like, gradient)
+        assert np.array_equal(direction, -gradient)
+
     def test_iteration_cap_reports_not_converged(self, monkeypatch):
         X, y, _ = sparse_problem(6)
         monkeypatch.setattr(citecorpus.model, "_MAX_ITERATIONS", 2)
@@ -777,6 +784,32 @@ class TestTrainPU:
             train_pu(X, [0, 0, 0, 0], seed=0)
         with pytest.raises(TrainingError):
             train_pu(X, [1, 1, 1, 1], seed=0)
+
+    def test_label_length_mismatch(self):
+        with pytest.raises(ValueError, match="3 feature rows but 2 labels"):
+            train_pu(dense_csr(np.eye(3)), [1, 0], seed=0)
+
+    def test_a_zero_labeling_frequency_is_refused(self, monkeypatch):
+        X, _, s = pu_blobs(3005, n_pos=100, n_neg=200)
+        monkeypatch.setattr(citecorpus.model, "predict_proba",
+                            lambda model, rows: np.zeros(len(rows)))
+        with pytest.raises(TrainingError, match="labeling-frequency estimate is zero"):
+            train_pu(X, s, seed=0)
+
+    def test_stage_one_scores_every_row_in_one_call(self, monkeypatch):
+        # The hold-out slice and the unlabeled rows take their probabilities
+        # from one pass over the whole matrix; a row's margin does not depend
+        # on the other rows scored with it.
+        X, _, s = pu_blobs(3004, n_pos=100, n_neg=200)
+        calls = []
+
+        def recorded(model, rows):
+            calls.append(len(rows))
+            return predict_proba(model, rows)
+
+        monkeypatch.setattr(citecorpus.model, "predict_proba", recorded)
+        train_pu(X, s, seed=3, C=50.0)
+        assert calls == [len(X)]
 
     def test_deterministic(self):
         X, y, s = pu_blobs(3002)

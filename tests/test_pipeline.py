@@ -385,9 +385,9 @@ class TestSplitDataset:
         rng = random.Random(17)
         samples = self.build_corpus(rng)
         split_dataset(samples, (0.8, 0.1, 0.1), seed=5)
-        total = sum(s.sentence_count() for s in samples)
+        total = sum(len(s.sentences) for s in samples)
         for split, ratio in zip(SPLITS, (0.8, 0.1, 0.1)):
-            share = sum(s.sentence_count() for s in samples if s.split == split) / total
+            share = sum(len(s.sentences) for s in samples if s.split == split) / total
             assert abs(share - ratio) <= 0.02, (split, share)
 
     def test_single_paragraph_goes_to_train(self):

@@ -1,8 +1,9 @@
 """Repository structure: no module of the package reads another module's
-private name or imports scipy, every JSON input goes through one decoder,
-only ``model`` names the table file, no build-side command loads numpy, no
-model command with a table cache loads a build-side module, each citation
-pattern is written once and compiled only from its constant, and the test
+private name or imports scipy, every JSON input goes through one decoder
+and is type-checked by exact type, only ``model`` names the table file, only
+``pipeline`` imports ``ingest``, no build-side command loads numpy, no model
+command with a table cache loads a build-side module, each citation pattern
+is written once and compiled only from its constant, and the test
 configuration lets a failing property test report its example."""
 
 import ast
@@ -14,8 +15,8 @@ from pathlib import Path
 import citecorpus
 from citecorpus import textproc
 from citecorpus.cli import main
-from citecorpus.metrics import write_distance_matrix
 from corpusgen import make_corpus_file
+from synthdata import write_distance_matrix
 
 PACKAGE = Path(citecorpus.__file__).parent
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -92,6 +93,44 @@ def test_json_is_decoded_only_by_the_root_decoder():
     assert uses == ["__init__.py, from_json: json.loads"]
 
 
+# The types a decoded JSON number or bool has; ``isinstance`` would count a
+# bool as an int.
+EXACT_TYPES = {"int", "float", "bool", "_NUMBER"}
+
+
+def test_isinstance_names_its_classes_and_no_json_number_type():
+    # from_json is the only decoder, so a decoded value has its exact type;
+    # a check of a number's or a bool's type compares type(value).
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"):
+                continue
+            classes = node.args[1] if len(node.args) == 2 else None
+            names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+            if not all(isinstance(name, ast.Name) and name.id not in EXACT_TYPES
+                       for name in names):
+                uses.append(f"{path.name}, line {node.lineno}: {ast.unparse(node)}")
+    assert uses == []
+
+
+def test_only_the_build_pipeline_imports_ingest():
+    # The root holds the line reader, so no model or audit command needs the
+    # corpus parser.
+    importers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "ingest" for name in names):
+                importers.add(path.name)
+    assert importers == {"pipeline.py"}
+
+
 TABLE_NAMES = {"TABLE_VERSION", "save_table", "load_table"}
 
 
@@ -130,8 +169,8 @@ def _run_fresh(watched, *argv):
 def test_build_side_commands_load_no_numpy(tmp_path):
     # Only the model commands need numpy, whose import costs each command
     # about 0.1 s. Each command runs in a fresh interpreter.
-    def run(*argv):
-        assert _run_fresh(["numpy"], *argv)[1] == [], argv
+    def run(*argv, watched=("numpy",)):
+        assert _run_fresh(watched, *argv)[1] == [], argv
 
     corpus = tmp_path / "corpus.jsonl"
     make_corpus_file(corpus, n_papers=120, seed=401, adversarial_rate=0.25,
@@ -148,17 +187,20 @@ def test_build_side_commands_load_no_numpy(tmp_path):
     header, *rows = sheet.read_text(encoding="utf-8").splitlines()
     sheet.write_text("".join(f"{line}\n" for line in [
         header, *(row.rsplit("\t", 2)[0] + "\t1\t0" for row in rows)]), encoding="utf-8")
-    run("audit-score", "--sheet", str(sheet), "--key", str(audit / "key.jsonl"))
+    # Scoring reads the sheet and the key through the root's line reader.
+    run("audit-score", "--sheet", str(sheet), "--key", str(audit / "key.jsonl"),
+        watched=("numpy", "citecorpus.ingest"))
     run("dump-rules")
 
 
-BUILD_SIDE = ["citecorpus.pipeline", "citecorpus.textproc", "citecorpus.audit"]
+BUILD_SIDE = ["citecorpus.ingest", "citecorpus.pipeline", "citecorpus.textproc",
+              "citecorpus.audit"]
 
 
 def test_model_commands_with_a_table_cache_load_no_build_side_module(tmp_path):
     # A warm model command reads its sentences from the table cache, so it
-    # needs neither the corpus pipeline nor the tokenizer. Each command runs
-    # in a fresh interpreter.
+    # needs neither the corpus parser, the pipeline nor the tokenizer. Each
+    # command runs in a fresh interpreter.
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
     make_corpus_file(corpus, n_papers=120, seed=401, adversarial_rate=0.25,
                      fields=["Biology", "Chemistry"], paragraphs_per_paper=(2, 3))
@@ -180,7 +222,8 @@ def test_model_commands_with_a_table_cache_load_no_build_side_module(tmp_path):
     assert loaded == []
     (out / ".dataset.jsonl.table").unlink()
     cold, loaded = _run_fresh(BUILD_SIDE, *evaluate)
-    assert (cold, loaded) == (warm, ["citecorpus.pipeline", "citecorpus.textproc"])
+    assert (cold, loaded) == (warm, ["citecorpus.ingest", "citecorpus.pipeline",
+                                     "citecorpus.textproc"])
 
 
 CITATION_PATTERNS = ("NUMERIC_CITATION_PATTERN", "AUTHOR_YEAR_CITATION_PATTERN",
