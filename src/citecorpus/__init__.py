@@ -104,14 +104,31 @@ def to_json(value: object, indent: int | None = None) -> str:
     return json.dumps(value, ensure_ascii=False, sort_keys=True, indent=indent, allow_nan=False)
 
 
+# A \u escape of a UTF-16 surrogate code unit, and, to find a lone one, an
+# escaped backslash, an escaped surrogate pair, or a lone surrogate escape.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_ESCAPES = re.compile(r"\\\\|\\u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}"
+                      r"|(\\u[dD][89a-fA-F][0-9a-fA-F]{2})")
+
+
 def from_json(text: str) -> object:
     """The one JSON decoding of every input: ``json.loads``, except that
-    text nested too deeply for the decoder is a ``json.JSONDecodeError``,
-    as any other invalid JSON is."""
+    text nested too deeply for the decoder, or a string holding a lone
+    surrogate escape (no UTF-8 can encode what it decodes to), is a
+    ``json.JSONDecodeError``, as any other invalid JSON is. Text that holds
+    no surrogate escape costs one search more."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("too deeply nested", text, 0) from None
+    if _SURROGATE_ESCAPE.search(text):
+        # Valid JSON has escapes only in strings; scanning from the left
+        # pairs each backslash with the character it escapes.
+        for match in _ESCAPES.finditer(text):
+            if match.group(1):
+                raise json.JSONDecodeError(f"lone surrogate {match.group(1)}", text,
+                                           match.start())
+    return value
 
 
 def write_json(path: str | Path, values: Iterable[object], indent: int | None = None) -> None:

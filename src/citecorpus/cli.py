@@ -200,6 +200,32 @@ def _require_output(path: str, what: str) -> Path:
     return p
 
 
+def _require_output_dir(path: str, what: str) -> Path:
+    """The directory to write into, checked before any work: a directory,
+    or a path that does not exist yet."""
+    p = Path(path)
+    if p.exists() and not p.is_dir():
+        raise UsageError(f"{what} is not a directory: {path}")
+    return p
+
+
+def _require_distinct(named: list[tuple[str, Path]]) -> None:
+    """Refuse two of the (name, path) pairs that are one file, before any
+    file is written or removed: a file read twice repeats its records, and
+    an output that is an input replaces it. A link or another spelling of
+    the path is the same file; a path that does not exist is no file yet."""
+    existing = [(name, path) for name, path in named if path.exists()]
+    for later, (name, path) in enumerate(existing):
+        for earlier_name, earlier in existing[:later]:
+            if path.samefile(earlier):
+                raise UsageError(f"{earlier_name} and {name} name the same file")
+
+
+def _outputs_in(output_dir: Path, *names: str) -> list[tuple[str, Path]]:
+    """The files a command writes in ``output_dir``, each named by its path."""
+    return [(f"output {output_dir / name}", output_dir / name) for name in names]
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     import hashlib
 
@@ -208,14 +234,10 @@ def cmd_build(args: argparse.Namespace) -> int:
                            write_dataset, write_rejections)
 
     input_paths = [_require_file(p, "input corpus") for p in args.input]
-    # One file read twice repeats every paper in it; a link or another
-    # spelling of the path is the same file.
-    for later, path in enumerate(input_paths):
-        for earlier in range(later):
-            if path.samefile(input_paths[earlier]):
-                raise UsageError(f"--input {args.input[earlier]} and --input "
-                                 f"{args.input[later]} name the same file")
-    output_dir = Path(args.output)
+    output_dir = _require_output_dir(args.output, "output")
+    _require_distinct([*((f"--input {arg}", path) for arg, path in zip(args.input, input_paths)),
+                       *_outputs_in(output_dir, DATASET_FILENAME, REJECTIONS_FILENAME,
+                                    MANIFEST_FILENAME)])
     output_dir.mkdir(parents=True, exist_ok=True)
     # The manifest is written last and marks a complete build, so an earlier
     # build's manifest goes before anything else is replaced.
@@ -276,12 +298,11 @@ def cmd_audit_export(args: argparse.Namespace) -> int:
 
     main_path = _require_file(args.input, "dataset")
     baseline_path = _require_file(args.baseline_input, "baseline dataset")
-    # A sheet that compares a dataset with itself audits nothing; a link or
-    # another spelling of the path is the same file.
-    if main_path.samefile(baseline_path):
-        raise UsageError(f"--input {args.input} and --baseline-input {args.baseline_input} "
-                         "name the same file")
-    output_dir = Path(args.output)
+    output_dir = _require_output_dir(args.output, "output")
+    # A sheet that compares a dataset with itself audits nothing.
+    _require_distinct([(f"--input {args.input}", main_path),
+                       (f"--baseline-input {args.baseline_input}", baseline_path),
+                       *_outputs_in(output_dir, SHEET_FILENAME, KEY_FILENAME)])
     output_dir.mkdir(parents=True, exist_ok=True)
 
     items = audit.sample_for_audit(
@@ -325,6 +346,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     dataset_path = _require_file(args.input, "dataset")
     model_path, split = _require_output(args.output, "model file"), args.split
+    _require_distinct([(f"--input {args.input}", dataset_path),
+                       (f"--output {args.output}", model_path)])
     # The whole table is freed once its rows are taken, and their counts
     # once featurized: the fit is when the process holds the most memory.
     table = read_table(dataset_path)
@@ -377,8 +400,11 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
 
     dataset_path = _require_file(args.input, "dataset")
     distances_path = _require_file(args.distances, "distance matrix")
+    named = [(f"--input {args.input}", dataset_path),
+             (f"--distances {args.distances}", distances_path)]
     if args.output:
-        _require_output(args.output, "grid file")
+        named.append((f"--output {args.output}", _require_output(args.output, "grid file")))
+    _require_distinct(named)
 
     distances = metrics.read_distance_matrix(distances_path)
     if args.fields:

@@ -32,16 +32,19 @@ dataset size: a fit has converged when no gradient component exceeds 1e-10,
 and it stops there or after 1000 Newton steps. A guard also stops it when
 every halving of one step fails the line search; no fit on real data has
 been seen to reach it. Every objective evaluation goes through
-``loss_and_gradient``. Every fitted model records its Newton step count, the
-largest gradient component of the unscaled objective at the end, and
-whether it converged. The solver has no random choices and its sparse
-products add in a fixed order, so identical inputs give bitwise-identical
-parameters on any machine with the same numpy and CPU vector extensions
-(numpy picks its exp kernel by them), as long as BLAS runs on one thread:
-a threaded BLAS splits dot products by thread count, and the weights then
-move in the last bits with the number of cores. This module
-therefore sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads, unless the
-environment already sets it. The positive-unlabeled fit trains on soft
+``loss_and_gradient``, once per iterate: a Newton step's Hessian uses the
+probabilities of the iterate's own evaluation, and the stopping rule, the
+line search and the fit report read its largest gradient component, so a
+fit makes one ``CSR.dot`` for each ``CSR.transpose_dot``. Every fitted
+model records its Newton step count, the largest gradient component of the
+unscaled objective at the end, and whether it converged. The solver has
+no random choices and its sparse products add in a fixed order, so
+identical inputs give bitwise-identical parameters on any machine with the
+same numpy and CPU vector extensions (numpy picks its exp kernel by them),
+as long as BLAS runs on one thread: a threaded BLAS splits dot products by
+thread count, and the weights then move in the last bits with the number
+of cores. This module therefore sets ``OPENBLAS_NUM_THREADS`` to 1 before
+numpy loads, unless the environment already sets it. The positive-unlabeled fit trains on soft
 targets, one row per sample.
 """
 
@@ -355,24 +358,25 @@ def loss_and_gradient(
     y: np.ndarray,
     sample_weight: np.ndarray,
     C: float,
-) -> tuple[float, np.ndarray, float]:
+) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Sample-weighted negative log-likelihood with L2 penalty ||w||^2 / (2C),
-    and its analytic gradient, over the rows of ``X``. Targets ``y`` may be
-    soft, in [0, 1]."""
+    its analytic gradient over ``weights`` and over ``bias``, and each row's
+    probability sigma(z), over the rows of ``X``. Targets ``y`` may be soft,
+    in [0, 1]."""
     z = X.dot(weights) + bias
     # -log sigma(z) = logaddexp(0, -z); numerically stable on both tails.
     nll = y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)
     loss = float(np.dot(sample_weight, nll) + np.dot(weights, weights) / (2.0 * C))
-    residual = sample_weight * (_sigmoid(z) - y)
-    return loss, X.transpose_dot(residual) + weights / C, float(residual.sum())
+    sigma = _sigmoid(z)
+    residual = sample_weight * (sigma - y)
+    return loss, X.transpose_dot(residual) + weights / C, float(residual.sum()), sigma
 
 
-def _hessian_product(X: CSR, v: np.ndarray, sample_weight: np.ndarray, C: float):
+def _hessian_product(X: CSR, curvature: np.ndarray, C: float):
     """d -> H d, H being the Hessian of ``loss_and_gradient``'s objective
-    over [w, b] at ``v``: [X 1]^T diag(s * sigma * (1 - sigma)) [X 1] plus I/C
-    on the w block. Each product is two CSR products; H is never formed."""
-    sigma = _sigmoid(X.dot(v[:-1]) + v[-1])
-    curvature = sample_weight * sigma * (1.0 - sigma)
+    over [w, b] at a point where each row's ``curvature`` is s * sigma *
+    (1 - sigma): [X 1]^T diag(curvature) [X 1] plus I/C on the w block.
+    Each product is two CSR products; H is never formed."""
 
     def times(d: np.ndarray) -> np.ndarray:
         u = curvature * (X.dot(d[:-1]) + d[-1])
@@ -434,36 +438,39 @@ def train_logreg(
         row = int(np.searchsorted(X.indptr, bad[0], side="right")) - 1
         raise TrainingError(f"feature value in row {row} is not finite")
 
-    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad_w, grad_b = loss_and_gradient(v[:-1], float(v[-1]), X, y, weight, C)
-        return loss / n, np.append(grad_w, grad_b) / n
+    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+        """The scaled objective at ``v``, its gradient, the gradient's largest
+        component and each row's probability."""
+        loss, grad_w, grad_b, sigma = loss_and_gradient(v[:-1], float(v[-1]), X, y, weight, C)
+        g = np.append(grad_w, grad_b) / n
+        return loss / n, g, float(np.max(np.abs(g))), sigma
 
     v = np.zeros(X.shape[1] + 1)
-    f, g = objective(v)
+    f, g, g_max, sigma = evaluate(v)
     iterations = 0
-    while np.max(np.abs(g)) > _GTOL and iterations < _MAX_ITERATIONS:
+    while g_max > _GTOL and iterations < _MAX_ITERATIONS:
         # The scaled objective is the unscaled one with weights s/N and C*N.
-        p = _newton_direction(_hessian_product(X, v, weight / n, C * n), g)
+        curvature = (weight / n) * sigma * (1.0 - sigma)
+        p = _newton_direction(_hessian_product(X, curvature, C * n), g)
         step, slope = 1.0, float(np.dot(g, p))
         for _ in range(_MAX_HALVINGS):
             v_new = v + step * p
-            f_new, g_new = objective(v_new)
+            f_new, g_new, g_max_new, sigma_new = evaluate(v_new)
             # Armijo's test; within rounding of f it cannot tell, and a step
             # that shrinks the gradient is taken instead.
             if (f_new <= f + _ARMIJO * step * slope
                     or (abs(f_new - f) <= 4 * np.finfo(float).eps * abs(f)
-                        and np.max(np.abs(g_new)) < np.max(np.abs(g)))):
+                        and g_max_new < g_max)):
                 break
             step /= 2
         else:
             break  # no step along p helps: the fit is at its rounding floor
-        v, f, g = v_new, f_new, g_new
+        v, f, g, g_max, sigma = v_new, f_new, g_new, g_max_new, sigma_new
         iterations += 1
-    grad_max = float(np.max(np.abs(g)))
     return LinearModel(weights=v[:-1], bias=float(v[-1]),
                        class_weights=(float(w_pos), float(w_neg)), C=float(C),
-                       iterations=iterations, grad_max=grad_max * n,
-                       converged=grad_max <= _GTOL)
+                       iterations=iterations, grad_max=g_max * n,
+                       converged=g_max <= _GTOL)
 
 
 def _margin(model: LinearModel, X: CSR) -> np.ndarray:
@@ -750,9 +757,9 @@ def save_table(path: str | Path, table: SentenceTable, sha256: bytes) -> None:
     """Write ``table``, the table of the dataset whose bytes have the
     SHA-256 digest ``sha256``, through ``atomic_write``: an ASCII JSON line
     (``version``, ``sha256`` in hex, the arrays' ``lengths`` and ``strings``,
-    [terms, group fields, group splits], a lone surrogate escaped) padded to
-    a multiple of 4 bytes, the arrays ``_TABLE_ARRAYS`` as little-endian
-    int32, then the CRC-32 of all that in 4 little-endian bytes."""
+    [terms, group fields, group splits]) padded to a multiple of 4 bytes,
+    the arrays ``_TABLE_ARRAYS`` as little-endian int32, then the CRC-32 of
+    all that in 4 little-endian bytes."""
     matrix = table.counts.matrix
     arrays = [np.ascontiguousarray(array, _TABLE_ITEM) for array in
               (matrix.data, matrix.indices, matrix.indptr, table.label, table.group)]

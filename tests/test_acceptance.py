@@ -352,17 +352,17 @@ class TestCriterion7ModelCorrectness:
             w = rng.normal(size=int(d))
             b = float(rng.normal())
             C = float(rng.uniform(0.05, 5.0))
-            _, grad_w, grad_b = loss_and_gradient(w, b, X, y, weight, C)
+            _, grad_w, grad_b, _ = loss_and_gradient(w, b, X, y, weight, C)
             h = 1e-6
             for j in range(int(d)):
                 e = np.zeros(int(d))
                 e[j] = h
-                up, _, _ = loss_and_gradient(w + e, b, X, y, weight, C)
-                dn, _, _ = loss_and_gradient(w - e, b, X, y, weight, C)
+                up, _, _, _ = loss_and_gradient(w + e, b, X, y, weight, C)
+                dn, _, _, _ = loss_and_gradient(w - e, b, X, y, weight, C)
                 numeric = (up - dn) / (2 * h)
                 assert abs(numeric - grad_w[j]) / max(1.0, abs(grad_w[j])) < 1e-5
-            up, _, _ = loss_and_gradient(w, b + h, X, y, weight, C)
-            dn, _, _ = loss_and_gradient(w, b - h, X, y, weight, C)
+            up, _, _, _ = loss_and_gradient(w, b + h, X, y, weight, C)
+            dn, _, _, _ = loss_and_gradient(w, b - h, X, y, weight, C)
             assert abs((up - dn) / (2 * h) - grad_b) / max(1.0, abs(grad_b)) < 1e-5
 
         X, y = gaussian_blobs(42, n_pos=300, n_neg=700, sep=4.0)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import json
@@ -207,6 +208,24 @@ class TestBuild:
         assert f"malformed input {corpus}, line 4: invalid JSON: too deeply nested" \
             in caplog.text
         assert json.loads((out / "manifest.json").read_text())["counts"]["malformed_lines"] == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_lone_surrogate_escape_is_a_malformed_line(self, workers, tmp_path, caplog):
+        # The line is valid JSON, but no UTF-8 output could hold its text.
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        lines = corpus.read_text().splitlines(keepends=True)
+        assert '"paper_id": "paper-00003"' in lines[3]
+        lines[3] = lines[3].replace('.", "cite_spans"', '.\\ud800", "cite_spans"', 1)
+        corpus.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert main(["build", "--input", str(corpus), "--output", str(out), "--seed", "7",
+                     "--quota", "2", "--workers", workers]) == 0
+        assert (f"malformed input {corpus}, line 4: invalid JSON: lone surrogate \\ud800"
+                in caplog.text)
+        assert json.loads((out / "manifest.json").read_text())["counts"]["malformed_lines"] == 1
+        for name in ("dataset.jsonl", "rejections.jsonl"):
+            assert "paper-00003" not in (out / name).read_text()
 
     @pytest.mark.parametrize("repeat", ["line", "file"])
     def test_a_paper_read_twice_is_refused_at_any_worker_count(self, repeat, tmp_path, capsys):
@@ -612,9 +631,10 @@ class TestTrainEval:
         losses = []
 
         def rising(*args):
-            loss, grad_w, grad_b = real(*args)
+            loss, grad_w, grad_b, sigma = real(*args)
             losses.append(loss)
-            return (loss if len(losses) == 1 else 2 * abs(losses[0]) + 1.0), grad_w, grad_b
+            return ((loss if len(losses) == 1 else 2 * abs(losses[0]) + 1.0), grad_w, grad_b,
+                    sigma)
 
         monkeypatch.setattr(citecorpus.model, "loss_and_gradient", rising)
         assert main(["train", "--input", str(out / "dataset.jsonl"), "--output",
@@ -640,6 +660,27 @@ class TestUndecodableDataset:
         assert main(argv) == 1
         assert capsys.readouterr().err == (
             f"error: {bad}, line 4: byte 0xff is not valid UTF-8\n")
+
+
+    @pytest.mark.parametrize("command", ["stats", "train", "eval", "audit-export"])
+    def test_a_lone_surrogate_escape_exits_1_naming_file_and_line(self, command, trained,
+                                                                   tmp_path, capsys):
+        out, model_path = trained
+        lines = (out / "dataset.jsonl").read_text().splitlines(keepends=True)
+        lines[3] = lines[3].replace('"text": "', '"text": "\\udfff', 1)
+        bad = tmp_path / "dataset.jsonl"
+        bad.write_text("".join(lines))
+        argv = {"stats": ["stats", "--input", str(bad)],
+                "train": ["train", "--input", str(bad), "--output", str(tmp_path / "m.json"),
+                          "--seed", "4"],
+                "eval": ["eval", "--model", str(model_path), "--input", str(bad)],
+                "audit-export": ["audit-export", "--input", str(bad), "--baseline-input",
+                                 str(out / "dataset.jsonl"), "--seed", "1", "--output",
+                                 str(tmp_path / "audit")]}[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}, line 4: invalid JSON: lone surrogate \\udfff\n")
+        assert not (tmp_path / "audit" / "sheet.tsv").exists()
 
 
 def _subprocess_env(**overrides):
@@ -1348,15 +1389,21 @@ class TestTableCache:
     @given(_TABLE_SAMPLES, st.binary(min_size=32, max_size=32))
     def test_save_and_load_round_trip(self, samples, key):
         from citecorpus.model import load_table, save_table
-        # A JSON string may hold a lone surrogate; a field name passes through.
+        # The ASCII header escapes a character beyond the BMP as a surrogate
+        # pair; a field name passes through. A lone surrogate, which no
+        # dataset holds, is invalid JSON and the table is refused.
         samples = [*samples, ParagraphSample(
-            paper_id="p", section_title="results", mag_field="\ud800", split="test",
-            sentences=(LabeledSentence("Ab \ud83d.", LABEL_CITE_WORTHY, 1),))]
+            paper_id="p", section_title="results", mag_field="\U0001F600", split="test",
+            sentences=(LabeledSentence("Ab \U0001F600.", LABEL_CITE_WORTHY, 1),))]
         table = sentence_table(samples)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "t.table"
             save_table(path, table, key)
             assert _same_table(load_table(path, key), table)
+            lone = sentence_table([dataclasses.replace(samples[-1], mag_field="\ud800")])
+            save_table(path, lone, key)
+            with pytest.raises(ValueError, match="lone surrogate"):
+                load_table(path, key)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -1903,6 +1950,98 @@ def test_unwritable_output_is_a_usage_error_before_the_dataset_is_read(
     assert main([command, "--input", str(data), "--output", output, "--seed", "1", *extra]) == 2
     assert capsys.readouterr().err == f"error: {message}: {output}\n"
     assert list((tmp_path / "out").iterdir()) == []
+
+
+# (files to make, arguments, the input the output would replace, stderr).
+OUTPUT_IS_INPUT = {
+    "train": (
+        ["d.jsonl"], ["train", "--input", "d.jsonl", "--output", "./d.jsonl", "--seed", "1"],
+        "d.jsonl", "--input d.jsonl and --output ./d.jsonl"),
+    "train-link": (
+        ["d.jsonl", "link.jsonl"],
+        ["train", "--input", "d.jsonl", "--output", "link.jsonl", "--seed", "1"],
+        "d.jsonl", "--input d.jsonl and --output link.jsonl"),
+    "build-dataset": (
+        ["out/dataset.jsonl"],
+        ["build", "--input", "out/dataset.jsonl", "--output", "out", "--seed", "1"],
+        "out/dataset.jsonl", "--input out/dataset.jsonl and output out/dataset.jsonl"),
+    "build-rejections": (
+        ["c.jsonl", "out/rejections.jsonl"],
+        ["build", "--input", "c.jsonl", "--input", "out/rejections.jsonl", "--output", "out",
+         "--seed", "1"],
+        "out/rejections.jsonl",
+        "--input out/rejections.jsonl and output out/rejections.jsonl"),
+    "build-manifest": (
+        ["out/manifest.json"],
+        ["build", "--input", "out/manifest.json", "--output", "out", "--seed", "1"],
+        "out/manifest.json", "--input out/manifest.json and output out/manifest.json"),
+    "cross-domain-input": (
+        ["d.jsonl", "dist.tsv"],
+        ["cross-domain", "--input", "d.jsonl", "--distances", "dist.tsv", "--output", "d.jsonl"],
+        "d.jsonl", "--input d.jsonl and --output d.jsonl"),
+    "cross-domain-distances": (
+        ["d.jsonl", "dist.tsv"],
+        ["cross-domain", "--input", "d.jsonl", "--distances", "dist.tsv", "--output",
+         "./dist.tsv"],
+        "dist.tsv", "--distances dist.tsv and --output ./dist.tsv"),
+    "audit-export-sheet": (
+        ["d.jsonl", "audit/sheet.tsv"],
+        ["audit-export", "--input", "d.jsonl", "--baseline-input", "audit/sheet.tsv",
+         "--seed", "1", "--output", "audit"],
+        "audit/sheet.tsv", "--baseline-input audit/sheet.tsv and output audit/sheet.tsv"),
+    "audit-export-key": (
+        ["audit/key.jsonl", "b.jsonl"],
+        ["audit-export", "--input", "audit/key.jsonl", "--baseline-input", "b.jsonl",
+         "--seed", "1", "--output", "audit"],
+        "audit/key.jsonl", "--input audit/key.jsonl and output audit/key.jsonl"),
+}
+
+
+@pytest.mark.parametrize("files, argv, victim, names", OUTPUT_IS_INPUT.values(),
+                         ids=OUTPUT_IS_INPUT)
+def test_an_output_that_is_an_input_is_refused_before_any_work(files, argv, victim, names,
+                                                                tmp_path, capsys,
+                                                                monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for module, name in [(pipeline, "collect_samples"), (pipeline, "read_dataset"),
+                         (citecorpus.model, "read_table"),
+                         (citecorpus.metrics, "read_distance_matrix")]:
+        monkeypatch.setattr(module, name, no_read)
+    monkeypatch.chdir(tmp_path)
+    for name in files:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        if name == "link.jsonl":
+            os.link("d.jsonl", name)
+        else:
+            (tmp_path / name).write_text(f"the bytes of {name}\n")
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")
+              if path.is_file()}
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {names} name the same file\n"
+    assert (tmp_path / victim).read_bytes() == f"the bytes of {victim}\n".encode()
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")
+            if path.is_file()} == before
+
+
+@pytest.mark.parametrize("command", ["build", "audit-export"])
+def test_an_output_directory_that_is_a_file_is_a_usage_error_before_any_input_is_read(
+        command, tmp_path, capsys, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("collect_samples", "read_dataset"):
+        monkeypatch.setattr(pipeline, name, no_read)
+    data, baseline, out = tmp_path / "d.jsonl", tmp_path / "b.jsonl", tmp_path / "out"
+    for path in (data, baseline, out):
+        path.write_text("kept\n")
+    argv = {"build": ["build", "--input", str(data)],
+            "audit-export": ["audit-export", "--input", str(data), "--baseline-input",
+                             str(baseline)]}[command]
+    assert main([*argv, "--output", str(out), "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: output is not a directory: {out}\n"
+    assert out.read_text() == "kept\n"
 
 
 def _dataset_line(split="train", samples=None):

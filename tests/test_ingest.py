@@ -1,13 +1,16 @@
 """Unit tests for corpus streaming, paper eligibility and the root's line
-reader."""
+reader and JSON decoder."""
 
 import dataclasses
 import io
 import json
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from citecorpus import read_lines
+from citecorpus import from_json, read_lines
 from citecorpus.ingest import (
     Diagnostic,
     Paragraph,
@@ -175,6 +178,58 @@ class TestReadLines:
         with pytest.raises(Custom) as exc:
             next(lines)
         assert str(exc.value) == f"{path}, line 2: byte 0xc3 is not valid UTF-8"
+
+
+# Code points around and inside the UTF-16 surrogate range, and a
+# backslash, so that escapes of every kind sit next to each other.
+_NEAR_SURROGATES = [0x5C, 0x75, 0x41, 0xE9, 0xD7FF, 0xD800, 0xD83D, 0xDBFF, 0xDC00, 0xDE00,
+                    0xDFFF, 0xE000, 0x1F600]
+
+
+def _holds_surrogate(value):
+    if isinstance(value, str):
+        return any(0xD800 <= ord(ch) <= 0xDFFF for ch in value)
+    if isinstance(value, dict):
+        return any(map(_holds_surrogate, [*value, *value.values()]))
+    return isinstance(value, list) and any(map(_holds_surrogate, value))
+
+
+class TestFromJson:
+    @pytest.mark.parametrize("text, escape", [
+        ('"\\ud800"', "\\ud800"),
+        ('["ok", "a\\uDFFF"]', "\\uDFFF"),
+        ('{"\\udc00": 1}', "\\udc00"),
+        ('"\\ude00\\ud83d"', "\\ude00"),
+        ('"\\ud83d\\u0041"', "\\ud83d"),
+        ('"\\ud800\\udbff\\udc00"', "\\ud800"),
+        ('"\\\\\\ud800"', "\\ud800"),
+    ], ids=["high", "upper-case-low", "key", "reversed-pair", "high-then-letter",
+            "high-then-pair", "after-escaped-backslash"])
+    def test_a_lone_surrogate_escape_is_invalid_json(self, text, escape):
+        with pytest.raises(json.JSONDecodeError) as exc:
+            from_json(text)
+        assert exc.value.msg == f"lone surrogate {escape}"
+        assert text[exc.value.pos:].startswith(escape)
+
+    def test_pairs_and_escaped_backslashes_decode(self):
+        assert from_json('["\\ud83d\\ude00", "\\uD83D\\uDE00", "\\\\ud800", "\\u00e9"]') == \
+            ["\U0001F600", "\U0001F600", "\\ud800", "\u00e9"]
+
+    @given(st.lists(st.lists(st.one_of(st.sampled_from(_NEAR_SURROGATES),
+                                       st.integers(0, 0x10FFFF)), max_size=8)
+                    .map(lambda points: "".join(map(chr, points))), max_size=3),
+           st.booleans())
+    def test_refused_exactly_when_a_decoded_string_holds_a_surrogate(self, strings, upper):
+        text = json.dumps(strings)
+        if upper:
+            text = re.sub(r"\\u([0-9a-f]{4})", lambda m: "\\u" + m.group(1).upper(), text)
+        try:
+            value = from_json(text)
+        except json.JSONDecodeError:
+            assert _holds_surrogate(json.loads(text))
+        else:
+            assert value == json.loads(text)
+            assert not _holds_surrogate(value)
 
 
 class TestPaperEligible:

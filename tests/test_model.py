@@ -315,17 +315,17 @@ class TestLossAndGradient:
             w = rng.normal(size=d)
             b = float(rng.normal())
             C = float(rng.uniform(0.05, 5.0))
-            loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, weight, C)
+            loss, grad_w, grad_b, _ = loss_and_gradient(w, b, X, y, weight, C)
             h = 1e-6
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
-                up, _, _ = loss_and_gradient(w + e, b, X, y, weight, C)
-                dn, _, _ = loss_and_gradient(w - e, b, X, y, weight, C)
+                up, _, _, _ = loss_and_gradient(w + e, b, X, y, weight, C)
+                dn, _, _, _ = loss_and_gradient(w - e, b, X, y, weight, C)
                 numeric = (up - dn) / (2 * h)
                 assert abs(numeric - grad_w[j]) / max(1.0, abs(grad_w[j])) < 1e-5
-            up, _, _ = loss_and_gradient(w, b + h, X, y, weight, C)
-            dn, _, _ = loss_and_gradient(w, b - h, X, y, weight, C)
+            up, _, _, _ = loss_and_gradient(w, b + h, X, y, weight, C)
+            dn, _, _, _ = loss_and_gradient(w, b - h, X, y, weight, C)
             assert abs((up - dn) / (2 * h) - grad_b) / max(1.0, abs(grad_b)) < 1e-5
 
 
@@ -384,8 +384,8 @@ class TestTrainLogreg:
         optimum = newton_optimum(X, y, weight, C)
 
         model = train_logreg(rows, y, (1.7, 0.6), C=C)
-        reached, grad_w, grad_b = loss_and_gradient(model.weights, model.bias, rows, y, weight,
-                                                    C)
+        reached, grad_w, grad_b, _ = loss_and_gradient(model.weights, model.bias, rows, y,
+                                                       weight, C)
         assert (reached - optimum) / abs(optimum) <= 1e-10
         assert model.converged is True
         assert 0 < model.iterations < 100
@@ -446,7 +446,7 @@ def sparse_problem(seed, n_rows=600, positive_share=0.4):
 def scaled_objective(X, y, sample_weight, C):
     """``loss_and_gradient`` over [w, b], scaled by 1/N as a fit scales it."""
     def f(v):
-        loss, grad_w, grad_b = loss_and_gradient(v[:-1], v[-1], X, y, sample_weight, C)
+        loss, grad_w, grad_b, _ = loss_and_gradient(v[:-1], v[-1], X, y, sample_weight, C)
         return loss / len(y), np.append(grad_w, grad_b) / len(y)
     return f
 
@@ -487,15 +487,37 @@ class TestNewtonCG:
         C = 0.7
 
         def gradient(v):
-            return np.append(*loss_and_gradient(v[:-1], v[-1], X, y, weight, C)[1:])
+            return np.append(*loss_and_gradient(v[:-1], v[-1], X, y, weight, C)[1:3])
 
         for _ in range(5):
             v = rng.normal(size=X.shape[1] + 1)
             d = rng.normal(size=X.shape[1] + 1)
             h = 1e-5
             numeric = (gradient(v + h * d) - gradient(v - h * d)) / (2 * h)
-            exact = citecorpus.model._hessian_product(X, v, weight, C)(d)
+            sigma = loss_and_gradient(v[:-1], v[-1], X, y, weight, C)[3]
+            exact = citecorpus.model._hessian_product(X, weight * sigma * (1.0 - sigma), C)(d)
             assert np.max(np.abs(numeric - exact)) <= 1e-6 * max(1.0, np.max(np.abs(exact)))
+
+    def test_each_iterate_is_evaluated_once(self, monkeypatch):
+        # An evaluation makes one product and one transposed product, and so
+        # does each Hessian-vector product; a Newton step takes its Hessian
+        # from the probabilities its iterate's evaluation computed.
+        X, y, _ = sparse_problem(7)
+        calls = {"dot": 0, "transpose_dot": 0}
+
+        def counting(name):
+            real = getattr(citecorpus.model.CSR, name)
+
+            def product(self, vector):
+                calls[name] += 1
+                return real(self, vector)
+            return product
+
+        for name in calls:
+            monkeypatch.setattr(citecorpus.model.CSR, name, counting(name))
+        model = train_logreg(X, y, (1.3, 0.8), C=0.5)
+        assert model.converged is True and model.iterations > 0
+        assert calls["dot"] == calls["transpose_dot"]
 
     def test_full_steps_are_taken_where_the_objective_is_flat_to_rounding(self,
                                                                           monkeypatch):
@@ -530,9 +552,10 @@ class TestNewtonCG:
         losses = []
 
         def rising(*args):
-            loss, grad_w, grad_b = loss_and_gradient(*args)
+            loss, grad_w, grad_b, sigma = loss_and_gradient(*args)
             losses.append(loss)
-            return (loss if len(losses) == 1 else 2 * abs(losses[0]) + 1.0), grad_w, grad_b
+            return ((loss if len(losses) == 1 else 2 * abs(losses[0]) + 1.0), grad_w, grad_b,
+                    sigma)
 
         monkeypatch.setattr(citecorpus.model, "loss_and_gradient", rising)
         model = train_logreg(X, y, (1.0, 1.0), C=1.0)
@@ -763,8 +786,8 @@ class TestTrainPU:
         y = np.concatenate([np.ones(pos.size), np.ones(unl.size), np.zeros(unl.size)])
         weight = np.concatenate([np.ones(pos.size), q, 1.0 - q])
         final = pu.final_model
-        oracle, grad_w, grad_b = loss_and_gradient(final.weights, final.bias, stacked,
-                                                   y, weight, C)
+        oracle, grad_w, grad_b, _ = loss_and_gradient(final.weights, final.bias, stacked,
+                                                      y, weight, C)
         targets = np.ones(len(s))
         targets[unl] = q
         soft = loss_and_gradient(final.weights, final.bias, X, targets, np.ones(len(s)), C)[0]
