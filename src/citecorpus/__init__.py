@@ -85,16 +85,14 @@ def invalid_utf8(line: str) -> str | None:
     return f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not valid UTF-8"
 
 
-def read_lines(
-    path: str | Path, error: type[Exception] = ValueError
-) -> Iterator[tuple[int, str]]:
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The lines of the text file ``path`` with their 1-based numbers,
     decoded as UTF-8 with universal newlines. At the first byte that is not
-    UTF-8 it raises ``error`` naming the file and the line."""
+    UTF-8 it raises a ValueError naming the file and the line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if problem := invalid_utf8(line):
-                raise error(f"{path}, line {lineno}: {problem}")
+                raise ValueError(f"{path}, line {lineno}: {problem}")
             yield lineno, line
 
 

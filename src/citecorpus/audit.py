@@ -31,10 +31,6 @@ METHOD_BASELINE = "baseline"
 SHEET_COLUMNS = ("item_id", "sentence", "prev", "next", "extraction_ok", "markers_removed")
 
 
-class AuditError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class AuditItem:
     item_id: str
@@ -96,8 +92,8 @@ def sample_for_audit(
 
     Sampling is uniform without replacement per stratum with the seeded
     generator; the four strata are then shuffled together. The written sheet
-    contains no method or gold-label information. Raises AuditError naming
-    the stratum when one has too few sentences.
+    contains no method or gold-label information. Raises a ValueError
+    naming the stratum when one has too few sentences.
     """
     rng = random.Random(f"{seed}|audit")
     strata = [
@@ -111,10 +107,10 @@ def sample_for_audit(
     for method, label, samples in strata:
         pool = _sentences_with_context(samples, label)
         if len(pool) < n_per_class:
-            raise AuditError(
+            raise ValueError(
                 f"stratum ({method}, {label}) has {len(pool)} sentences, "
                 f"need {n_per_class}")
-        for text, prev, nxt in (rng.sample(pool, n_per_class) if n_per_class else []):
+        for text, prev, nxt in rng.sample(pool, n_per_class):
             while True:
                 item_id = f"{rng.getrandbits(64):016x}"
                 if item_id not in used_ids:
@@ -137,7 +133,7 @@ def sample_for_audit(
 
 def _read_key(key_path: str | Path) -> dict[str, str]:
     methods: dict[str, str] = {}
-    for lineno, line in read_lines(key_path, AuditError):
+    for lineno, line in read_lines(key_path):
         if not line.strip():
             continue
         try:
@@ -146,9 +142,9 @@ def _read_key(key_path: str | Path) -> dict[str, str]:
             record = None
         if not (isinstance(record, dict) and isinstance(record.get("item_id"), str)
                 and record.get("method") in (METHOD_MAIN, METHOD_BASELINE)):
-            raise AuditError(f"{key_path}, line {lineno}: bad key record")
+            raise ValueError(f"{key_path}, line {lineno}: bad key record")
         if record["item_id"] in methods:
-            raise AuditError(f"{key_path}, line {lineno}: repeated item_id {record['item_id']!r}")
+            raise ValueError(f"{key_path}, line {lineno}: repeated item_id {record['item_id']!r}")
         methods[record["item_id"]] = record["method"]
     return methods
 
@@ -159,18 +155,18 @@ def score_audit(sheet_path: str | Path, key_path: str | Path) -> AuditResult:
     Per method, extracted_correct% is the share of items marked
     extraction_ok and markers_removed% the share marked markers_removed.
     Unknown or repeated item ids, missing annotations, and non-binary values
-    raise an AuditError listing the offending rows; so does a key item the
+    raise a ValueError listing the offending rows; so does a key item the
     sheet lacks.
     """
     methods = _read_key(key_path)
     counts: dict[str, list[int]] = {}
     problems: list[str] = []
     seen: dict[str, int] = {}
-    for lineno, line in read_lines(sheet_path, AuditError):
+    for lineno, line in read_lines(sheet_path):
         if lineno == 1:
             header = line.rstrip("\n").split("\t")
             if header != list(SHEET_COLUMNS):
-                raise AuditError(f"{sheet_path}: unexpected header {header!r}")
+                raise ValueError(f"{sheet_path}: unexpected header {header!r}")
             continue
         if not line.strip():
             continue
@@ -196,9 +192,9 @@ def score_audit(sheet_path: str | Path, key_path: str | Path) -> AuditResult:
         tally[1] += int(extraction_ok)
         tally[2] += int(markers_removed)
     if problems:
-        raise AuditError(f"{sheet_path}: " + "; ".join(problems))
+        raise ValueError(f"{sheet_path}: " + "; ".join(problems))
     if len(seen) != len(methods):
-        raise AuditError(
+        raise ValueError(
             f"{sheet_path}: {len(seen)} annotated rows but key lists {len(methods)} items")
 
     per_method = {}

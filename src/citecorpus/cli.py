@@ -189,6 +189,14 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
+def _refuse_file_above(path: str, what: str) -> None:
+    """A usage error when the nearest existing ancestor of ``path`` is not a
+    directory, so that nothing can be made below it."""
+    above = next(parent for parent in Path(path).parents if parent.exists())
+    if not above.is_dir():
+        raise UsageError(f"{what} is under {above}, which is not a directory: {path}")
+
+
 def _require_output(path: str, what: str) -> Path:
     """The file to write, checked before any work: not a directory, and in
     a directory that exists."""
@@ -196,16 +204,20 @@ def _require_output(path: str, what: str) -> Path:
     if p.is_dir():
         raise UsageError(f"{what} is a directory: {path}")
     if not p.parent.is_dir():
+        _refuse_file_above(path, what)
         raise UsageError(f"{what} is in a directory that does not exist: {path}")
     return p
 
 
 def _require_output_dir(path: str, what: str) -> Path:
     """The directory to write into, checked before any work: a directory,
-    or a path that does not exist yet."""
+    or a path that does not exist yet and can be made."""
     p = Path(path)
-    if p.exists() and not p.is_dir():
-        raise UsageError(f"{what} is not a directory: {path}")
+    if p.exists():
+        if not p.is_dir():
+            raise UsageError(f"{what} is not a directory: {path}")
+    else:
+        _refuse_file_above(path, what)
     return p
 
 

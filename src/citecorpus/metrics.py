@@ -1,8 +1,9 @@
 """Evaluation and reporting: P/R/F1, dataset statistics, purity, correlation.
 
-All functions are pure and thread-safe. Percent-style quantities are stored
-in [0, 1] (PRF) or [0, 100] (purity) as documented per type; the text
-renderers multiply where the conventional presentation is x100.
+Every function but ``read_distance_matrix``, which reads a file, is pure
+and thread-safe. Percent-style quantities are stored in [0, 1] (PRF) or
+[0, 100] (purity) as documented per type; the text renderers multiply
+where the conventional presentation is x100.
 """
 
 from __future__ import annotations

@@ -283,26 +283,24 @@ def featurize(counts: TokenCounts, vocab: Vocabulary) -> CSR:
     each row sorted by index: a row's columns are in term order, and so are
     the indices they map to.
     """
-    # Each column's vocabulary index (-1 out of vocabulary) and idf, stored
-    # by whole-array assignments: no per-term numpy scalars or tuples. The
-    # idf takes math.log, the bits that model files and grids hold, once per
-    # distinct document frequency, on Python ints: a loaded vocabulary's
-    # counts may outgrow int64.
+    # Each column's vocabulary index (-1 out of vocabulary), stored by
+    # whole-array assignments: no per-term numpy scalars or tuples. Each
+    # vocabulary term's idf takes math.log, the bits that model files and
+    # grids hold, once per distinct document frequency, on Python ints: a
+    # loaded vocabulary's counts may outgrow int64.
     column = np.fromiter(map(counts.column_of.get, vocab.terms, repeat(-1)),
                          dtype=np.int64, count=len(vocab))
     found = np.flatnonzero(column >= 0)
     total = 1 + vocab.total_docs
     idf_of = {df: math.log(total / (1 + df)) + 1.0 for df in set(vocab.df)}
+    idf = np.fromiter(map(idf_of.__getitem__, vocab.df), dtype=float, count=len(vocab))
     index_of = np.full(len(counts.terms), -1, dtype=np.int64)
     index_of[column[found]] = found
-    idf = np.zeros(len(counts.terms))
-    idf[column[found]] = np.fromiter(map(idf_of.__getitem__, vocab.df), dtype=float,
-                                     count=len(vocab))[found]
     matrix = counts.matrix
     index = index_of[matrix.indices]
     kept = np.flatnonzero(index >= 0)
     rows, index = matrix.row_of_entry[kept], index[kept]
-    data = matrix.data[kept] * idf[matrix.indices[kept]]
+    data = matrix.data[kept] * idf[index]
     # bincount adds each row's squares left to right, the sequential sum the
     # model files depend on; pairwise sums (np.add.reduceat) round differently.
     norms = np.sqrt(np.bincount(rows, weights=data * data, minlength=len(counts)))

@@ -61,15 +61,6 @@ NOT_AT_END = "not-at-end"
 HANGING_MARKER = "hanging-marker"
 MALFORMED_SENTENCE = "malformed-sentence"
 AMBIGUOUS_FIELD = "ambiguous-field"
-REJECTION_CODES = (
-    BAD_SECTION,
-    MISSED_CITATION,
-    BAD_FORMAT,
-    NOT_AT_END,
-    HANGING_MARKER,
-    MALFORMED_SENTENCE,
-    AMBIGUOUS_FIELD,
-)
 
 # The ten subject categories the dataset is balanced over.
 MAG_FIELDS = (
@@ -179,10 +170,6 @@ class RejectionRecord:
 class SpanConsistencyError(ValueError):
     """Cite-span offsets disagree with the paragraph text; a data error,
     not a paragraph rejection."""
-
-
-class DatasetFormatError(ValueError):
-    pass
 
 
 def allowed_section(title: str) -> bool:
@@ -496,8 +483,7 @@ def balanced_sample(
         if take < per_field_quota:
             logger.warning("field %s: %d paragraphs available, quota %d",
                            name, len(pool), per_field_quota)
-        if take:
-            chosen.extend(rng.sample(pool, take))
+        chosen.extend(rng.sample(pool, take))
     chosen.sort(key=lambda s: (s.mag_field, *_canonical_key(s)))
     return chosen
 
@@ -530,12 +516,11 @@ def split_dataset(
             for sample in stratum:
                 sample.split = SPLIT_TRAIN
             continue
-        shuffled = stratum[:]
-        rng.shuffle(shuffled)
+        rng.shuffle(stratum)
         total = sum(len(s.sentences) for s in stratum)
         targets = [r * total for r in ratios]
         counts = [0, 0, 0]
-        for sample in shuffled:
+        for sample in stratum:
             deficits = [t - c for t, c in zip(targets, counts)]
             pick = deficits.index(max(deficits))
             sample.split = SPLITS[pick]
@@ -559,33 +544,33 @@ def _sample_to_record(sample: ParagraphSample) -> dict:
 
 def _field(record: dict, key: str, kind: type, where: str):
     """``record[key]`` when its type is ``kind`` (a bool is no int), else a
-    DatasetFormatError naming the line and the field."""
+    ValueError naming the line and the field."""
     value = record.get(key)
     if type(value) is not kind:
-        raise DatasetFormatError(f"{where}: field {key!r} missing or not {kind.__name__}")
+        raise ValueError(f"{where}: field {key!r} missing or not {kind.__name__}")
     return value
 
 
 def _record_to_sample(record: object, where: str) -> ParagraphSample:
     if not isinstance(record, dict):
-        raise DatasetFormatError(f"{where}: record is not an object")
+        raise ValueError(f"{where}: record is not an object")
     split = _field(record, "split", str, where)
     if split not in (*SPLITS, SPLIT_UNASSIGNED):
-        raise DatasetFormatError(f"{where}: unknown split {split!r}")
+        raise ValueError(f"{where}: unknown split {split!r}")
     raw_sentences = _field(record, "samples", list, where)
     if not raw_sentences:
-        raise DatasetFormatError(f"{where}: record has no sentences")
+        raise ValueError(f"{where}: record has no sentences")
     sentences = []
     for i, raw in enumerate(raw_sentences):
         if not isinstance(raw, dict):
-            raise DatasetFormatError(f"{where}: sentence {i} is not an object")
+            raise ValueError(f"{where}: sentence {i} is not an object")
         text = raw.get("text")
         label = raw.get("label")
         count = raw.get("removed_span_count")
         if type(text) is not str or label not in LABELS or type(count) is not int or count < 0:
-            raise DatasetFormatError(f"{where}: sentence {i} is malformed")
+            raise ValueError(f"{where}: sentence {i} is malformed")
         if (label == LABEL_CITE_WORTHY) != (count >= 1):
-            raise DatasetFormatError(
+            raise ValueError(
                 f"{where}: sentence {i} label {label!r} disagrees with "
                 f"removed_span_count {count}")
         sentences.append(LabeledSentence(text, label, count))
@@ -606,17 +591,17 @@ def write_dataset(samples: Iterable[ParagraphSample], path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> list[ParagraphSample]:
-    """Read a dataset file back; raises DatasetFormatError naming the bad line,
+    """Read a dataset file back; raises a ValueError naming the bad line,
     an undecodable byte included."""
     samples = []
-    for lineno, line in read_lines(path, DatasetFormatError):
+    for lineno, line in read_lines(path):
         if not line.strip():
             continue
         where = f"{path}, line {lineno}"
         try:
             record = from_json(line)
         except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{where}: invalid JSON: {exc.msg}") from exc
+            raise ValueError(f"{where}: invalid JSON: {exc.msg}") from exc
         samples.append(_record_to_sample(record, where))
     return samples
 

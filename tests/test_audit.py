@@ -8,7 +8,6 @@ import pytest
 from citecorpus.audit import (
     METHOD_BASELINE,
     METHOD_MAIN,
-    AuditError,
     sample_for_audit,
     score_audit,
 )
@@ -87,7 +86,7 @@ class TestSampleForAudit:
             assert item.next.startswith("Plain claim")
 
     def test_insufficient_stratum_named(self, tmp_path):
-        with pytest.raises(AuditError) as exc:
+        with pytest.raises(ValueError) as exc:
             sample_for_audit(dataset("m", n_paragraphs=2), dataset("b"), 5, 1,
                              tmp_path / "s.tsv", tmp_path / "k.jsonl")
         assert "ours" in str(exc.value)
@@ -161,18 +160,18 @@ class TestScoreAudit:
         cells[0] = "deadbeefdeadbeef"
         lines[1] = "\t".join(cells)
         sheet.write_text("\n".join(lines) + "\n")
-        with pytest.raises(AuditError, match="unknown item_id"):
+        with pytest.raises(ValueError, match="unknown item_id"):
             score_audit(sheet, key)
 
     def test_missing_annotation_listed(self, exported):
         _, sheet, key = exported
-        with pytest.raises(AuditError, match="must be 0 or 1"):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
             score_audit(sheet, key)  # columns still empty
 
     def test_non_binary_value_listed(self, exported):
         _, sheet, key = exported
         annotate(sheet, lambda item_id, text: ("yes", "1"))
-        with pytest.raises(AuditError, match="must be 0 or 1"):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
             score_audit(sheet, key)
 
     def test_row_count_must_match_key(self, exported):
@@ -180,7 +179,7 @@ class TestScoreAudit:
         annotate(sheet, lambda item_id, text: ("1", "1"))
         lines = sheet.read_text().splitlines()
         sheet.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(AuditError, match="key lists"):
+        with pytest.raises(ValueError, match="key lists"):
             score_audit(sheet, key)
 
     def test_repeated_row_cannot_stand_in_for_a_missing_item(self, tmp_path):
@@ -192,7 +191,7 @@ class TestScoreAudit:
         sheet = tmp_path / "sheet.tsv"
         sheet.write_text("item_id\tsentence\tprev\tnext\textraction_ok\tmarkers_removed\n"
                          "a\tx\t\t\t1\t0\na\tx\t\t\t0\t1\n")
-        with pytest.raises(AuditError) as exc:
+        with pytest.raises(ValueError) as exc:
             score_audit(sheet, key)
         assert str(exc.value) == f"{sheet}: line 3: item_id 'a' repeats line 2"
 
@@ -203,7 +202,7 @@ class TestScoreAudit:
         record = json.loads(lines[0])
         record["method"] = METHOD_BASELINE if record["method"] == METHOD_MAIN else METHOD_MAIN
         key.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
-        with pytest.raises(AuditError) as exc:
+        with pytest.raises(ValueError) as exc:
             score_audit(sheet, key)
         assert str(exc.value) == \
             f"{key}, line {len(lines) + 1}: repeated item_id {record['item_id']!r}"
@@ -216,7 +215,7 @@ class TestScoreAudit:
         lines = path.read_bytes().splitlines(keepends=True)
         lines[lineno - 1] = lines[lineno - 1][:4] + b"\xfe" + lines[lineno - 1][4:]
         path.write_bytes(b"".join(lines))
-        with pytest.raises(AuditError) as exc:
+        with pytest.raises(ValueError) as exc:
             score_audit(sheet, key)
         assert str(exc.value) == f"{path}, line {lineno}: byte 0xfe is not valid UTF-8"
 

@@ -1934,8 +1934,12 @@ def test_out_of_range_number_is_a_usage_error_before_any_input_is_read(
 @pytest.mark.parametrize("command, output, message", [
     ("train", "out", "model file is a directory"),
     ("train", "missing/m.json", "model file is in a directory that does not exist"),
+    ("train", "data.jsonl/m.json", "model file is under {data}, which is not a directory"),
     ("cross-domain", "out", "grid file is a directory"),
-], ids=["train-directory", "train-missing-directory", "cross-domain-directory"])
+    ("cross-domain", "data.jsonl/a/g.json",
+     "grid file is under {data}, which is not a directory"),
+], ids=["train-directory", "train-missing-directory", "train-under-a-file",
+        "cross-domain-directory", "cross-domain-under-a-file"])
 def test_unwritable_output_is_a_usage_error_before_the_dataset_is_read(
         command, output, message, tmp_path, capsys, monkeypatch):
     def no_read(*args, **kwargs):
@@ -1948,8 +1952,9 @@ def test_unwritable_output_is_a_usage_error_before_the_dataset_is_read(
     extra = ["--distances", str(data)] if command == "cross-domain" else []
     output = str(tmp_path / output)
     assert main([command, "--input", str(data), "--output", output, "--seed", "1", *extra]) == 2
-    assert capsys.readouterr().err == f"error: {message}: {output}\n"
+    assert capsys.readouterr().err == f"error: {message.format(data=data)}: {output}\n"
     assert list((tmp_path / "out").iterdir()) == []
+    assert data.read_text() == ""
 
 
 # (files to make, arguments, the input the output would replace, stderr).
@@ -2025,9 +2030,10 @@ def test_an_output_that_is_an_input_is_refused_before_any_work(files, argv, vict
             if path.is_file()} == before
 
 
+@pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])
 @pytest.mark.parametrize("command", ["build", "audit-export"])
 def test_an_output_directory_that_is_a_file_is_a_usage_error_before_any_input_is_read(
-        command, tmp_path, capsys, monkeypatch):
+        command, below, tmp_path, capsys, monkeypatch):
     def no_read(*args, **kwargs):
         raise AssertionError("an input was read")
 
@@ -2039,8 +2045,11 @@ def test_an_output_directory_that_is_a_file_is_a_usage_error_before_any_input_is
     argv = {"build": ["build", "--input", str(data)],
             "audit-export": ["audit-export", "--input", str(data), "--baseline-input",
                              str(baseline)]}[command]
-    assert main([*argv, "--output", str(out), "--seed", "1"]) == 2
-    assert capsys.readouterr().err == f"error: output is not a directory: {out}\n"
+    output = str(out / below) if below else str(out)
+    assert main([*argv, "--output", output, "--seed", "1"]) == 2
+    message = f"under {out}, which is not a directory" if below else "not a directory"
+    assert capsys.readouterr().err == f"error: output is {message}: {output}\n"
+    assert sorted(tmp_path.iterdir()) == [baseline, data, out]
     assert out.read_text() == "kept\n"
 
 

@@ -167,16 +167,14 @@ class TestReadLines:
         assert list(read_lines(path)) == [(1, "α\n"), (2, "b\n"), (3, "c\n"), (4, "\n"),
                                           (5, "d")]
 
-    def test_first_undecodable_byte_raises_the_given_error(self, tmp_path):
-        class Custom(ValueError):
-            pass
-
+    def test_first_undecodable_byte_raises_a_value_error(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_bytes(b"ok\nbad \xc3\n\xff\n")
-        lines = read_lines(path, Custom)
+        lines = read_lines(path)
         assert next(lines) == (1, "ok\n")
-        with pytest.raises(Custom) as exc:
+        with pytest.raises(ValueError) as exc:
             next(lines)
+        assert type(exc.value) is ValueError
         assert str(exc.value) == f"{path}, line 2: byte 0xc3 is not valid UTF-8"
 
 

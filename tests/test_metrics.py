@@ -329,6 +329,13 @@ class TestDistanceMatrixIO:
         with pytest.raises(ValueError, match="line 2"):
             read_distance_matrix(path)
 
+    def test_header_of_one_cell_rejected(self, tmp_path):
+        path = tmp_path / "dist.tsv"
+        path.write_text("A\nA\t0\n")
+        with pytest.raises(ValueError) as exc:
+            read_distance_matrix(path)
+        assert str(exc.value) == f"{path}: header names no fields"
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "dist.tsv"
         path.write_text("\tA\tB\nA\t0.0\n")

@@ -120,6 +120,13 @@ class TestVocabulary:
         with pytest.raises(TrainingError):
             fit_vocabulary(count_tokens([]))
 
+    def test_more_tokens_than_the_index_type_holds_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(citecorpus.model, "_INDEX", np.int8)
+        assert count_tokens([["a"] * 100, ["b"] * 27]).matrix.data.tolist() == [100, 27]
+        with pytest.raises(TrainingError) as exc:
+            count_tokens([["a"] * 100, ["b"] * 28])
+        assert str(exc.value) == "128 tokens are more than a count matrix holds"
+
     def test_deterministic_index_assignment(self):
         corpus = docs("gamma beta alpha", "beta alpha", "alpha")
         first = fit_vocabulary(corpus)

@@ -33,7 +33,6 @@ from citecorpus.pipeline import (
     PERMISSIBLE_SECTION_TITLES,
     SPLIT_TRAIN,
     SPLITS,
-    DatasetFormatError,
     LabeledSentence,
     ParagraphSample,
     RejectionReason,
@@ -450,7 +449,7 @@ class TestDatasetIO:
         lines = path.read_text().splitlines()
         lines[1] = lines[1][:10]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError) as exc:
+        with pytest.raises(ValueError) as exc:
             read_dataset(path)
         assert "line 2" in str(exc.value)
 
@@ -463,7 +462,7 @@ class TestDatasetIO:
         }
         path = tmp_path / "data.jsonl"
         path.write_text(json.dumps(record) + "\n")
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(ValueError):
             read_dataset(path)
 
     def test_writer_is_deterministic(self, tmp_path):

@@ -1,12 +1,14 @@
 """Repository structure: no module of the package reads another module's
 private name or imports scipy, every JSON input goes through one decoder
-and is type-checked by exact type, only ``model`` names the table file, only
-``pipeline`` imports ``ingest``, no build-side command loads numpy, no model
-command with a table cache loads a build-side module, each citation pattern
-is written once and compiled only from its constant, and the test
-configuration lets a failing property test report its example."""
+and is type-checked by exact type, every exception class the package
+defines is caught by name somewhere in it, only ``model`` names the table
+file, only ``pipeline`` imports ``ingest``, no build-side command loads
+numpy, no model command with a table cache loads a build-side module, each
+citation pattern is written once and compiled only from its constant, and
+the test configuration lets a failing property test report its example."""
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -129,6 +131,34 @@ def test_only_the_build_pipeline_imports_ingest():
             if any(name.split(".")[-1] == "ingest" for name in names):
                 importers.add(path.name)
     assert importers == {"pipeline.py"}
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_exception_class_is_caught_by_name():
+    # A type that no handler names tells a caller nothing its builtin base
+    # does not, so the code raises the base instead.
+    bases, where, caught = {}, {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [_name(base) for base in node.bases]
+                where[node.name] = f"{path.name}, line {node.lineno}"
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(map(_name, types))
+
+    def is_exception(name):
+        builtin = getattr(builtins, name or "", None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(map(is_exception, bases.get(name, ())))
+
+    exceptions = {name for name in bases if is_exception(name)}
+    assert {"UsageError", "TrainingError", "MalformedRecordError"} <= exceptions
+    assert [f"{where[name]}: {name}" for name in sorted(exceptions - caught)] == []
 
 
 TABLE_NAMES = {"TABLE_VERSION", "save_table", "load_table"}
