@@ -18,6 +18,7 @@ fields its grid scores.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
@@ -199,10 +200,14 @@ def _refuse_file_above(path: str, what: str) -> None:
 
 def _require_output(path: str, what: str) -> Path:
     """The file to write, checked before any work: not a directory, and in
-    a directory that exists."""
+    a directory that exists. A path that ends in a separator, ``.`` or
+    ``..`` names a directory even where none exists, and ``Path`` would
+    drop a trailing separator."""
     p = Path(path)
     if p.is_dir():
         raise UsageError(f"{what} is a directory: {path}")
+    if os.path.basename(path) in ("", os.curdir, os.pardir):
+        raise UsageError(f"{what} names a directory: {path}")
     if not p.parent.is_dir():
         _refuse_file_above(path, what)
         raise UsageError(f"{what} is in a directory that does not exist: {path}")
@@ -555,6 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    # No command makes reference cycles in bulk: reference counting frees its
+    # garbage as it goes, and the cyclic collector would only rescan the
+    # growing result lists again and again.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         if "options" in args:
             _resolve_options(args)
@@ -565,6 +575,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

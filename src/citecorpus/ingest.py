@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
@@ -45,15 +44,13 @@ class CiteSpan(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class Paragraph:
+class Paragraph(NamedTuple):
     section_title: str
     text: str
     cite_spans: tuple[CiteSpan, ...] = ()
 
 
-@dataclass(frozen=True)
-class PaperRecord:
+class PaperRecord(NamedTuple):
     paper_id: str
     has_abstract: bool
     has_bibliography: bool
@@ -64,8 +61,7 @@ class PaperRecord:
     paragraphs: tuple[Paragraph, ...]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One malformed input line, reported on the diagnostics channel.
 
     ``source`` names the input file when the reader knows it."""

@@ -13,9 +13,7 @@ parses, checks eligibility and processes each line of a batch, in-process at
 one worker or on a worker pool that holds at most two batches per worker in
 flight. Results are merged in batch order, so diagnostics and samples stay
 in input order at any worker count; rejections are sorted into canonical
-(paper_id, paragraph index) order, the order of the rejections file. The
-parent keeps the cyclic garbage collector off while a pool runs: unpickling
-its results makes many objects and no reference cycles.
+(paper_id, paragraph index) order, the order of the rejections file.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import json
 import logging
 import random
 from collections import deque
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -153,13 +151,11 @@ class ParagraphSample:
     split: str = SPLIT_UNASSIGNED
 
 
-@dataclass(frozen=True)
-class RejectionReason:
+class RejectionReason(NamedTuple):
     code: str
 
 
-@dataclass(frozen=True)
-class RejectionRecord:
+class RejectionRecord(NamedTuple):
     """Sidecar-log entry locating a rejected paragraph."""
 
     paper_id: str
@@ -409,23 +405,10 @@ def worker_pool(workers: int) -> Executor:
     loads multiprocessing, which only a build at two or more workers needs."""
     from concurrent.futures import ProcessPoolExecutor
 
-    # A forked worker inherits the collector state of the parent, which keeps
-    # the collector off while it merges; the workers run with it on, as a
-    # spawned worker would.
-    return ProcessPoolExecutor(max_workers=workers, initializer=gc.enable)
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Keep the cyclic garbage collector off in this block, then restore the
-    state it had."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+    # A forked worker inherits the parent's collector state and a spawned one
+    # starts with the collector on; every worker runs with it off, as the
+    # command itself does (see ``cli.main``).
+    return ProcessPoolExecutor(max_workers=workers, initializer=gc.disable)
 
 
 def collect_samples(
@@ -448,9 +431,6 @@ def collect_samples(
         if workers == 1:
             parts: Iterator[Collected] = map(work, batches)
         else:
-            # Unpickled results would make the collector rescan the growing
-            # result lists, again and again.
-            stack.enter_context(_gc_paused())
             pool = stack.enter_context(worker_pool(workers))
             parts = _bounded_map(pool, work, batches, _BATCHES_PER_WORKER * workers)
         for part in parts:

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -1957,6 +1958,35 @@ def test_unwritable_output_is_a_usage_error_before_the_dataset_is_read(
     assert data.read_text() == ""
 
 
+@pytest.mark.parametrize("present", [False, True], ids=["absent", "present"])
+@pytest.mark.parametrize("command, output, what", [
+    ("train", "models/", "model file"),
+    ("train", "models/.", "model file"),
+    ("cross-domain", "models/", "grid file"),
+    ("cross-domain", "models/..", "grid file"),
+])
+def test_an_output_that_names_a_directory_is_a_usage_error_before_the_dataset_is_read(
+        command, output, what, present, tmp_path, capsys, monkeypatch):
+    # A Path would drop the trailing separator and name a file "models".
+    def no_read(*args, **kwargs):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(citecorpus.model, "read_table", no_read)
+    monkeypatch.chdir(tmp_path)
+    Path("data.jsonl").write_text("")
+    if present:
+        Path("models").mkdir()
+    extra = ["--distances", "data.jsonl"] if command == "cross-domain" else []
+    assert main([command, "--input", "data.jsonl", "--output", output, "--seed", "1",
+                 *extra]) == 2
+    cause = "is a directory" if present else "names a directory"
+    assert capsys.readouterr().err == f"error: {what} {cause}: {output}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == (
+        ["data.jsonl", "models"] if present else ["data.jsonl"])
+    assert not present or list(Path("models").iterdir()) == []
+    assert Path("data.jsonl").read_text() == ""
+
+
 # (files to make, arguments, the input the output would replace, stderr).
 OUTPUT_IS_INPUT = {
     "train": (
@@ -2225,3 +2255,152 @@ class TestDumpRules:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+
+@contextlib.contextmanager
+def collector_set(enabled):
+    """Run the block with the cyclic garbage collector on or off, then put
+    back the state it had."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _recording(function, states):
+    """``function``, noting the collector state at each call in ``states``."""
+    def record(*args, **kwargs):
+        states.append(gc.isenabled())
+        return function(*args, **kwargs)
+    return record
+
+
+def _escaping_command(args):
+    raise KeyError("an exception main does not catch")
+
+
+class TestCollectorPolicy:
+    """Every command runs with the cyclic garbage collector off, in the
+    process and in its pool workers, and ``main`` then puts back the state
+    it found, whatever the outcome."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv, code", [
+        (["dump-rules"], 0),
+        (["stats", "--input", "bad.jsonl"], 1),
+        (["stats", "--input", "missing.jsonl"], 2),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_main_restores_the_collector(self, argv, code, enabled, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.jsonl").write_text("not json\n")
+        with collector_set(enabled):
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_main_restores_the_collector_when_an_exception_escapes(self, enabled,
+                                                                    monkeypatch):
+        states = []
+        monkeypatch.setattr(cli, "cmd_dump_rules", _recording(_escaping_command, states))
+        with collector_set(enabled):
+            with pytest.raises(KeyError):
+                main(["dump-rules"])
+            assert gc.isenabled() is enabled
+        assert states == [False]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_build_runs_with_the_collector_off(self, workers, tmp_path, monkeypatch):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        states = []
+        for name in ("collect_samples", "balanced_sample", "write_dataset"):
+            monkeypatch.setattr(pipeline, name, _recording(getattr(pipeline, name), states))
+        with collector_set(True):
+            assert main(["build", "--input", str(corpus), "--output", str(tmp_path / "out"),
+                         "--seed", "7", "--workers", str(workers)]) == 0
+        assert states == [False] * 3
+
+    def test_train_runs_with_the_collector_off(self, trained, tmp_path, monkeypatch):
+        out, _ = trained
+        states = []
+        for name in ("read_table", "train_logreg", "save_model"):
+            monkeypatch.setattr(citecorpus.model, name,
+                                _recording(getattr(citecorpus.model, name), states))
+        with collector_set(True):
+            assert main(["train", "--input", str(out / "dataset.jsonl"),
+                         "--output", str(tmp_path / "m.json"), "--seed", "4"]) == 0
+        assert states == [False] * 3
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_pool_workers_run_with_the_collector_off(self, enabled):
+        with collector_set(enabled), pipeline.worker_pool(1) as pool:
+            assert pool.submit(gc.isenabled).result() is False
+
+
+# Runs each named command in order, with the collector off, and prints what
+# gc.collect() finds right after it: the cyclic garbage the command left. The
+# dataset's table cache (the second argument) is removed before the cold eval.
+_CYCLIC_GARBAGE = """\
+import gc, json, os, sys
+from citecorpus.cli import main
+gc.disable()
+found = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    if name == "eval-cold":
+        os.remove(sys.argv[2])
+    gc.collect()
+    if main(argv) != 0:
+        sys.exit(f"{name} failed")
+    found[name] = gc.collect()
+print(json.dumps(found))
+"""
+
+
+def _cyclic_garbage(workdir, n_papers):
+    """The cyclic garbage that each command leaves on a corpus of ``n_papers``,
+    each size run in a fresh process so that imports cost both the same."""
+    workdir.mkdir()
+    corpus, dataset = workdir / "corpus.jsonl", workdir / "w1" / "dataset.jsonl"
+    fields = ["Biology", "Chemistry"]
+    make_corpus_file(corpus, n_papers=n_papers, seed=12, fields=fields,
+                     paragraphs_per_paper=(2, 4))
+    distances = workdir / "dist.tsv"
+    write_distance_matrix({(a, b): float(a != b) for a in fields for b in fields}, fields,
+                          distances)
+    build = ["build", "--input", str(corpus), "--seed", "3", "--output"]
+    train = ["train", "--input", str(dataset), "--output", str(workdir / "m.json"),
+             "--seed", "1"]
+    evaluate = ["eval", "--model", str(workdir / "m.json"), "--input", str(dataset)]
+    commands = {
+        "build-w1": [*build, str(workdir / "w1")],
+        "build-w2": [*build, str(workdir / "w2"), "--workers", "2"],
+        "build-baseline": [*build, str(workdir / "base"), "--baseline"],
+        "audit-export": ["audit-export", "--input", str(dataset), "--baseline-input",
+                         str(workdir / "base" / "dataset.jsonl"), "--seed", "1",
+                         "--n-per-class", str(n_papers // 2), "--output", str(workdir / "audit")],
+        "stats": ["stats", "--input", str(dataset)],
+        "train": train,
+        "train-pu": [*train, "--pu"],
+        "eval-cold": evaluate,
+        "eval-warm": evaluate,
+        "cross-domain": ["cross-domain", "--input", str(dataset), "--distances",
+                         str(distances)],
+    }
+    result = subprocess.run(
+        [sys.executable, "-c", _CYCLIC_GARBAGE, json.dumps(commands),
+         str(_table_cache(dataset))],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=600)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_no_command_makes_cyclic_garbage_that_grows_with_its_input(tmp_path):
+    # The premise of running every command without the cyclic collector:
+    # reference counting frees all but a fixed amount of a command's garbage.
+    small = _cyclic_garbage(tmp_path / "small", 100)
+    large = _cyclic_garbage(tmp_path / "large", 400)
+    assert list(large) == list(small) and len(small) == 10
+    assert {name: (small[name], count) for name, count in large.items()
+            if count > small[name] + 100} == {}

@@ -1,7 +1,6 @@
 """Unit tests for corpus streaming, paper eligibility and the root's line
 reader and JSON decoder."""
 
-import dataclasses
 import io
 import json
 import re
@@ -261,16 +260,16 @@ class TestPaperEligible:
             paragraphs=(),
         )
         for name, value in flips.items():
-            flipped = dataclasses.replace(base, **{name: value})
+            flipped = base._replace(**{name: value})
             assert paper_eligible(flipped) is False, name
 
 
 class TestDomainTypes:
     def test_records_are_immutable(self):
         paper = read_one(full_record())
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             paper.paper_id = "other"
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             paper.paragraphs[0].text = "other"
 
     def test_paragraph_default_spans(self):
