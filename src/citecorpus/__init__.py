@@ -50,18 +50,30 @@ def ratios_are_valid(ratios: Sequence[float]) -> bool:
             and abs(sum(ratios) - 1.0) <= 1e-9)
 
 
+# A temporary file is named for its output when the output's name is at most
+# this many bytes long, else for a 16-digit hash of that name. Either way its
+# name fits wherever the output's name fits.
+_KEPT_NAME_BYTES = 32
+
+
 @contextmanager
 def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Open ``path`` for text (or ``binary``) writing so that it never holds
     a partial file.
 
-    Writes go to a temporary file beside ``path``, which replaces ``path``
-    when the block completes; on any failure the temporary file is removed
-    and ``path`` is left as it was. An OSError with an error number but no
-    file name, such as a full disk, is given ``path`` as its file name.
+    Writes go to a hidden temporary file beside ``path``, named for it and
+    this process, which replaces ``path`` when the block completes; on any
+    failure the temporary file is removed and ``path`` is left as it was.
+    An OSError with an error number but no file name, such as a full disk,
+    is given ``path`` as its file name.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    name = path.name
+    if len(os.fsencode(name)) > _KEPT_NAME_BYTES:
+        import hashlib
+
+        name = hashlib.blake2b(os.fsencode(name), digest_size=8).hexdigest()
+    tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh

@@ -160,8 +160,8 @@ def _resolve_options(args: argparse.Namespace) -> None:
     """Set each declared option to its flag value, else its config value (a
     null counts as absent), else its default. Flag strings and config values
     go through the same kind converter and range check. A value not of the
-    kind is a usage error naming the flag, or the file and key; a value out
-    of range names the flag."""
+    kind, or a string holding a NUL, is a usage error naming the flag, or
+    the file and key; a value out of range names the flag."""
     config = _load_config(args)
     for name, (kind, default, required, check) in args.options.items():
         flag = "--" + name.replace("_", "-")
@@ -178,6 +178,10 @@ def _resolve_options(args: argparse.Namespace) -> None:
             converted = kind[1](value)
         except (TypeError, ValueError, OverflowError):
             raise UsageError(f"{source} must be {kind[0]}, got {value!r}") from None
+        # No path holds a NUL, and argv cannot: only a config file supplies one.
+        texts = converted if kind is PATHS else [converted] if kind is TEXT else []
+        if any("\0" in text for text in texts):
+            raise UsageError(f"{source} must not hold a NUL character, got {value!r}")
         if check is not None and not check[1](converted):
             raise UsageError(f"{flag} must be {check[0]}, got {value}")
         setattr(args, name, converted)

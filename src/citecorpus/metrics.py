@@ -245,8 +245,8 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
     Format: tab-separated; first line is an empty cell followed by the test
     field names, each following line is a train field name followed by its
     distances in header order. A cell that is not a finite number, or a
-    field name the header or the rows repeat, is a ValueError naming the
-    file and line.
+    field name that is empty or that the header or the rows repeat, is a
+    ValueError naming the file and line.
     """
     lines = [(lineno, line.rstrip("\n")) for lineno, line in read_lines(path) if line.strip()]
     if not lines:
@@ -256,6 +256,8 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
     if not test_fields:
         raise ValueError(f"{path}: header names no fields")
     for i, name in enumerate(test_fields):
+        if not name:
+            raise ValueError(f"{path}, line {header_lineno}: header cell {i + 2} is empty")
         if name in test_fields[:i]:
             raise ValueError(f"{path}, line {header_lineno}: field {name!r} is repeated")
     distances: dict[tuple[str, str], float] = {}
@@ -265,6 +267,8 @@ def read_distance_matrix(path: str | Path) -> dict[tuple[str, str], float]:
             raise ValueError(
                 f"{path}, line {lineno}: expected {len(test_fields) + 1} cells, got {len(cells)}")
         train = cells[0].strip()
+        if not train:
+            raise ValueError(f"{path}, line {lineno}: row name is empty")
         if (train, test_fields[0]) in distances:
             raise ValueError(f"{path}, line {lineno}: row {train!r} is repeated")
         for test_name, cell in zip(test_fields, cells[1:]):

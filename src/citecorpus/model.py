@@ -722,11 +722,8 @@ def read_table(path: Path) -> SentenceTable:
     ``read_dataset`` and the table written back, unless the file changed
     while it was read; a cache that cannot be written is skipped."""
     def digest() -> bytes:
-        sha256 = hashlib.sha256()
         with open(path, "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                sha256.update(chunk)
-        return sha256.digest()
+            return hashlib.file_digest(fh, "sha256").digest()
 
     cache = path.with_name(f".{path.name}.table")
     key = digest()

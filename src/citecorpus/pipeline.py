@@ -22,8 +22,9 @@ import gc
 import json
 import logging
 import random
+from bisect import bisect_right
 from collections import deque
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -194,21 +195,12 @@ def _validate_spans(paragraph: Paragraph, paper_id: str) -> None:
         prev_end = span.end
 
 
-def _uncovered_regions(text: str, spans: list[tuple[int, int]]) -> list[str]:
-    regions = []
-    cursor = 0
-    for start, end in spans:
-        regions.append(text[cursor:start])
-        cursor = end
-    regions.append(text[cursor:])
-    return regions
-
-
 def process_paragraph(paragraph: Paragraph) -> tuple[LabeledSentence, ...] | RejectionReason:
     """Run the full per-paragraph extraction procedure on cite spans that
     ``process_paper`` has already checked with ``_validate_spans``.
 
-    For every sentence, in order: locate the provided cite spans; scan the
+    First place every provided cite span in the sentence that contains it
+    (none is ``bad-format``). Then, for every sentence in order: scan the
     span-free regions with both citation-format patterns (a hit means a
     citation the upstream extractor missed); require each provided span to
     match a citation format and to sit at the sentence end; remove the spans
@@ -225,26 +217,26 @@ def process_paragraph(paragraph: Paragraph) -> tuple[LabeledSentence, ...] | Rej
     if not sentences:
         return RejectionReason(MALFORMED_SENTENCE)
 
+    # Sentences are ordered and disjoint: only the last to start at or before a span can hold it.
+    starts = [sent.start for sent in sentences]
     spans_by_sentence: list[list[tuple[int, int]]] = [[] for _ in sentences]
     for span in paragraph.cite_spans:
-        owner = None
-        for idx, sent in enumerate(sentences):
-            if sent.start <= span.start and span.end <= sent.end:
-                owner = idx
-                break
-        if owner is None:
+        owner = bisect_right(starts, span.start) - 1
+        if owner < 0 or span.end > sentences[owner].end:
             return RejectionReason(BAD_FORMAT)
-        spans_by_sentence[owner].append((span.start - sentences[owner].start,
-                                         span.end - sentences[owner].start))
+        spans_by_sentence[owner].append((span.start - starts[owner], span.end - starts[owner]))
 
     labeled: list[LabeledSentence] = []
     for sent, rel_spans in zip(sentences, spans_by_sentence):
-        for region in _uncovered_regions(sent.text, rel_spans):
-            if matches_citation_format(region):
-                return RejectionReason(MISSED_CITATION)
+        cursor = 0
         for rel_start, rel_end in rel_spans:
-            span_text = sent.text[rel_start:rel_end]
-            if not matches_citation_format(span_text):
+            if matches_citation_format(sent.text[cursor:rel_start]):
+                return RejectionReason(MISSED_CITATION)
+            cursor = rel_end
+        if matches_citation_format(sent.text[cursor:]):
+            return RejectionReason(MISSED_CITATION)
+        for rel_start, rel_end in rel_spans:
+            if not matches_citation_format(sent.text[rel_start:rel_end]):
                 return RejectionReason(BAD_FORMAT)
             if not citation_at_sentence_end(sent.text, rel_start, rel_end):
                 return RejectionReason(NOT_AT_END)
@@ -427,11 +419,10 @@ def collect_samples(
     work = partial(process_lines, baseline=baseline)
     batches = line_batches(paths, BATCH_LINES)
     collected = Collected()
-    with ExitStack() as stack:
-        if workers == 1:
+    with nullcontext() if workers == 1 else worker_pool(workers) as pool:
+        if pool is None:
             parts: Iterator[Collected] = map(work, batches)
         else:
-            pool = stack.enter_context(worker_pool(workers))
             parts = _bounded_map(pool, work, batches, _BATCHES_PER_WORKER * workers)
         for part in parts:
             collected.add(part)

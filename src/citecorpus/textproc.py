@@ -173,8 +173,7 @@ def split_sentences(paragraph_text: str) -> list[SentenceSpan]:
         stripped = segment.strip()
         if stripped:
             start = seg_start + (len(segment) - len(segment.lstrip()))
-            end = start + len(stripped)
-            spans.append(SentenceSpan(paragraph_text[start:end], start, end))
+            spans.append(SentenceSpan(stripped, start, start + len(stripped)))
         seg_start = seg_end
     return spans
 

@@ -465,6 +465,65 @@ class TestBuild:
         assert (out / "dataset.jsonl").read_bytes() == dataset
 
 
+class TestNulInConfigPath:
+    """Argv cannot hold a NUL, so only a config file can put one in a path.
+    It is a usage error naming the file and key, raised before any input is
+    read or any directory is made."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "collect_samples", pytest.fail)
+        monkeypatch.setattr(citecorpus.model, "read_table", pytest.fail)
+
+    @staticmethod
+    def _refused(command, config_values, tmp_path, capsys, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**config_values, key: value}))
+        assert main([command, "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: config file {config}: key {key!r} must "
+                                           f"not hold a NUL character, got {value!r}\n")
+
+    @pytest.mark.parametrize("command", ["train", "cross-domain"])
+    def test_an_output_file(self, command, trained, tmp_path, capsys, no_work):
+        out, _ = trained
+        dist_path = tmp_path / "dist.tsv"
+        fields = ["Biology", "Chemistry"]
+        write_distance_matrix({(a, b): float(a != b) for a in fields for b in fields}, fields,
+                              dist_path)
+        own = {"train": {"seed": 4}, "cross-domain": {"distances": str(dist_path)}}[command]
+        self._refused(command, {"input": str(out / "dataset.jsonl"), **own}, tmp_path, capsys,
+                      "output", str(tmp_path / "m\0.json"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "dist.tsv"]
+
+    def test_a_build_output_directory(self, tmp_path, capsys, no_work):
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        self._refused("build", {"input": str(corpus), "seed": 7}, tmp_path, capsys,
+                      "output", str(tmp_path / "o\0ut"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "corpus.jsonl"]
+
+    @pytest.mark.parametrize("value", ["corpus\0.jsonl", ["corpus.jsonl", "corpus\0.jsonl"]],
+                             ids=["string", "list"])
+    def test_a_build_input(self, value, tmp_path, capsys, no_work, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        build_fixture_corpus(tmp_path / "corpus.jsonl")
+        self._refused("build", {"output": "out", "seed": 7}, tmp_path, capsys, "input", value)
+        assert not (tmp_path / "out").exists()
+
+
+def test_outputs_with_long_names_open_at_once_keep_apart(tmp_path):
+    # Two long names that differ only in their last byte, open in one process.
+    names = ["a" * 250, "a" * 249 + "b"]
+    with citecorpus.atomic_write(tmp_path / names[0]) as first, \
+            citecorpus.atomic_write(tmp_path / names[1]) as second:
+        first.write("first\n")
+        second.write("second\n")
+        temporary = sorted(p.name for p in tmp_path.iterdir())
+        assert len(temporary) == 2 and all(name.startswith(".") for name in temporary)
+    assert [(tmp_path / name).read_text() for name in names] == ["first\n", "second\n"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
 class TestStats:
     def test_stats_command(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
@@ -601,6 +660,16 @@ class TestTrainEval:
             f"error: config file {config}: key 'split' must be one of train, dev, test, all, "
             f"got 'bogus'\n")
         assert not (tmp_path / "m.json").exists()
+
+    def test_train_writes_a_model_whose_name_is_near_the_limit(self, trained, tmp_path):
+        # The temporary file beside the model fits wherever the model's name does.
+        out, _ = trained
+        name = "m" * 245 + ".json"
+        models = tmp_path / "models"
+        models.mkdir()
+        assert main(["train", "--input", str(out / "dataset.jsonl"),
+                     "--output", str(models / name), "--seed", "4"]) == 0
+        assert [p.name for p in models.iterdir()] == [name]
 
     def test_train_reports_each_fit(self, trained, tmp_path, capsys):
         out, model_path = trained
@@ -1228,6 +1297,23 @@ class TestTableCache:
         assert main(train) == 0
         assert capsys.readouterr().out == trained_out
         assert self._listing(dataset) == [".dataset.jsonl.table", "dataset.jsonl"]
+
+    def test_a_dataset_whose_name_is_near_the_limit_is_cached(self, trained, dataset, capsys,
+                                                                monkeypatch):
+        # The cache's name is 7 bytes longer than the dataset's, and its
+        # temporary file's name fits wherever the cache's does.
+        _, model_path = trained
+        expected = self._fresh(model_path, dataset, capsys)
+        name = "d" * 234 + ".jsonl"
+        dataset = dataset.rename(dataset.with_name(name))
+        assert self._eval(model_path, dataset, capsys) == (0, expected)
+        assert self._listing(dataset) == [f".{name}.table", name]
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+
+        monkeypatch.setattr(pipeline, "read_dataset", no_read)
+        assert self._eval(model_path, dataset, capsys) == (0, expected)
 
     def test_a_stale_cache_is_read_again(self, trained, dataset, capsys, monkeypatch):
         # The edit keeps the file's length and modification time.

@@ -361,6 +361,19 @@ class TestDistanceMatrixIO:
             read_distance_matrix(path)
         assert str(exc.value) == f"{path}, {error}"
 
+    @pytest.mark.parametrize("text, error", [
+        ("\tA\tB\t\nA\t0\t1\t2\nB\t1\t0\t2\n\t2\t2\t0\n", "line 1: header cell 4 is empty"),
+        ("\tA\t \tB\nA\t0\t1\t2\n", "line 1: header cell 3 is empty"),
+        ("\tA\tB\nA\t0\t1\n \t1\t0\n", "line 3: row name is empty"),
+    ], ids=["trailing-tab", "blank-header-cell", "blank-row-name"])
+    def test_empty_name_named(self, tmp_path, text, error):
+        # Read silently, an empty name fails later as a field with no sentences.
+        path = tmp_path / "dist.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_distance_matrix(path)
+        assert str(exc.value) == f"{path}, {error}"
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e999"])
     def test_non_finite_cell_named(self, tmp_path, cell):
         path = tmp_path / "dist.tsv"

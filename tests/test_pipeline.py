@@ -48,6 +48,7 @@ from citecorpus.pipeline import (
     split_dataset,
     write_dataset,
 )
+from citecorpus.textproc import matches_citation_format, split_sentences
 from corpusgen import make_corpus_file, make_papers, write_corpus
 
 
@@ -170,6 +171,25 @@ class TestProcessParagraph:
         result = process_paragraph(paragraph)
         assert isinstance(result, RejectionReason)
         assert result.code == BAD_FORMAT
+
+    @pytest.mark.parametrize("start, end", [(0, 1), (0, 10), (49, 51), (50, 54)],
+                             ids=["leading-space", "from-leading-space", "gap", "from-gap"])
+    def test_span_starting_outside_every_sentence_rejected(self, start, end):
+        # Leading whitespace and the gap between sentences belong to no sentence.
+        text = " The first finding holds across many cohorts [4].  Prior work agrees here."
+        assert [(s.start, s.end) for s in split_sentences(text)] == [(1, 49), (51, 74)]
+        result = process_paragraph(Paragraph("Results", text, (CiteSpan(start, end),)))
+        assert result == RejectionReason(BAD_FORMAT)
+
+    @pytest.mark.parametrize("index", [0, 1], ids=["first", "last"])
+    def test_span_covering_a_whole_sentence_is_placed_in_it(self, index):
+        # Placed, the span is a citation with nothing after it, not even a full stop.
+        text = "The first finding holds [4]. Prior work agrees with it [5]."
+        spans = [CiteSpan(*m.span()) for m in re.finditer(r" \[\d\]", text)]
+        sentence = split_sentences(text)[index]
+        spans[index] = CiteSpan(sentence.start, sentence.end)
+        assert process_paragraph(Paragraph("Results", text, tuple(spans))) == \
+            RejectionReason(NOT_AT_END)
 
     def test_all_or_nothing(self):
         # One offending sentence rejects the whole paragraph; nothing partial.
@@ -317,6 +337,36 @@ class TestProcessPaper:
             result = label(paragraph)
             if not isinstance(result, RejectionReason):
                 assert result and all(isinstance(s, LabeledSentence) for s in result)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_paragraphs(), st.data())
+    def test_each_span_is_placed_in_the_sentence_that_contains_it(self, paragraph, data):
+        sentences = split_sentences(paragraph.text)
+        assume(sentences)
+        if data.draw(st.booleans()):
+            # Spans cut at sentence edges and citation ends, where a span one
+            # sentence off shows: it starts where its sentence starts.
+            edges = {i for sent in sentences for i in (sent.start, sent.end)}
+            edges |= {m.end() for m in re.finditer(r"\]|\)", paragraph.text)}
+            cuts = data.draw(st.lists(st.sampled_from(sorted(edges)), unique=True, max_size=6))
+            paragraph = paragraph._replace(cite_spans=tuple(
+                CiteSpan(start, end) for start, end in zip(*[iter(sorted(cuts))] * 2)))
+        assume(spans_pass_the_check(paragraph))
+        # Brute force: the first sentence that holds the whole span, if any.
+        owners = [next((i for i, sent in enumerate(sentences)
+                        if sent.start <= span.start and span.end <= sent.end), None)
+                  for span in paragraph.cite_spans]
+        result = process_paragraph(paragraph)
+        if None in owners:
+            assert result == RejectionReason(BAD_FORMAT)
+        elif result == RejectionReason(BAD_FORMAT):
+            # Every span is placed, so only a span's own text can be at fault.
+            assert not all(matches_citation_format(paragraph.text[span.start:span.end])
+                           for span in paragraph.cite_spans)
+        elif not isinstance(result, RejectionReason):
+            counts = [owners.count(i) for i in range(len(sentences))]
+            assert [(s.label, s.removed_span_count) for s in result] == [
+                (LABEL_CITE_WORTHY if n else LABEL_NON_CITE_WORTHY, n) for n in counts]
 
 
 def make_sample(paper_id, field, n_sentences=2, index=0, section="introduction"):
