@@ -53,7 +53,7 @@ def _load_config(args: argparse.Namespace) -> dict:
     path = args.config
     if path is None:
         return {}
-    _require_file(path, "config file")
+    _check_paths([("--config", path, "config file", READS)])
     try:
         text = "".join(line for _, line in read_lines(path))
     except ValueError as exc:
@@ -137,6 +137,12 @@ def _at_least(minimum: int) -> tuple:
     return f"at least {minimum}", lambda value: value >= minimum
 
 
+# File roles of a path option: a file the command reads, a file it writes,
+# or, as the tuple of their names, the files it writes into a directory.
+READS = "reads"
+WRITES = "writes"
+
+
 def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
     """A subcommand whose options ``_option`` declares and a config file may supply."""
     parser = sub.add_parser(name, help=help)
@@ -146,10 +152,12 @@ def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
 
 
 def _option(parser: argparse.ArgumentParser, name: str, kind: tuple, default=None,
-            required: bool = False, check: tuple | None = None, help: str | None = None):
+            required: bool = False, check: tuple | None = None, help: str | None = None,
+            file: tuple[str, str | tuple[str, ...]] | None = None):
     """Declare option ``name``: its flag, and the kind, default, requirement
-    and range check that ``_resolve_options`` applies to it."""
-    parser.get_default("options")[name] = (kind, default, required, check)
+    and range check that ``_resolve_options`` applies to it. A path option
+    gives ``file``, what its file is called in messages and its role."""
+    parser.get_default("options")[name] = (kind, default, required, check, file)
     if default is not None and kind is not SWITCH:
         help = f"{help} (default {default})" if help else f"default {default}"
     parser.add_argument("--" + name.replace("_", "-"), default=None, help=help,
@@ -161,9 +169,11 @@ def _resolve_options(args: argparse.Namespace) -> None:
     null counts as absent), else its default. Flag strings and config values
     go through the same kind converter and range check. A value not of the
     kind, or a string holding a NUL, is a usage error naming the flag, or
-    the file and key; a value out of range names the flag."""
+    the file and key; a value out of range names the flag. Then the files
+    of the path options are checked, in the order they are declared."""
     config = _load_config(args)
-    for name, (kind, default, required, check) in args.options.items():
+    files = []
+    for name, (kind, default, required, check, file) in args.options.items():
         flag = "--" + name.replace("_", "-")
         value, source = getattr(args, name), flag
         if value is None and config.get(name) is not None:
@@ -185,49 +195,44 @@ def _resolve_options(args: argparse.Namespace) -> None:
         if check is not None and not check[1](converted):
             raise UsageError(f"{flag} must be {check[0]}, got {value}")
         setattr(args, name, converted)
+        if file is not None:
+            files += [(flag, path, *file) for path in texts]
+    _check_paths(files)
 
 
-def _require_file(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"{what} not found: {path}")
-    return p
-
-
-def _refuse_file_above(path: str, what: str) -> None:
-    """A usage error when the nearest existing ancestor of ``path`` is not a
-    directory, so that nothing can be made below it."""
-    above = next(parent for parent in Path(path).parents if parent.exists())
-    if not above.is_dir():
-        raise UsageError(f"{what} is under {above}, which is not a directory: {path}")
-
-
-def _require_output(path: str, what: str) -> Path:
-    """The file to write, checked before any work: not a directory, and in
-    a directory that exists. A path that ends in a separator, ``.`` or
-    ``..`` names a directory even where none exists, and ``Path`` would
-    drop a trailing separator."""
-    p = Path(path)
-    if p.is_dir():
-        raise UsageError(f"{what} is a directory: {path}")
-    if os.path.basename(path) in ("", os.curdir, os.pardir):
-        raise UsageError(f"{what} names a directory: {path}")
-    if not p.parent.is_dir():
-        _refuse_file_above(path, what)
-        raise UsageError(f"{what} is in a directory that does not exist: {path}")
-    return p
-
-
-def _require_output_dir(path: str, what: str) -> Path:
-    """The directory to write into, checked before any work: a directory,
-    or a path that does not exist yet and can be made."""
-    p = Path(path)
-    if p.exists():
-        if not p.is_dir():
-            raise UsageError(f"{what} is not a directory: {path}")
-    else:
-        _refuse_file_above(path, what)
-    return p
+def _check_paths(files: list[tuple[str, str, str, str | tuple[str, ...]]]) -> None:
+    """Check each (flag, path, what, role) in turn, then refuse two files
+    that are one. A file to read must exist. A file to write must not be or
+    name a directory (a path ending in a separator, ``.`` or ``..`` does, and
+    ``Path`` drops a trailing separator) and must be in one that exists. A
+    directory to write into must be one or be makeable: no file above it."""
+    named = []
+    for flag, path, what, role in files:
+        p = Path(path)
+        if role == READS:
+            if not p.is_file():
+                raise UsageError(f"{what} not found: {path}")
+            named.append((f"{flag} {path}", p))
+            continue
+        if role == WRITES:
+            if p.is_dir():
+                raise UsageError(f"{what} is a directory: {path}")
+            if os.path.basename(path) in ("", os.curdir, os.pardir):
+                raise UsageError(f"{what} names a directory: {path}")
+            named.append((f"{flag} {path}", p))
+            missing = not p.parent.is_dir()
+        else:
+            if p.exists() and not p.is_dir():
+                raise UsageError(f"{what} is not a directory: {path}")
+            named += [(f"{what} {p / name}", p / name) for name in role]
+            missing = not p.exists()
+        if missing:
+            above = next(parent for parent in p.parents if parent.exists())
+            if not above.is_dir():
+                raise UsageError(f"{what} is under {above}, which is not a directory: {path}")
+            if role == WRITES:
+                raise UsageError(f"{what} is in a directory that does not exist: {path}")
+    _require_distinct(named)
 
 
 def _require_distinct(named: list[tuple[str, Path]]) -> None:
@@ -242,11 +247,6 @@ def _require_distinct(named: list[tuple[str, Path]]) -> None:
                 raise UsageError(f"{earlier_name} and {name} name the same file")
 
 
-def _outputs_in(output_dir: Path, *names: str) -> list[tuple[str, Path]]:
-    """The files a command writes in ``output_dir``, each named by its path."""
-    return [(f"output {output_dir / name}", output_dir / name) for name in names]
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     import hashlib
 
@@ -254,17 +254,14 @@ def cmd_build(args: argparse.Namespace) -> int:
     from .pipeline import (RULES, balanced_sample, collect_samples, split_dataset,
                            write_dataset, write_rejections)
 
-    input_paths = [_require_file(p, "input corpus") for p in args.input]
-    output_dir = _require_output_dir(args.output, "output")
-    _require_distinct([*((f"--input {arg}", path) for arg, path in zip(args.input, input_paths)),
-                       *_outputs_in(output_dir, DATASET_FILENAME, REJECTIONS_FILENAME,
-                                    MANIFEST_FILENAME)])
+    output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)
     # The manifest is written last and marks a complete build, so an earlier
     # build's manifest goes before anything else is replaced.
     (output_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
 
-    collected = collect_samples(input_paths, baseline=args.baseline, workers=args.workers)
+    collected = collect_samples(map(Path, args.input), baseline=args.baseline,
+                                workers=args.workers)
     for diag in collected.diagnostics:
         logger.warning("malformed input %s, line %d: %s", diag.source, diag.line, diag.message)
 
@@ -301,11 +298,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    _check_paths([("--input", args.input, "dataset", READS)])
     from . import metrics
     from .pipeline import read_dataset
 
-    path = _require_file(args.input, "dataset")
-    report = metrics.dataset_stats(read_dataset(path))
+    report = metrics.dataset_stats(read_dataset(Path(args.input)))
     if args.json:
         print(to_json(asdict(report), indent=2))
     else:
@@ -317,18 +314,12 @@ def cmd_audit_export(args: argparse.Namespace) -> int:
     from . import audit
     from .pipeline import read_dataset
 
-    main_path = _require_file(args.input, "dataset")
-    baseline_path = _require_file(args.baseline_input, "baseline dataset")
-    output_dir = _require_output_dir(args.output, "output")
-    # A sheet that compares a dataset with itself audits nothing.
-    _require_distinct([(f"--input {args.input}", main_path),
-                       (f"--baseline-input {args.baseline_input}", baseline_path),
-                       *_outputs_in(output_dir, SHEET_FILENAME, KEY_FILENAME)])
+    output_dir = Path(args.output)
     output_dir.mkdir(parents=True, exist_ok=True)
 
     items = audit.sample_for_audit(
-        read_dataset(main_path),
-        read_dataset(baseline_path),
+        read_dataset(Path(args.input)),
+        read_dataset(Path(args.baseline_input)),
         n_per_class=args.n_per_class,
         seed=args.seed,
         sheet_path=output_dir / SHEET_FILENAME,
@@ -340,11 +331,11 @@ def cmd_audit_export(args: argparse.Namespace) -> int:
 
 
 def cmd_audit_score(args: argparse.Namespace) -> int:
+    _check_paths([("--sheet", args.sheet, "annotated sheet", READS),
+                  ("--key", args.key, "key file", READS)])
     from . import audit
 
-    sheet = _require_file(args.sheet, "annotated sheet")
-    key = _require_file(args.key, "key file")
-    result = audit.score_audit(sheet, key)
+    result = audit.score_audit(Path(args.sheet), Path(args.key))
     print(result.render_text())
     return 0
 
@@ -365,13 +356,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .model import (compute_class_weights, featurize, fit_vocabulary, read_table,
                         save_model, train_logreg, train_pu)
 
-    dataset_path = _require_file(args.input, "dataset")
-    model_path, split = _require_output(args.output, "model file"), args.split
-    _require_distinct([(f"--input {args.input}", dataset_path),
-                       (f"--output {args.output}", model_path)])
+    model_path, split = Path(args.output), args.split
     # The whole table is freed once its rows are taken, and their counts
     # once featurized: the fit is when the process holds the most memory.
-    table = read_table(dataset_path)
+    table = read_table(Path(args.input))
     rows = table.rows(split=split)
     counts, labels = table.counts.rows(rows), table.label[rows]
     del table
@@ -397,15 +385,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     from . import metrics
     from .model import PUModel, featurize, load_model, predict, read_table
 
-    model_path = _require_file(args.model, "model file")
-    dataset_path = _require_file(args.input, "dataset")
-    split, field = args.split, args.field
-
-    model, vocab = load_model(model_path)
+    model, vocab = load_model(Path(args.model))
     if isinstance(model, PUModel):
         model = model.final_model
-    table = read_table(dataset_path)
-    rows = table.rows(field, split)
+    table = read_table(Path(args.input))
+    rows = table.rows(args.field, args.split)
     counts, golds = table.counts.rows(rows), table.label[rows]
     del table
     predicted = predict(model, featurize(counts, vocab))
@@ -419,14 +403,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
                         predict, read_table, train_logreg)
     import numpy as np  # after .model, which sets the BLAS thread count
 
-    dataset_path = _require_file(args.input, "dataset")
-    distances_path = _require_file(args.distances, "distance matrix")
-    named = [(f"--input {args.input}", dataset_path),
-             (f"--distances {args.distances}", distances_path)]
-    if args.output:
-        named.append((f"--output {args.output}", _require_output(args.output, "grid file")))
-    _require_distinct(named)
-
+    distances_path = Path(args.distances)
     distances = metrics.read_distance_matrix(distances_path)
     if args.fields:
         fields = list(dict.fromkeys(f.strip() for f in args.fields.split(",") if f.strip()))
@@ -438,7 +415,7 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
-    table = read_table(dataset_path)
+    table = read_table(Path(args.input))
     # Every field's rows, class weights and distance column, checked before
     # the first fit.
     selected = {(field, split): table.rows(field, split)
@@ -500,8 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _command(sub, "build", cmd_build, "run the full extraction pipeline")
-    _option(p, "input", PATHS, required=True, help="corpus file (repeatable)")
-    _option(p, "output", TEXT, required=True, help="output directory")
+    _option(p, "input", PATHS, required=True, help="corpus file (repeatable)",
+            file=("input corpus", READS))
+    _option(p, "output", TEXT, required=True, help="output directory",
+            file=("output", (DATASET_FILENAME, REJECTIONS_FILENAME, MANIFEST_FILENAME)))
     _option(p, "seed", INTEGER, required=True)
     _option(p, "quota", INTEGER, 1000, check=_at_least(0), help="paragraphs per field")
     _option(p, "ratios", RATIOS, "0.8,0.1,0.1", check=SHARES,
@@ -517,12 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = _command(sub, "audit-export", cmd_audit_export, "export a blinded annotation sheet")
-    _option(p, "input", TEXT, required=True, help="main-pipeline dataset")
-    _option(p, "baseline_input", TEXT, required=True, help="baseline dataset")
+    # A sheet that compares a dataset with itself audits nothing.
+    _option(p, "input", TEXT, required=True, help="main-pipeline dataset",
+            file=("dataset", READS))
+    _option(p, "baseline_input", TEXT, required=True, help="baseline dataset",
+            file=("baseline dataset", READS))
     _option(p, "n_per_class", INTEGER, 500, check=_at_least(0),
             help="sentences per (method, class) stratum")
     _option(p, "seed", INTEGER, required=True)
-    _option(p, "output", TEXT, required=True, help="output directory")
+    _option(p, "output", TEXT, required=True, help="output directory",
+            file=("output", (SHEET_FILENAME, KEY_FILENAME)))
 
     p = sub.add_parser("audit-score", help="score an annotated sheet")
     p.add_argument("--sheet", required=True)
@@ -530,8 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit_score)
 
     p = _command(sub, "train", cmd_train, "train a classifier on a dataset")
-    _option(p, "input", TEXT, required=True, help="dataset file")
-    _option(p, "output", TEXT, required=True, help="model file to write")
+    _option(p, "input", TEXT, required=True, help="dataset file", file=("dataset", READS))
+    _option(p, "output", TEXT, required=True, help="model file to write",
+            file=("model file", WRITES))
     _option(p, "seed", INTEGER, required=True, check=_at_least(0))
     _option(p, "c_value", NUMBER, DEFAULT_C, check=POSITIVE,
             help="inverse regularization strength")
@@ -541,19 +525,21 @@ def build_parser() -> argparse.ArgumentParser:
     _option(p, "max_features", INTEGER, check=_at_least(1))
 
     p = _command(sub, "eval", cmd_eval, "evaluate a model on a dataset")
-    _option(p, "model", TEXT, required=True)
-    _option(p, "input", TEXT, required=True)
+    _option(p, "model", TEXT, required=True, file=("model file", READS))
+    _option(p, "input", TEXT, required=True, file=("dataset", READS))
     _option(p, "split", SPLIT, SPLIT_TEST, help="train, dev, test or all")
     _option(p, "field", TEXT, help="restrict to one subject field")
 
     p = _command(sub, "cross-domain", cmd_cross_domain, "train/test grid across fields")
-    _option(p, "input", TEXT, required=True)
-    _option(p, "distances", TEXT, required=True, help="labeled distance-matrix file")
+    _option(p, "input", TEXT, required=True, file=("dataset", READS))
+    _option(p, "distances", TEXT, required=True, help="labeled distance-matrix file",
+            file=("distance matrix", READS))
     _option(p, "fields", TEXT, help="comma-separated field subset")
     _option(p, "seed", INTEGER, help="ignored: the grid has no random choices")
     _option(p, "c_value", NUMBER, DEFAULT_C, check=POSITIVE)
     _option(p, "min_df", INTEGER, 1, check=_at_least(1))
-    _option(p, "output", TEXT, help="write the grid as JSON here")
+    _option(p, "output", TEXT, help="write the grid as JSON here",
+            file=("grid file", WRITES))
 
     p = sub.add_parser("dump-rules", help="print the embedded rules verbatim")
     p.set_defaults(func=cmd_dump_rules)
