@@ -411,19 +411,25 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
         fields = sorted({train for train, _ in distances})
     if len(fields) < 2:
         raise ValueError(f"the cross-domain grid needs two or more fields, got {fields}")
-    metrics.require_pairs(distances, fields, "distance matrix")
+    try:
+        metrics.require_pairs(distances, fields, "distance matrix")
+    except ValueError as exc:
+        raise ValueError(f"{distances_path}: {exc}") from exc
     # Count each sentence once; every vocabulary below maps the same matrix.
     # In-domain cells score the held-out test split, out-of-domain cells the
     # entire other field.
     table = read_table(Path(args.input))
-    # Every field's rows, class weights and distance column, checked before
-    # the first fit.
+    # Every field's rows, class weights, vocabulary and distance column,
+    # checked before the first fit.
     selected = {(field, split): table.rows(field, split)
                 for field in fields for split in ("all", SPLIT_TRAIN, SPLIT_TEST)}
-    class_weights = {}
+    class_weights, vocabularies = {}, {}
     for field in fields:
+        train_rows = selected[field, SPLIT_TRAIN]
         try:
-            class_weights[field] = compute_class_weights(table.label[selected[field, SPLIT_TRAIN]])
+            class_weights[field] = compute_class_weights(table.label[train_rows])
+            vocabularies[field] = fit_vocabulary(table.counts.rows(train_rows),
+                                                 min_df=args.min_df)
         except TrainingError as exc:
             raise TrainingError(f"field {field!r}, split {SPLIT_TRAIN!r}: {exc}") from exc
     for test_field in fields:
@@ -440,12 +446,14 @@ def cmd_cross_domain(args: argparse.Namespace) -> int:
     f1_by_pair: dict[tuple[str, str], float] = {}
     for train_field in fields:
         train_rows = selected[train_field, SPLIT_TRAIN]
-        vocab = fit_vocabulary(counts.rows(train_rows), min_df=args.min_df)
         # Rows are featurized and predicted independently, so one pass over
         # the grid's sentences serves the fit and all of its test cells.
-        X = featurize(counts, vocab)
-        model = train_logreg(X[train_rows], labels[train_rows], class_weights[train_field],
-                             C=args.c_value)
+        X = featurize(counts, vocabularies[train_field])
+        try:
+            model = train_logreg(X[train_rows], labels[train_rows], class_weights[train_field],
+                                 C=args.c_value)
+        except TrainingError as exc:
+            raise TrainingError(f"field {train_field!r}, split {SPLIT_TRAIN!r}: {exc}") from exc
         _warn_unconverged(f"fit on {train_field}", model)
         predicted = predict(model, X)
         for test_field in fields:

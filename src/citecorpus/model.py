@@ -383,11 +383,12 @@ def _hessian_product(X: CSR, curvature: np.ndarray, C: float):
     return times
 
 
-def _newton_direction(hessian_times, gradient: np.ndarray) -> np.ndarray:
+def _newton_direction(hessian_times, gradient: np.ndarray) -> np.ndarray | None:
     """An inexact solution p of H p = -gradient by conjugate gradients
     (Nocedal and Wright, Algorithm 7.1). CG stops once the residual is below
     min(0.5, sqrt(|g|)) |g|, which makes Newton's convergence superlinear,
-    on a direction of no curvature, or after len(gradient) steps."""
+    on a direction of no curvature, or after len(gradient) steps. None when
+    a curvature d.Hd is not finite: every later step would be out of range."""
     norm = math.sqrt(np.dot(gradient, gradient))
     tolerance = min(0.5, math.sqrt(norm)) * norm
     p = np.zeros_like(gradient)
@@ -396,6 +397,8 @@ def _newton_direction(hessian_times, gradient: np.ndarray) -> np.ndarray:
     for _ in range(len(gradient)):
         hd = hessian_times(d)
         curve = np.dot(d, hd)
+        if not math.isfinite(curve):
+            return None
         if curve <= 0.0:
             break
         alpha = rr / curve
@@ -420,8 +423,10 @@ def train_logreg(
     of ||w||^2 / (2C), scaled by 1/N, from a zero start over ``[w, b]``.
     Labels may be soft targets in [0, 1], used with class weights (1, 1):
     a row with target q costs q * L1 + (1 - q) * L0. Raises TrainingError
-    before optimizing when a feature value is not finite. The procedure has
-    no random choices.
+    before optimizing when a feature value is not finite, and, naming C,
+    once the loss, the gradient or a Newton direction is not finite, as
+    they overflow at a C too small for the data. The procedure has no
+    random choices.
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -443,28 +448,43 @@ def train_logreg(
         g = np.append(grad_w, grad_b) / n
         return loss / n, g, float(np.max(np.abs(g))), sigma
 
+    def out_of_range(what: str) -> TrainingError:
+        return TrainingError(f"the {what} is not finite at C={float(C)!r}: "
+                             "C is too small for this data")
+
     v = np.zeros(X.shape[1] + 1)
-    f, g, g_max, sigma = evaluate(v)
     iterations = 0
-    while g_max > _GTOL and iterations < _MAX_ITERATIONS:
-        # The scaled objective is the unscaled one with weights s/N and C*N.
-        curvature = (weight / n) * sigma * (1.0 - sigma)
-        p = _newton_direction(_hessian_product(X, curvature, C * n), g)
-        step, slope = 1.0, float(np.dot(g, p))
-        for _ in range(_MAX_HALVINGS):
-            v_new = v + step * p
-            f_new, g_new, g_max_new, sigma_new = evaluate(v_new)
-            # Armijo's test; within rounding of f it cannot tell, and a step
-            # that shrinks the gradient is taken instead.
-            if (f_new <= f + _ARMIJO * step * slope
-                    or (abs(f_new - f) <= 4 * np.finfo(float).eps * abs(f)
-                        and g_max_new < g_max)):
+    # The checks below stop the fit at the first value out of range, so
+    # numpy need not warn of one.
+    with np.errstate(all="ignore"):
+        f, g, g_max, sigma = evaluate(v)
+        while True:
+            for what, value in (("loss", f), ("gradient", g_max)):
+                if not math.isfinite(value):
+                    raise out_of_range(what)
+            if g_max <= _GTOL or iterations == _MAX_ITERATIONS:
                 break
-            step /= 2
-        else:
-            break  # no step along p helps: the fit is at its rounding floor
-        v, f, g, g_max, sigma = v_new, f_new, g_new, g_max_new, sigma_new
-        iterations += 1
+            # The scaled objective is the unscaled one with weights s/N and C*N.
+            curvature = (weight / n) * sigma * (1.0 - sigma)
+            p = _newton_direction(_hessian_product(X, curvature, C * n), g)
+            slope = math.nan if p is None else float(np.dot(g, p))
+            if not math.isfinite(slope):
+                raise out_of_range("Newton direction")
+            step = 1.0
+            for _ in range(_MAX_HALVINGS):
+                v_new = v + step * p
+                f_new, g_new, g_max_new, sigma_new = evaluate(v_new)
+                # Armijo's test; within rounding of f it cannot tell, and a
+                # step that shrinks the gradient is taken instead.
+                if (f_new <= f + _ARMIJO * step * slope
+                        or (abs(f_new - f) <= 4 * np.finfo(float).eps * abs(f)
+                            and g_max_new < g_max)):
+                    break
+                step /= 2
+            else:
+                break  # no step along p helps: the fit is at its rounding floor
+            v, f, g, g_max, sigma = v_new, f_new, g_new, g_max_new, sigma_new
+            iterations += 1
     return LinearModel(weights=v[:-1], bias=float(v[-1]),
                        class_weights=(float(w_pos), float(w_neg)), C=float(C),
                        iterations=iterations, grad_max=g_max * n,

@@ -683,6 +683,20 @@ class TestTrainEval:
             "labeling fit", "final fit"]
         assert all(line.endswith(", converged") for line in lines if "fit:" in line)
 
+    @pytest.mark.parametrize("flags", [[], ["--pu"]], ids=["plain", "pu"])
+    def test_a_c_too_small_for_the_data_is_an_error_naming_it(self, flags, trained,
+                                                              tmp_path, capsys):
+        # Under the project's warning filters a numpy RuntimeWarning would
+        # end this test with an exception of its own.
+        out, _ = trained
+        model_path = tmp_path / "m.json"
+        assert main(["train", "--input", str(out / "dataset.jsonl"), "--output",
+                     str(model_path), "--seed", "4", "--c-value", "1e-318", *flags]) == 1
+        assert capsys.readouterr().err == (
+            "error: the Newton direction is not finite at C=1e-318: "
+            "C is too small for this data\n")
+        assert not model_path.exists()
+
     def test_train_warns_when_a_fit_stops_early(self, trained, tmp_path, monkeypatch,
                                                 capsys, caplog):
         out, _ = trained
@@ -1549,6 +1563,18 @@ class TestCrossDomain:
             for test_field in fields:
                 assert 0.0 <= grid["f1"][train_field][test_field] <= 100.0
 
+    def test_a_c_too_small_for_the_data_names_the_field(self, trained, tmp_path, capsys):
+        out, _ = trained
+        fields = ["Biology", "Chemistry"]
+        dist_path = tmp_path / "dist.tsv"
+        write_distance_matrix({(a, b): float(a != b) for a in fields for b in fields}, fields,
+                              dist_path)
+        assert main(["cross-domain", "--input", str(out / "dataset.jsonl"), "--distances",
+                     str(dist_path), "--c-value", "1e-318"]) == 1
+        assert capsys.readouterr().err == (
+            "error: field 'Biology', split 'train': the Newton direction is not finite at "
+            "C=1e-318: C is too small for this data\n")
+
     def test_every_cell_matches_a_separate_fit_and_predict(self, ten_fields, tmp_path):
         # Hand-check the orchestration: each cell must equal a model trained
         # on its row field's train split, predicting the cell's rows alone:
@@ -1676,7 +1702,8 @@ class TestCrossDomain:
 
     @pytest.mark.parametrize("case", ["missing-matrix-row", "field-not-in-dataset",
                                       "field-without-test-rows", "field-without-train-rows",
-                                      "one-class-train-rows", "constant-distance-column"])
+                                      "one-class-train-rows", "constant-distance-column",
+                                      "empty-train-vocabulary"])
     def test_inputs_checked_before_the_first_fit(self, case, trained, tmp_path, monkeypatch,
                                                  capsys):
         def no_fit(*args, **kwargs):
@@ -1686,10 +1713,10 @@ class TestCrossDomain:
         out, _ = trained
         dataset_path = out / "dataset.jsonl"
         fields = ["Biology", "Chemistry"]
-        rows = fields
+        rows, flags = fields, []
         if case == "missing-matrix-row":
             rows = ["Biology"]
-            expected = ("incomplete distance matrix; missing pairs: "
+            expected = (f"{tmp_path / 'dist.tsv'}: incomplete distance matrix; missing pairs: "
                         "[('Chemistry', 'Biology'), ('Chemistry', 'Chemistry')]")
         elif case == "field-not-in-dataset":
             fields = rows = fields + ["Nosuch"]
@@ -1708,6 +1735,21 @@ class TestCrossDomain:
             write_dataset(samples, dataset_path)
             expected = ("field 'Chemistry', split 'train': both classes must be present to "
                         "compute class weights")
+        elif case == "empty-train-vocabulary":
+            # Each Chemistry train sentence becomes one word of its own, so
+            # no term of that field is in two of them.
+            samples = read_dataset(dataset_path)
+            words = 0
+            for sample in samples:
+                if sample.mag_field == "Chemistry" and sample.split == "train":
+                    sample.sentences = tuple(s._replace(text=f"Word{words + i}.")
+                                             for i, s in enumerate(sample.sentences))
+                    words += len(sample.sentences)
+            dataset_path = tmp_path / "dataset.jsonl"
+            write_dataset(samples, dataset_path)
+            flags = ["--min-df", "2"]
+            expected = (f"field 'Chemistry', split 'train': vocabulary is empty "
+                        f"(min_df=2 over {words} documents)")
         else:
             emptied = "test" if case == "field-without-test-rows" else "train"
             samples = read_dataset(dataset_path)
@@ -1723,7 +1765,7 @@ class TestCrossDomain:
             for train in rows:
                 fh.write("\t".join([train] + ["1.0"] * len(fields)) + "\n")
         assert main(["cross-domain", "--input", str(dataset_path), "--distances",
-                     str(dist_path), "--fields", ",".join(fields)]) == 1
+                     str(dist_path), "--fields", ",".join(fields), *flags]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize("test_field, x", [
@@ -2144,6 +2186,22 @@ def test_an_output_that_is_an_input_is_refused_before_any_work(files, argv, vict
     assert (tmp_path / victim).read_bytes() == f"the bytes of {victim}\n".encode()
     assert {path: path.read_bytes() for path in tmp_path.rglob("*")
             if path.is_file()} == before
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["eval", "--model", "d.jsonl", "--input", "./d.jsonl"],
+     "--model d.jsonl and --input ./d.jsonl"),
+    (["audit-score", "--sheet", "d.jsonl", "--key", "d.jsonl"],
+     "--sheet d.jsonl and --key d.jsonl"),
+], ids=["eval", "audit-score"])
+def test_one_file_given_for_two_inputs_is_a_usage_error(argv, names, tmp_path, capsys,
+                                                        monkeypatch):
+    # As in every other command, two path options that name one file are
+    # refused: no file is both a model and a dataset, or a sheet and its key.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d.jsonl").write_text("{}\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {names} name the same file\n"
 
 
 @pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])

@@ -375,6 +375,12 @@ class TestTrainLogreg:
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
 
+    def test_a_subnormal_c_is_an_error_naming_it(self):
+        # w / C overflows at once; pytest turns a numpy warning into an error.
+        X, y = gaussian_blobs(5, n_pos=30, n_neg=70, sep=2.0)
+        with pytest.raises(TrainingError, match=r"not finite at C=1e-318: C is too small"):
+            train_logreg(X, y, (1.0, 1.0), C=1e-318)
+
     def test_c_must_be_positive(self):
         with pytest.raises(ValueError):
             train_logreg(dense_csr(np.zeros((2, 1))), [0, 1], (1.0, 1.0), C=0.0)
@@ -818,6 +824,11 @@ class TestTrainPU:
     def test_label_length_mismatch(self):
         with pytest.raises(ValueError, match="3 feature rows but 2 labels"):
             train_pu(dense_csr(np.eye(3)), [1, 0], seed=0)
+
+    def test_a_subnormal_c_is_an_error_naming_it(self):
+        X, _, s = pu_blobs(3005, n_pos=100, n_neg=200)
+        with pytest.raises(TrainingError, match=r"not finite at C=1e-318: C is too small"):
+            train_pu(X, s, seed=0, C=1e-318)
 
     def test_a_zero_labeling_frequency_is_refused(self, monkeypatch):
         X, _, s = pu_blobs(3005, n_pos=100, n_neg=200)

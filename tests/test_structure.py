@@ -181,9 +181,10 @@ def test_only_model_names_the_table_file():
     assert uses == []
 
 
-def _run_fresh(watched, *argv):
-    """Run the command ``argv`` in a fresh interpreter, which must exit 0.
-    Returns its stdout and the modules of ``watched`` that it loaded."""
+def _run_fresh(watched, *argv, status=0):
+    """Run the command ``argv`` in a fresh interpreter, which must exit with
+    ``status``. Returns its stdout and the modules of ``watched`` that it
+    loaded."""
     code = ("import sys\nfrom citecorpus.cli import main\nstatus = main(sys.argv[2:])\n"
             "print([name for name in sys.argv[1].split(',') if name in sys.modules])\n"
             "sys.exit(status)")
@@ -191,7 +192,7 @@ def _run_fresh(watched, *argv):
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code, ",".join(watched), *argv],
                             capture_output=True, text=True, env=env, timeout=300)
-    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.returncode == status, result.stderr[-2000:]
     *out, loaded = result.stdout.splitlines()
     return out, ast.literal_eval(loaded)
 
@@ -254,6 +255,20 @@ def test_model_commands_with_a_table_cache_load_no_build_side_module(tmp_path):
     cold, loaded = _run_fresh(BUILD_SIDE, *evaluate)
     assert (cold, loaded) == (warm, ["citecorpus.ingest", "citecorpus.pipeline",
                                      "citecorpus.textproc"])
+
+
+def test_a_model_command_checks_its_files_before_loading_numpy(tmp_path):
+    # Every path option is checked before the command imports its layers,
+    # so a usage error costs no numpy import. Each command runs in a fresh
+    # interpreter.
+    present, missing = tmp_path / "present.jsonl", str(tmp_path / "missing.jsonl")
+    present.write_text("{}\n")
+    for argv in (["train", "--input", missing, "--output", str(tmp_path / "m.json"),
+                  "--seed", "1"],
+                 ["eval", "--model", str(present), "--input", missing],
+                 ["cross-domain", "--input", missing, "--distances", str(present)],
+                 ["train", "--input", str(present), "--output", str(present), "--seed", "1"]):
+        assert _run_fresh(["numpy", "citecorpus.model"], *argv, status=2)[1] == [], argv
 
 
 CITATION_PATTERNS = ("NUMERIC_CITATION_PATTERN", "AUTHOR_YEAR_CITATION_PATTERN",
