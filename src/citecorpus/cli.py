@@ -12,7 +12,9 @@ whose dataset has a table cache loads neither the corpus parser, the build
 pipeline nor the text processing, and no build-side command loads numpy.
 The model commands get their sentences from ``model.read_table``, which
 owns the table cache; ``cross-domain`` keeps only the sentences of the
-fields its grid scores.
+fields its grid scores. Each path option is declared with its file role,
+and every such file is checked before the command starts, so a usage error
+about a file loads none of the layers.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@ private name or imports scipy, every JSON input goes through one decoder
 and is type-checked by exact type, every exception class the package
 defines is caught by name somewhere in it, only ``model`` names the table
 file, only ``pipeline`` imports ``ingest``, no build-side command loads
-numpy, no model command with a table cache loads a build-side module, each
+numpy, no model command with a table cache loads a build-side module, a
+model command refuses a bad file before it loads numpy, each
 citation pattern is written once and compiled only from its constant, and
 the test configuration lets a failing property test report its example."""
 
