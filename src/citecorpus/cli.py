@@ -15,6 +15,9 @@ owns the table cache; ``cross-domain`` keeps only the sentences of the
 fields its grid scores. Each path option is declared with its file role,
 and every such file is checked before the command starts, so a usage error
 about a file loads none of the layers.
+
+``main`` runs one command in the calling process and returns its exit code;
+``run``, the process entry, ends the process after it.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import (DEFAULT_C, SPLIT_TEST, SPLIT_TRAIN, SPLITS, __version__, from_json,
                ratios_are_valid, read_lines, to_json, write_json)
@@ -204,16 +207,20 @@ def _resolve_options(args: argparse.Namespace) -> None:
 
 def _check_paths(files: list[tuple[str, str, str, str | tuple[str, ...]]]) -> None:
     """Check each (flag, path, what, role) in turn, then refuse two files
-    that are one. A file to read must exist. A file to write must not be or
-    name a directory (a path ending in a separator, ``.`` or ``..`` does, and
-    ``Path`` drops a trailing separator) and must be in one that exists. A
-    directory to write into must be one or be makeable: no file above it."""
+    that are one. A file to read must be a regular file: not a directory,
+    and not a pipe, which the table cache and the same-file check cannot
+    rely on. A file to write must not be or name a directory (a path ending
+    in a separator, ``.`` or ``..`` does, and ``Path`` drops a trailing
+    separator) and must be in one that exists. A directory to write into
+    must be one or be makeable: no file above it."""
     named = []
     for flag, path, what, role in files:
         p = Path(path)
         if role == READS:
             if not p.is_file():
-                raise UsageError(f"{what} not found: {path}")
+                problem = ("is a directory" if p.is_dir() else
+                           "is not a regular file" if p.exists() else "not found")
+                raise UsageError(f"{what} {problem}: {path}")
             named.append((f"{flag} {path}", p))
             continue
         if role == WRITES:
@@ -580,5 +587,25 @@ def main(argv: list[str] | None = None) -> int:
             gc.enable()
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> NoReturn:
+    """The process entry of ``python -m citecorpus`` and of the ``citecorpus``
+    script: run ``main``, flush ``sys.stdout`` and ``sys.stderr``, and end the
+    process with ``os._exit``, skipping the interpreter's teardown. That
+    teardown, a last cyclic collection over numpy's and the command's
+    objects and then the freeing of every module and array, writes nothing
+    and took 25-37 ms of a model command (medians of 12 runs on 2 vCPUs).
+
+    Nothing is lost by skipping it: ``atomic_write`` and ``save_model``
+    rename their outputs before ``main`` returns, the ``build`` pool is shut
+    down and its workers joined inside its ``with`` block, and the logging
+    handlers flush on every record. An exception that escapes ``main``, and
+    a flush that fails (a closed pipe), end through the normal interpreter
+    exit, with the traceback, message and exit code that it gives."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)

@@ -6,10 +6,12 @@ import errno
 import gc
 import hashlib
 import json
+import logging
 import math
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -55,6 +57,16 @@ GOLDEN_REJECTIONS = """\
 {"code": "hanging-marker", "paper_id": "paper-00004", "paragraph_index": 0}
 {"code": "bad-section", "paper_id": "paper-00005", "paragraph_index": 0}
 """
+
+
+def _not_a_regular_file(path):
+    """``path``, made a directory or a FIFO as its name says; a FIFO is
+    never opened, so no check may open it."""
+    if path.name == "a-directory":
+        path.mkdir()
+    elif path.name == "a-fifo":
+        os.mkfifo(path)
+    return path
 
 
 def build_fixture_corpus(path, **kwargs):
@@ -342,14 +354,15 @@ class TestBuild:
                                            f"got []\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("name", ["missing.json", "a-directory"])
-    def test_config_that_is_not_a_file_is_a_usage_error(self, name, tmp_path, capsys):
-        config = tmp_path / name
-        if name == "a-directory":
-            config.mkdir()
+    @pytest.mark.parametrize("name, problem", [("missing.json", "not found"),
+                                               ("a-directory", "is a directory"),
+                                               ("a-fifo", "is not a regular file")])
+    def test_config_that_is_not_a_file_is_a_usage_error(self, name, problem, tmp_path,
+                                                         capsys):
+        config = _not_a_regular_file(tmp_path / name)
         assert main(["build", "--config", str(config), "--input", str(tmp_path / "c.jsonl"),
                      "--output", str(tmp_path / "out"), "--seed", "1"]) == 2
-        assert capsys.readouterr().err == f"error: config file not found: {config}\n"
+        assert capsys.readouterr().err == f"error: config file {problem}: {config}\n"
         assert not (tmp_path / "out").exists()
 
     def test_undecodable_config_is_a_usage_error(self, tmp_path, capsys):
@@ -522,6 +535,31 @@ def test_outputs_with_long_names_open_at_once_keep_apart(tmp_path):
         assert len(temporary) == 2 and all(name.startswith(".") for name in temporary)
     assert [(tmp_path / name).read_text() for name in names] == ["first\n", "second\n"]
     assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+# A command that reads a file, and what it calls the file, for each such
+# path option: declared (train) or checked by the command itself (stats,
+# audit-score).
+READ_OPTIONS = {
+    "train --input": (lambda path, tmp: ["train", "--input", path, "--output",
+                                         str(tmp / "m.json"), "--seed", "1"], "dataset"),
+    "stats --input": (lambda path, tmp: ["stats", "--input", path], "dataset"),
+    "audit-score --key": (lambda path, tmp: ["audit-score", "--sheet", str(tmp / "s.tsv"),
+                                             "--key", path], "key file"),
+}
+
+
+@pytest.mark.parametrize("name, problem", [("missing.jsonl", "not found"),
+                                           ("a-directory", "is a directory"),
+                                           ("a-fifo", "is not a regular file")])
+@pytest.mark.parametrize("option", READ_OPTIONS)
+def test_an_input_that_is_not_a_regular_file_is_a_usage_error(option, name, problem, tmp_path,
+                                                              capsys):
+    (tmp_path / "s.tsv").write_text("id\n")
+    path = str(_not_a_regular_file(tmp_path / name))
+    argv, what = READ_OPTIONS[option]
+    assert main(argv(path, tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: {what} {problem}: {path}\n"
 
 
 class TestStats:
@@ -2548,3 +2586,98 @@ def test_no_command_makes_cyclic_garbage_that_grows_with_its_input(tmp_path):
     assert list(large) == list(small) and len(small) == 10
     assert {name: (small[name], count) for name, count in large.items()
             if count > small[name] + 100} == {}
+
+
+def _in_process(argv, capsys):
+    """The exit code, stdout and stderr of ``main(argv)`` in this process,
+    with its warnings logged to stderr as in a fresh process."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        code = main(argv)
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    return (code, *capsys.readouterr())
+
+
+class TestProcessEntry:
+    """``python -m citecorpus`` ends through ``cli.run``, which flushes the
+    standard streams and skips the interpreter's teardown; a process must
+    still give what ``main`` gives in-process."""
+
+    def test_a_process_prints_what_main_prints(self, trained, tmp_path, capsys):
+        out, model_path = trained
+        dataset = str(out / "dataset.jsonl")
+        corpus = tmp_path / "corpus.jsonl"
+        build_fixture_corpus(corpus)
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        bad_model = tmp_path / "bad.json"
+        bad_model.write_text("{}\n")
+        codes = []
+        for argv in (["dump-rules"],
+                     ["stats", "--input", dataset],
+                     ["eval", "--model", str(model_path), "--input", dataset],
+                     ["build", "--input", str(corpus), "--seed", "7", "--output",
+                      str(tmp_path / "out")],
+                     ["eval", "--model", str(bad_model), "--input", dataset],
+                     ["stats", "--input", str(tmp_path)]):
+            expected = _in_process(argv, capsys)
+            # Block-buffered streams, so that output not flushed at exit is lost.
+            result = subprocess.run([sys.executable, "-m", "citecorpus", *argv],
+                                    capture_output=True, text=True, timeout=300,
+                                    env=_subprocess_env(PYTHONUNBUFFERED=None))
+            assert (result.returncode, result.stdout, result.stderr) == expected, argv
+            assert len(result.stdout.encode()) < 8192 and (result.stdout or result.returncode)
+            codes.append(result.returncode)
+        assert codes == [0, 0, 0, 0, 1, 2]
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_a_closed_pipe_ends_the_process_as_the_interpreter_exit_does(self, buffered):
+        # Buffered, the print succeeds and the flush at exit fails; unbuffered,
+        # the print fails and main reports it.
+        def run(*command):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                result = subprocess.run(
+                    [sys.executable, *command, "dump-rules"], stdout=write,
+                    stderr=subprocess.PIPE, text=True, timeout=120,
+                    env=_subprocess_env(PYTHONUNBUFFERED=None if buffered else "1"))
+            finally:
+                os.close(write)
+            return result.returncode, result.stderr
+
+        reference = run("-c", "import sys\nfrom citecorpus.cli import main\n"
+                              "sys.exit(main(sys.argv[1:]))")
+        assert run("-m", "citecorpus") == reference
+        assert (reference[0], reference[1].splitlines()[-1]) == (
+            (120, "BrokenPipeError: [Errno 32] Broken pipe") if buffered
+            else (1, "error: [Errno 32] Broken pipe"))
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["success", "span-error"])
+    def test_a_pooled_build_leaves_no_process_behind(self, fault, tmp_path):
+        # Two batches of lines, so that both workers start.
+        corpus = tmp_path / "corpus.jsonl"
+        records = build_fixture_corpus(corpus, n_papers=2 * pipeline.BATCH_LINES + 10)
+        if fault:
+            records[-1]["body_text"][0]["cite_spans"].append(
+                {"start": 0, "end": 10**6, "ref_id": "x"})
+            write_corpus(records, corpus)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "citecorpus", "build", "--input", str(corpus), "--output",
+             str(tmp_path / "out"), "--seed", "7", "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_subprocess_env(),
+            start_new_session=True)
+        _, stderr = proc.communicate(timeout=300)
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            pass
+        else:
+            os.killpg(proc.pid, signal.SIGKILL)
+            pytest.fail("the build left a process in its session")
+        assert proc.returncode == (1 if fault else 0), stderr[-2000:]
+        assert ("cite span (0, 1000000) out of bounds" in stderr) is fault

@@ -5,7 +5,8 @@ defines is caught by name somewhere in it, only ``model`` names the table
 file, only ``pipeline`` imports ``ingest``, no build-side command loads
 numpy, no model command with a table cache loads a build-side module, a
 model command refuses a bad file before it loads numpy, each
-citation pattern is written once and compiled only from its constant, and
+citation pattern is written once and compiled only from its constant, both
+process entries are ``cli.run``, the one place that ends the process, and
 the test configuration lets a failing property test report its example."""
 
 import ast
@@ -13,6 +14,7 @@ import builtins
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import citecorpus
@@ -270,6 +272,35 @@ def test_a_model_command_checks_its_files_before_loading_numpy(tmp_path):
                  ["cross-domain", "--input", missing, "--distances", str(present)],
                  ["train", "--input", str(present), "--output", str(present), "--seed", "1"]):
         assert _run_fresh(["numpy", "citecorpus.model"], *argv, status=2)[1] == [], argv
+
+
+def test_the_module_entry_and_the_console_script_are_one_function():
+    tree = ast.parse((PACKAGE / "__main__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name: f"citecorpus.{node.module}:{alias.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    called = [imported[ast.unparse(node.func)] for node in ast.walk(tree)
+              if isinstance(node, ast.Call)]
+    scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert called == list(scripts.values()) == ["citecorpus.cli:run"]
+
+
+def _is_main_check(node):
+    return isinstance(node, ast.Compare) and {ast.unparse(node.left), *map(
+        ast.unparse, node.comparators)} == {"__name__", "'__main__'"}
+
+
+def test_only_cli_run_ends_the_process_and_only_main_py_is_a_script():
+    # cli.run skips the interpreter's teardown once output is flushed; any
+    # other way in or out would end commands differently.
+    exits, scripts = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "os._exit":
+                exits.append(path.name)
+            elif isinstance(node, ast.If) and _is_main_check(node.test):
+                scripts.append(path.name)
+    assert (exits, scripts) == (["cli.py"], ["__main__.py"])
 
 
 CITATION_PATTERNS = ("NUMERIC_CITATION_PATTERN", "AUTHOR_YEAR_CITATION_PATTERN",
